@@ -1,8 +1,10 @@
 """Exception types shared across the toolkit.
 
 Every error raised on bad *input* derives from ``WittkitError`` so the CLI
-can map it to a validation failure.  Violations of internal algebraic
-identities are plain ``AssertionError``s: those indicate a bug, not bad data.
+can map it to a validation failure.  A violated internal algebraic
+identity raises ``IdentityViolated``, an ``AssertionError`` subclass: it
+indicates a bug, not bad data, and is raised explicitly so that the check
+still runs under ``python -O``.
 """
 
 from __future__ import annotations
@@ -62,3 +64,7 @@ class NotUnitaryMod(WittkitError):
 
 class NotCongruent(WittkitError):
     """The two involutions do not agree modulo the nilpotent ideal."""
+
+
+class IdentityViolated(AssertionError):
+    """An exact identity the computation guarantees failed to hold."""

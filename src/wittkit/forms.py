@@ -20,6 +20,7 @@ from typing import Any, Iterator, Sequence
 
 from .errors import (
     DegenerateForm,
+    IdentityViolated,
     IllFormed,
     OddRank,
     OracleInconclusive,
@@ -31,7 +32,7 @@ from .intlinalg import (
     smith_normal_form,
     square_part,
 )
-from .matrices import InvMatrix
+from .matrices import InvMatrix, _matmul
 from .rings import (
     DYADIC,
     PRIME_FIELD,
@@ -153,11 +154,13 @@ class GramForm:
         if epsilon not in (1, -1):
             raise IllFormed(f"epsilon must be 1 or -1, got {epsilon!r}")
         if "diag" in obj:
+            if not isinstance(obj["diag"], list):
+                raise IllFormed("'diag' must be a list of entries")
             entries = [_entry_from_json(spec, e) for e in obj["diag"]]
             return cls(InvMatrix.diagonal(spec, entries), epsilon)
         if "gram" in obj:
             rows = obj["gram"]
-            if not isinstance(rows, list):
+            if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
                 raise IllFormed("'gram' must be a list of rows")
             grid = [[_entry_from_json(spec, e) for e in row] for row in rows]
             return cls(InvMatrix.from_rows(spec, grid), epsilon)
@@ -218,7 +221,9 @@ def _entry_from_json(spec: RingSpec, leaf: Any) -> Any:
 # -- payload-level matrix helpers --------------------------------------------
 #
 # The splitting algorithms run on mutable grids of raw payloads and only wrap
-# results in InvMatrix / GramForm at the end.
+# results in InvMatrix / GramForm at the end.  Products go through the shared
+# kernel ``_matmul``; every ring searched here has the trivial involution, so
+# a congruence t* a t is transpose(t) * a * t.
 
 
 def _pid(spec: RingSpec, n: int) -> list[list[Any]]:
@@ -226,52 +231,11 @@ def _pid(spec: RingSpec, n: int) -> list[list[Any]]:
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def _pmul(spec: RingSpec, x: list[list[Any]], y: list[list[Any]]) -> list[list[Any]]:
-    if not x or not y:
-        return [[] for _ in x]
-    yt = list(zip(*y))
-    zero = _zero(spec)
-    out = []
-    for row in x:
-        orow = []
-        for col in yt:
-            acc = zero
-            for xa, yb in zip(row, col):
-                if not _is_zero(spec, xa) and not _is_zero(spec, yb):
-                    acc = _add(spec, acc, _mul(spec, xa, yb))
-            orow.append(acc)
-        out.append(orow)
-    return out
-
-
-def _pstar(spec: RingSpec, x: list[list[Any]]) -> list[list[Any]]:
-    if not x:
-        return []
-    return [
-        [_involute(spec, x[i][j]) for i in range(len(x))] for j in range(len(x[0]))
-    ]
-
-
-def _pcongr(spec: RingSpec, a: list[list[Any]], t: list[list[Any]]) -> list[list[Any]]:
-    return _pmul(spec, _pstar(spec, t), _pmul(spec, a, t))
-
-
 def _pembed(spec: RingSpec, t: list[list[Any]], n: int, offset: int) -> list[list[Any]]:
     out = _pid(spec, n)
     for i, row in enumerate(t):
         for j, c in enumerate(row):
             out[offset + i][offset + j] = c
-    return out
-
-
-def _pmatvec(spec: RingSpec, a: list[list[Any]], v: list[Any]) -> list[Any]:
-    out = []
-    for row in a:
-        acc = _zero(spec)
-        for c, x in zip(row, v):
-            if not _is_zero(spec, c) and not _is_zero(spec, x):
-                acc = _add(spec, acc, _mul(spec, c, x))
-        out.append(acc)
     return out
 
 
@@ -316,8 +280,9 @@ class _Congruence:
             row[i] = _mul(spec, row[i], c)
 
     def apply(self, t: list[list[Any]]) -> None:
-        self.a = _pcongr(self.spec, self.a, t)
-        self.p = _pmul(self.spec, self.p, t)
+        spec = self.spec
+        self.a = _matmul(spec, list(zip(*t)), _matmul(spec, self.a, t))
+        self.p = _matmul(spec, self.p, t)
 
 
 # -- diagonalization ----------------------------------------------------------
@@ -537,7 +502,8 @@ def diagonalize(f: GramForm) -> tuple[InvMatrix, GramForm]:
         ws = _diag_field(spec, f.gram.cells)
     p = InvMatrix.from_rows(spec, ws.p)
     d = InvMatrix.from_rows(spec, ws.a)
-    assert p.conj_transpose() * f.gram * p == d
+    if p.conj_transpose() * f.gram * p != d:
+        raise IdentityViolated("diagonalization certificate P*.G.P = D failed")
     return p, GramForm(d, 1)
 
 
@@ -766,10 +732,10 @@ def witt_decompose(
                 spec, [ws.a[k][k] for k in range(m)], height_bound
             )
             if xd is None:
-                p_total = _pmul(spec, p_total, _pembed(spec, ws.p, n, n - m))
+                p_total = _matmul(spec, p_total, _pembed(spec, ws.p, n, n - m))
                 aniso = ws.a
                 break
-            x = _pmatvec(spec, ws.p, [canon_payload(spec, c) for c in xd])
+            x = [r[0] for r in _matmul(spec, ws.p, [[canon_payload(spec, c)] for c in xd])]
         else:
             # skew: every vector is isotropic, and m is even by nondegeneracy
             x = [one] + [_zero(spec)] * (m - 1)
@@ -780,7 +746,7 @@ def witt_decompose(
             half_q = _mul(spec, _qval(spec, current, w), canon_payload(spec, Fraction(1, 2)))
             w = [_add(spec, w[k], _neg(spec, _mul(spec, half_q, x[k]))) for k in range(m)]
         t = _complete_pair(spec, x, w)
-        a1 = _pcongr(spec, current, t)
+        a1 = _matmul(spec, list(zip(*t)), _matmul(spec, current, t))
         e = _pid(spec, m)
         for l in range(2, m):
             # kill B(x, v_l) and B(w, v_l) against the hyperbolic pair
@@ -788,17 +754,19 @@ def witt_decompose(
             alpha = a1[1][l] if eps == 1 else _neg(spec, a1[1][l])
             e[0][l] = _neg(spec, alpha)
             e[1][l] = _neg(spec, beta)
-        step = _pmul(spec, t, e)
-        a2 = _pcongr(spec, current, step)
-        assert _is_zero(spec, a2[0][0]) and _is_zero(spec, a2[1][1])
-        assert a2[0][1] == one and a2[1][0] == canon_payload(spec, eps)
-        assert all(
-            _is_zero(spec, a2[r][l]) and _is_zero(spec, a2[l][r])
+        step = _matmul(spec, t, e)
+        a2 = _matmul(spec, list(zip(*step)), _matmul(spec, current, step))
+        # the first two basis vectors must now span a standard hyperbolic plane
+        # orthogonal to the rest
+        plane = [[_zero(spec), one], [canon_payload(spec, eps), _zero(spec)]]
+        if [r[:2] for r in a2[:2]] != plane or any(
+            not _is_zero(spec, a2[r][l]) or not _is_zero(spec, a2[l][r])
             for r in (0, 1)
             for l in range(2, m)
-        )
+        ):
+            raise IdentityViolated("the hyperbolic pair did not split off")
         current = [row[2:] for row in a2[2:]]
-        p_total = _pmul(spec, p_total, _pembed(spec, step, n, n - m))
+        p_total = _matmul(spec, p_total, _pembed(spec, step, n, n - m))
         hyp += 1
 
     aniso_matrix = InvMatrix.from_rows(spec, aniso)
@@ -810,7 +778,8 @@ def witt_decompose(
     expected = (
         InvMatrix.block_diag(blocks) if blocks else InvMatrix.from_rows(spec, [])
     )
-    assert basis.conj_transpose() * f.gram * basis == expected
+    if basis.conj_transpose() * f.gram * basis != expected:
+        raise IdentityViolated("Witt decomposition certificate failed to re-multiply")
     certified = _certify(spec, eps, aniso)
     if require_certified and not certified:
         raise OracleInconclusive(

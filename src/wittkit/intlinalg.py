@@ -6,6 +6,7 @@ Matrices are plain ``list[list[int]]``; Python ints keep everything exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 IntMatrix = list[list[int]]
 
@@ -14,23 +15,17 @@ def identity_int(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zeros_int(nrows: int, ncols: int) -> IntMatrix:
-    return [[0] * ncols for _ in range(nrows)]
-
-
 def matmul_int(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Integer matrix product; ``matrices._matmul`` reduces products over q,
+    dyadic and the truncated rings to it."""
     if not a or not b:
         return [[] for _ in a]
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def matvec_int(a: IntMatrix, v: list[int]) -> list[int]:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def transpose_int(a: IntMatrix) -> IntMatrix:
-    return [list(r) for r in zip(*a)] if a and a[0] else [[] for _ in range(len(a[0]) if a else 0)]
 
 
 def int_det(a: IntMatrix) -> int:
@@ -56,31 +51,6 @@ def int_det(a: IntMatrix) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def rank_int(a: IntMatrix) -> int:
-    """Rank over Q by fraction elimination."""
-    if not a or not a[0]:
-        return 0
-    m = [[Fraction(x) for x in row] for row in a]
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    col = 0
-    while rank < nrows and col < ncols:
-        piv = next((i for i in range(rank, nrows) if m[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(nrows):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-        col += 1
-    return rank
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    IdentityViolated,
     IllFormed,
     NotALift,
     NotCongruent,
@@ -68,9 +69,6 @@ class SelfAdjInvolution:
     def dim(self) -> int:
         return self.j.nrows
 
-    def reduce(self) -> "SelfAdjInvolution":
-        return SelfAdjInvolution(reduce_mod_I(self.j))
-
 
 def _require_trunc(spec: RingSpec, who: str) -> RingSpec:
     if spec.kind != TRUNC_NIL:
@@ -97,7 +95,8 @@ def associated_projection(j: SelfAdjInvolution) -> InvMatrix:
     """The self-adjoint idempotent P = (I - J)/2 cutting out J's (-1)-eigenspace."""
     ident = InvMatrix.identity(j.ring, j.dim)
     p = (ident - j.j).scale(RingElem.from_fraction(j.ring, Fraction(1, 2)))
-    assert p * p == p and p.is_self_adjoint()
+    if p * p != p or not p.is_self_adjoint():
+        raise IdentityViolated("(I - J)/2 is not a self-adjoint idempotent")
     return p
 
 
@@ -119,7 +118,8 @@ def lift_involution(jbar: SelfAdjInvolution, r: InvMatrix) -> SelfAdjInvolution:
     gamma = s * s - InvMatrix.identity(spec, r.nrows)
     out = s * inv_sqrt_one_plus(gamma)
     lifted = SelfAdjInvolution(out)
-    assert reduce_mod_I(out) == jbar.j
+    if reduce_mod_I(out) != jbar.j:
+        raise IdentityViolated("the corrected involution no longer reduces to the given one")
     return lifted
 
 
@@ -142,8 +142,8 @@ def lift_unitary(alpha: InvMatrix, beta: InvMatrix) -> InvMatrix:
         raise NotALift("the given matrix does not reduce to the unitary")
     h = beta.conj_transpose() * beta
     gamma = beta * inv_sqrt_one_plus(h - InvMatrix.identity(spec, beta.nrows))
-    assert gamma.is_unitary()
-    assert reduce_mod_I(gamma) == alpha
+    if not gamma.is_unitary() or reduce_mod_I(gamma) != alpha:
+        raise IdentityViolated("the polar correction is not a unitary lift")
     return gamma
 
 
@@ -165,12 +165,14 @@ def conjugating_unitary(j1: SelfAdjInvolution, j2: SelfAdjInvolution) -> InvMatr
     ident = InvMatrix.identity(spec, j1.dim)
     half = RingElem.from_fraction(spec, Fraction(1, 2))
     delta = (ident + j2.j * j1.j).scale(half)
-    assert delta * j1.j == j2.j * delta, "intertwining identity failed"
+    if delta * j1.j != j2.j * delta:
+        raise IdentityViolated("intertwining identity failed")
     dd = delta * delta.conj_transpose()
-    assert dd * j1.j == j1.j * dd, "delta*delta^* must commute with the involution"
+    if dd * j1.j != j1.j * dd:
+        raise IdentityViolated("delta*delta^* must commute with the involution")
     out = delta * inv_sqrt_one_plus(dd - ident)
-    assert out.is_unitary()
-    assert out * j1.j == j2.j * out
+    if not out.is_unitary() or out * j1.j != j2.j * out:
+        raise IdentityViolated("the conjugator is not a unitary intertwiner")
     return out
 
 

@@ -5,16 +5,23 @@ transpose: transpose combined with the ring involution entrywise.  Inverses
 exist exactly when the determinant is a unit of the coefficient ring, and
 both determinant and adjugate are computed division-free so the same code
 serves fields, Z[1/2], Laurent rings, and truncated rings with zero
-divisors.
+divisors.  Every matrix product, here and in ``forms``, goes through the
+payload-level kernel ``_matmul``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Iterable, Sequence
+from math import lcm
+from operator import mul
+from typing import Any, Sequence
 
-from .errors import IllFormed, NonUnit, NotNilpotent, SpecMismatch
+from .errors import IdentityViolated, IllFormed, NonUnit, NotNilpotent, SpecMismatch
+from .intlinalg import matmul_int
 from .rings import (
+    LAURENT2,
+    PRIME_FIELD,
+    TRUNC_NIL,
     RingElem,
     RingSpec,
     _add,
@@ -136,11 +143,6 @@ class InvMatrix:
         i, j = idx
         return self.entry(i, j)
 
-    def rows_as_elems(self) -> tuple[tuple[RingElem, ...], ...]:
-        return tuple(
-            tuple(RingElem(self.spec, c, _raw=True) for c in row) for row in self.cells
-        )
-
     # -- arithmetic ---------------------------------------------------------
 
     def _check_same(self, other: "InvMatrix") -> None:
@@ -171,19 +173,10 @@ class InvMatrix:
             self._check_same(other)
             if self.ncols != other.nrows:
                 raise IllFormed(f"shape mismatch {self.shape} * {other.shape}")
-            spec = self.spec
-            bt = tuple(zip(*other.cells)) if other.cells else ()
-            zero = _zero(spec)
-            grid = []
-            for row in self.cells:
-                out_row = []
-                for col in bt:
-                    acc = zero
-                    for a, b in zip(row, col):
-                        acc = _add(spec, acc, _mul(spec, a, b))
-                    out_row.append(acc)
-                grid.append(tuple(out_row))
-            return InvMatrix(spec, tuple(grid), self.nrows, other.ncols)
+            if not other.nrows:
+                return InvMatrix.zeros(self.spec, self.nrows, other.ncols)
+            grid = _matmul(self.spec, self.cells, other.cells)
+            return InvMatrix(self.spec, tuple(map(tuple, grid)), self.nrows, other.ncols)
         return self.scale(other)
 
     def __rmul__(self, other: Any) -> "InvMatrix":
@@ -367,13 +360,74 @@ class InvMatrix:
         return f"<{self.nrows}x{self.ncols} [{rows}] over {self.spec}>"
 
 
+def _matmul(spec: RingSpec, x: Sequence[Sequence[Any]], y: Sequence[Sequence[Any]]) -> list[list[Any]]:
+    """Product of the payload grids x (n x l) and y (l x m), as a list of rows.
+
+    Over fp it is plain integer dot products, one % p per entry.  Over q,
+    dyadic and truncnil of fp, q or dyadic, each operand is split into k
+    integer coefficient slices (k = 1 for a scalar ring): row r of x is
+    scaled by the lcm of its denominators, column c of y by the lcm of its
+    own, so one large denominator does not inflate the whole matrix.  Degree
+    d of the product, sum_{i+j=d} X_i*Y_j, is then one integer product
+    [X_0 .. X_d] * [Y_d; ..; Y_0], and each output coefficient costs one % p
+    or one Fraction.  Laurent coefficients are summed entry by entry.  When
+    y has no rows its width is unknown, and each of the n output rows is empty.
+    """
+    if not x or not y or not y[0]:
+        return [[] for _ in x]
+    if spec.kind == PRIME_FIELD:
+        p, cols = spec.p, list(zip(*y))
+        return [[sum(map(mul, row, col)) % p for col in cols] for row in x]
+    trunc = spec.kind == TRUNC_NIL
+    base = spec.base if trunc else spec
+    if base.kind == LAURENT2:
+        zero = _zero(spec)
+        out = []
+        for row in x:
+            out_row = []
+            for col in zip(*y):
+                acc = zero
+                for a, b in zip(row, col):
+                    acc = _add(spec, acc, _mul(spec, a, b))
+                out_row.append(acc)
+            out.append(out_row)
+        return out
+    k = spec.k if trunc else 1
+    # xs[d] (ys[d]) is the grid of degree-d coefficients
+    xs = list(zip(*[list(zip(*row)) for row in x])) if trunc else [x]
+    ys = list(zip(*[list(zip(*row)) for row in y])) if trunc else [y]
+    if base.kind != PRIME_FIELD:
+        rscale = [lcm(*[e.denominator for row in rows for e in row]) for rows in zip(*xs)]
+        cscale = [lcm(*[e.denominator for e in col]) for col in zip(*(row for s in ys for row in s))]
+        xs = [[[e.numerator * (r // e.denominator) for e in row] for row, r in zip(s, rscale)] for s in xs]
+        ys = [[[e.numerator * (c // e.denominator) for e, c in zip(row, cscale)] for row in s] for s in ys]
+    if not trunc:
+        cells = matmul_int(xs[0], ys[0])
+        return [[Fraction(v, r * c) for v, c in zip(row, cscale)] for row, r in zip(cells, rscale)]
+    left, right, prods = xs[0], [], []
+    for d in range(k):
+        if d:
+            left = [a + b for a, b in zip(left, xs[d])]
+        right = [*ys[d], *right]
+        prods.append(matmul_int(left, right))
+    # cells[r][c] is the tuple of integer coefficients of degrees 0..k-1
+    cells = [list(zip(*(pr[r] for pr in prods))) for r in range(len(x))]
+    if base.kind == PRIME_FIELD:
+        p = base.p
+        return [[tuple([v % p for v in e]) for e in row] for row in cells]
+    return [
+        [tuple([Fraction(v, r * c) for v in e]) for e, c in zip(row, cscale)]
+        for row, r in zip(cells, rscale)
+    ]
+
+
 def inv_sqrt_one_plus(g: InvMatrix) -> InvMatrix:
     """Exact (I + g)^(-1/2) for a nilpotent self-commuting argument.
 
     The binomial series sum_j C(-1/2, j) g^j terminates because every entry
     of ``g`` is required to be nilpotent (zero outside truncated rings); the
     dyadic binomial coefficients embed into every supported ring.  The
-    defining identity U*U*(I+g) = I is asserted before returning.
+    defining identity U*U*(I+g) = I is checked before returning.
     """
     if g.nrows != g.ncols:
         raise IllFormed("inv_sqrt_one_plus needs a square matrix")
@@ -394,5 +448,6 @@ def inv_sqrt_one_plus(g: InvMatrix) -> InvMatrix:
         out = out + power.scale(RingElem.from_fraction(spec, coeff))
     else:
         raise NotNilpotent("argument failed to nilpotate within the degree bound")
-    assert (out * out * (ident + g)).is_identity(), "square-root identity violated"
+    if not (out * out * (ident + g)).is_identity():
+        raise IdentityViolated("square-root identity violated")
     return out

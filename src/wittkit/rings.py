@@ -42,8 +42,6 @@ DYADIC = "dyadic"
 LAURENT2 = "laurent2"
 TRUNC_NIL = "truncnil"
 
-_SCALAR_KINDS = (PRIME_FIELD, RATIONALS, DYADIC)
-
 
 def _is_odd_prime(p: int) -> bool:
     if p < 3 or p % 2 == 0:
@@ -113,12 +111,6 @@ class RingSpec:
     def is_field(self) -> bool:
         return self.kind in (PRIME_FIELD, RATIONALS)
 
-    @property
-    def has_trivial_involution(self) -> bool:
-        return self.kind != LAURENT2 and not (
-            self.kind == TRUNC_NIL and self.base is not None and self.base.kind == LAURENT2
-        )
-
     def __str__(self) -> str:
         if self.kind == PRIME_FIELD:
             return f"fp:{self.p}"
@@ -159,10 +151,13 @@ class RingSpec:
         if not isinstance(obj, dict) or "ring" not in obj:
             raise IllFormed(f"ring spec must be an object with a 'ring' tag, got {obj!r}")
         kind = obj["ring"]
-        if kind == PRIME_FIELD:
-            return cls.prime_field(int(obj["p"]))
-        if kind == TRUNC_NIL:
-            return cls.trunc_nil(cls.from_json(obj["base"]), int(obj["k"]))
+        try:
+            if kind == PRIME_FIELD:
+                return cls.prime_field(int(obj["p"]))
+            if kind == TRUNC_NIL:
+                return cls.trunc_nil(cls.from_json(obj["base"]), int(obj["k"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise IllFormed(f"bad {kind} ring spec {obj!r}: {exc!r}") from None
         if kind in (RATIONALS, DYADIC, LAURENT2):
             return cls(kind)
         raise IllFormed(f"unknown ring tag {kind!r}")

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -171,6 +175,19 @@ def test_malformed_chain_file(tmp_path, capsys):
     assert code == 2 and out["error"]["type"] == "IllFormed"
 
 
+@pytest.mark.parametrize("doc", [
+    {"ring": {"ring": "fp", "p": "x"}},
+    {"ring": {"ring": "fp"}},
+    {"ring": "q", "diag": 7},
+    {"ring": "q", "gram": [1, 2]},
+])
+def test_malformed_form_file_is_a_validation_error(tmp_path, capsys, doc):
+    p = tmp_path / "form.json"
+    p.write_text(json.dumps(doc))
+    code, out = run(capsys, "witt", "class", "--file", str(p))
+    assert code == 2 and out["error"]["type"] == "IllFormed"
+
+
 def test_degenerate_form_reported(capsys):
     code, out = run(capsys, "witt", "class", "--ring", "dyadic", "--diag", "3")
     assert code == 2 and out["error"]["type"] == "DegenerateForm"
@@ -204,6 +221,35 @@ def test_internal_assertion_maps_to_exit_one(capsys, monkeypatch):
     assert code == 1
     assert out["error"]["type"] == "AssertionError"
     assert out["error"]["message"].startswith("postcondition violated")
+
+
+def test_identity_check_survives_python_O():
+    # a corrupted product must still trip the diagonalization certificate
+    # when asserts are compiled away
+    script = textwrap.dedent("""
+        import sys
+        from wittkit import cli, matrices
+        from wittkit.rings import _add, _one
+
+        assert False, "asserts must be stripped under -O"
+        real = matrices._matmul
+
+        def corrupt(spec, x, y):
+            out = real(spec, x, y)
+            out[0][0] = _add(spec, out[0][0], _one(spec))
+            return out
+
+        matrices._matmul = corrupt
+        sys.exit(cli.main(["witt", "class", "--ring", "q", "--diag", "1,2"]))
+    """)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["error"]["type"] == "AssertionError"
+    assert "certificate" in out["error"]["message"]
 
 
 def test_help_exits_zero():

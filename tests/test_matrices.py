@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from wittkit.errors import NonUnit, SpecMismatch
-from wittkit.matrices import InvMatrix, inv_sqrt_one_plus
-from wittkit.rings import RingElem, RingSpec, nil_generator
+from wittkit.matrices import InvMatrix, _matmul, inv_sqrt_one_plus
+from wittkit.rings import RingElem, RingSpec, _add, _mul, _zero, canon_payload, nil_generator
 
 Q = RingSpec.rationals()
 F5 = RingSpec.prime_field(5)
@@ -156,3 +157,88 @@ def test_json_roundtrip():
     back = InvMatrix.from_json(m.to_json())
     assert back == m
     assert back.to_json()["ring"] == {"ring": "laurent2"}
+
+
+# -- the shared product kernel against a plain fold -----------------------------
+
+DY = RingSpec.dyadic()
+_KERNEL_RINGS = (F5, RingSpec.prime_field(7), Q, DY, L2) + tuple(
+    RingSpec.trunc_nil(base, k) for base in (F5, Q, DY, L2) for k in (1, 2, 4)
+)
+_KERNEL_SHAPES = ((0, 3, 2), (1, 3, 4), (1, 1, 1), (3, 1, 3), (2, 5, 3), (4, 4, 4), (3, 2, 0))
+# large, pairwise coprime denominators: a common denominator for the whole
+# matrix would be their product
+_COPRIME_DENS = (1, 3, 10007, 65537, 999983, 2**61 - 1)
+
+
+def _fold_product(spec, x, y, ncols):
+    """Reference product: one _add/_mul fold per output entry."""
+    zero = _zero(spec)
+    out = []
+    for row in x:
+        out_row = []
+        for c in range(ncols):
+            acc = zero
+            for a, y_row in zip(row, y):
+                acc = _add(spec, acc, _mul(spec, a, y_row[c]))
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def _random_scalar(base, rng):
+    if rng.random() < 0.2:
+        return _zero(base)
+    if base.kind == "fp":
+        return rng.randrange(base.p)
+    if base.kind == "q":
+        return Fraction(rng.randrange(-10**9, 10**9), rng.choice(_COPRIME_DENS))
+    if base.kind == "dyadic":
+        return Fraction(rng.randrange(-999, 1000), 2 ** rng.randrange(0, 40))
+    terms = [((rng.randrange(-2, 3), rng.randrange(-2, 3)), Fraction(rng.randrange(-5, 6), 2 ** rng.randrange(3)))
+             for _ in range(rng.randrange(3))]
+    return canon_payload(base, terms)
+
+
+def _random_payload(spec, rng):
+    if spec.kind != "truncnil":
+        return _random_scalar(spec, rng)
+    return tuple(_random_scalar(spec.base, rng) for _ in range(spec.k))
+
+
+def _assert_canonical(spec, a):
+    base = spec.base if spec.kind == "truncnil" else spec
+    if spec.kind == "truncnil":
+        assert type(a) is tuple and len(a) == spec.k
+    for c in a if spec.kind == "truncnil" else (a,):
+        if base.kind == "fp":
+            assert type(c) is int and 0 <= c < base.p
+        elif base.kind in ("q", "dyadic"):
+            assert type(c) is Fraction and c.denominator > 0
+            assert math.gcd(c.numerator, c.denominator) == 1
+            assert base.kind == "q" or c.denominator & (c.denominator - 1) == 0
+        else:
+            assert c == canon_payload(base, list(c))
+
+
+@pytest.mark.parametrize("spec", _KERNEL_RINGS, ids=str)
+def test_matmul_kernel_matches_fold(spec):
+    rng = random.Random(str(spec))
+    for n, l, m in _KERNEL_SHAPES:
+        for _ in range(3):
+            x = [[_random_payload(spec, rng) for _ in range(l)] for _ in range(n)]
+            y = [[_random_payload(spec, rng) for _ in range(m)] for _ in range(l)]
+            got = _matmul(spec, x, y)
+            assert got == _fold_product(spec, x, y, m)
+            for row in got:
+                for a in row:
+                    _assert_canonical(spec, a)
+            a = InvMatrix(spec, tuple(map(tuple, x)), n, l)
+            b = InvMatrix(spec, tuple(map(tuple, y)), l, m)
+            assert (a * b).cells == tuple(map(tuple, got))
+
+
+def test_matmul_through_an_empty_inner_dimension():
+    for spec in (F5, Q, RingSpec.trunc_nil(Q, 3), L2):
+        prod = InvMatrix.zeros(spec, 2, 0) * InvMatrix.zeros(spec, 0, 3)
+        assert prod == InvMatrix.zeros(spec, 2, 3)
