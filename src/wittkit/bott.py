@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .errors import IllFormed, NonUnitAssignment, SpecMismatch
+from .errors import IdentityViolated, IllFormed, NonUnitAssignment, SpecMismatch
 from .matrices import InvMatrix
 from .rings import LAURENT2, RingElem, RingSpec
 
@@ -65,13 +65,16 @@ def build_bott(lam: Fraction = Fraction(1, 2)) -> BottData:
         ],
     )
     det_u = u.det()
-    assert det_u == z, f"det(u) must be the unit z, got {det_u!r}"
+    if det_u != z:
+        raise IdentityViolated(f"det(u) must be the unit z, got {det_u!r}")
     p0 = InvMatrix.from_rows(ring, [[1, 0], [0, 0]])
     p = u * p0 * u.inverse()
     a, b = p[0, 0], p[0, 1]
     c, d = p[1, 0], p[1, 1]
-    assert (p * p) == p, "conjugated idempotent must stay idempotent"
-    assert a + d == one, "trace must match trace(p0) = 1"
+    if p * p != p:
+        raise IdentityViolated("conjugated idempotent must stay idempotent")
+    if a + d != one:
+        raise IdentityViolated("trace must match trace(p0) = 1")
     m = InvMatrix.from_rows(
         ring,
         [
@@ -79,7 +82,8 @@ def build_bott(lam: Fraction = Fraction(1, 2)) -> BottData:
             [-(one - d + d * ti), -c],
         ],
     )
-    assert m.det().is_unit(), "the representative matrix must be invertible"
+    if not m.det().is_unit():
+        raise IdentityViolated("the representative matrix must be invertible")
     return BottData(p0=p0, u=u, p=p, a=a, b=b, c=c, d=d, m=m)
 
 

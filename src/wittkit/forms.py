@@ -5,9 +5,10 @@ sign epsilon = +-1.  The module supplies congruence diagonalization (fields
 and Z[1/2]), a bounded isotropy search, and Witt decomposition: hyperbolic
 planes are split off isotropic vectors until what is left refuses to
 represent zero.  Over a prime field the search is exhaustive, so a negative
-answer is a proof.  Over Q and Z[1/2] a negative answer only says "nothing
-within the height bound"; decompositions carry a ``certified`` flag and
-callers that need a proof can demand one.
+answer is a proof.  Over Q and Z[1/2] a witness has the least height of
+any, and a negative answer only says "nothing within the height bound";
+decompositions carry a ``certified`` flag and callers that need a proof can
+demand one.  Which isotropic vector is split off is not promised.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Any, Iterator, Sequence
 
 from .errors import (
@@ -322,18 +324,11 @@ def _v2_of_unit(q: Fraction) -> int:
     return abs(q.numerator).bit_length() - q.denominator.bit_length()
 
 
-def _coord_seq(h: int) -> list[int]:
-    out = [0]
-    for k in range(1, h + 1):
-        out.extend((k, -k))
-    return out
-
-
 def _signed_vectors(n: int, bound: int) -> Iterator[tuple[int, ...]]:
     """Integer vectors ordered by height, then lexicographically with the
     per-coordinate order 0, 1, -1, 2, -2, ..."""
     for h in range(1, bound + 1):
-        seq = _coord_seq(h)
+        seq = [0] + [c for k in range(1, h + 1) for c in (k, -k)]
         for v in itertools.product(seq, repeat=n):
             if max(abs(c) for c in v) == h:
                 yield v
@@ -368,7 +363,8 @@ def _complete_dyadic_columns(cols: list[list[int]], m: int) -> list[list[int]]:
     u, d, _ = smith_normal_form(n_grid)
     for i in range(k):
         di = d[i][i]
-        assert di > 0 and di & (di - 1) == 0, "columns do not span a direct summand"
+        if di <= 0 or di & (di - 1):
+            raise IdentityViolated("columns do not span a direct summand")
     uinv = int_inverse_unimodular(u)
     out = [row[:] for row in n_grid]
     for j in range(k, m):
@@ -415,13 +411,15 @@ def _dyadic_block_pivot(ws: _Congruence, i: int, bound: int) -> None:
             if val and _dyadic_unit(val):
                 g, alpha, beta = _bezout2(x, y)
                 # alpha*x + beta*y = g, so det of the 2x2 change is g = 2^j
-                assert g & (g - 1) == 0
+                if g & (g - 1):
+                    raise IdentityViolated(f"pivot change has determinant {g}")
                 t2 = [
                     [Fraction(x), Fraction(-beta)],
                     [Fraction(y), Fraction(alpha)],
                 ]
                 ws.apply(_pembed(ws.spec, t2, n, i))
-                assert _dyadic_unit(ws.a[i][i])
+                if not _dyadic_unit(ws.a[i][i]):
+                    raise IdentityViolated("the 2x2 pivot step left a non-unit pivot")
                 return
     # general fallback, bounded and honest about giving up
     sub = [[a[r][c] for c in range(i, n)] for r in range(i, n)]
@@ -434,7 +432,8 @@ def _dyadic_block_pivot(ws: _Congruence, i: int, bound: int) -> None:
     t_int = _complete_dyadic_columns([list(v)], n - i)
     t = [[Fraction(c) for c in row] for row in t_int]
     ws.apply(_pembed(ws.spec, t, n, i))
-    assert _dyadic_unit(ws.a[i][i])
+    if not _dyadic_unit(ws.a[i][i]):
+        raise IdentityViolated("the unit-vector pivot step left a non-unit pivot")
 
 
 def _bezout2(x: int, y: int) -> tuple[int, int, int]:
@@ -556,73 +555,56 @@ def isotropy_oracle(
     return None
 
 
-def _mitm_isotropic_fp(p: int, diag: list[int]) -> tuple[int, ...] | None:
-    """Exhaustive isotropic search for a diagonal form over F_p, split in
-    half so the cost is ~p^(n/2) instead of p^n."""
-    n = len(diag)
-    nl = (n + 1) // 2
-    nr = n - nl
-    dl, dr = diag[:nl], diag[nl:]
-    rights: dict[int, tuple[int, ...]] = {}
-    rights_nz: dict[int, tuple[int, ...]] = {}
-    for w in itertools.product(range(p), repeat=nr):
-        s = sum(d * c * c for d, c in zip(dr, w)) % p
-        if s not in rights:
-            rights[s] = w
-        if any(w) and s not in rights_nz:
-            rights_nz[s] = w
-    if nr == 0:
-        rights = {0: ()}
-    for v in itertools.product(range(p), repeat=nl):
-        s = sum(d * c * c for d, c in zip(dl, v)) % p
-        target = (-s) % p
-        pool = rights if any(v) else rights_nz
-        w = pool.get(target)
-        if w is not None:
-            return v + w
-    return None
-
-
-def _mitm_isotropic_int(
-    diag: list[Fraction], bound: int
-) -> tuple[int, ...] | None:
-    """Height-bounded isotropic search for a diagonal form over Q or Z[1/2],
-    meeting in the middle on the two halves of the coordinates."""
-    n = len(diag)
-    denom = math.lcm(*(d.denominator for d in diag)) if diag else 1
-    idiag = [int(d * denom) for d in diag]
-    nl = (n + 1) // 2
-    nr = n - nl
-    dl, dr = idiag[:nl], idiag[nl:]
-    for h in range(1, bound + 1):
-        seq = _coord_seq(h)
-        rights: dict[int, tuple[int, ...]] = {}
-        rights_nz: dict[int, tuple[int, ...]] = {}
-        for w in itertools.product(seq, repeat=nr):
-            s = sum(d * c * c for d, c in zip(dr, w))
-            if s not in rights:
-                rights[s] = w
-            if any(w) and s not in rights_nz:
-                rights_nz[s] = w
-        if nr == 0:
-            rights = {0: ()}
-        for v in itertools.product(seq, repeat=nl):
-            s = -sum(d * c * c for d, c in zip(dl, v))
-            pool = rights if any(v) else rights_nz
-            w = pool.get(s)
-            if w is not None:
-                return v + w
-    return None
+def _height_shell(k: int, h: int) -> Iterator[tuple[int, ...]]:
+    """Each vector of length k with entries in 0..h and largest entry h,
+    once: the entries before the first h are below h."""
+    for i in range(k):
+        for head in itertools.product(range(h), repeat=i):
+            for tail in itertools.product(range(h + 1), repeat=k - 1 - i):
+                yield head + (h,) + tail
 
 
 def _isotropic_on_diagonal(
     spec: RingSpec, diag: list[Any], bound: int
 ) -> tuple[int, ...] | None:
-    if len(diag) < 2:
+    """A nonzero integer vector v with sum(diag[i] * v[i]^2) = 0, or None.
+
+    Changing signs of entries keeps the value, so entries run over 0..h.
+    The two halves of the coordinates meet in the middle: height by
+    height, each half's vectors of that exact height are looked up in the
+    other half's table of first vector per value, then entered in their
+    own; each table starts with its zero vector, which so pairs only with
+    a nonzero one.  Over F_p the height runs to (p-1)/2, so with signs
+    every residue is covered, and values are taken mod p: the search is
+    exhaustive and None proves anisotropy (``bound`` is unused).  Over Q
+    and Z[1/2] a witness has the least height of any, if that is at most
+    ``bound``; None says only that there is none within it.  Which witness
+    of that height is returned is not promised.
+    """
+    n = len(diag)
+    if n < 2:
         return None
     if spec.kind == PRIME_FIELD:
-        return _mitm_isotropic_fp(spec.p, diag)
-    return _mitm_isotropic_int(diag, bound)
+        coeffs, top, mod = diag, (spec.p - 1) // 2, spec.p
+    else:
+        denom = math.lcm(*(d.denominator for d in diag))
+        coeffs, top = [int(d * denom) for d in diag], bound
+        # above |B(v, v)| for every v within the bound, so two halves'
+        # values add to 0 mod it exactly when they do as integers
+        mod = bound * bound * sum(map(abs, coeffs)) + 1
+    nl = (n + 1) // 2
+    halves = (coeffs[:nl], coeffs[nl:])
+    tables = ({0: (0,) * nl}, {0: (0,) * (n - nl)})
+    for h in range(1, top + 1):
+        for side, d in enumerate(halves):
+            own, other = tables[side], tables[1 - side]
+            for v in _height_shell(len(d), h):
+                s = sum(map(mul, d, map(mul, v, v))) % mod
+                w = other.get(-s % mod)
+                if w is not None:
+                    return v + w if side == 0 else w + v
+                own.setdefault(s, v)
+    return None
 
 
 # -- hyperbolic splitting -----------------------------------------------------
@@ -653,7 +635,8 @@ def _dual_vector(spec: RingSpec, grid: list[list[Any]], x: list[Any]) -> list[An
     ints = [int(c * denom) for c in row]
     g, coeffs = bezout_vector(ints)
     # the functional B(x, .) is onto, so the odd part of g must be trivial
-    assert g and g & (g - 1) == 0
+    if not g or g & (g - 1):
+        raise IdentityViolated(f"B(x, .) is not onto: its gcd is {g}")
     scale = Fraction(denom, g)
     return [Fraction(c) * scale for c in coeffs]
 
@@ -837,8 +820,10 @@ def interchange_isometry(n: int, epsilon: int, ring: RingSpec) -> InvMatrix:
         raise IllFormed(f"epsilon must be +1 or -1, got {epsilon!r}")
     sigma = _hyperbolic_matrix(ring, n, epsilon)
     h = sigma  # the isometry and the Gram matrix coincide here
-    assert sigma.conj_transpose() * h * sigma == h
-    assert sigma * sigma == InvMatrix.identity(ring, 2 * n).scale(epsilon)
+    if sigma.conj_transpose() * h * sigma != h:
+        raise IdentityViolated("the interchange is not an isometry")
+    if sigma * sigma != InvMatrix.identity(ring, 2 * n).scale(epsilon):
+        raise IdentityViolated("the interchange does not square to eps*I")
     return sigma
 
 
@@ -872,5 +857,6 @@ def symplectic_basis(f: GramForm) -> InvMatrix:
     if f.dim % 2:
         raise OddRank("nondegenerate skew forms have even rank")
     dec = witt_decompose(f)
-    assert dec.anisotropic.dim == 0 and 2 * dec.hyperbolic_rank == f.dim
+    if dec.anisotropic.dim or 2 * dec.hyperbolic_rank != f.dim:
+        raise IdentityViolated("a nondegenerate skew form did not split completely")
     return dec.change_of_basis

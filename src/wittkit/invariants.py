@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .errors import IllFormed, NotClosed, SpecMismatch
+from .errors import IdentityViolated, IllFormed, NotClosed, SpecMismatch
 from .forms import GramForm, diagonalize, tensor
 from .intlinalg import bezout_vector, kernel_basis_int, prime_factors, square_part
-from .rings import DYADIC, PRIME_FIELD, RATIONALS, RingSpec
+from .rings import DYADIC, PRIME_FIELD, RATIONALS, RingSpec, _is_odd_prime
 
 __all__ = [
     "WittClass",
@@ -43,17 +43,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # scalar number theory
 # ---------------------------------------------------------------------------
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
 
 
 def _legendre(u: int, p: int) -> int:
@@ -120,7 +109,11 @@ def hilbert_symbol(a: int | Fraction, b: int | Fraction, place: Any) -> int:
     y = _square_class_int(b, "b")
     if _infinite_place(place):
         return -1 if x < 0 and y < 0 else 1
-    if isinstance(place, bool) or not isinstance(place, int) or not _is_prime(place):
+    if (
+        isinstance(place, bool)
+        or not isinstance(place, int)
+        or not (place == 2 or _is_odd_prime(place))
+    ):
         raise IllFormed(f"place must be a prime or the infinite place, got {place!r}")
     p = place
     alpha, u = _split_valuation(x, p)
@@ -346,7 +339,8 @@ def witt_class(f: GramForm) -> WittClass:
     # dyadic: diagonalize has normalized every entry into {+-1, +-2}
     parity = 0
     for e in entries:
-        assert abs(e) in (1, 2)
+        if abs(e) not in (1, 2):
+            raise IdentityViolated(f"dyadic diagonal entry {e} is not in +-1, +-2")
         if abs(e) == 2:
             parity ^= 1
     negative = (det < 0) != bool(twist)
@@ -442,7 +436,8 @@ def _class_order(c: WittClass) -> int:
     while not acc.is_zero:
         acc = acc + c
         order += 1
-        assert order <= 8, "prime-field Witt groups have order at most 4"
+        if order > 8:
+            raise IdentityViolated("prime-field Witt groups have order at most 4")
     return order
 
 

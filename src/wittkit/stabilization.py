@@ -28,7 +28,7 @@ from importlib import resources
 from math import gcd
 from typing import Any, Sequence
 
-from .errors import IllFormed, NotCatalogued
+from .errors import IdentityViolated, IllFormed, NotCatalogued
 from .intlinalg import (
     IntMatrix,
     columns_to_matrix,
@@ -382,10 +382,12 @@ def _free_colimit(g: GroupHom) -> tuple[int, tuple[int, ...]]:
     restricted = []
     for j in range(rho):
         col = solve_int(basis, [fb[i][j] for i in range(r)])
-        assert col is not None, "the period map must preserve its eventual image"
+        if col is None:
+            raise IdentityViolated("the period map must preserve its eventual image")
         restricted.append(col)
     delta = int_det(columns_to_matrix(restricted, rho))
-    assert delta != 0, "the period map is invertible on its eventual image"
+    if delta == 0:
+        raise IdentityViolated("the period map is invertible on its eventual image")
     return rho, tuple(prime_factors(delta))
 
 
@@ -414,7 +416,8 @@ def _torsion_colimit(g: GroupHom) -> tuple[int, ...]:
     x_cols = []
     for j in range(s):
         col = solve_int(basis, rel_cols[j])
-        assert col is not None, "relations lie inside every iterated image"
+        if col is None:
+            raise IdentityViolated("relations lie inside every iterated image")
         x_cols.append(col)
     _, d, _ = smith_normal_form(columns_to_matrix(x_cols, s))
     return tuple(d[i][i] for i in range(s) if d[i][i] > 1)

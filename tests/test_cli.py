@@ -224,8 +224,9 @@ def test_internal_assertion_maps_to_exit_one(capsys, monkeypatch):
 
 
 def test_identity_check_survives_python_O():
-    # a corrupted product must still trip the diagonalization certificate
-    # when asserts are compiled away
+    # a corrupted product must still trip the diagonalization certificate,
+    # and the idempotent check of the Bott data, when asserts are compiled
+    # away
     script = textwrap.dedent("""
         import sys
         from wittkit import cli, matrices
@@ -240,16 +241,21 @@ def test_identity_check_survives_python_O():
             return out
 
         matrices._matmul = corrupt
-        sys.exit(cli.main(["witt", "class", "--ring", "q", "--diag", "1,2"]))
+        sys.exit(cli.main(sys.argv[1:]))
     """)
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
-                          text=True, env=env, timeout=60)
-    assert proc.returncode == 1, proc.stderr
-    out = json.loads(proc.stdout)
-    assert out["error"]["type"] == "AssertionError"
-    assert "certificate" in out["error"]["message"]
+    cases = [
+        (["witt", "class", "--ring", "q", "--diag", "1,2"], "certificate"),
+        (["bott", "verify"], "idempotent"),
+    ]
+    for argv, expected in cases:
+        proc = subprocess.run([sys.executable, "-O", "-c", script, *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["error"]["type"] == "AssertionError"
+        assert expected in out["error"]["message"]
 
 
 def test_help_exits_zero():

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from wittkit import forms
 from wittkit.errors import (
     DegenerateForm,
     IllFormed,
@@ -129,6 +130,61 @@ def test_isotropy_oracle_none_cases():
         isotropy_oracle(GramForm.diagonal(RingSpec.laurent2(), [1]))
     with pytest.raises(IllFormed):
         isotropy_oracle(GramForm.diagonal(Q, [1, -1]), height_bound=0)
+
+
+def test_diagonal_search_agrees_with_oracle_over_fp():
+    # exhaustive on both sides: None iff the oracle proves anisotropy
+    rng = random.Random(41)
+    for p in (3, 5, 7, 11):
+        spec = RingSpec.prime_field(p)
+        for n in range(2, 6):
+            for _ in range(6):
+                diag = [rng.randrange(1, p) for _ in range(n)]
+                w = forms._isotropic_on_diagonal(spec, diag, 1)
+                assert (w is None) == (isotropy_oracle(GramForm.diagonal(spec, diag)) is None)
+                if w is not None:
+                    assert any(c % p for c in w)
+                    assert sum(d * c * c for d, c in zip(diag, w)) % p == 0
+
+
+def test_diagonal_search_finds_least_height_over_q_and_dyadic():
+    rng = random.Random(43)
+    entries = {
+        Q: [1, -1, 2, -2, 3, -3, 5, -7, Fraction(1, 2), Fraction(-3, 4)],
+        DY: [1, -1, 2, -2, 4, -4, Fraction(1, 2), Fraction(-1, 2)],
+    }
+    for spec, pool in entries.items():
+        for n in range(2, 6):
+            for bound in range(1, 5):
+                for _ in range(3):
+                    diag = [Fraction(rng.choice(pool)) for _ in range(n)]
+                    w = forms._isotropic_on_diagonal(spec, diag, bound)
+                    o = isotropy_oracle(GramForm.diagonal(spec, diag), height_bound=bound)
+                    assert (w is None) == (o is None), (diag, bound)
+                    if w is not None:
+                        assert sum(d * c * c for d, c in zip(diag, w)) == 0
+                        assert max(map(abs, w)) == max(abs(c) for c in _coords(o))
+
+
+def test_dyadic_unit_vector_fallback(monkeypatch):
+    # no 2x2 principal block of this form has a unit determinant, so the
+    # dyadic pivot falls back to the bounded unit-vector search
+    calls = []
+    search = forms._unit_vector_search
+
+    def spy(grid, bound):
+        calls.append(len(grid))
+        return search(grid, bound)
+
+    monkeypatch.setattr(forms, "_unit_vector_search", spy)
+    f = GramForm.from_rows(
+        DY,
+        [[47, -10, 33, -17], [-10, 9, -10, 6], [33, -10, 25, -13], [-17, 6, -13, 7]],
+    )
+    p, d = diagonalize(f)
+    assert calls == [4]
+    assert d.is_diagonal()
+    assert p.conj_transpose() * f.gram * p == d.gram
 
 
 def test_witness_is_isotropic_property():

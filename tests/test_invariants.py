@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from wittkit.errors import NotClosed, SpecMismatch
+from wittkit.errors import IllFormed, NotClosed, SpecMismatch
 from wittkit.forms import GramForm, hyperbolic, orth_sum
 from wittkit.invariants import (
     WittClass,
@@ -37,6 +37,9 @@ def test_hilbert_frozen_values():
     assert hilbert_symbol(3, 3, 3) == -1
     assert hilbert_symbol(2, 7, 7) == 1
     assert hilbert_symbol(Fraction(1, 2), 2, 2) == 1
+    for place in (1, 9, -3):
+        with pytest.raises(IllFormed):
+            hilbert_symbol(2, 3, place)
 
 
 def test_hilbert_identities():
