@@ -19,6 +19,7 @@ Everything is exact; no floats appear anywhere in the arithmetic.
 
 from .bott import BottData, build_bott, specialize, verify_bott_suite
 from .errors import (
+    BudgetExceeded,
     DegenerateForm,
     IllFormed,
     NonUnit,
@@ -86,6 +87,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BottData",
+    "BudgetExceeded",
     "CatalogEntry",
     "ColimResult",
     "DegenerateForm",

@@ -66,5 +66,9 @@ class NotCongruent(WittkitError):
     """The two involutions do not agree modulo the nilpotent ideal."""
 
 
+class BudgetExceeded(WittkitError):
+    """An input would take a computation past its stated work bound."""
+
+
 class IdentityViolated(AssertionError):
     """An exact identity the computation guarantees failed to hold."""

@@ -246,10 +246,14 @@ class _Congruence:
 
     ``addmul(dst, src, c)`` performs the basis change e_dst += c*e_src and
     keeps the Gram grid congruent, so at any moment  p* . original . p = a.
+    It serves fp, q and dyadic only: their involution is trivial and their
+    payloads are ints mod p or Fractions, so the row and column operations
+    use plain integer or Fraction arithmetic, skipping zero source entries.
     """
 
     def __init__(self, spec: RingSpec, grid: Sequence[Sequence[Any]]):
         self.spec = spec
+        self.mod = spec.p  # None except over fp
         self.a = [list(row) for row in grid]
         self.p = _pid(spec, len(self.a))
 
@@ -264,22 +268,27 @@ class _Congruence:
             row[i], row[j] = row[j], row[i]
 
     def addmul(self, dst: int, src: int, c: Any) -> None:
-        spec, a = self.spec, self.a
-        cbar = _involute(spec, c)
-        a[dst] = [_add(spec, x, _mul(spec, cbar, y)) for x, y in zip(a[dst], a[src])]
-        for row in a:
-            row[dst] = _add(spec, row[dst], _mul(spec, c, row[src]))
-        for row in self.p:
-            row[dst] = _add(spec, row[dst], _mul(spec, c, row[src]))
+        a, mod = self.a, self.mod
+        if mod is None:
+            a[dst] = [x + c * y if y else x for x, y in zip(a[dst], a[src])]
+            for grid in (a, self.p):
+                for row in grid:
+                    if row[src]:
+                        row[dst] += c * row[src]
+        else:
+            a[dst] = [(x + c * y) % mod if y else x for x, y in zip(a[dst], a[src])]
+            for grid in (a, self.p):
+                for row in grid:
+                    if row[src]:
+                        row[dst] = (row[dst] + c * row[src]) % mod
 
     def scalecol(self, i: int, c: Any) -> None:
-        spec, a = self.spec, self.a
-        cbar = _involute(spec, c)
-        a[i] = [_mul(spec, cbar, x) for x in a[i]]
-        for row in a:
-            row[i] = _mul(spec, row[i], c)
-        for row in self.p:
-            row[i] = _mul(spec, row[i], c)
+        """e_i *= c, over q and dyadic only (it normalizes their diagonals)."""
+        a = self.a
+        a[i] = [c * x for x in a[i]]
+        for grid in (a, self.p):
+            for row in grid:
+                row[i] *= c
 
     def apply(self, t: list[list[Any]]) -> None:
         spec = self.spec
@@ -622,10 +631,7 @@ def _primitivize(spec: RingSpec, v: list[Any]) -> list[Any]:
 def _dual_vector(spec: RingSpec, grid: list[list[Any]], x: list[Any]) -> list[Any]:
     """Some w with B(x, w) = 1, for primitive x in a unimodular form."""
     n = len(grid)
-    row = [
-        _fold_add(spec, [_mul(spec, x[i], grid[i][j]) for i in range(n)])
-        for j in range(n)
-    ]
+    row = _matmul(spec, [x], grid)[0]
     if spec.kind != DYADIC:
         j = next(k for k in range(n) if not _is_zero(spec, row[k]))
         w = [_zero(spec)] * n
@@ -639,13 +645,6 @@ def _dual_vector(spec: RingSpec, grid: list[list[Any]], x: list[Any]) -> list[An
         raise IdentityViolated(f"B(x, .) is not onto: its gcd is {g}")
     scale = Fraction(denom, g)
     return [Fraction(c) * scale for c in coeffs]
-
-
-def _fold_add(spec: RingSpec, items: list[Any]) -> Any:
-    acc = _zero(spec)
-    for it in items:
-        acc = _add(spec, acc, it)
-    return acc
 
 
 def _complete_pair(
@@ -773,16 +772,8 @@ def witt_decompose(
 
 
 def _qval(spec: RingSpec, grid: list[list[Any]], v: list[Any]) -> Any:
-    acc = _zero(spec)
-    for i, row in enumerate(grid):
-        if _is_zero(spec, v[i]):
-            continue
-        inner = _fold_add(
-            spec,
-            [_mul(spec, row[j], v[j]) for j in range(len(v)) if not _is_zero(spec, v[j])],
-        )
-        acc = _add(spec, acc, _mul(spec, v[i], inner))
-    return acc
+    """The quadratic value v^T . grid . v."""
+    return _matmul(spec, _matmul(spec, [v], grid), [[c] for c in v])[0][0]
 
 
 def _certify(spec: RingSpec, eps: int, aniso: list[list[Any]]) -> bool:

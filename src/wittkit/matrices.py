@@ -2,25 +2,29 @@
 
 ``InvMatrix`` is immutable and exact.  The star of a matrix is the conjugate
 transpose: transpose combined with the ring involution entrywise.  Inverses
-exist exactly when the determinant is a unit of the coefficient ring, and
-both determinant and adjugate are computed division-free so the same code
-serves fields, Z[1/2], Laurent rings, and truncated rings with zero
-divisors.  Every matrix product, here and in ``forms``, goes through the
-payload-level kernel ``_matmul``.
+exist exactly when the determinant is a unit of the coefficient ring.  Over
+F_p, Q and Z[1/2] the determinant is fraction-free Bareiss elimination on
+integer rows (``_det_bareiss``); over Laurent rings and truncated rings,
+where a pivot need not divide exactly, it is division-free minor expansion
+(``_det_minors``).  The adjugate is built from determinants of minors, so
+it takes the same two paths.  Every matrix product, here and in ``forms``,
+goes through the payload-level kernel ``_matmul``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import mul
 from typing import Any, Sequence
 
 from .errors import IdentityViolated, IllFormed, NonUnit, NotNilpotent, SpecMismatch
 from .intlinalg import matmul_int
 from .rings import (
+    DYADIC,
     LAURENT2,
     PRIME_FIELD,
+    RATIONALS,
     TRUNC_NIL,
     RingElem,
     RingSpec,
@@ -211,43 +215,13 @@ class InvMatrix:
         return RingElem(spec, acc, _raw=True)
 
     # -- determinant and inverse ---------------------------------------------
-    #
-    # Division-free minor expansion with memoization on column masks: valid
-    # over any commutative coefficient ring, adequate at the matrix sizes the
-    # toolkit handles (<= 8 or so).
 
     def _det_payload(self) -> Any:
         if self.nrows != self.ncols:
             raise IllFormed("determinant of a non-square matrix")
-        spec, cells, n = self.spec, self.cells, self.nrows
-        if n == 0:
-            return _one(spec)
-        memo: dict[int, Any] = {}
-
-        def minor(r: int, mask: int) -> Any:
-            if mask == 0:
-                return _one(spec)
-            key = mask  # row index is determined by popcount of mask
-            got = memo.get(key)
-            if got is not None:
-                return got
-            acc = _zero(spec)
-            sign = 1
-            row = cells[r]
-            m = mask
-            while m:
-                low = m & -m
-                c = low.bit_length() - 1
-                a = row[c]
-                if not _is_zero(spec, a):
-                    term = _mul(spec, a, minor(r + 1, mask & ~low))
-                    acc = _add(spec, acc, term if sign > 0 else _neg(spec, term))
-                sign = -sign
-                m &= m - 1
-            memo[key] = acc
-            return acc
-
-        return minor(0, (1 << n) - 1)
+        if self.spec.kind in (PRIME_FIELD, RATIONALS, DYADIC):
+            return _det_bareiss(self.spec, self.cells)
+        return _det_minors(self.spec, self.cells)
 
     def det(self) -> RingElem:
         return RingElem(self.spec, self._det_payload(), _raw=True)
@@ -358,6 +332,84 @@ class InvMatrix:
             ", ".join(payload_repr(self.spec, a) for a in row) for row in self.cells
         )
         return f"<{self.nrows}x{self.ncols} [{rows}] over {self.spec}>"
+
+
+def _det_bareiss(spec: RingSpec, cells: Sequence[Sequence[Any]]) -> Any:
+    """Determinant of a square payload grid over fp, q or dyadic.
+
+    Each row is scaled by the lcm of its denominators (by 1 over fp), so the
+    grid is an integer matrix M with det = det(M) / prod(scales).  Bareiss
+    elimination computes det(M) fraction-free: after step k every entry of
+    the trailing block is a (k+1)-minor of M, so the division by the
+    previous pivot is exact and entries stay bounded by Hadamard's bound.
+    A zero pivot is replaced by a lower row with a nonzero entry in its
+    column, flipping the sign; if none exists the determinant is 0.
+    """
+    n = len(cells)
+    if spec.kind == PRIME_FIELD:
+        rows, scale = [list(row) for row in cells], 1
+    else:
+        scales = [lcm(*[e.denominator for e in row]) for row in cells]
+        rows = [[e.numerator * (s // e.denominator) for e in row] for row, s in zip(cells, scales)]
+        scale = prod(scales)
+    sign, prev = 1, 1
+    # rows holds the trailing block still to eliminate
+    for _ in range(n - 1):
+        if not rows[0][0]:
+            swap = next((i for i, row in enumerate(rows) if row[0]), None)
+            if swap is None:
+                return _zero(spec)
+            rows[0], rows[swap] = rows[swap], rows[0]
+            sign = -sign
+        (pivot, *pivot_row), *rest = rows
+        rows = [
+            [(pivot * x - row[0] * y) // prev for x, y in zip(row[1:], pivot_row)]
+            for row in rest
+        ]
+        prev = pivot
+    d = sign * rows[0][0] if n else 1
+    if spec.kind == PRIME_FIELD:
+        return d % spec.p
+    return Fraction(d, scale)
+
+
+def _det_minors(spec: RingSpec, cells: Sequence[Sequence[Any]]) -> Any:
+    """Determinant of a square payload grid over any supported ring.
+
+    Division-free Laplace expansion along the rows, memoized on the mask of
+    columns still free: O(2^n * n) ring operations, so meant for the small
+    matrices of the Laurent and truncated rings.  It is also the reference
+    the Bareiss path is tested against.
+    """
+    n = len(cells)
+    if n == 0:
+        return _one(spec)
+    memo: dict[int, Any] = {}
+
+    def minor(r: int, mask: int) -> Any:
+        if mask == 0:
+            return _one(spec)
+        key = mask  # row index is determined by popcount of mask
+        got = memo.get(key)
+        if got is not None:
+            return got
+        acc = _zero(spec)
+        sign = 1
+        row = cells[r]
+        m = mask
+        while m:
+            low = m & -m
+            c = low.bit_length() - 1
+            a = row[c]
+            if not _is_zero(spec, a):
+                term = _mul(spec, a, minor(r + 1, mask & ~low))
+                acc = _add(spec, acc, term if sign > 0 else _neg(spec, term))
+            sign = -sign
+            m &= m - 1
+        memo[key] = acc
+        return acc
+
+    return minor(0, (1 << n) - 1)
 
 
 def _matmul(spec: RingSpec, x: Sequence[Sequence[Any]], y: Sequence[Sequence[Any]]) -> list[list[Any]]:

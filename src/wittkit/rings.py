@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable
 
-from .errors import IllFormed, NonUnit, SpecMismatch
+from .errors import BudgetExceeded, IllFormed, NonUnit, SpecMismatch
 
 PRIME_FIELD = "fp"
 RATIONALS = "q"
@@ -43,14 +43,36 @@ LAURENT2 = "laurent2"
 TRUNC_NIL = "truncnil"
 
 
+# Strong probable-prime bases: the first 13 primes.  No odd composite below
+# _MR_LIMIT is a strong pseudoprime to all of them (OEIS A014233), so below
+# it the test is exact; the first 12 alone are exact only below 3.19e23.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_odd_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin, exact for every p below _MR_LIMIT."""
     if p < 3 or p % 2 == 0:
         return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if p >= _MR_LIMIT:
+        raise BudgetExceeded(f"primality of {p} is only decided below {_MR_LIMIT}")
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -101,6 +101,39 @@ def test_dyadic_diagonal_normalizes_to_unit_representatives():
     assert set(d.diagonal_entries()) <= allowed
 
 
+# Forms with no usable diagonal pivot.  swap3 swaps a later pivot in, path4
+# has no nonzero diagonal entry, so it first adds a neighbour to e_0, and
+# scaled2 does that and then, over Z[1/2], rescales a pivot of 8.  P and D
+# are pinned as the elimination order produces them.
+_ZERO_DIAGONAL_FORMS = {
+    "swap3": [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+    "path4": [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]],
+    "scaled2": [[0, 4], [4, 0]],
+}
+F = Fraction
+_ZERO_DIAGONAL_PINS = [
+    (F5, "swap3", [[0, 1, 3], [0, 1, 2], [1, 0, 0]], [1, 2, 2]),
+    (F5, "path4", [[1, 2, 4, 3], [1, 3, 0, 0], [0, 0, 1, 2], [0, 0, 1, 3]], [2, 2, 2, 2]),
+    (F5, "scaled2", [[1, 2], [1, 3]], [3, 3]),
+    (Q, "swap3", [[0, 1, F(1, 2)], [0, 1, F(-1, 2)], [1, 0, 0]], [1, 2, F(-1, 2)]),
+    (Q, "path4", [[1, F(-1, 2), -1, F(1, 2)], [1, F(1, 2), 0, 0], [0, 0, 1, F(-1, 2)], [0, 0, 1, F(1, 2)]],
+     [2, F(-1, 2), 2, F(-1, 2)]),
+    (Q, "scaled2", [[1, F(-1, 2)], [1, F(1, 2)]], [8, -2]),
+    (DY, "swap3", [[0, 1, 1], [0, 1, -1], [1, 0, 0]], [1, 2, -2]),
+    (DY, "path4", [[1, -1, -1, 1], [1, 1, 0, 0], [0, 0, 1, -1], [0, 0, 1, 1]], [2, -2, 2, -2]),
+    (DY, "scaled2", [[F(1, 2), F(-1, 2)], [F(1, 2), F(1, 2)]], [2, -2]),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,name,p_rows,d_diag", _ZERO_DIAGONAL_PINS, ids=[f"{s}-{n}" for s, n, *_ in _ZERO_DIAGONAL_PINS]
+)
+def test_diagonalize_zero_diagonal_pins(spec, name, p_rows, d_diag):
+    p, d = diagonalize(GramForm.from_rows(spec, _ZERO_DIAGONAL_FORMS[name]))
+    assert p == InvMatrix.from_rows(spec, p_rows)
+    assert d.gram == InvMatrix.diagonal(spec, d_diag)
+
+
 def test_isotropy_oracle_frozen_witnesses():
     # first witness in the documented order: height, then lex, with each
     # coordinate running 0, 1, -1, 2, -2, ...

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from wittkit.errors import NonUnit, SpecMismatch
-from wittkit.matrices import InvMatrix, _matmul, inv_sqrt_one_plus
+from wittkit.matrices import InvMatrix, _det_bareiss, _det_minors, _matmul, inv_sqrt_one_plus
 from wittkit.rings import RingElem, RingSpec, _add, _mul, _zero, canon_payload, nil_generator
 
 Q = RingSpec.rationals()
@@ -242,3 +242,76 @@ def test_matmul_through_an_empty_inner_dimension():
     for spec in (F5, Q, RingSpec.trunc_nil(Q, 3), L2):
         prod = InvMatrix.zeros(spec, 2, 0) * InvMatrix.zeros(spec, 0, 3)
         assert prod == InvMatrix.zeros(spec, 2, 3)
+
+
+# -- Bareiss elimination against the minor expansion ---------------------------
+
+F7 = RingSpec.prime_field(7)
+
+
+def _singular(spec, grid, rng):
+    """The grid with its last row replaced by a combination of the others."""
+    n = len(grid)
+    c = [_random_scalar(spec, rng) for _ in range(n - 1)]
+    last = [_zero(spec)] * n
+    for ci, row in zip(c, grid):
+        last = [_add(spec, x, _mul(spec, ci, y)) for x, y in zip(last, row)]
+    return grid[:-1] + [last]
+
+
+@pytest.mark.parametrize("spec", (F7, Q, DY), ids=str)
+def test_bareiss_det_matches_minor_expansion(spec):
+    rng = random.Random(str(spec))
+    one = canon_payload(spec, 1)
+    grids = [
+        # zero pivots: at the start, and in the middle of the elimination
+        [[_zero(spec), one], [one, _zero(spec)]],
+        [[one, one, _zero(spec)], [one, one, one], [_zero(spec), one, one]],
+        # no nonzero entry in a pivot column, so no row to swap in
+        [[one, one, one], [_zero(spec)] * 3, [_zero(spec), _zero(spec), one]],
+    ]
+    for n in range(8):
+        for _ in range(12):
+            grid = [[_random_payload(spec, rng) for _ in range(n)] for _ in range(n)]
+            grids.append(grid)
+            if n > 1:
+                grids.append(_singular(spec, grid, rng))
+    singular = 0
+    for grid in grids:
+        d = _det_bareiss(spec, grid)
+        assert d == _det_minors(spec, grid)
+        _assert_canonical(spec, d)
+        singular += d == _zero(spec)
+    assert singular >= 6 * 12
+
+
+def test_dense_20x20_det_is_the_product_of_its_lu_diagonals():
+    rng = random.Random(20)
+    n = 20
+
+    def entry():
+        return Fraction(rng.randrange(1, 10**9) * rng.choice((1, -1)), rng.choice(_COPRIME_DENS))
+
+    lower = [[entry() if j < i else Fraction(0) for j in range(n)] for i in range(n)]
+    upper = [[entry() if j > i else Fraction(0) for j in range(n)] for i in range(n)]
+    expected = Fraction(1)
+    for i in range(n):
+        lower[i][i] = Fraction(rng.choice([-3, -1, 2, 5]), rng.choice([1, 2, 7]))
+        upper[i][i] = Fraction(rng.choice([-2, 1, 3, 4]), rng.choice([1, 3, 5]))
+        expected *= lower[i][i] * upper[i][i]
+    m = InvMatrix.from_rows(Q, lower) * InvMatrix.from_rows(Q, upper)
+    assert all(not c.is_zero() for c in (m[i, j] for i in range(n) for j in range(n)))
+    assert m.det() == RingElem.from_fraction(Q, expected)
+
+
+def test_det_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(21)
+    for spec in (F7, Q, DY):
+        for n in (1, 4, 9, 12):
+            grid = [[_random_payload(spec, rng) for _ in range(n)] for _ in range(n)]
+            want = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row] for row in grid]).det()
+            want = Fraction(int(want.p), int(want.q))
+            if spec.kind == "fp":
+                want = want.numerator % spec.p
+            assert InvMatrix.from_rows(spec, grid).det().payload == want

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from wittkit.errors import IllFormed, NonUnit, SpecMismatch
-from wittkit.rings import RingElem, RingSpec, nil_generator
+from wittkit.errors import BudgetExceeded, IllFormed, NonUnit, SpecMismatch
+from wittkit.rings import _MR_LIMIT, RingElem, RingSpec, _is_odd_prime, nil_generator
 
 Q = RingSpec.rationals()
 DY = RingSpec.dyadic()
@@ -40,6 +41,51 @@ def test_spec_validation():
     with pytest.raises(IllFormed):
         RingSpec.from_tag("zz")
 
+
+
+def _odd_prime_by_trial_division(n: int) -> bool:
+    if n < 3 or n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def test_prime_test_matches_trial_division():
+    assert [n for n in range(10**5) if _is_odd_prime(n) != _odd_prime_by_trial_division(n)] == []
+
+
+def test_prime_test_rejects_pseudoprimes_and_stays_fast():
+    # a Carmichael number, strong pseudoprimes to the bases 2, to 2..7, and
+    # the least one to all of the first 12 prime bases
+    for n in (561, 41041, 2047, 3215031751, 318665857834031151167461):
+        assert not _is_odd_prime(n)
+        with pytest.raises(IllFormed):
+            RingSpec.prime_field(n)
+    start = time.perf_counter()
+    assert RingSpec.prime_field(1000000000000037).p == 1000000000000037
+    assert time.perf_counter() - start < 0.5
+
+
+def test_prime_test_refuses_beyond_its_exact_range():
+    assert _is_odd_prime(_MR_LIMIT - 168)  # the largest prime below the limit
+    with pytest.raises(BudgetExceeded):
+        RingSpec.from_tag(f"fp:{_MR_LIMIT}")
+    with pytest.raises(BudgetExceeded):
+        RingSpec.from_json({"ring": "fp", "p": 10**30 + 57})
+
+
+def test_prime_test_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5)
+    for bits in (20, 40, 64, 81):
+        for _ in range(300):
+            n = rng.getrandbits(bits) | 1
+            if n < _MR_LIMIT:
+                assert _is_odd_prime(n) == (n > 2 and sympy.isprime(n))
 
 def test_field_arithmetic_f7():
     a = RingElem.from_fraction(F7, 3)

@@ -37,3 +37,28 @@ def test_no_check_is_stripped_by_python_O():
         if isinstance(node, ast.Assert) and not _is_type_narrowing(node)
     ]
     assert found == []
+
+
+
+def test_every_private_helper_is_referenced():
+    # a private module-level function that nothing else in the package names
+    # (a call from inside its own body does not count) is dead code
+    helpers: set[str] = set()
+    referenced: set[str] = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            own = top.name if isinstance(top, ast.FunctionDef) else None
+            if own is not None and own.startswith("_") and not own.startswith("__"):
+                helpers.add(own)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != own:
+                    referenced.add(name)
+    assert sorted(helpers - referenced) == []
