@@ -508,8 +508,9 @@ def diagonalize(f: GramForm) -> tuple[InvMatrix, GramForm]:
         ws = _diag_dyadic(f.gram.cells, _PIVOT_BOUND)
     else:
         ws = _diag_field(spec, f.gram.cells)
-    p = InvMatrix.from_rows(spec, ws.p)
-    d = InvMatrix.from_rows(spec, ws.a)
+    n = f.dim
+    p = InvMatrix(spec, tuple(map(tuple, ws.p)), n, n)
+    d = InvMatrix(spec, tuple(map(tuple, ws.a)), n, n)
     if p.conj_transpose() * f.gram * p != d:
         raise IdentityViolated("diagonalization certificate P*.G.P = D failed")
     return p, GramForm(d, 1)
@@ -751,9 +752,9 @@ def witt_decompose(
         p_total = _matmul(spec, p_total, _pembed(spec, step, n, n - m))
         hyp += 1
 
-    aniso_matrix = InvMatrix.from_rows(spec, aniso)
+    aniso_matrix = InvMatrix(spec, tuple(map(tuple, aniso)), len(aniso), len(aniso))
     aniso_form = GramForm(aniso_matrix, eps)
-    basis = InvMatrix.from_rows(spec, p_total)
+    basis = InvMatrix(spec, tuple(map(tuple, p_total)), n, n)
     blocks = [_hyperbolic_matrix(spec, 1, eps) for _ in range(hyp)]
     if aniso_matrix.nrows:
         blocks.append(aniso_matrix)

@@ -6,7 +6,12 @@ Matrices are plain ``list[list[int]]``; Python ints keep everything exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
+from math import gcd, prod
 from operator import mul
+
+from .errors import BudgetExceeded
+from .rings import _MR_LIMIT, _is_odd_prime
 
 IntMatrix = list[list[int]]
 
@@ -29,28 +34,33 @@ def matvec_int(a: IntMatrix, v: list[int]) -> list[int]:
 
 
 def int_det(a: IntMatrix) -> int:
-    """Bareiss fraction-free determinant."""
+    """Fraction-free Bareiss determinant of a square integer matrix.
+
+    After step k every entry of the trailing block is a (k+1)-minor of a,
+    so the division by the previous pivot is exact and entries stay bounded
+    by Hadamard's bound.  A zero pivot is replaced by a lower row with a
+    nonzero entry in its column, flipping the sign; if none exists the
+    determinant is 0.
+    """
     n = len(a)
     if n == 0:
         return 1
-    m = [row[:] for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
+    rows = list(a)  # the trailing block still to eliminate; rows are never written
+    sign, prev = 1, 1
+    for _ in range(n - 1):
+        if not rows[0][0]:
+            swap = next((i for i, row in enumerate(rows) if row[0]), None)
+            if swap is None:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+            rows[0], rows[swap] = rows[swap], rows[0]
+            sign = -sign
+        (pivot, *pivot_row), *rest = rows
+        rows = [
+            [(pivot * x - row[0] * y) // prev for x, y in zip(row[1:], pivot_row)]
+            for row in rest
+        ]
+        prev = pivot
+    return sign * rows[0][0]
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -87,35 +97,89 @@ def bezout_vector(v: list[int]) -> tuple[int, list[int]]:
 
 
 def square_part(n: int) -> int:
-    """Largest s with s*s dividing n (full trial division; inputs are small)."""
-    m = abs(n)
-    s = 1
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            s *= d ** (e // 2)
-        d += 1 if d == 2 else 2
-    return s
+    """Largest s with s*s dividing n (1 for n = 0)."""
+    return prod(p ** (e // 2) for p, e in _factorization(n).items())
 
 
 def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of |n|, ascending."""
+    """Distinct prime factors of |n|, ascending (none for n = 0)."""
+    return sorted(_factorization(n))
+
+
+# Trial division looks for primes below _TRIAL_BOUND only.  A cofactor left
+# over is proved prime by Miller-Rabin (exact below _MR_LIMIT) or split by
+# Pollard-Brent rho, which gives up with BudgetExceeded after about
+# _RHO_STEPS squarings mod the cofactor for one split: a split takes about
+# sqrt(q) of them for the least prime factor q, so this finds every factor
+# up to roughly 2^40 and stops within a second or so.
+_TRIAL_BOUND = 1 << 10
+_RHO_STEPS = 1 << 20
+_RHO_BATCH = 128
+
+
+def _factorization(n: int) -> dict[int, int]:
+    """Prime -> exponent in |n|; empty for 0 and +-1."""
     m = abs(n)
-    out = []
+    out: dict[int, int] = {}
+    if m == 0:
+        return out
     d = 2
-    while d * d <= m:
+    while d < _TRIAL_BOUND and d * d <= m:
         if m % d == 0:
-            out.append(d)
+            out[d] = 0
             while m % d == 0:
                 m //= d
+                out[d] += 1
         d += 1 if d == 2 else 2
-    if m > 1:
-        out.append(m)
+    if d * d > m:
+        if m > 1:
+            out[m] = 1
+        return out
+    # every prime factor of m is at least _TRIAL_BOUND, so m is odd
+    pending = [m]
+    while pending:
+        f = pending.pop()
+        if f < _MR_LIMIT and _is_odd_prime(f):
+            out[f] = out.get(f, 0) + 1
+        else:
+            g = _rho_divisor(f)
+            pending += [g, f // g]
     return out
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the odd n, by Brent's variant of Pollard's rho
+    (BIT 20, 1980) with gcds taken over batches of steps; BudgetExceeded
+    when none turns up within about _RHO_STEPS steps, as for a prime n."""
+    steps = 0
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            if steps > _RHO_STEPS:
+                raise BudgetExceeded(
+                    f"no factor of {n} found within {_RHO_STEPS} Pollard rho steps"
+                )
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            steps += 2 * r
+            r *= 2
+        if g == n:
+            # the batch overshot: walk it again one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 def int_inverse_unimodular(a: IntMatrix) -> IntMatrix:

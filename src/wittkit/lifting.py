@@ -29,7 +29,7 @@ from .errors import (
     SpecMismatch,
 )
 from .matrices import InvMatrix, inv_sqrt_one_plus
-from .rings import PRIME_FIELD, RATIONALS, TRUNC_NIL, RingElem, RingSpec, nil_generator
+from .rings import PRIME_FIELD, RATIONALS, TRUNC_NIL, RingElem, RingSpec, _zero, nil_generator
 
 __all__ = [
     "PROJECTION_CONVENTION",
@@ -80,7 +80,8 @@ def _require_trunc(spec: RingSpec, who: str) -> RingSpec:
 def reduce_mod_I(m: InvMatrix) -> InvMatrix:
     """Kill x: keep the constant coefficient of every entry."""
     base = _require_trunc(m.spec, "reduction")
-    return m.map_entries(lambda e: RingElem(base, e.payload[0], _raw=True))
+    grid = tuple(tuple([e[0] for e in row]) for row in m.cells)
+    return InvMatrix(base, grid, m.nrows, m.ncols)
 
 
 def embed_constants(m: InvMatrix, spec: RingSpec) -> InvMatrix:
@@ -88,7 +89,10 @@ def embed_constants(m: InvMatrix, spec: RingSpec) -> InvMatrix:
     base = _require_trunc(spec, "embedding")
     if m.spec != base:
         raise SpecMismatch(f"matrix over {m.spec} does not embed into {spec}")
-    return m.map_entries(lambda e: RingElem.series(spec, [e]))
+    assert spec.k is not None
+    pad = (_zero(base),) * (spec.k - 1)
+    grid = tuple(tuple([(e, *pad) for e in row]) for row in m.cells)
+    return InvMatrix(spec, grid, m.nrows, m.ncols)
 
 
 def associated_projection(j: SelfAdjInvolution) -> InvMatrix:

@@ -8,18 +8,20 @@ integer rows (``_det_bareiss``); over Laurent rings and truncated rings,
 where a pivot need not divide exactly, it is division-free minor expansion
 (``_det_minors``).  The adjugate is built from determinants of minors, so
 it takes the same two paths.  Every matrix product, here and in ``forms``,
-goes through the payload-level kernel ``_matmul``.
+goes through the payload-level kernel ``_matmul``; its integer-slice step,
+``_slice_products``, also sums the (I + g)^(-1/2) series of the lifting
+layer.  Entrywise operations call the ring's bound ops (``RingSpec.ops``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import comb, lcm, prod
 from operator import mul
 from typing import Any, Sequence
 
 from .errors import IdentityViolated, IllFormed, NonUnit, NotNilpotent, SpecMismatch
-from .intlinalg import matmul_int
+from .intlinalg import int_det, matmul_int
 from .rings import (
     DYADIC,
     LAURENT2,
@@ -33,7 +35,6 @@ from .rings import (
     _involute,
     _is_nilpotent,
     _is_unit,
-    _is_zero,
     _mul,
     _neg,
     _one,
@@ -124,13 +125,14 @@ class InvMatrix:
         if a.spec != b.spec:
             raise SpecMismatch("Kronecker product over different rings")
         spec = a.spec
+        mul_ = spec.ops.mul
         grid = []
         for i in range(a.nrows):
             for k in range(b.nrows):
                 row = []
                 for j in range(a.ncols):
                     aij = a.cells[i][j]
-                    row.extend(_mul(spec, aij, b.cells[k][l]) for l in range(b.ncols))
+                    row.extend(mul_(aij, b.cells[k][l]) for l in range(b.ncols))
                 grid.append(tuple(row))
         return cls(spec, tuple(grid), a.nrows * b.nrows, a.ncols * b.ncols)
 
@@ -157,20 +159,25 @@ class InvMatrix:
         self._check_same(other)
         if self.shape != other.shape:
             raise IllFormed(f"shape mismatch {self.shape} + {other.shape}")
-        spec = self.spec
-        grid = tuple(
-            tuple(_add(spec, a, b) for a, b in zip(ra, rb))
-            for ra, rb in zip(self.cells, other.cells)
-        )
-        return InvMatrix(spec, grid, self.nrows, self.ncols)
+        add = self.spec.ops.add
+        grid = tuple(tuple(map(add, ra, rb)) for ra, rb in zip(self.cells, other.cells))
+        return InvMatrix(self.spec, grid, self.nrows, self.ncols)
 
     def __neg__(self) -> "InvMatrix":
-        spec = self.spec
-        grid = tuple(tuple(_neg(spec, a) for a in row) for row in self.cells)
-        return InvMatrix(spec, grid, self.nrows, self.ncols)
+        neg = self.spec.ops.neg
+        grid = tuple(tuple(map(neg, row)) for row in self.cells)
+        return InvMatrix(self.spec, grid, self.nrows, self.ncols)
 
     def __sub__(self, other: "InvMatrix") -> "InvMatrix":
-        return self + (-other)
+        self._check_same(other)
+        if self.shape != other.shape:
+            raise IllFormed(f"shape mismatch {self.shape} - {other.shape}")
+        add, neg = self.spec.ops.add, self.spec.ops.neg
+        grid = tuple(
+            tuple([add(a, neg(b)) for a, b in zip(ra, rb)])
+            for ra, rb in zip(self.cells, other.cells)
+        )
+        return InvMatrix(self.spec, grid, self.nrows, self.ncols)
 
     def __mul__(self, other: Any) -> Any:
         if isinstance(other, InvMatrix):
@@ -188,8 +195,8 @@ class InvMatrix:
 
     def scale(self, scalar: Any) -> "InvMatrix":
         spec = self.spec
-        s = _cook(spec, scalar)
-        grid = tuple(tuple(_mul(spec, s, a) for a in row) for row in self.cells)
+        s, mul_ = _cook(spec, scalar), spec.ops.mul
+        grid = tuple(tuple([mul_(s, a) for a in row]) for row in self.cells)
         return InvMatrix(spec, grid, self.nrows, self.ncols)
 
     def transpose(self) -> "InvMatrix":
@@ -209,9 +216,9 @@ class InvMatrix:
         if self.nrows != self.ncols:
             raise IllFormed("trace of a non-square matrix")
         spec = self.spec
-        acc = _zero(spec)
+        add, acc = spec.ops.add, _zero(spec)
         for i in range(self.nrows):
-            acc = _add(spec, acc, self.cells[i][i])
+            acc = add(acc, self.cells[i][i])
         return RingElem(spec, acc, _raw=True)
 
     # -- determinant and inverse ---------------------------------------------
@@ -266,8 +273,8 @@ class InvMatrix:
     # -- predicates -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        spec = self.spec
-        return all(_is_zero(spec, a) for row in self.cells for a in row)
+        is_zero = self.spec.ops.is_zero
+        return all(map(is_zero, (a for row in self.cells for a in row)))
 
     def is_identity(self) -> bool:
         if self.nrows != self.ncols:
@@ -338,39 +345,15 @@ def _det_bareiss(spec: RingSpec, cells: Sequence[Sequence[Any]]) -> Any:
     """Determinant of a square payload grid over fp, q or dyadic.
 
     Each row is scaled by the lcm of its denominators (by 1 over fp), so the
-    grid is an integer matrix M with det = det(M) / prod(scales).  Bareiss
-    elimination computes det(M) fraction-free: after step k every entry of
-    the trailing block is a (k+1)-minor of M, so the division by the
-    previous pivot is exact and entries stay bounded by Hadamard's bound.
-    A zero pivot is replaced by a lower row with a nonzero entry in its
-    column, flipping the sign; if none exists the determinant is 0.
+    grid is an integer matrix M with det = det(M) / prod(scales), and
+    ``intlinalg.int_det`` computes det(M) by fraction-free Bareiss
+    elimination.
     """
-    n = len(cells)
     if spec.kind == PRIME_FIELD:
-        rows, scale = [list(row) for row in cells], 1
-    else:
-        scales = [lcm(*[e.denominator for e in row]) for row in cells]
-        rows = [[e.numerator * (s // e.denominator) for e in row] for row, s in zip(cells, scales)]
-        scale = prod(scales)
-    sign, prev = 1, 1
-    # rows holds the trailing block still to eliminate
-    for _ in range(n - 1):
-        if not rows[0][0]:
-            swap = next((i for i, row in enumerate(rows) if row[0]), None)
-            if swap is None:
-                return _zero(spec)
-            rows[0], rows[swap] = rows[swap], rows[0]
-            sign = -sign
-        (pivot, *pivot_row), *rest = rows
-        rows = [
-            [(pivot * x - row[0] * y) // prev for x, y in zip(row[1:], pivot_row)]
-            for row in rest
-        ]
-        prev = pivot
-    d = sign * rows[0][0] if n else 1
-    if spec.kind == PRIME_FIELD:
-        return d % spec.p
-    return Fraction(d, scale)
+        return int_det(cells) % spec.p
+    scales = [lcm(*[e.denominator for e in row]) for row in cells]
+    rows = [[e.numerator * (s // e.denominator) for e in row] for row, s in zip(cells, scales)]
+    return Fraction(int_det(rows), prod(scales))
 
 
 def _det_minors(spec: RingSpec, cells: Sequence[Sequence[Any]]) -> Any:
@@ -384,6 +367,7 @@ def _det_minors(spec: RingSpec, cells: Sequence[Sequence[Any]]) -> Any:
     n = len(cells)
     if n == 0:
         return _one(spec)
+    add, neg, mul_, is_zero = spec.ops
     memo: dict[int, Any] = {}
 
     def minor(r: int, mask: int) -> Any:
@@ -401,9 +385,9 @@ def _det_minors(spec: RingSpec, cells: Sequence[Sequence[Any]]) -> Any:
             low = m & -m
             c = low.bit_length() - 1
             a = row[c]
-            if not _is_zero(spec, a):
-                term = _mul(spec, a, minor(r + 1, mask & ~low))
-                acc = _add(spec, acc, term if sign > 0 else _neg(spec, term))
+            if not is_zero(a):
+                term = mul_(a, minor(r + 1, mask & ~low))
+                acc = add(acc, term if sign > 0 else neg(term))
             sign = -sign
             m &= m - 1
         memo[key] = acc
@@ -419,10 +403,10 @@ def _matmul(spec: RingSpec, x: Sequence[Sequence[Any]], y: Sequence[Sequence[Any
     dyadic and truncnil of fp, q or dyadic, each operand is split into k
     integer coefficient slices (k = 1 for a scalar ring): row r of x is
     scaled by the lcm of its denominators, column c of y by the lcm of its
-    own, so one large denominator does not inflate the whole matrix.  Degree
-    d of the product, sum_{i+j=d} X_i*Y_j, is then one integer product
-    [X_0 .. X_d] * [Y_d; ..; Y_0], and each output coefficient costs one % p
-    or one Fraction.  Laurent coefficients are summed entry by entry.  When
+    own, so one large denominator does not inflate the whole matrix.  The
+    slices are multiplied by ``_slice_products``, and each output
+    coefficient costs one % p or one Fraction.  Laurent coefficients are
+    summed entry by entry.  When
     y has no rows its width is unknown, and each of the n output rows is empty.
     """
     if not x or not y or not y[0]:
@@ -456,12 +440,7 @@ def _matmul(spec: RingSpec, x: Sequence[Sequence[Any]], y: Sequence[Sequence[Any
     if not trunc:
         cells = matmul_int(xs[0], ys[0])
         return [[Fraction(v, r * c) for v, c in zip(row, cscale)] for row, r in zip(cells, rscale)]
-    left, right, prods = xs[0], [], []
-    for d in range(k):
-        if d:
-            left = [a + b for a, b in zip(left, xs[d])]
-        right = [*ys[d], *right]
-        prods.append(matmul_int(left, right))
+    prods = _slice_products(xs, ys, k)
     # cells[r][c] is the tuple of integer coefficients of degrees 0..k-1
     cells = [list(zip(*(pr[r] for pr in prods))) for r in range(len(x))]
     if base.kind == PRIME_FIELD:
@@ -473,20 +452,50 @@ def _matmul(spec: RingSpec, x: Sequence[Sequence[Any]], y: Sequence[Sequence[Any
     ]
 
 
+def _slice_products(xs: Sequence[Any], ys: Sequence[Any], k: int) -> list[list[list[int]]]:
+    """Degrees 0..k-1 of the product of two integer matrix polynomials.
+
+    ``xs[d]`` and ``ys[d]`` are the integer matrices of degree d (n x l and
+    l x m).  Degree d of the truncated product, sum_{i+j=d} X_i*Y_j, is
+    one integer product [X_0 .. X_d] * [Y_d; ..; Y_0].
+    """
+    left, right, prods = xs[0], [], []
+    for d in range(k):
+        if d:
+            left = [a + b for a, b in zip(left, xs[d])]
+        right = [*ys[d], *right]
+        prods.append(matmul_int(left, right))
+    return prods
+
+
 def inv_sqrt_one_plus(g: InvMatrix) -> InvMatrix:
     """Exact (I + g)^(-1/2) for a nilpotent self-commuting argument.
 
     The binomial series sum_j C(-1/2, j) g^j terminates because every entry
     of ``g`` is required to be nilpotent (zero outside truncated rings); the
-    dyadic binomial coefficients embed into every supported ring.  The
-    defining identity U*U*(I+g) = I is checked before returning.
+    dyadic binomial coefficients embed into every supported ring.  Over
+    truncated rings of fp, q and dyadic it is summed on integer slices
+    (``_inv_sqrt_slices``), elsewhere entry by entry (``_inv_sqrt_series``).
+    The defining identity U*U*(I+g) = I is checked before returning.
     """
     if g.nrows != g.ncols:
         raise IllFormed("inv_sqrt_one_plus needs a square matrix")
     spec = g.spec
     if not all(_is_nilpotent(spec, a) for row in g.cells for a in row):
         raise NotNilpotent("entries must lie in the nilpotent ideal")
-    n = g.nrows
+    if spec.kind == TRUNC_NIL and spec.base.kind != LAURENT2:
+        out = _inv_sqrt_slices(g)
+    else:
+        out = _inv_sqrt_series(g)
+    ident = InvMatrix.identity(spec, g.nrows)
+    if not (out * out * (ident + g)).is_identity():
+        raise IdentityViolated("square-root identity violated")
+    return out
+
+
+def _inv_sqrt_series(g: InvMatrix) -> InvMatrix:
+    """sum_j C(-1/2, j) g^j by InvMatrix products, for any supported ring."""
+    spec, n = g.spec, g.nrows
     ident = InvMatrix.identity(spec, n)
     out = ident
     power = ident
@@ -500,6 +509,45 @@ def inv_sqrt_one_plus(g: InvMatrix) -> InvMatrix:
         out = out + power.scale(RingElem.from_fraction(spec, coeff))
     else:
         raise NotNilpotent("argument failed to nilpotate within the degree bound")
-    if not (out * out * (ident + g)).is_identity():
-        raise IdentityViolated("square-root identity violated")
     return out
+
+
+def _inv_sqrt_slices(g: InvMatrix) -> InvMatrix:
+    """sum_j C(-1/2, j) g^j over B[x]/(x^k), B = fp, q or dyadic, in integers.
+
+    g has no constant term, so g^j vanishes for j >= k and m = k - 1 terms
+    suffice.  Over q and dyadic, g = G/D for the integer matrix polynomial G
+    and the lcm D of all its denominators; with C(-1/2, j) =
+    (-1)^j C(2j, j) / 4^j the sum is
+    U = sum_{j<=m} (-1)^j C(2j, j) (4D)^(m-j) G^j / (4D)^m, accumulated in
+    integers and divided once per output coefficient.  Over fp the
+    coefficient is (-1)^j C(2j, j) 4^(-j) mod p and there is no denominator.
+    """
+    spec, n = g.spec, g.nrows
+    k, p = spec.k, spec.base.p
+    m = k - 1
+    slices = [[[e[d] for e in row] for row in g.cells] for d in range(k)]
+    if p:
+        inv4 = pow(4, -1, p)
+        coeffs = [(-1) ** j * comb(2 * j, j) * inv4**j for j in range(k)]
+    else:
+        den = lcm(*[e.denominator for s in slices for row in s for e in row])
+        slices = [[[e.numerator * (den // e.denominator) for e in row] for row in s] for s in slices]
+        coeffs = [(-1) ** j * comb(2 * j, j) * (4 * den) ** (m - j) for j in range(k)]
+    # acc[d] is the degree-d slice of the scaled sum, starting at coeffs[0] * I
+    acc = [[[coeffs[0] if d == 0 and r == c else 0 for c in range(n)] for r in range(n)] for d in range(k)]
+    power = slices
+    for j in range(1, k):
+        if j > 1:
+            power = _slice_products(power, slices, k)
+        c = coeffs[j]
+        acc = [
+            [[u + c * v for u, v in zip(ur, vr)] for ur, vr in zip(us, vs)]
+            for us, vs in zip(acc, power)
+        ]
+    if p:
+        grid = [[tuple([s[r][c] % p for s in acc]) for c in range(n)] for r in range(n)]
+    else:
+        total = (4 * den) ** m
+        grid = [[tuple([Fraction(s[r][c], total) for s in acc]) for c in range(n)] for r in range(n)]
+    return InvMatrix(spec, tuple(map(tuple, grid)), n, n)

@@ -30,9 +30,10 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Iterable
+from operator import add, mul, neg, not_
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .errors import BudgetExceeded, IllFormed, NonUnit, SpecMismatch
 
@@ -89,6 +90,8 @@ class RingSpec:
     p: int | None = None
     base: "RingSpec | None" = None
     k: int | None = None
+    # payload arithmetic with the kind dispatched once, set by __post_init__
+    ops: "RingOps" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind == PRIME_FIELD:
@@ -104,6 +107,7 @@ class RingSpec:
                 raise IllFormed("truncation order must be a positive integer")
         else:
             raise IllFormed(f"unknown ring kind {self.kind!r}")
+        object.__setattr__(self, "ops", _ring_ops(self))
 
     # -- constructors ----------------------------------------------------
 
@@ -274,76 +278,114 @@ def _one(spec: RingSpec) -> Any:
     return (_one(spec.base),) + (_zero(spec.base),) * (spec.k - 1)
 
 
-def _add(spec: RingSpec, a: Any, b: Any) -> Any:
-    if spec.kind == PRIME_FIELD:
-        return (a + b) % spec.p  # type: ignore[operator]
-    if spec.kind in (RATIONALS, DYADIC):
-        return a + b
-    if spec.kind == LAURENT2:
-        acc = dict(a)
-        for key, coeff in b:
-            s = acc.get(key, Fraction(0)) + coeff
+class RingOps(NamedTuple):
+    """Payload arithmetic of one ring, specialised to its kind.
+
+    Every payload of every kind is falsy exactly when it is zero, so
+    ``is_zero`` is ``not`` for the scalar kinds and ``not any`` over the
+    coefficients of a truncated ring.
+    """
+
+    add: Callable[[Any, Any], Any]
+    neg: Callable[[Any], Any]
+    mul: Callable[[Any, Any], Any]
+    is_zero: Callable[[Any], bool]
+
+
+def _laurent_add(a: tuple, b: tuple) -> tuple:
+    acc = dict(a)
+    for key, coeff in b:
+        s = acc.get(key, Fraction(0)) + coeff
+        if s:
+            acc[key] = s
+        else:
+            acc.pop(key, None)
+    return tuple(sorted(acc.items()))
+
+
+def _laurent_neg(a: tuple) -> tuple:
+    return tuple((key, -coeff) for key, coeff in a)
+
+
+def _laurent_mul(a: tuple, b: tuple) -> tuple:
+    acc: dict[tuple[int, int], Fraction] = {}
+    for (i1, j1), c1 in a:
+        for (i2, j2), c2 in b:
+            key = (i1 + i2, j1 + j2)
+            s = acc.get(key, Fraction(0)) + c1 * c2
             if s:
                 acc[key] = s
             else:
                 acc.pop(key, None)
-        return tuple(sorted(acc.items()))
-    base = spec.base
-    return tuple(_add(base, x, y) for x, y in zip(a, b))  # type: ignore[arg-type]
+    return tuple(sorted(acc.items()))
+
+
+def _ring_ops(spec: RingSpec) -> RingOps:
+    """The ops of ``spec``; a truncated ring's are built on its base's."""
+    if spec.kind == PRIME_FIELD:
+        p = spec.p
+        return RingOps(lambda a, b: (a + b) % p, lambda a: -a % p, lambda a, b: a * b % p, not_)
+    if spec.kind in (RATIONALS, DYADIC):
+        return RingOps(add, neg, mul, not_)
+    if spec.kind == LAURENT2:
+        return RingOps(_laurent_add, _laurent_neg, _laurent_mul, not_)
+    base, k = spec.base, spec.k
+    assert base is not None and k is not None
+    badd, bneg, bmul, _ = base.ops
+    zero = _zero(base)
+
+    def trunc_add(a: tuple, b: tuple) -> tuple:
+        return tuple(map(badd, a, b))
+
+    def trunc_neg(a: tuple) -> tuple:
+        return tuple(map(bneg, a))
+
+    def trunc_is_zero(a: tuple) -> bool:
+        return not any(a)
+
+    if base.kind == LAURENT2:
+
+        def trunc_mul(a: tuple, b: tuple) -> tuple:
+            out = [zero] * k
+            for i, x in enumerate(a):
+                if not x:
+                    continue
+                for j in range(k - i):
+                    y = b[j]
+                    if y:
+                        out[i + j] = badd(out[i + j], bmul(x, y))
+            return tuple(out)
+
+    else:
+        # ints or Fractions: accumulate with plain + and *, reduce mod p once
+        p = base.p
+
+        def trunc_mul(a: tuple, b: tuple) -> tuple:
+            out = [zero] * k
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b[: k - i], i):
+                        if y:
+                            out[j] += x * y
+            return tuple([v % p for v in out]) if p else tuple(out)
+
+    return RingOps(trunc_add, trunc_neg, trunc_mul, trunc_is_zero)
+
+
+def _add(spec: RingSpec, a: Any, b: Any) -> Any:
+    return spec.ops.add(a, b)
 
 
 def _neg(spec: RingSpec, a: Any) -> Any:
-    if spec.kind == PRIME_FIELD:
-        return (-a) % spec.p  # type: ignore[operator]
-    if spec.kind in (RATIONALS, DYADIC):
-        return -a
-    if spec.kind == LAURENT2:
-        return tuple((key, -coeff) for key, coeff in a)
-    base = spec.base
-    return tuple(_neg(base, x) for x in a)  # type: ignore[arg-type]
+    return spec.ops.neg(a)
 
 
 def _mul(spec: RingSpec, a: Any, b: Any) -> Any:
-    if spec.kind == PRIME_FIELD:
-        return (a * b) % spec.p  # type: ignore[operator]
-    if spec.kind in (RATIONALS, DYADIC):
-        return a * b
-    if spec.kind == LAURENT2:
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in a:
-            for (i2, j2), c2 in b:
-                key = (i1 + i2, j1 + j2)
-                s = acc.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        return tuple(sorted(acc.items()))
-    base = spec.base
-    k = spec.k
-    assert base is not None and k is not None
-    zero = _zero(base)
-    out = [zero] * k
-    for i, x in enumerate(a):
-        if _is_zero(base, x):
-            continue
-        for j in range(k - i):
-            y = b[j]
-            if _is_zero(base, y):
-                continue
-            out[i + j] = _add(base, out[i + j], _mul(base, x, y))
-    return tuple(out)
+    return spec.ops.mul(a, b)
 
 
 def _is_zero(spec: RingSpec, a: Any) -> bool:
-    if spec.kind == PRIME_FIELD:
-        return a == 0
-    if spec.kind in (RATIONALS, DYADIC):
-        return not a
-    if spec.kind == LAURENT2:
-        return not a
-    base = spec.base
-    return all(_is_zero(base, x) for x in a)  # type: ignore[arg-type]
+    return spec.ops.is_zero(a)
 
 
 def _involute(spec: RingSpec, a: Any) -> Any:

@@ -225,32 +225,42 @@ def test_internal_assertion_maps_to_exit_one(capsys, monkeypatch):
 
 def test_identity_check_survives_python_O():
     # a corrupted product must still trip the diagonalization certificate,
-    # and the idempotent check of the Bott data, when asserts are compiled
-    # away
+    # the idempotent check of the Bott data and the square-root identity of
+    # the lifting series when asserts are compiled away
     script = textwrap.dedent("""
         import sys
         from wittkit import cli, matrices
         from wittkit.rings import _add, _one
 
         assert False, "asserts must be stripped under -O"
-        real = matrices._matmul
+        target = sys.argv[1]
+        real = getattr(matrices, target)
 
-        def corrupt(spec, x, y):
+        def corrupt_matmul(spec, x, y):
             out = real(spec, x, y)
             out[0][0] = _add(spec, out[0][0], _one(spec))
             return out
 
-        matrices._matmul = corrupt
-        sys.exit(cli.main(sys.argv[1:]))
+        def corrupt_slices(xs, ys, k):
+            # one wrong integer in the top degree: the constant terms, and
+            # with them nilpotency, stay intact
+            prods = real(xs, ys, k)
+            prods[-1][0][0] += 1
+            return prods
+
+        setattr(matrices, target, corrupt_matmul if target == "_matmul" else corrupt_slices)
+        sys.exit(cli.main(sys.argv[2:]))
     """)
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     cases = [
-        (["witt", "class", "--ring", "q", "--diag", "1,2"], "certificate"),
-        (["bott", "verify"], "idempotent"),
+        ("_matmul", ["witt", "class", "--ring", "q", "--diag", "1,2"], "certificate"),
+        ("_matmul", ["bott", "verify"], "idempotent"),
+        ("_slice_products", ["lift", "demo", "--base", "q", "--k", "3", "--n", "2", "--trials", "1"],
+         "square-root identity"),
     ]
-    for argv, expected in cases:
-        proc = subprocess.run([sys.executable, "-O", "-c", script, *argv],
+    for target, argv, expected in cases:
+        proc = subprocess.run([sys.executable, "-O", "-c", script, target, *argv],
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 1, proc.stderr
         out = json.loads(proc.stdout)

@@ -252,6 +252,32 @@ def _check_decomposition(f: GramForm, dec: WittDecomposition) -> None:
     assert 2 * r + dec.anisotropic.dim == f.dim
 
 
+def _assert_canonical_grid(m: InvMatrix) -> None:
+    again = InvMatrix.from_rows(m.spec, m.cells)
+    assert again.shape == m.shape
+    assert again.cells == m.cells
+    # Fraction(1) == 1, so compare the payload types as well
+    assert [list(map(type, row)) for row in again.cells] == [list(map(type, row)) for row in m.cells]
+
+
+def test_diagonalize_and_decompose_build_canonical_grids():
+    # the results are built from the congruence grids directly, without
+    # from_rows; canonicalizing them again must change nothing
+    rng = random.Random(23)
+    for spec in (Q, F5, F7, DY):
+        for n in range(5):
+            for _ in range(4):
+                f = _random_symmetric(spec, n, rng)
+                p, d = diagonalize(f)
+                dec = witt_decompose(f)
+                for m in (p, d.gram, dec.anisotropic.gram, dec.change_of_basis):
+                    _assert_canonical_grid(m)
+            if n in (2, 4):
+                dec = witt_decompose(_random_skew(spec, n, rng))
+                _assert_canonical_grid(dec.anisotropic.gram)
+                _assert_canonical_grid(dec.change_of_basis)
+
+
 def test_witt_decompose_prime_field_is_certified():
     rng = random.Random(19)
     for _ in range(10):

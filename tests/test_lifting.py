@@ -52,6 +52,14 @@ def test_reduce_and_embed():
         embed_constants(red, Q)
 
 
+def test_reduce_and_embed_empty_matrices():
+    for nrows, ncols in ((0, 0), (2, 0)):
+        up = InvMatrix.zeros(T3F5, nrows, ncols)
+        down = InvMatrix.zeros(F5, nrows, ncols)
+        assert reduce_mod_I(up) == down
+        assert embed_constants(down, T3F5) == up
+
+
 def test_reduce_is_a_ring_map():
     rng = random.Random(3)
     x = nil_generator(T2)

@@ -9,7 +9,14 @@ from fractions import Fraction
 import pytest
 
 from wittkit.errors import NonUnit, SpecMismatch
-from wittkit.matrices import InvMatrix, _det_bareiss, _det_minors, _matmul, inv_sqrt_one_plus
+from wittkit.matrices import (
+    InvMatrix,
+    _det_bareiss,
+    _det_minors,
+    _inv_sqrt_series,
+    _matmul,
+    inv_sqrt_one_plus,
+)
 from wittkit.rings import RingElem, RingSpec, _add, _mul, _zero, canon_payload, nil_generator
 
 Q = RingSpec.rationals()
@@ -315,3 +322,29 @@ def test_det_against_sympy():
             if spec.kind == "fp":
                 want = want.numerator % spec.p
             assert InvMatrix.from_rows(spec, grid).det().payload == want
+
+
+# -- (I + g)^(-1/2) on integer slices against the InvMatrix series -------------
+
+
+def _random_nilpotent(spec, n, rng):
+    """n x n over B[x]/(x^k) with no constant terms, so I + g is invertible."""
+    zero = _zero(spec.base)
+    grid = tuple(tuple((zero, *_random_payload(spec, rng)[1:]) for _ in range(n)) for _ in range(n))
+    return InvMatrix(spec, grid, n, n)
+
+
+@pytest.mark.parametrize("base", (F5, F7, Q, DY), ids=str)
+def test_inv_sqrt_slices_match_the_generic_series(base):
+    rng = random.Random(str(base))
+    for k in range(1, 7):
+        spec = RingSpec.trunc_nil(base, k)
+        for n in range(6):
+            for _ in range(2):
+                g = _random_nilpotent(spec, n, rng)
+                got = inv_sqrt_one_plus(g)
+                assert got.shape == (n, n)
+                assert got == _inv_sqrt_series(g)
+                for row in got.cells:
+                    for a in row:
+                        _assert_canonical(spec, a)

@@ -191,6 +191,33 @@ def _random_elem(spec: RingSpec, rng: random.Random) -> RingElem:
     return RingElem.series(spec, coeffs)
 
 
+@pytest.mark.parametrize("base", (F7, Q, DY, L2), ids=str)
+def test_truncated_ops_match_the_coefficient_definitions(base):
+    # RingSpec.ops of B[x]/(x^k) against coefficient-wise arithmetic in B
+    rng = random.Random(str(base))
+    for k in (1, 2, 4):
+        spec = RingSpec.trunc_nil(base, k)
+        elems = [RingElem.zero(spec)] + [_random_elem(spec, rng) for _ in range(20)]
+        for a, b in zip(elems, reversed(elems)):
+            ca = [RingElem(base, c, _raw=True) for c in a.payload]
+            cb = [RingElem(base, c, _raw=True) for c in b.payload]
+            zero = RingElem.zero(base)
+            want = {
+                "add": [x + y for x, y in zip(ca, cb)],
+                "neg": [-x for x in ca],
+                "mul": [sum((ca[i] * cb[d - i] for i in range(d + 1)), zero) for d in range(k)],
+            }
+            got = {
+                "add": spec.ops.add(a.payload, b.payload),
+                "neg": spec.ops.neg(a.payload),
+                "mul": spec.ops.mul(a.payload, b.payload),
+            }
+            for name, coeffs in want.items():
+                assert got[name] == tuple(c.payload for c in coeffs), name
+                assert [type(c) for c in got[name]] == [type(c.payload) for c in coeffs], name
+            assert spec.ops.is_zero(a.payload) == all(c.is_zero() for c in ca)
+
+
 def test_ring_axioms_random():
     rng = random.Random(1)
     for spec in (Q, DY, F7, L2, RingSpec.trunc_nil(F7, 3)):

@@ -62,3 +62,33 @@ def test_every_private_helper_is_referenced():
                 if name != own:
                     referenced.add(name)
     assert sorted(helpers - referenced) == []
+
+
+def _compares_kind(fn: ast.FunctionDef) -> bool:
+    return any(
+        isinstance(node, ast.Compare)
+        and any(
+            isinstance(side, ast.Attribute) and side.attr == "kind"
+            for side in (node.left, *node.comparators)
+        )
+        for node in ast.walk(fn)
+    )
+
+
+def test_entrywise_arithmetic_binds_the_ring_ops():
+    # the ring kind is dispatched once, when RingSpec builds its ops; the
+    # per-entry paths call the bound ops and never compare spec.kind
+    checked = {
+        ("rings.py", None): {"_add", "_neg", "_mul", "_is_zero"},
+        ("matrices.py", "InvMatrix"): {"__add__", "__sub__", "__neg__", "scale", "is_zero", "trace"},
+    }
+    found: dict[str, bool] = {}
+    for (module, cls), names in checked.items():
+        body = ast.parse((SRC / module).read_text()).body
+        if cls is not None:
+            body = next(n for n in body if isinstance(n, ast.ClassDef) and n.name == cls).body
+        for fn in body:
+            if isinstance(fn, ast.FunctionDef) and fn.name in names:
+                found[f"{module}:{fn.name}"] = _compares_kind(fn)
+    assert len(found) == 10
+    assert [name for name, bad in found.items() if bad] == []
