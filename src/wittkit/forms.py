@@ -43,7 +43,6 @@ from .rings import (
     RingSpec,
     _add,
     _inv,
-    _involute,
     _is_zero,
     _mul,
     _neg,
@@ -109,9 +108,9 @@ class GramForm:
         wp = [_cook_scalar(spec, c) for c in w]
         if len(vp) != self.dim or len(wp) != self.dim:
             raise IllFormed("vector length does not match the form")
-        acc = _zero(spec)
+        acc, involute = _zero(spec), spec.ops.involute
         for i, row in enumerate(self.gram.cells):
-            vi = _involute(spec, vp[i])
+            vi = involute(vp[i])
             if _is_zero(spec, vi):
                 continue
             for j, g in enumerate(row):

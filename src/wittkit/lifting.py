@@ -28,8 +28,8 @@ from .errors import (
     NotUnitaryMod,
     SpecMismatch,
 )
-from .matrices import InvMatrix, inv_sqrt_one_plus
-from .rings import PRIME_FIELD, RATIONALS, TRUNC_NIL, RingElem, RingSpec, _zero, nil_generator
+from .matrices import InvMatrix, _canonical, inv_sqrt_one_plus
+from .rings import LAURENT2, PRIME_FIELD, RATIONALS, TRUNC_NIL, RingElem, RingSpec, _zero
 
 __all__ = [
     "PROJECTION_CONVENTION",
@@ -80,6 +80,9 @@ def _require_trunc(spec: RingSpec, who: str) -> RingSpec:
 def reduce_mod_I(m: InvMatrix) -> InvMatrix:
     """Kill x: keep the constant coefficient of every entry."""
     base = _require_trunc(m.spec, "reduction")
+    if base.kind != LAURENT2:
+        slices, den = m._slice_form()
+        return _canonical(base, slices[:1], den, m.nrows, m.ncols)
     grid = tuple(tuple([e[0] for e in row]) for row in m.cells)
     return InvMatrix(base, grid, m.nrows, m.ncols)
 
@@ -90,6 +93,10 @@ def embed_constants(m: InvMatrix, spec: RingSpec) -> InvMatrix:
     if m.spec != base:
         raise SpecMismatch(f"matrix over {m.spec} does not embed into {spec}")
     assert spec.k is not None
+    if base.kind != LAURENT2:
+        (constants,), den = m._slice_form()
+        zeros = [[[0] * m.ncols] * m.nrows] * (spec.k - 1)
+        return InvMatrix._from_slices(spec, [constants, *zeros], den, m.nrows, m.ncols)
     pad = (_zero(base),) * (spec.k - 1)
     grid = tuple(tuple([(e, *pad) for e in row]) for row in m.cells)
     return InvMatrix(spec, grid, m.nrows, m.ncols)
@@ -206,17 +213,12 @@ def _random_involution(base: RingSpec, n: int, rng: random.Random) -> SelfAdjInv
 def _random_nilpotent_perturbation(
     m: InvMatrix, spec: RingSpec, rng: random.Random
 ) -> InvMatrix:
-    """Embed and add random matrices in every positive x-degree."""
+    """Embed m over q or fp, with random integers in every positive x-degree."""
     assert spec.k is not None
-    out = embed_constants(m, spec)
-    x = nil_generator(spec)
     n = m.nrows
-    for power in range(1, spec.k):
-        pert = InvMatrix.from_rows(
-            spec, [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(n)]
-        )
-        out = out + pert.scale(x**power)
-    return out
+    (constants,), den = m._slice_form()
+    higher = [[[den * rng.randrange(-2, 3) for _ in range(n)] for _ in range(n)] for _ in range(1, spec.k)]
+    return _canonical(spec, [constants, *higher], den, n, n)
 
 
 def roundtrip_isomorphism_demo(

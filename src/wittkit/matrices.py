@@ -1,23 +1,30 @@
 """Matrices over the supported involutive rings.
 
-``InvMatrix`` is immutable and exact.  The star of a matrix is the conjugate
-transpose: transpose combined with the ring involution entrywise.  Inverses
-exist exactly when the determinant is a unit of the coefficient ring.  Over
-F_p, Q and Z[1/2] the determinant is fraction-free Bareiss elimination on
-integer rows (``_det_bareiss``); over Laurent rings and truncated rings,
-where a pivot need not divide exactly, it is division-free minor expansion
-(``_det_minors``).  The adjugate is built from determinants of minors, so
-it takes the same two paths.  Every matrix product, here and in ``forms``,
-goes through the payload-level kernel ``_matmul``; its integer-slice step,
-``_slice_products``, also sums the (I + g)^(-1/2) series of the lifting
-layer.  Entrywise operations call the ring's bound ops (``RingSpec.ops``).
+``InvMatrix`` is immutable and exact; its star is the conjugate transpose.
+Over F_p, Q, Z[1/2] and B[x]/(x^k) over them a matrix is k integer slices
+(k = 1 untruncated) over one denominator, as FLINT's ``fmpq_mat`` stores a
+rational matrix; slice d holds the numerators of degree d.  The form is
+canonical, so ``==`` compares it as it is: ``den > 0``, gcd(den, entries)
+= 1, and over F_p ``den = 1`` with entries in [0, p).  ``cells``, the grid
+of payloads, is a view built on first use; a matrix built from payloads
+keeps them as that view and builds its slices on first use.  Products
+(``_slice_products`` plus one gcd or ``% p`` pass), sums, scalings,
+transposes and the (I + g)^(-1/2) series of the lifting layer work on the
+slices; ``_matmul`` runs the same kernel on the payload grids of ``forms``.
+Over ``laurent2`` and ``truncnil(laurent2)`` matrices stay payload grids
+and call the ring's bound ops (``RingSpec.ops``) entry by entry.
+
+Inverses exist exactly when the determinant is a unit.  Over F_p, Q and
+Z[1/2] the determinant is int_det(slice 0) / den^n (fraction-free Bareiss);
+elsewhere, where a pivot need not divide exactly, it is division-free
+minor expansion (``_det_minors``).  The adjugate is built from minors, so
+it takes the same two paths.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm, prod
-from operator import mul
+from math import comb, gcd, lcm
 from typing import Any, Sequence
 
 from .errors import IdentityViolated, IllFormed, NonUnit, NotNilpotent, SpecMismatch
@@ -31,8 +38,8 @@ from .rings import (
     RingElem,
     RingSpec,
     _add,
+    _fixed,
     _inv,
-    _involute,
     _is_nilpotent,
     _is_unit,
     _mul,
@@ -55,18 +62,42 @@ def _cook(spec: RingSpec, entry: Any) -> Any:
 
 
 class InvMatrix:
-    """Rectangular matrix over one ring, stored in canonical payload form."""
+    """Rectangular matrix over one ring, stored as the module docstring says."""
 
-    __slots__ = ("spec", "nrows", "ncols", "cells")
+    __slots__ = ("spec", "nrows", "ncols", "_cells", "_sliced")
 
-    def __init__(self, spec: RingSpec, cells: tuple, nrows: int, ncols: int):
+    def __init__(self, spec: RingSpec, cells: tuple | None, nrows: int, ncols: int):
+        """From a grid (tuple of row tuples) of canonical payloads."""
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "_cells", cells)
+        object.__setattr__(self, "_sliced", None)
         object.__setattr__(self, "nrows", nrows)
         object.__setattr__(self, "ncols", ncols)
 
+    @classmethod
+    def _from_slices(cls, spec: RingSpec, slices: list, den: int, nrows: int, ncols: int) -> "InvMatrix":
+        """From canonical slices; ``cells`` is built on first use."""
+        m = cls(spec, None, nrows, ncols)
+        object.__setattr__(m, "_sliced", (slices, den))
+        return m
+
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("InvMatrix is immutable")
+
+    @property
+    def cells(self) -> tuple:
+        """The grid of canonical payloads (a tuple of row tuples)."""
+        cells = self._cells
+        if cells is None:
+            cells = tuple(map(tuple, _payloads(self.spec, *self._sliced)))
+            object.__setattr__(self, "_cells", cells)
+        return cells
+
+    def _slice_form(self) -> tuple[list, int]:
+        """(slices, den), built on first use; for rings with a ``_layout``."""
+        if self._sliced is None:
+            object.__setattr__(self, "_sliced", _slices_of(self.spec, self._cells))
+        return self._sliced
 
     # -- constructors -----------------------------------------------------
 
@@ -82,6 +113,10 @@ class InvMatrix:
 
     @classmethod
     def identity(cls, spec: RingSpec, n: int) -> "InvMatrix":
+        layout = _layout(spec)
+        if layout is not None:
+            eye = [[int(i == j) for j in range(n)] for i in range(n)]
+            return cls._from_slices(spec, [eye] + [[[0] * n] * n] * (layout[0] - 1), 1, n, n)
         one, zero = _one(spec), _zero(spec)
         grid = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
         return cls(spec, grid, n, n)
@@ -155,29 +190,35 @@ class InvMatrix:
         if self.spec != other.spec:
             raise SpecMismatch(f"mixed rings {self.spec} and {other.spec}")
 
-    def __add__(self, other: "InvMatrix") -> "InvMatrix":
+    def _combine(self, other: "InvMatrix", sign: int) -> "InvMatrix":
+        """self + sign * other, in one pass."""
         self._check_same(other)
         if self.shape != other.shape:
-            raise IllFormed(f"shape mismatch {self.shape} + {other.shape}")
-        add = self.spec.ops.add
-        grid = tuple(tuple(map(add, ra, rb)) for ra, rb in zip(self.cells, other.cells))
-        return InvMatrix(self.spec, grid, self.nrows, self.ncols)
+            raise IllFormed(f"shape mismatch {self.shape} and {other.shape}")
+        if _layout(self.spec) is None:
+            add, neg = self.spec.ops.add, self.spec.ops.neg if sign < 0 else _fixed
+            grid = tuple(
+                tuple([add(a, neg(b)) for a, b in zip(ra, rb)])
+                for ra, rb in zip(self.cells, other.cells)
+            )
+            return InvMatrix(self.spec, grid, self.nrows, self.ncols)
+        (xs, dx), (ys, dy) = self._slice_form(), other._slice_form()
+        den = lcm(dx, dy)
+        a, b = den // dx, sign * (den // dy)
+        slices = [
+            [[a * u + b * v for u, v in zip(ur, vr)] for ur, vr in zip(x, y)]
+            for x, y in zip(xs, ys)
+        ]
+        return _canonical(self.spec, slices, den, self.nrows, self.ncols)
+
+    def __add__(self, other: "InvMatrix") -> "InvMatrix":
+        return self._combine(other, 1)
 
     def __neg__(self) -> "InvMatrix":
-        neg = self.spec.ops.neg
-        grid = tuple(tuple(map(neg, row)) for row in self.cells)
-        return InvMatrix(self.spec, grid, self.nrows, self.ncols)
+        return self.scale(-1)
 
     def __sub__(self, other: "InvMatrix") -> "InvMatrix":
-        self._check_same(other)
-        if self.shape != other.shape:
-            raise IllFormed(f"shape mismatch {self.shape} - {other.shape}")
-        add, neg = self.spec.ops.add, self.spec.ops.neg
-        grid = tuple(
-            tuple([add(a, neg(b)) for a, b in zip(ra, rb)])
-            for ra, rb in zip(self.cells, other.cells)
-        )
-        return InvMatrix(self.spec, grid, self.nrows, self.ncols)
+        return self._combine(other, -1)
 
     def __mul__(self, other: Any) -> Any:
         if isinstance(other, InvMatrix):
@@ -186,8 +227,13 @@ class InvMatrix:
                 raise IllFormed(f"shape mismatch {self.shape} * {other.shape}")
             if not other.nrows:
                 return InvMatrix.zeros(self.spec, self.nrows, other.ncols)
-            grid = _matmul(self.spec, self.cells, other.cells)
-            return InvMatrix(self.spec, tuple(map(tuple, grid)), self.nrows, other.ncols)
+            layout = _layout(self.spec)
+            if layout is None:
+                grid = _matmul(self.spec, self.cells, other.cells)
+                return InvMatrix(self.spec, tuple(map(tuple, grid)), self.nrows, other.ncols)
+            (xs, dx), (ys, dy) = self._slice_form(), other._slice_form()
+            prods = _slice_products(xs, ys, layout[0])
+            return _canonical(self.spec, prods, dx * dy, self.nrows, other.ncols)
         return self.scale(other)
 
     def __rmul__(self, other: Any) -> "InvMatrix":
@@ -195,22 +241,34 @@ class InvMatrix:
 
     def scale(self, scalar: Any) -> "InvMatrix":
         spec = self.spec
-        s, mul_ = _cook(spec, scalar), spec.ops.mul
-        grid = tuple(tuple([mul_(s, a) for a in row]) for row in self.cells)
-        return InvMatrix(spec, grid, self.nrows, self.ncols)
+        s = _cook(spec, scalar)
+        if _layout(spec) is None:
+            mul_ = spec.ops.mul
+            grid = tuple(tuple([mul_(s, a) for a in row]) for row in self.cells)
+            return InvMatrix(spec, grid, self.nrows, self.ncols)
+        # s is a 1x1 matrix polynomial, each slice a row of nrows * ncols entries
+        scalar_slices, ds = _slices_of(spec, ((s,),))
+        slices, den = self._slice_form()
+        flat = _slice_products(scalar_slices, [[[v for row in t for v in row]] for t in slices], len(slices))
+        m = self.ncols
+        out = [[row[i * m : (i + 1) * m] for i in range(self.nrows)] for (row,) in flat]
+        return _canonical(spec, out, den * ds, self.nrows, m)
 
     def transpose(self) -> "InvMatrix":
-        grid = tuple(zip(*self.cells)) if self.cells else ()
+        if _layout(self.spec) is not None:
+            slices, den = self._slice_form()
+            flipped = [[list(col) for col in zip(*s)] or [[] for _ in range(self.ncols)] for s in slices]
+            return InvMatrix._from_slices(self.spec, flipped, den, self.ncols, self.nrows)
+        grid = tuple(zip(*self.cells)) if self.nrows else ((),) * self.ncols
         return InvMatrix(self.spec, tuple(tuple(r) for r in grid), self.ncols, self.nrows)
 
     def conj_transpose(self) -> "InvMatrix":
         """Transpose combined with the ring involution entrywise."""
-        spec = self.spec
-        grid = tuple(
-            tuple(_involute(spec, self.cells[i][j]) for i in range(self.nrows))
-            for j in range(self.ncols)
-        )
-        return InvMatrix(spec, grid, self.ncols, self.nrows)
+        involute = self.spec.ops.involute
+        if involute is _fixed:
+            return self.transpose()
+        grid = tuple(tuple([involute(row[j]) for row in self.cells]) for j in range(self.ncols))
+        return InvMatrix(self.spec, grid, self.ncols, self.nrows)
 
     def trace(self) -> RingElem:
         if self.nrows != self.ncols:
@@ -226,9 +284,13 @@ class InvMatrix:
     def _det_payload(self) -> Any:
         if self.nrows != self.ncols:
             raise IllFormed("determinant of a non-square matrix")
-        if self.spec.kind in (PRIME_FIELD, RATIONALS, DYADIC):
-            return _det_bareiss(self.spec, self.cells)
-        return _det_minors(self.spec, self.cells)
+        spec = self.spec
+        if spec.kind not in (PRIME_FIELD, RATIONALS, DYADIC):
+            return _det_minors(spec, self.cells)
+        # fraction-free Bareiss elimination on the numerators
+        (numerators,), den = self._slice_form()
+        d = int_det(numerators)
+        return d % spec.p if spec.p else Fraction(d, den**self.nrows)
 
     def det(self) -> RingElem:
         return RingElem(self.spec, self._det_payload(), _raw=True)
@@ -273,6 +335,8 @@ class InvMatrix:
     # -- predicates -----------------------------------------------------------
 
     def is_zero(self) -> bool:
+        if _layout(self.spec) is not None:
+            return not any(any(row) for s in self._slice_form()[0] for row in s)
         is_zero = self.spec.ops.is_zero
         return all(map(is_zero, (a for row in self.cells for a in row)))
 
@@ -325,11 +389,11 @@ class InvMatrix:
     def __eq__(self, other: Any) -> bool:
         if not isinstance(other, InvMatrix):
             return NotImplemented
-        return (
-            self.spec == other.spec
-            and self.shape == other.shape
-            and self.cells == other.cells
-        )
+        if self.spec != other.spec or self.shape != other.shape:
+            return False
+        if _layout(self.spec) is None:
+            return self.cells == other.cells
+        return self._slice_form() == other._slice_form()
 
     def __hash__(self) -> int:
         return hash((self.spec, self.cells))
@@ -339,21 +403,6 @@ class InvMatrix:
             ", ".join(payload_repr(self.spec, a) for a in row) for row in self.cells
         )
         return f"<{self.nrows}x{self.ncols} [{rows}] over {self.spec}>"
-
-
-def _det_bareiss(spec: RingSpec, cells: Sequence[Sequence[Any]]) -> Any:
-    """Determinant of a square payload grid over fp, q or dyadic.
-
-    Each row is scaled by the lcm of its denominators (by 1 over fp), so the
-    grid is an integer matrix M with det = det(M) / prod(scales), and
-    ``intlinalg.int_det`` computes det(M) by fraction-free Bareiss
-    elimination.
-    """
-    if spec.kind == PRIME_FIELD:
-        return int_det(cells) % spec.p
-    scales = [lcm(*[e.denominator for e in row]) for row in cells]
-    rows = [[e.numerator * (s // e.denominator) for e in row] for row, s in zip(cells, scales)]
-    return Fraction(int_det(rows), prod(scales))
 
 
 def _det_minors(spec: RingSpec, cells: Sequence[Sequence[Any]]) -> Any:
@@ -367,7 +416,7 @@ def _det_minors(spec: RingSpec, cells: Sequence[Sequence[Any]]) -> Any:
     n = len(cells)
     if n == 0:
         return _one(spec)
-    add, neg, mul_, is_zero = spec.ops
+    add, neg, mul_, is_zero, _ = spec.ops
     memo: dict[int, Any] = {}
 
     def minor(r: int, mask: int) -> Any:
@@ -396,27 +445,66 @@ def _det_minors(spec: RingSpec, cells: Sequence[Sequence[Any]]) -> Any:
     return minor(0, (1 << n) - 1)
 
 
+def _layout(spec: RingSpec) -> tuple[int, int | None] | None:
+    """(k, p) when matrices over ``spec`` are k integer slices, p the prime
+    of an F_p base or None; None over Laurent bases (payload grids)."""
+    base, k = (spec.base, spec.k) if spec.kind == TRUNC_NIL else (spec, 1)
+    return None if base.kind == LAURENT2 else (k, base.p)
+
+
+def _slices_of(spec: RingSpec, cells: Sequence[Sequence[Any]]) -> tuple[list, int]:
+    """Canonical (slices, den) of canonical payloads: den is the lcm of the
+    denominators, and a prime's full power in den divides some entry's
+    denominator, so that entry's scaled numerator is prime to it."""
+    trunc = spec.kind == TRUNC_NIL
+    slices = [[[e[d] for e in row] if trunc else list(row) for row in cells] for d in range(spec.k or 1)]
+    if _layout(spec)[1]:
+        return slices, 1
+    den = lcm(*[e.denominator for s in slices for row in s for e in row])
+    return [[[e.numerator * (den // e.denominator) for e in row] for row in s] for s in slices], den
+
+
+def _payloads(spec: RingSpec, slices: Sequence[Any], den: int) -> list[list[Any]]:
+    """Canonical payloads (a list of row lists) of slices / den (den = 1 over
+    F_p), not necessarily reduced: one % p or one Fraction per coefficient."""
+    p = _layout(spec)[1]
+    if spec.kind == TRUNC_NIL:
+        # rows[r] runs over the columns of row r, each a tuple of k coefficients
+        rows = [zip(*degrees) for degrees in zip(*slices)]
+        if p:
+            return [[tuple([v % p for v in e]) for e in row] for row in rows]
+        return [[tuple([Fraction(v, den) for v in e]) for e in row] for row in rows]
+    return [[v % p if p else Fraction(v, den) for v in row] for row in slices[0]]
+
+
+def _canonical(spec: RingSpec, slices: list, den: int, nrows: int, ncols: int) -> InvMatrix:
+    """The matrix slices / den in canonical form: over F_p the entries times
+    den^(-1) mod p over 1, else den and the entries divided by their gcd."""
+    p = _layout(spec)[1]
+    if p:
+        inv = pow(den, -1, p)
+        slices = [[[v * inv % p for v in row] for row in s] for s in slices]
+        den = 1
+    elif den != 1:
+        g = gcd(den, *[v for s in slices for row in s for v in row])
+        if g != 1:
+            slices = [[[v // g for v in row] for row in s] for s in slices]
+            den //= g
+    return InvMatrix._from_slices(spec, slices, den, nrows, ncols)
+
+
 def _matmul(spec: RingSpec, x: Sequence[Sequence[Any]], y: Sequence[Sequence[Any]]) -> list[list[Any]]:
     """Product of the payload grids x (n x l) and y (l x m), as a list of rows.
 
-    Over fp it is plain integer dot products, one % p per entry.  Over q,
-    dyadic and truncnil of fp, q or dyadic, each operand is split into k
-    integer coefficient slices (k = 1 for a scalar ring): row r of x is
-    scaled by the lcm of its denominators, column c of y by the lcm of its
-    own, so one large denominator does not inflate the whole matrix.  The
-    slices are multiplied by ``_slice_products``, and each output
-    coefficient costs one % p or one Fraction.  Laurent coefficients are
-    summed entry by entry.  When
-    y has no rows its width is unknown, and each of the n output rows is empty.
+    Over fp, q, dyadic and truncnil of those it is ``_slice_products`` on
+    the slice forms, then one % p or one Fraction per output coefficient.
+    Laurent coefficients are summed entry by entry.  When y has no rows its
+    width is unknown, and each of the n output rows is empty.
     """
     if not x or not y or not y[0]:
         return [[] for _ in x]
-    if spec.kind == PRIME_FIELD:
-        p, cols = spec.p, list(zip(*y))
-        return [[sum(map(mul, row, col)) % p for col in cols] for row in x]
-    trunc = spec.kind == TRUNC_NIL
-    base = spec.base if trunc else spec
-    if base.kind == LAURENT2:
+    layout = _layout(spec)
+    if layout is None:
         zero = _zero(spec)
         out = []
         for row in x:
@@ -428,28 +516,8 @@ def _matmul(spec: RingSpec, x: Sequence[Sequence[Any]], y: Sequence[Sequence[Any
                 out_row.append(acc)
             out.append(out_row)
         return out
-    k = spec.k if trunc else 1
-    # xs[d] (ys[d]) is the grid of degree-d coefficients
-    xs = list(zip(*[list(zip(*row)) for row in x])) if trunc else [x]
-    ys = list(zip(*[list(zip(*row)) for row in y])) if trunc else [y]
-    if base.kind != PRIME_FIELD:
-        rscale = [lcm(*[e.denominator for row in rows for e in row]) for rows in zip(*xs)]
-        cscale = [lcm(*[e.denominator for e in col]) for col in zip(*(row for s in ys for row in s))]
-        xs = [[[e.numerator * (r // e.denominator) for e in row] for row, r in zip(s, rscale)] for s in xs]
-        ys = [[[e.numerator * (c // e.denominator) for e, c in zip(row, cscale)] for row in s] for s in ys]
-    if not trunc:
-        cells = matmul_int(xs[0], ys[0])
-        return [[Fraction(v, r * c) for v, c in zip(row, cscale)] for row, r in zip(cells, rscale)]
-    prods = _slice_products(xs, ys, k)
-    # cells[r][c] is the tuple of integer coefficients of degrees 0..k-1
-    cells = [list(zip(*(pr[r] for pr in prods))) for r in range(len(x))]
-    if base.kind == PRIME_FIELD:
-        p = base.p
-        return [[tuple([v % p for v in e]) for e in row] for row in cells]
-    return [
-        [tuple([Fraction(v, r * c) for v in e]) for e, c in zip(row, cscale)]
-        for row, r in zip(cells, rscale)
-    ]
+    (xs, dx), (ys, dy) = _slices_of(spec, x), _slices_of(spec, y)
+    return _payloads(spec, _slice_products(xs, ys, layout[0]), dx * dy)
 
 
 def _slice_products(xs: Sequence[Any], ys: Sequence[Any], k: int) -> list[list[list[int]]]:
@@ -481,7 +549,8 @@ def inv_sqrt_one_plus(g: InvMatrix) -> InvMatrix:
     if g.nrows != g.ncols:
         raise IllFormed("inv_sqrt_one_plus needs a square matrix")
     spec = g.spec
-    if not all(_is_nilpotent(spec, a) for row in g.cells for a in row):
+    if (any(map(any, g._slice_form()[0][0])) if _layout(spec) is not None
+            else not all(_is_nilpotent(spec, a) for row in g.cells for a in row)):
         raise NotNilpotent("entries must lie in the nilpotent ideal")
     if spec.kind == TRUNC_NIL and spec.base.kind != LAURENT2:
         out = _inv_sqrt_slices(g)
@@ -516,24 +585,16 @@ def _inv_sqrt_slices(g: InvMatrix) -> InvMatrix:
     """sum_j C(-1/2, j) g^j over B[x]/(x^k), B = fp, q or dyadic, in integers.
 
     g has no constant term, so g^j vanishes for j >= k and m = k - 1 terms
-    suffice.  Over q and dyadic, g = G/D for the integer matrix polynomial G
-    and the lcm D of all its denominators; with C(-1/2, j) =
+    suffice.  With g = G/D in slice form and C(-1/2, j) =
     (-1)^j C(2j, j) / 4^j the sum is
     U = sum_{j<=m} (-1)^j C(2j, j) (4D)^(m-j) G^j / (4D)^m, accumulated in
-    integers and divided once per output coefficient.  Over fp the
-    coefficient is (-1)^j C(2j, j) 4^(-j) mod p and there is no denominator.
+    integers over the one denominator (4D)^m (a unit mod p over fp).
     """
     spec, n = g.spec, g.nrows
-    k, p = spec.k, spec.base.p
+    k = spec.k
     m = k - 1
-    slices = [[[e[d] for e in row] for row in g.cells] for d in range(k)]
-    if p:
-        inv4 = pow(4, -1, p)
-        coeffs = [(-1) ** j * comb(2 * j, j) * inv4**j for j in range(k)]
-    else:
-        den = lcm(*[e.denominator for s in slices for row in s for e in row])
-        slices = [[[e.numerator * (den // e.denominator) for e in row] for row in s] for s in slices]
-        coeffs = [(-1) ** j * comb(2 * j, j) * (4 * den) ** (m - j) for j in range(k)]
+    slices, den = g._slice_form()
+    coeffs = [(-1) ** j * comb(2 * j, j) * (4 * den) ** (m - j) for j in range(k)]
     # acc[d] is the degree-d slice of the scaled sum, starting at coeffs[0] * I
     acc = [[[coeffs[0] if d == 0 and r == c else 0 for c in range(n)] for r in range(n)] for d in range(k)]
     power = slices
@@ -545,9 +606,4 @@ def _inv_sqrt_slices(g: InvMatrix) -> InvMatrix:
             [[u + c * v for u, v in zip(ur, vr)] for ur, vr in zip(us, vs)]
             for us, vs in zip(acc, power)
         ]
-    if p:
-        grid = [[tuple([s[r][c] % p for s in acc]) for c in range(n)] for r in range(n)]
-    else:
-        total = (4 * den) ** m
-        grid = [[tuple([Fraction(s[r][c], total) for s in acc]) for c in range(n)] for r in range(n)]
-    return InvMatrix(spec, tuple(map(tuple, grid)), n, n)
+    return _canonical(spec, acc, (4 * den) ** m, n, n)

@@ -283,13 +283,15 @@ class RingOps(NamedTuple):
 
     Every payload of every kind is falsy exactly when it is zero, so
     ``is_zero`` is ``not`` for the scalar kinds and ``not any`` over the
-    coefficients of a truncated ring.
+    coefficients of a truncated ring.  ``involute`` is ``_fixed`` unless
+    Laurent variables are involved.
     """
 
     add: Callable[[Any, Any], Any]
     neg: Callable[[Any], Any]
     mul: Callable[[Any, Any], Any]
     is_zero: Callable[[Any], bool]
+    involute: Callable[[Any], Any]
 
 
 def _laurent_add(a: tuple, b: tuple) -> tuple:
@@ -305,6 +307,14 @@ def _laurent_add(a: tuple, b: tuple) -> tuple:
 
 def _laurent_neg(a: tuple) -> tuple:
     return tuple((key, -coeff) for key, coeff in a)
+
+
+def _fixed(a: Any) -> Any:
+    return a
+
+
+def _laurent_involute(a: tuple) -> tuple:
+    return tuple(sorted(((-i, -j), c) for (i, j), c in a))
 
 
 def _laurent_mul(a: tuple, b: tuple) -> tuple:
@@ -324,14 +334,14 @@ def _ring_ops(spec: RingSpec) -> RingOps:
     """The ops of ``spec``; a truncated ring's are built on its base's."""
     if spec.kind == PRIME_FIELD:
         p = spec.p
-        return RingOps(lambda a, b: (a + b) % p, lambda a: -a % p, lambda a, b: a * b % p, not_)
+        return RingOps(lambda a, b: (a + b) % p, lambda a: -a % p, lambda a, b: a * b % p, not_, _fixed)
     if spec.kind in (RATIONALS, DYADIC):
-        return RingOps(add, neg, mul, not_)
+        return RingOps(add, neg, mul, not_, _fixed)
     if spec.kind == LAURENT2:
-        return RingOps(_laurent_add, _laurent_neg, _laurent_mul, not_)
+        return RingOps(_laurent_add, _laurent_neg, _laurent_mul, not_, _laurent_involute)
     base, k = spec.base, spec.k
     assert base is not None and k is not None
-    badd, bneg, bmul, _ = base.ops
+    badd, bneg, bmul, _, binv = base.ops
     zero = _zero(base)
 
     def trunc_add(a: tuple, b: tuple) -> tuple:
@@ -342,6 +352,9 @@ def _ring_ops(spec: RingSpec) -> RingOps:
 
     def trunc_is_zero(a: tuple) -> bool:
         return not any(a)
+
+    def trunc_involute(a: tuple) -> tuple:
+        return tuple(map(binv, a))
 
     if base.kind == LAURENT2:
 
@@ -369,7 +382,8 @@ def _ring_ops(spec: RingSpec) -> RingOps:
                             out[j] += x * y
             return tuple([v % p for v in out]) if p else tuple(out)
 
-    return RingOps(trunc_add, trunc_neg, trunc_mul, trunc_is_zero)
+    involute = _fixed if binv is _fixed else trunc_involute
+    return RingOps(trunc_add, trunc_neg, trunc_mul, trunc_is_zero, involute)
 
 
 def _add(spec: RingSpec, a: Any, b: Any) -> Any:
@@ -386,18 +400,6 @@ def _mul(spec: RingSpec, a: Any, b: Any) -> Any:
 
 def _is_zero(spec: RingSpec, a: Any) -> bool:
     return spec.ops.is_zero(a)
-
-
-def _involute(spec: RingSpec, a: Any) -> Any:
-    if spec.kind == LAURENT2:
-        return tuple(sorted(((-i, -j), c) for (i, j), c in a))
-    if spec.kind == TRUNC_NIL:
-        base = spec.base
-        assert base is not None
-        if base.kind == LAURENT2:
-            return tuple(_involute(base, x) for x in a)
-        return a
-    return a
 
 
 def _is_unit(spec: RingSpec, a: Any) -> bool:
@@ -667,7 +669,7 @@ class RingElem:
 
     def involute(self) -> "RingElem":
         """Apply the ring involution (identity except on Laurent variables)."""
-        return RingElem(self.spec, _involute(self.spec, self.payload), _raw=True)
+        return RingElem(self.spec, self.spec.ops.involute(self.payload), _raw=True)
 
     # -- predicates -------------------------------------------------------
 

@@ -219,6 +219,27 @@ def test_roundtrip_demo_report():
     assert roundtrip_isomorphism_demo(Q, 1, 3, 5)["all_passed"]
 
 
+def test_demo_inputs_and_report_are_pinned():
+    # the perturbation writes its random integers straight into the degree
+    # slots, drawing them in the order of the former per-degree matrices
+    # (degree, then row, then column); these values come from that version
+    expected = {
+        Q: [[("-7/25", "1", "-2"), ("24/25", "1", "-2")], [("24/25", "-1", "1"), ("7/25", "-2", "2")]],
+        F5: [[("4", "1", "3"), ("0", "4", "1")], [("0", "3", "2"), ("1", "3", "0")]],
+    }
+    for base, (cells, after) in zip((Q, F5), ((expected[Q], 939), (expected[F5], 819))):
+        rng = random.Random(4)
+        j = _random_involution(base, 2, rng)
+        m = _random_nilpotent_perturbation(j.j, RingSpec.trunc_nil(base, 3), rng)
+        assert [[tuple(map(str, e)) for e in row] for row in m.cells] == cells
+        assert rng.randrange(1000) == after
+    assert roundtrip_isomorphism_demo(Q, 3, 3, 2, seed=11) == {
+        "base": "q", "k": 3, "n": 3, "trials": 2, "seed": 11,
+        "surjectivity_successes": 2, "injectivity_successes": 2, "all_passed": True,
+        "projection_convention": "P = (I - J)/2",
+    }
+
+
 def test_roundtrip_demo_deterministic():
     a = roundtrip_isomorphism_demo(F5, 2, 2, 3, seed=9)
     b = roundtrip_isomorphism_demo(F5, 2, 2, 3, seed=9)

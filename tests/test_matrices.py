@@ -11,7 +11,6 @@ import pytest
 from wittkit.errors import NonUnit, SpecMismatch
 from wittkit.matrices import (
     InvMatrix,
-    _det_bareiss,
     _det_minors,
     _inv_sqrt_series,
     _matmul,
@@ -251,6 +250,14 @@ def test_matmul_through_an_empty_inner_dimension():
         assert prod == InvMatrix.zeros(spec, 2, 3)
 
 
+def test_transpose_of_empty_matrices():
+    for spec in (F5, Q, RingSpec.trunc_nil(Q, 3), L2, RingSpec.trunc_nil(L2, 2)):
+        for nrows, ncols in ((0, 3), (3, 0), (0, 0)):
+            flipped = InvMatrix.zeros(spec, nrows, ncols).transpose()
+            assert flipped == InvMatrix.zeros(spec, ncols, nrows)
+            assert flipped.cells == ((),) * ncols
+
+
 # -- Bareiss elimination against the minor expansion ---------------------------
 
 F7 = RingSpec.prime_field(7)
@@ -285,7 +292,7 @@ def test_bareiss_det_matches_minor_expansion(spec):
                 grids.append(_singular(spec, grid, rng))
     singular = 0
     for grid in grids:
-        d = _det_bareiss(spec, grid)
+        d = InvMatrix(spec, tuple(map(tuple, grid)), len(grid), len(grid)).det().payload
         assert d == _det_minors(spec, grid)
         _assert_canonical(spec, d)
         singular += d == _zero(spec)

@@ -1,0 +1,215 @@
+"""Slice storage of InvMatrix against the payload reference.
+
+Over fp, q, dyadic and the truncated rings over them a matrix is k integer
+slices over one canonical denominator.  Every operation on the slices is
+compared here with the ring ops applied entry by entry to payload grids,
+and every result is checked to be in canonical form.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from wittkit.lifting import embed_constants, reduce_mod_I
+from wittkit.matrices import InvMatrix, _det_minors, _slices_of, inv_sqrt_one_plus
+from wittkit.rings import RingElem, RingSpec, _from_fraction, _one, _zero
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+given, settings = hypothesis.given, hypothesis.settings
+
+RINGS = tuple(
+    RingSpec.from_tag(tag)
+    for tag in ("fp:5", "q", "dyadic", "truncnil:q:3", "truncnil:fp:7:4", "truncnil:dyadic:2")
+)
+# pairwise coprime denominators, so a common denominator really grows
+DENS = (1, 2, 3, 4, 9, 10007, 65537, 2**61 - 1)
+
+
+def _base(spec):
+    return spec.base if spec.kind == "truncnil" else spec
+
+
+def _scalars(base):
+    if base.kind == "fp":
+        return st.integers(0, base.p - 1)
+    nums = st.integers(-10**12, 10**12)
+    if base.kind == "q":
+        return st.builds(Fraction, nums, st.sampled_from(DENS))
+    return st.builds(lambda a, e: Fraction(a, 2**e), nums, st.integers(0, 70))
+
+
+def _payloads(spec):
+    scalars = _scalars(_base(spec))
+    if spec.kind != "truncnil":
+        return scalars
+    return st.tuples(*[scalars] * spec.k)
+
+
+def _grid(spec, nrows, ncols):
+    row = st.tuples(*[_payloads(spec)] * ncols)
+    return st.tuples(*[row] * nrows)
+
+
+@st.composite
+def _operands(draw, square=False):
+    """A ring and two payload-built matrices a (n x l) and b (l x m)."""
+    spec = draw(st.sampled_from(RINGS))
+    n, l, m = [draw(st.integers(0, 4))] * 3 if square else [draw(st.integers(0, 4)) for _ in range(3)]
+    a = InvMatrix(spec, draw(_grid(spec, n, l)), n, l)
+    b = InvMatrix(spec, draw(_grid(spec, l, m)), l, m)
+    return spec, a, b
+
+
+def _assert_canonical(m):
+    """The slice invariant, and a cells view of canonical payloads that
+    converts back to the same slices."""
+    spec = m.spec
+    k = spec.k if spec.kind == "truncnil" else 1
+    slices, den = m._slice_form()
+    assert len(slices) == k
+    assert all(len(s) == m.nrows and all(len(row) == m.ncols for row in s) for s in slices)
+    entries = [v for s in slices for row in s for v in row]
+    assert all(type(v) is int for v in entries)
+    p = _base(spec).p
+    if p:
+        assert den == 1 and all(0 <= v < p for v in entries)
+    else:
+        assert den > 0 and math.gcd(den, *entries) == 1
+    cells = m.cells
+    assert all(type(row) is tuple for row in cells)
+    for row in cells:
+        for a in row:
+            for c in a if spec.kind == "truncnil" else (a,):
+                assert type(c) is (int if p else Fraction)
+    assert _slices_of(spec, cells) == (slices, den)
+
+
+def _fold(spec, x, y, ncols):
+    """Reference product: one add/mul fold per output entry."""
+    add, _, mul, _, _ = spec.ops
+    out = []
+    for row in x:
+        out_row = []
+        for c in range(ncols):
+            acc = _zero(spec)
+            for a, y_row in zip(row, y):
+                acc = add(acc, mul(a, y_row[c]))
+            out_row.append(acc)
+        out.append(tuple(out_row))
+    return tuple(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_operands())
+def test_product_matches_the_fold(operands):
+    spec, a, b = operands
+    reference = _fold(spec, a.cells, b.cells, b.ncols)
+    got = a * b
+    assert got.shape == (a.nrows, b.ncols)
+    _assert_canonical(got)
+    assert got.cells == reference
+    assert got == InvMatrix(spec, reference, a.nrows, b.ncols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_operands(square=True))
+def test_entrywise_operations_match_the_ring_ops(operands):
+    spec, a, b = operands
+    add, neg, mul, _, _ = spec.ops
+    half = _from_fraction(spec, Fraction(1, 2))
+    shape = a.shape
+    cases = {
+        "sum": (a + b, [[add(x, y) for x, y in zip(r, s)] for r, s in zip(a.cells, b.cells)]),
+        "difference": (a - b, [[add(x, neg(y)) for x, y in zip(r, s)] for r, s in zip(a.cells, b.cells)]),
+        "negation": (-a, [[neg(x) for x in r] for r in a.cells]),
+        "scale by 1/2": (a.scale(RingElem(spec, half, _raw=True)), [[mul(half, x) for x in r] for r in a.cells]),
+        "transpose": (a.transpose(), [list(col) for col in zip(*a.cells)] or [[] for _ in range(a.ncols)]),
+        "conj_transpose": (a.conj_transpose(), [list(col) for col in zip(*a.cells)] or [[] for _ in range(a.ncols)]),
+    }
+    for name, (got, reference) in cases.items():
+        _assert_canonical(got)
+        assert got.cells == tuple(map(tuple, reference)), name
+        assert got.shape == shape, name
+    assert (a - a).is_zero() and (a - a) == InvMatrix.zeros(spec, *shape)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_operands(square=True))
+def test_det_matches_the_minor_expansion(operands):
+    spec, a, b = operands
+    assert a.det().payload == _det_minors(spec, a.cells)
+    # and on a matrix whose cells are a view of its slices
+    prod = a * b
+    assert prod.det().payload == _det_minors(spec, prod.cells)
+
+
+def _series_reference(spec, g):
+    """sum_j C(-1/2, j) g^j with payload folds, until the power vanishes."""
+    add, _, mul, is_zero, _ = spec.ops
+    n = len(g)
+    one = _one(spec)
+    out = [[one if i == j else _zero(spec) for j in range(n)] for i in range(n)]
+    power, coeff = out, Fraction(1)
+    for j in range(1, spec.k + 1):
+        power = _fold(spec, power, g, n)
+        if all(is_zero(a) for row in power for a in row):
+            break
+        coeff *= Fraction(-1 - 2 * (j - 1), 2 * j)
+        c = _from_fraction(spec, coeff)
+        out = [[add(x, mul(c, y)) for x, y in zip(r, s)] for r, s in zip(out, power)]
+    return tuple(map(tuple, out))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([r for r in RINGS if r.kind == "truncnil"]), st.integers(0, 4), st.data())
+def test_inv_sqrt_one_plus_matches_the_payload_series(spec, n, data):
+    zero = _zero(spec.base)
+    grid = data.draw(_grid(spec, n, n))
+    grid = tuple(tuple((zero, *e[1:]) for e in row) for row in grid)
+    got = inv_sqrt_one_plus(InvMatrix(spec, grid, n, n))
+    _assert_canonical(got)
+    assert got.cells == _series_reference(spec, grid)
+
+
+@pytest.mark.parametrize("spec", RINGS, ids=str)
+def test_equal_matrices_hash_alike_whatever_their_route(spec):
+    rng = random.Random(str(spec))
+    k = spec.k if spec.kind == "truncnil" else 1
+    for n in range(4):
+        for _ in range(4):
+            rows = [[[Fraction(rng.randrange(-9, 10), rng.choice((1, 2, 4))) for _ in range(k)]
+                     for _ in range(n)] for _ in range(n)]
+            if spec.kind != "truncnil":
+                rows = [[e[0] for e in row] for row in rows]
+            built = InvMatrix.from_rows(spec, rows)
+            # the same matrix by arithmetic: (2M + I) - I - M, and M * I
+            ident = InvMatrix.identity(spec, n)
+            reached = (built.scale(2) + ident) - ident - built
+            via_product = built * ident
+            loaded = InvMatrix.from_json(built.to_json())
+            twice = built.transpose().transpose()
+            routes = [built, reached, via_product, loaded, twice]
+            for m in routes:
+                assert m == built and built == m
+                assert hash(m) == hash(built)
+                assert m.cells == built.cells
+            assert len(set(routes)) == 1
+
+
+def test_reduce_and_embed_keep_canonical_slices():
+    for base in (RingSpec.rationals(), RingSpec.prime_field(7), RingSpec.dyadic()):
+        spec = RingSpec.trunc_nil(base, 3)
+        # numerators 2 and 4 over 4 in degree 0, odd ones above: reducing
+        # must divide out the common factor 2
+        m = InvMatrix.from_rows(spec, [[[Fraction(1, 2), Fraction(1, 4)], [1, 0, Fraction(3, 4)]]])
+        red = reduce_mod_I(m)
+        _assert_canonical(red)
+        assert red == InvMatrix.from_rows(base, [[Fraction(1, 2), 1]])
+        up = embed_constants(red, spec)
+        _assert_canonical(up)
+        assert up == InvMatrix.from_rows(spec, [[Fraction(1, 2), 1]])

@@ -80,7 +80,9 @@ def test_entrywise_arithmetic_binds_the_ring_ops():
     # per-entry paths call the bound ops and never compare spec.kind
     checked = {
         ("rings.py", None): {"_add", "_neg", "_mul", "_is_zero"},
-        ("matrices.py", "InvMatrix"): {"__add__", "__sub__", "__neg__", "scale", "is_zero", "trace"},
+        ("matrices.py", "InvMatrix"): {
+            "__add__", "__sub__", "_combine", "__neg__", "scale", "is_zero", "trace", "conj_transpose",
+        },
     }
     found: dict[str, bool] = {}
     for (module, cls), names in checked.items():
@@ -90,5 +92,5 @@ def test_entrywise_arithmetic_binds_the_ring_ops():
         for fn in body:
             if isinstance(fn, ast.FunctionDef) and fn.name in names:
                 found[f"{module}:{fn.name}"] = _compares_kind(fn)
-    assert len(found) == 10
+    assert len(found) == 12
     assert [name for name, bad in found.items() if bad] == []
