@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .bott import build_bott, verify_bott_suite
-from .errors import IllFormed, WittkitError
+from .errors import BudgetExceeded, IllFormed, WittkitError
 from .forms import GramForm
 from .invariants import witt_class, witt_equiv, witt_ring_table
 from .lifting import roundtrip_isomorphism_demo
@@ -45,6 +45,11 @@ from .stabilization import FgAbGroup, GroupHom, GroupSeq, colimit, exactness_che
 __all__ = ["main"]
 
 DEFAULT_SEED = 0
+
+# The most digits, and the largest |exponent|, of a numeral in a flag or a
+# JSON file: Python's own limit for reading an int from a string.  Work on
+# a longer number can run for minutes, so it is refused before any.
+NUMERAL_LIMIT = 4300
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,10 +64,23 @@ def _emit(obj: Any) -> None:
     sys.stdout.write("\n")
 
 
+def _numeral(text: str) -> str:
+    """``text``, after refusing a numeral beyond NUMERAL_LIMIT."""
+    exponent = text.lower().partition("e")[2].lstrip("+-")
+    if sum(map(str.isdigit, text)) > NUMERAL_LIMIT or (exponent.isdigit() and int(exponent) > NUMERAL_LIMIT):
+        raise BudgetExceeded(f"numeral {text[:20]!r}... has over {NUMERAL_LIMIT} digits or an exponent beyond it")
+    return text
+
+
+def _json_float(text: str) -> Any:
+    """Refuses a JSON float: every number in the file formats is an integer."""
+    raise IllFormed(f"number {_numeral(text)[:20]!r} is not an integer")
+
+
 def _load_json(path: str) -> Any:
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, parse_int=lambda t: int(_numeral(t)), parse_float=_json_float)
     except OSError as exc:
         raise IllFormed(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -72,7 +90,7 @@ def _load_json(path: str) -> Any:
 def _scalars(text: str) -> list[Fraction]:
     out = []
     for token in text.split(","):
-        token = token.strip()
+        token = _numeral(token.strip())
         try:
             out.append(Fraction(token))
         except (ValueError, ZeroDivisionError):

@@ -14,9 +14,8 @@ demand one.  Which isotropic vector is split off is not promised.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 from typing import Any, Iterator, Sequence
 
@@ -31,22 +30,18 @@ from .errors import (
 from .intlinalg import (
     bezout_vector,
     int_inverse_unimodular,
+    matmul_int,
     smith_normal_form,
     square_part,
 )
-from .matrices import InvMatrix, _matmul
+from .matrices import InvMatrix, _canonical, _payloads, _reduced
 from .rings import (
     DYADIC,
     PRIME_FIELD,
     RATIONALS,
     RingElem,
     RingSpec,
-    _add,
-    _inv,
-    _is_zero,
-    _mul,
-    _neg,
-    _one,
+    _restore_slots,
     _zero,
     canon_payload,
     payload_from_json,
@@ -85,6 +80,8 @@ class GramForm:
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("GramForm is immutable")
 
+    __setstate__ = _restore_slots
+
     @classmethod
     def diagonal(
         cls, spec: RingSpec, entries: Sequence[Any], epsilon: int = 1
@@ -108,15 +105,14 @@ class GramForm:
         wp = [_cook_scalar(spec, c) for c in w]
         if len(vp) != self.dim or len(wp) != self.dim:
             raise IllFormed("vector length does not match the form")
-        acc, involute = _zero(spec), spec.ops.involute
-        for i, row in enumerate(self.gram.cells):
-            vi = involute(vp[i])
-            if _is_zero(spec, vi):
+        add, _, mul_, is_zero, involute = spec.ops
+        acc = _zero(spec)
+        for vi, row in zip(map(involute, vp), self.gram.cells):
+            if is_zero(vi):
                 continue
-            for j, g in enumerate(row):
-                if _is_zero(spec, g) or _is_zero(spec, wp[j]):
-                    continue
-                acc = _add(spec, acc, _mul(spec, vi, _mul(spec, g, wp[j])))
+            for g, wj in zip(row, wp):
+                if not (is_zero(g) or is_zero(wj)):
+                    acc = add(acc, mul_(vi, mul_(g, wj)))
         return RingElem(spec, acc, _raw=True)
 
     def evaluate(self, v: Sequence[Any]) -> RingElem:
@@ -124,17 +120,23 @@ class GramForm:
         return self.bilinear(v, v)
 
     def is_diagonal(self) -> bool:
-        return all(
-            _is_zero(self.ring, c)
-            for i, row in enumerate(self.gram.cells)
-            for j, c in enumerate(row)
-            if i != j
-        )
+        g = self.gram
+        if g._sliced is None:
+            is_zero = self.ring.ops.is_zero
+            return all(is_zero(c) for i, row in enumerate(g.cells) for j, c in enumerate(row) if i != j)
+        # the integer slices are zero exactly where the entries are
+        return not any(any(row[:i]) or any(row[i + 1 :]) for s in g._sliced[0] for i, row in enumerate(s))
 
     def diagonal_entries(self) -> tuple[RingElem, ...]:
         if not self.is_diagonal():
             raise IllFormed("form is not diagonal")
-        return tuple(self.gram.entry(i, i) for i in range(self.dim))
+        g = self.gram
+        if g._cells is not None:
+            return tuple(g.entry(i, i) for i in range(self.dim))
+        # the diagonal payloads alone, without building the whole view
+        slices, den = g._sliced
+        (diag,) = _payloads(self.ring, [[[s[i][i] for i in range(self.dim)]] for s in slices], den)
+        return tuple(RingElem(self.ring, c, _raw=True) for c in diag)
 
     def to_json(self) -> dict:
         return {
@@ -219,46 +221,35 @@ def _entry_from_json(spec: RingSpec, leaf: Any) -> Any:
     return payload_from_json(spec, leaf)
 
 
-# -- payload-level matrix helpers --------------------------------------------
+# -- congruence on integer grids ----------------------------------------------
 #
-# The splitting algorithms run on mutable grids of raw payloads and only wrap
-# results in InvMatrix / GramForm at the end.  Products go through the shared
-# kernel ``_matmul``; every ring searched here has the trivial involution, so
-# a congruence t* a t is transpose(t) * a * t.
-
-
-def _pid(spec: RingSpec, n: int) -> list[list[Any]]:
-    one, zero = _one(spec), _zero(spec)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def _pembed(spec: RingSpec, t: list[list[Any]], n: int, offset: int) -> list[list[Any]]:
-    out = _pid(spec, n)
-    for i, row in enumerate(t):
-        for j, c in enumerate(row):
-            out[offset + i][offset + j] = c
-    return out
+# The splitting algorithms keep a Gram grid and a basis grid each as one
+# integer grid over one denominator, in the canonical form of InvMatrix slice
+# 0 (``matrices._reduced``), and wrap results with ``InvMatrix._from_slices``;
+# no Fraction is built on the way.  Every ring searched here has the trivial
+# involution, so a congruence t* a t is transpose(t) * a * t.
 
 
 class _Congruence:
-    """Mutable Gram grid plus the accumulated basis (columns of ``p``).
+    """Gram grid ``a`` over ``da`` plus the accumulated basis, the columns of
+    ``p`` over ``dp``, so that at any moment  p* . original . p = a.
 
-    ``addmul(dst, src, c)`` performs the basis change e_dst += c*e_src and
-    keeps the Gram grid congruent, so at any moment  p* . original . p = a.
-    It serves fp, q and dyadic only: their involution is trivial and their
-    payloads are ints mod p or Fractions, so the row and column operations
-    use plain integer or Fraction arithmetic, skipping zero source entries.
+    Both are integer grids in canonical form: over F_p (``mod``) residues
+    over 1, over Q and Z[1/2] (``mod`` None) entries over a positive
+    denominator prime to them.  A step that divides scales the whole grid
+    instead, multiplies the denominator and ends with one gcd pass.
     """
 
-    def __init__(self, spec: RingSpec, grid: Sequence[Sequence[Any]]):
-        self.spec = spec
-        self.mod = spec.p  # None except over fp
-        self.a = [list(row) for row in grid]
-        self.p = _pid(spec, len(self.a))
+    def __init__(self, mod: int | None, grid: Sequence[Sequence[int]], den: int):
+        self.mod = mod
+        self.a, self.da = [list(row) for row in grid], den
+        self.p, self.dp = _embed([], len(grid)), 1
+
+    def _reduce(self) -> None:
+        (self.a,), self.da = _reduced(self.mod, [self.a], self.da)
+        (self.p,), self.dp = _reduced(self.mod, [self.p], self.dp)
 
     def swap(self, i: int, j: int) -> None:
-        if i == j:
-            return
         a = self.a
         a[i], a[j] = a[j], a[i]
         for row in a:
@@ -266,70 +257,109 @@ class _Congruence:
         for row in self.p:
             row[i], row[j] = row[j], row[i]
 
-    def addmul(self, dst: int, src: int, c: Any) -> None:
+    def pivot(self, i: int) -> None:
+        """e_j -= (a_ij / a_ii) e_i for every j > i, which clears row and
+        column i off the diagonal; rows and columns before i must already
+        be clear.  Every c_j comes from the pivot row as it was, since no
+        step e_j -= c_j e_i changes a_il for l != j.
+
+        Over Q and Z[1/2] the grids move to the denominator times |a_ii|:
+        the trailing rows become |a_ii| a_j - sign(a_ii) a_ij a_i, the
+        basis columns |a_ii| p_j - sign(a_ii) a_ij p_i, and every other
+        entry is multiplied by |a_ii|.
+        """
         a, mod = self.a, self.mod
-        if mod is None:
-            a[dst] = [x + c * y if y else x for x, y in zip(a[dst], a[src])]
-            for grid in (a, self.p):
-                for row in grid:
-                    if row[src]:
-                        row[dst] += c * row[src]
+        top = a[i]
+        if not any(top[i + 1 :]):
+            return
+        pv = top[i]
+        if mod:
+            inv = pow(pv, -1, mod)
+            s, coef = 1, [c * inv % mod for c in top]
         else:
-            a[dst] = [(x + c * y) % mod if y else x for x, y in zip(a[dst], a[src])]
-            for grid in (a, self.p):
-                for row in grid:
-                    if row[src]:
-                        row[dst] = (row[dst] + c * row[src]) % mod
+            s, coef = abs(pv), top if pv > 0 else [-c for c in top]
+        for j in range(i + 1, len(a)):
+            if coef[j] or s != 1:
+                a[j] = [s * x - coef[j] * y for x, y in zip(a[j], top)]
+        a[i] = [0] * len(a)
+        a[i][i] = s * pv
+        for k in range(i):
+            a[k][k] *= s
+        cols = [0] * (i + 1) + coef[i + 1 :]
+        for row in self.p:
+            y = row[i]
+            if y or s != 1:
+                row[:] = [s * x - c * y for x, c in zip(row, cols)]
+        self.da *= s
+        self.dp *= s
+        self._reduce()
 
-    def scalecol(self, i: int, c: Any) -> None:
-        """e_i *= c, over q and dyadic only (it normalizes their diagonals)."""
+    def scale(self, nums: Sequence[int], dens: Sequence[int]) -> None:
+        """e_i *= nums[i] / dens[i], all positive; over Q and Z[1/2] only."""
+        l = lcm(*dens)
+        f = [c * (l // d) for c, d in zip(nums, dens)]
+        self.a = [[x * fi * fj for x, fj in zip(row, f)] for row, fi in zip(self.a, f)]
+        self.p = [[x * fj for x, fj in zip(row, f)] for row in self.p]
+        self.da *= l * l
+        self.dp *= l
+        self._reduce()
+
+    def apply(self, t: list[list[int]], den: int, off: int = 0) -> None:
+        """The basis change e_(off+j) := sum_k (t[k][j] / den) e_(off+k).
+
+        Rows and columns before ``off`` must be orthogonal to the rest, so
+        they only move to the new denominator.
+        """
         a = self.a
-        a[i] = [c * x for x in a[i]]
-        for grid in (a, self.p):
-            for row in grid:
-                row[i] *= c
+        tail = matmul_int(list(map(list, zip(*t))), matmul_int([row[off:] for row in a[off:]], t))
+        d2 = den * den
+        for r in range(off):
+            a[r] = [d2 * x for x in a[r]]
+        a[off:] = [[0] * off + row for row in tail]
+        cols = matmul_int([row[off:] for row in self.p], t)
+        self.p = [[den * x for x in row[:off]] + new for row, new in zip(self.p, cols)]
+        self.da *= d2
+        self.dp *= den
+        self._reduce()
 
-    def apply(self, t: list[list[Any]]) -> None:
-        spec = self.spec
-        self.a = _matmul(spec, list(zip(*t)), _matmul(spec, self.a, t))
-        self.p = _matmul(spec, self.p, t)
+
+def _embed(t: list[list[int]], n: int, den: int = 1) -> list[list[int]]:
+    """den * I_n with t over it in the top left corner."""
+    out = [[den * (i == j) for j in range(n)] for i in range(n)]
+    for i, row in enumerate(t):
+        out[i][: len(row)] = row
+    return out
 
 
 # -- diagonalization ----------------------------------------------------------
 
 
-def _diag_field(spec: RingSpec, grid: Sequence[Sequence[Any]]) -> _Congruence:
-    ws = _Congruence(spec, grid)
-    a = ws.a
-    n = len(a)
-    one = _one(spec)
+def _diag_field(mod: int | None, grid: Sequence[Sequence[int]], den: int) -> _Congruence:
+    ws = _Congruence(mod, grid, den)
+    n = len(grid)
     for i in range(n):
-        if _is_zero(spec, a[i][i]):
-            j = next((k for k in range(i + 1, n) if not _is_zero(spec, a[k][k])), None)
+        a = ws.a
+        if not a[i][i]:
+            j = next((k for k in range(i + 1, n) if a[k][k]), None)
             if j is not None:
                 ws.swap(i, j)
             else:
-                j = next(
-                    (k for k in range(i + 1, n) if not _is_zero(spec, a[i][k])), None
-                )
+                j = next((k for k in range(i + 1, n) if a[i][k]), None)
                 if j is None:
                     raise DegenerateForm("form has a zero row")
-                # a[i][i] becomes 2*a[i][j], nonzero because 2 is invertible
-                ws.addmul(i, j, one)
-        dinv = _inv(spec, a[i][i])
-        for j in range(i + 1, n):
-            if not _is_zero(spec, a[i][j]):
-                ws.addmul(j, i, _neg(spec, _mul(spec, a[i][j], dinv)))
+                # e_i += e_j makes a[i][i] = 2 a[i][j], nonzero as 2 is invertible
+                t = _embed([], n - i)
+                t[j - i][0] = 1
+                ws.apply(t, 1, i)
+        ws.pivot(i)
     return ws
 
 
-def _dyadic_unit(q: Fraction) -> bool:
-    num = abs(q.numerator)
+def _dyadic_unit(num: int) -> bool:
+    """Whether num / 2^k is a unit of Z[1/2]: the grids over Z[1/2] have a
+    power of two as their denominator, so a unit is +-2^j over it."""
+    num = abs(num)
     return num != 0 and num & (num - 1) == 0
-
-
-def _v2_of_unit(q: Fraction) -> int:
-    return abs(q.numerator).bit_length() - q.denominator.bit_length()
 
 
 def _signed_vectors(n: int, bound: int) -> Iterator[tuple[int, ...]]:
@@ -342,23 +372,11 @@ def _signed_vectors(n: int, bound: int) -> Iterator[tuple[int, ...]]:
                 yield v
 
 
-def _scaled_int_grid(grid: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    denom = math.lcm(*(c.denominator for row in grid for c in row)) if grid else 1
-    return [[int(c * denom) for c in row] for row in grid]
-
-
-def _unit_vector_search(
-    grid: Sequence[Sequence[Fraction]], bound: int
-) -> tuple[int, ...] | None:
-    """First integer vector (height order) whose quadratic value is a unit."""
-    m = len(grid)
-    c = _scaled_int_grid(grid)
-    for v in _signed_vectors(m, bound):
-        val = sum(c[r][r] * v[r] * v[r] for r in range(m))
-        val += 2 * sum(
-            c[r][s] * v[r] * v[s] for r in range(m) for s in range(r + 1, m)
-        )
-        if val and abs(val) & (abs(val) - 1) == 0:
+def _unit_vector_search(grid: Sequence[Sequence[int]], bound: int) -> tuple[int, ...] | None:
+    """First integer vector (height order) whose quadratic value is a unit,
+    for a grid of numerators over a power of two."""
+    for v in _signed_vectors(len(grid), bound):
+        if _dyadic_unit(sum(c * sum(map(mul, row, v)) for c, row in zip(v, grid))):
             return v
     return None
 
@@ -390,88 +408,63 @@ def _dyadic_block_pivot(ws: _Congruence, i: int, bound: int) -> None:
     """
     a = ws.a
     n = len(a)
-    pair = None
-    for r in range(i, n):
-        for s in range(r + 1, n):
-            if _dyadic_unit(a[r][r] * a[s][s] - a[r][s] * a[r][s]):
-                pair = (r, s)
-                break
-        if pair:
-            break
+    pair = next(
+        ((r, s) for r in range(i, n) for s in range(r + 1, n)
+         if _dyadic_unit(a[r][r] * a[s][s] - a[r][s] * a[r][s])),
+        None,
+    )
     if pair is not None:
         r, s = pair
         ws.swap(i, r)
-        if s == i:
-            s = r
-        ws.swap(i + 1, s)
+        ws.swap(i + 1, s)  # s > r >= i, so the first swap left it in place
         aa, u, bb = a[i][i], a[i][i + 1], a[i + 1][i + 1]
         det2 = aa * bb - u * u
+        # e_l -= c1 e_i + c2 e_(i+1) with c1, c2 over det2, which clears
+        # rows i and i + 1 beyond the block
+        t = _embed([], n - i, det2)
         for l in range(i + 2, n):
             p_, q_ = a[i][l], a[i + 1][l]
-            c1 = (bb * p_ - u * q_) / det2
-            c2 = (aa * q_ - u * p_) / det2
-            if c1:
-                ws.addmul(l, i, -c1)
-            if c2:
-                ws.addmul(l, i + 1, -c2)
+            t[0][l - i] = u * q_ - bb * p_
+            t[1][l - i] = u * p_ - aa * q_
+        ws.apply(t, det2, i)
         for x, y in _signed_vectors(2, 8):
-            val = aa * x * x + 2 * u * x * y + bb * y * y
-            if val and _dyadic_unit(val):
-                g, alpha, beta = _bezout2(x, y)
+            # aa, u and bb over the denominator they were read at
+            if _dyadic_unit(aa * x * x + 2 * u * x * y + bb * y * y):
+                g, (alpha, beta) = bezout_vector([x, y])
                 # alpha*x + beta*y = g, so det of the 2x2 change is g = 2^j
                 if g & (g - 1):
                     raise IdentityViolated(f"pivot change has determinant {g}")
-                t2 = [
-                    [Fraction(x), Fraction(-beta)],
-                    [Fraction(y), Fraction(alpha)],
-                ]
-                ws.apply(_pembed(ws.spec, t2, n, i))
+                ws.apply(_embed([[x, -beta], [y, alpha]], n - i), 1, i)
                 if not _dyadic_unit(ws.a[i][i]):
                     raise IdentityViolated("the 2x2 pivot step left a non-unit pivot")
                 return
     # general fallback, bounded and honest about giving up
-    sub = [[a[r][c] for c in range(i, n)] for r in range(i, n)]
-    v = _unit_vector_search(sub, bound)
+    v = _unit_vector_search([row[i:] for row in ws.a[i:]], bound)
     if v is None:
         raise OracleInconclusive(
             f"no unit-valued vector of height <= {bound} found while "
             f"diagonalizing a {n - i}-dimensional block over Z[1/2]"
         )
-    t_int = _complete_dyadic_columns([list(v)], n - i)
-    t = [[Fraction(c) for c in row] for row in t_int]
-    ws.apply(_pembed(ws.spec, t, n, i))
+    ws.apply(_complete_dyadic_columns([list(v)], n - i), 1, i)
     if not _dyadic_unit(ws.a[i][i]):
         raise IdentityViolated("the unit-vector pivot step left a non-unit pivot")
 
 
-def _bezout2(x: int, y: int) -> tuple[int, int, int]:
-    g, coeffs = bezout_vector([x, y])
-    return g, coeffs[0], coeffs[1]
-
-
-def _diag_dyadic(grid: Sequence[Sequence[Fraction]], bound: int) -> _Congruence:
-    spec = RingSpec.dyadic()
-    ws = _Congruence(spec, grid)
-    a = ws.a
-    n = len(a)
+def _diag_dyadic(grid: Sequence[Sequence[int]], den: int, bound: int) -> _Congruence:
+    ws = _Congruence(None, grid, den)
+    n = len(grid)
     for i in range(n):
-        if not _dyadic_unit(a[i][i]):
-            j = next((k for k in range(i + 1, n) if _dyadic_unit(a[k][k])), None)
+        if not _dyadic_unit(ws.a[i][i]):
+            j = next((k for k in range(i + 1, n) if _dyadic_unit(ws.a[k][k])), None)
             if j is not None:
                 ws.swap(i, j)
             else:
                 _dyadic_block_pivot(ws, i, bound)
-        a = ws.a  # apply() may have replaced the grid object
-        d = a[i][i]
-        for j in range(i + 1, n):
-            if a[i][j]:
-                ws.addmul(j, i, -a[i][j] / d)
+        ws.pivot(i)
     # units of Z[1/2] are +-2^k; squares of units absorb even powers
-    for i in range(n):
-        e = _v2_of_unit(a[i][i])
-        s = e // 2
-        if s:
-            ws.scalecol(i, Fraction(1, 1 << s) if s > 0 else Fraction(1 << (-s)))
+    halves = [(abs(ws.a[i][i]).bit_length() - ws.da.bit_length()) // 2 for i in range(n)]
+    if any(halves):
+        ws.scale([1 << max(-h, 0) for h in halves], [1 << max(h, 0) for h in halves])
     return ws
 
 
@@ -480,16 +473,17 @@ def _reduce_rational_diag(ws: _Congruence) -> None:
 
     Entry values move by squares only, so nothing Witt-theoretic changes,
     but isotropy witnesses get dramatically smaller coordinates, which is
-    what keeps the bounded search effective.
+    what keeps the bounded search effective.  Entry i, q = a_ii / da in
+    lowest terms, is multiplied by den(q)^2 and divided by the square
+    part of num(q) den(q).
     """
-    a = ws.a
-    for i in range(len(a)):
-        q = a[i][i]
-        if q.denominator != 1:
-            ws.scalecol(i, Fraction(q.denominator))
-        s = square_part(a[i][i].numerator)
-        if s > 1:
-            ws.scalecol(i, Fraction(1, s))
+    nums, dens = [], []
+    for i, row in enumerate(ws.a):
+        g = gcd(row[i], ws.da)
+        qden = ws.da // g
+        nums.append(qden)
+        dens.append(square_part(row[i] // g * qden))
+    ws.scale(nums, dens)
 
 
 def diagonalize(f: GramForm) -> tuple[InvMatrix, GramForm]:
@@ -503,13 +497,11 @@ def diagonalize(f: GramForm) -> tuple[InvMatrix, GramForm]:
         raise SpecMismatch("only symmetric forms diagonalize; got epsilon = -1")
     if not (spec.is_field or spec.kind == DYADIC):
         raise SpecMismatch(f"diagonalization not supported over {spec}")
-    if spec.kind == DYADIC:
-        ws = _diag_dyadic(f.gram.cells, _PIVOT_BOUND)
-    else:
-        ws = _diag_field(spec, f.gram.cells)
+    (grid,), den = f.gram._slice_form()
+    ws = _diag_dyadic(grid, den, _PIVOT_BOUND) if spec.kind == DYADIC else _diag_field(spec.p, grid, den)
     n = f.dim
-    p = InvMatrix(spec, tuple(map(tuple, ws.p)), n, n)
-    d = InvMatrix(spec, tuple(map(tuple, ws.a)), n, n)
+    p = InvMatrix._from_slices(spec, [ws.p], ws.dp, n, n)
+    d = InvMatrix._from_slices(spec, [ws.a], ws.da, n, n)
     if p.conj_transpose() * f.gram * p != d:
         raise IdentityViolated("diagonalization certificate P*.G.P = D failed")
     return p, GramForm(d, 1)
@@ -538,29 +530,18 @@ def isotropy_oracle(
     n = f.dim
     if n == 0:
         return None
-    g = f.gram.cells
-    if spec.kind == PRIME_FIELD:
-        p = spec.p
-        for v in itertools.product(range(p), repeat=n):
-            if not any(v):
-                continue
-            val = 0
-            for i in range(n):
-                if v[i]:
-                    val += v[i] * sum(g[i][j] * v[j] for j in range(n) if v[j])
-            if val % p == 0:
-                return tuple(RingElem(spec, c, _raw=True) for c in v)
-        return None
-    if height_bound < 1:
+    (g,), _ = f.gram._slice_form()  # over one denominator, which leaves zeros zero
+    p = spec.p
+    if p:
+        vectors = itertools.product(range(p), repeat=n)
+    elif height_bound < 1:
         raise IllFormed("height_bound must be a positive integer")
-    ig = _scaled_int_grid(g)
-    for v in _signed_vectors(n, height_bound):
-        val = 0
-        for i in range(n):
-            if v[i]:
-                val += v[i] * sum(ig[i][j] * v[j] for j in range(n) if v[j])
-        if val == 0:
-            return tuple(RingElem(spec, Fraction(c), _raw=True) for c in v)
+    else:
+        vectors = _signed_vectors(n, height_bound)
+    for v in vectors:
+        val = sum(c * sum(map(mul, row, v)) for c, row in zip(v, g) if c)
+        if any(v) and (val % p if p else val) == 0:
+            return tuple(RingElem(spec, c) for c in v)
     return None
 
 
@@ -574,9 +555,12 @@ def _height_shell(k: int, h: int) -> Iterator[tuple[int, ...]]:
 
 
 def _isotropic_on_diagonal(
-    spec: RingSpec, diag: list[Any], bound: int
+    spec: RingSpec, coeffs: list[int], bound: int
 ) -> tuple[int, ...] | None:
-    """A nonzero integer vector v with sum(diag[i] * v[i]^2) = 0, or None.
+    """A nonzero integer vector v with sum(coeffs[i] * v[i]^2) = 0, or None.
+
+    ``coeffs`` is the diagonal: residues over F_p, and over Q and Z[1/2]
+    its numerators over one positive denominator, which has the same zeros.
 
     Changing signs of entries keeps the value, so entries run over 0..h.
     The two halves of the coordinates meet in the middle: height by
@@ -590,14 +574,13 @@ def _isotropic_on_diagonal(
     ``bound``; None says only that there is none within it.  Which witness
     of that height is returned is not promised.
     """
-    n = len(diag)
+    n = len(coeffs)
     if n < 2:
         return None
     if spec.kind == PRIME_FIELD:
-        coeffs, top, mod = diag, (spec.p - 1) // 2, spec.p
+        top, mod = (spec.p - 1) // 2, spec.p
     else:
-        denom = math.lcm(*(d.denominator for d in diag))
-        coeffs, top = [int(d * denom) for d in diag], bound
+        top = bound
         # above |B(v, v)| for every v within the bound, so two halves'
         # values add to 0 mod it exactly when they do as integers
         mod = bound * bound * sum(map(abs, coeffs)) + 1
@@ -619,61 +602,46 @@ def _isotropic_on_diagonal(
 # -- hyperbolic splitting -----------------------------------------------------
 
 
-def _primitivize(spec: RingSpec, v: list[Any]) -> list[Any]:
-    if spec.kind == PRIME_FIELD:
-        return v
-    denom = math.lcm(*(c.denominator for c in v))
-    ints = [int(c * denom) for c in v]
-    g = math.gcd(*ints)
-    return [Fraction(c // g) for c in ints]
+def _hyperbolic_pair(
+    spec: RingSpec, g: list[list[int]], den: int, x: list[int], eps: int
+) -> tuple[list[list[int]], int]:
+    """(t, dt): an invertible matrix t / dt whose first two columns are x
+    and a w with B(x, w) = 1 and, for a symmetric form, B(w, w) = 0.
 
-
-def _dual_vector(spec: RingSpec, grid: list[list[Any]], x: list[Any]) -> list[Any]:
-    """Some w with B(x, w) = 1, for primitive x in a unimodular form."""
-    n = len(grid)
-    row = _matmul(spec, [x], grid)[0]
-    if spec.kind != DYADIC:
-        j = next(k for k in range(n) if not _is_zero(spec, row[k]))
-        w = [_zero(spec)] * n
-        w[j] = _inv(spec, row[j])
-        return w
-    denom = math.lcm(*(c.denominator for c in row))
-    ints = [int(c * denom) for c in row]
-    g, coeffs = bezout_vector(ints)
-    # the functional B(x, .) is onto, so the odd part of g must be trivial
-    if not g or g & (g - 1):
-        raise IdentityViolated(f"B(x, .) is not onto: its gcd is {g}")
-    scale = Fraction(denom, g)
-    return [Fraction(c) * scale for c in coeffs]
-
-
-def _complete_pair(
-    spec: RingSpec, x: list[Any], w: list[Any]
-) -> list[list[Any]]:
-    """An invertible matrix whose first two columns are exactly x and w."""
-    m = len(x)
+    ``g`` is the Gram grid over ``den``; x is a primitive integer vector
+    (over F_p, a nonzero residue vector).
+    """
+    mod, m = spec.p, len(g)
+    row = [sum(map(mul, x, col)) for col in zip(*g)]  # B(x, .) over den
+    if mod:
+        row = [c % mod for c in row]
     if spec.kind == DYADIC:
-        xi = [int(c) for c in x]
-        dw = math.lcm(*(c.denominator for c in w))
-        wi = [int(c * dw) for c in w]
-        t_int = _complete_dyadic_columns([xi, wi], m)
-        t = [[Fraction(c) for c in row] for row in t_int]
-        for i in range(m):
-            t[i][0] = x[i]
-            t[i][1] = w[i]
-        return t
-    j1 = next(k for k in range(m) if not _is_zero(spec, x[k]))
-    c = _mul(spec, w[j1], _inv(spec, x[j1]))
-    wred = [_add(spec, w[k], _neg(spec, _mul(spec, c, x[k]))) for k in range(m)]
-    j2 = next(k for k in range(m) if not _is_zero(spec, wred[k]))
-    one, zero = _one(spec), _zero(spec)
-    t = [[x[i], w[i]] for i in range(m)]
-    for k in range(m):
-        if k in (j1, j2):
-            continue
-        for i in range(m):
-            t[i].append(one if i == k else zero)
-    return t
+        # B(x, .) in lowest terms is ints / (den / g0); it is onto, so the
+        # odd part of gcd(ints) must be trivial
+        g0 = gcd(den, *row)
+        gb, coeffs = bezout_vector([c // g0 for c in row])
+        if not gb or gb & (gb - 1):
+            raise IdentityViolated(f"B(x, .) is not onto: its gcd is {gb}")
+        w, dw = [c * (den // g0) for c in coeffs], gb
+    else:
+        j = next(k for k in range(m) if row[k])
+        w, dw = [den if k == j else 0 for k in range(m)], row[j]
+    if eps == 1:
+        # shear w so its own value vanishes: q(w - (q(w)/2) x) = 0
+        qn = sum(map(mul, w, [sum(map(mul, r, w)) for r in g]))  # q(w) over den * dw^2
+        w, dw = [2 * den * dw * c - qn * xc for c, xc in zip(w, x)], 2 * den * dw * dw
+    ((w,),), dw = _reduced(mod, [[w]], dw)
+    if spec.kind == DYADIC:
+        # w over dw in lowest terms, so its numerators span what w does
+        rest = [r[2:] for r in _complete_dyadic_columns([x, w], m)]
+    else:
+        j1 = next(k for k in range(m) if x[k])
+        # the first coordinate at which w is not a multiple of x
+        cross = [c * x[j1] - w[j1] * xc for c, xc in zip(w, x)]
+        j2 = next(k for k, c in enumerate(cross) if (c % mod if mod else c))
+        keep = [k for k in range(m) if k not in (j1, j2)]
+        rest = [[int(i == k) for k in keep] for i in range(m)]
+    return [[dw * xc, c] + [dw * v for v in r] for xc, c, r in zip(x, w, rest)], dw
 
 
 def witt_decompose(
@@ -692,74 +660,54 @@ def witt_decompose(
         raise SpecMismatch(f"Witt decomposition not supported over {spec}")
     if height_bound < 1:
         raise IllFormed("height_bound must be a positive integer")
-    eps = f.epsilon
-    n = f.dim
-    one = _one(spec)
-    p_total = _pid(spec, n)
-    current = [list(row) for row in f.gram.cells]
-    hyp = 0
-    aniso: list[list[Any]] = []
-    while True:
-        m = len(current)
-        if m == 0:
-            break
+    eps, n, mod = f.epsilon, f.dim, spec.p
+    (grid,), den = f.gram._slice_form()
+    # the planes split off so far fill a[:off][:off]; what is left is the
+    # block from off on, orthogonal to them
+    ws = _Congruence(mod, grid, den)
+    off = 0
+    while off < n:
+        m = n - off
+        (cur,), dcur = _reduced(mod, [[row[off:] for row in ws.a[off:]]], ws.da)
         if eps == 1:
             if spec.kind == DYADIC:
-                ws = _diag_dyadic(current, height_bound + _PIVOT_BOUND)
+                dg = _diag_dyadic(cur, dcur, height_bound + _PIVOT_BOUND)
             else:
-                ws = _diag_field(spec, current)
+                dg = _diag_field(mod, cur, dcur)
                 if spec.kind == RATIONALS:
-                    _reduce_rational_diag(ws)
-            xd = _isotropic_on_diagonal(
-                spec, [ws.a[k][k] for k in range(m)], height_bound
-            )
+                    _reduce_rational_diag(dg)
+            xd = _isotropic_on_diagonal(spec, [dg.a[k][k] for k in range(m)], height_bound)
             if xd is None:
-                p_total = _matmul(spec, p_total, _pembed(spec, ws.p, n, n - m))
-                aniso = ws.a
+                ws.apply(dg.p, dg.dp, off)
                 break
-            x = [r[0] for r in _matmul(spec, ws.p, [[canon_payload(spec, c)] for c in xd])]
+            x = [sum(map(mul, r, xd)) for r in dg.p]
+            g = gcd(*x)  # x is made primitive; over F_p the residues will do
+            x = [c % mod for c in x] if mod else [c // g for c in x]
         else:
             # skew: every vector is isotropic, and m is even by nondegeneracy
-            x = [one] + [_zero(spec)] * (m - 1)
-        x = _primitivize(spec, x)
-        w = _dual_vector(spec, current, x)
-        if eps == 1:
-            # shear w so its own value vanishes: q(w - (q(w)/2) x) = 0
-            half_q = _mul(spec, _qval(spec, current, w), canon_payload(spec, Fraction(1, 2)))
-            w = [_add(spec, w[k], _neg(spec, _mul(spec, half_q, x[k]))) for k in range(m)]
-        t = _complete_pair(spec, x, w)
-        a1 = _matmul(spec, list(zip(*t)), _matmul(spec, current, t))
-        e = _pid(spec, m)
+            x = [1] + [0] * (m - 1)
+        ws.apply(*_hyperbolic_pair(spec, cur, dcur, x, eps), off)
+        # kill B(x, v_l) and B(w, v_l) against the hyperbolic pair
+        a, d = ws.a, ws.da
+        e = _embed([], m, d)
         for l in range(2, m):
-            # kill B(x, v_l) and B(w, v_l) against the hyperbolic pair
-            beta = a1[0][l]
-            alpha = a1[1][l] if eps == 1 else _neg(spec, a1[1][l])
-            e[0][l] = _neg(spec, alpha)
-            e[1][l] = _neg(spec, beta)
-        step = _matmul(spec, t, e)
-        a2 = _matmul(spec, list(zip(*step)), _matmul(spec, current, step))
-        # the first two basis vectors must now span a standard hyperbolic plane
-        # orthogonal to the rest
-        plane = [[_zero(spec), one], [canon_payload(spec, eps), _zero(spec)]]
-        if [r[:2] for r in a2[:2]] != plane or any(
-            not _is_zero(spec, a2[r][l]) or not _is_zero(spec, a2[l][r])
-            for r in (0, 1)
-            for l in range(2, m)
+            e[0][l] = -eps * a[off + 1][off + l]
+            e[1][l] = -a[off][off + l]
+        ws.apply(e, d, off)
+        # the first two basis vectors must now span a standard hyperbolic
+        # plane orthogonal to the rest
+        a, d = ws.a, ws.da
+        plane = [[0, d], [eps * d % mod if mod else eps * d, 0]]
+        if [r[off : off + 2] for r in a[off : off + 2]] != plane or any(
+            a[off + r][l] or a[l][off + r] for r in (0, 1) for l in range(off + 2, n)
         ):
             raise IdentityViolated("the hyperbolic pair did not split off")
-        current = [row[2:] for row in a2[2:]]
-        p_total = _matmul(spec, p_total, _pembed(spec, step, n, n - m))
-        hyp += 1
+        off += 2
 
-    aniso_matrix = InvMatrix(spec, tuple(map(tuple, aniso)), len(aniso), len(aniso))
-    aniso_form = GramForm(aniso_matrix, eps)
-    basis = InvMatrix(spec, tuple(map(tuple, p_total)), n, n)
-    blocks = [_hyperbolic_matrix(spec, 1, eps) for _ in range(hyp)]
-    if aniso_matrix.nrows:
-        blocks.append(aniso_matrix)
-    expected = (
-        InvMatrix.block_diag(blocks) if blocks else InvMatrix.from_rows(spec, [])
-    )
+    aniso_matrix = _canonical(spec, [[row[off:] for row in ws.a[off:]]], ws.da, n - off, n - off)
+    (aniso,), _ = aniso_matrix._slice_form()
+    basis = InvMatrix._from_slices(spec, [ws.p], ws.dp, n, n)
+    expected = InvMatrix.block_diag([_hyperbolic_matrix(spec, 1, eps)] * (off // 2) + [aniso_matrix])
     if basis.conj_transpose() * f.gram * basis != expected:
         raise IdentityViolated("Witt decomposition certificate failed to re-multiply")
     certified = _certify(spec, eps, aniso)
@@ -768,15 +716,10 @@ def witt_decompose(
             f"anisotropy of the {len(aniso)}-dimensional remainder is not "
             f"certified within height bound {height_bound}"
         )
-    return WittDecomposition(hyp, aniso_form, basis, certified)
+    return WittDecomposition(off // 2, GramForm(aniso_matrix, eps), basis, certified)
 
 
-def _qval(spec: RingSpec, grid: list[list[Any]], v: list[Any]) -> Any:
-    """The quadratic value v^T . grid . v."""
-    return _matmul(spec, _matmul(spec, [v], grid), [[c] for c in v])[0][0]
-
-
-def _certify(spec: RingSpec, eps: int, aniso: list[list[Any]]) -> bool:
+def _certify(spec: RingSpec, eps: int, aniso: list[list[int]]) -> bool:
     if spec.kind == PRIME_FIELD or len(aniso) <= 1 or eps == -1:
         return True
     # diagonal by construction; definite forms cannot represent zero

@@ -5,7 +5,6 @@ Matrices are plain ``list[list[int]]``; Python ints keep everything exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import count
 from math import gcd, prod
 from operator import mul
@@ -21,8 +20,8 @@ def identity_int(n: int) -> IntMatrix:
 
 
 def matmul_int(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Integer matrix product; ``matrices._matmul`` reduces products over q,
-    dyadic and the truncated rings to it."""
+    """Integer matrix product; the products of ``InvMatrix`` slices and the
+    congruence steps of ``forms`` reduce to it."""
     if not a or not b:
         return [[] for _ in a]
     bt = list(zip(*b))
@@ -183,25 +182,32 @@ def _rho_divisor(n: int) -> int:
 
 
 def int_inverse_unimodular(a: IntMatrix) -> IntMatrix:
-    """Inverse of an integer matrix whose determinant is +-1."""
+    """Inverse of an integer matrix whose determinant is +-1, by integer row
+    operations on [a | I]: Euclid down each column, then back substitution.
+    Raises ValueError for any other matrix."""
     n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(a)]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
     for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        d = aug[col][col]
-        aug[col] = [x / d for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    out = [row[n:] for row in aug]
-    if any(q.denominator != 1 for row in out for q in row):
-        raise ValueError("matrix is not unimodular")
-    return [[int(q) for q in row] for row in out]
+        while True:
+            rows = [r for r in range(col, n) if aug[r][col]]
+            if not rows:
+                raise ValueError("matrix is singular")
+            piv = min(rows, key=lambda r: abs(aug[r][col]))
+            aug[col], aug[piv] = aug[piv], aug[col]
+            top = aug[col]
+            if len(rows) == 1:
+                break
+            for r in range(col + 1, n):
+                q = aug[r][col] // top[col]
+                aug[r] = [x - q * y for x, y in zip(aug[r], top)]
+        if abs(top[col]) != 1:
+            raise ValueError("matrix is not unimodular")
+        aug[col] = [top[col] * x for x in top]
+    for col in reversed(range(n)):
+        for r in range(col):
+            q = aug[r][col]
+            aug[r] = [x - q * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
 
 
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:

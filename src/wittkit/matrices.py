@@ -8,11 +8,12 @@ canonical, so ``==`` compares it as it is: ``den > 0``, gcd(den, entries)
 = 1, and over F_p ``den = 1`` with entries in [0, p).  ``cells``, the grid
 of payloads, is a view built on first use; a matrix built from payloads
 keeps them as that view and builds its slices on first use.  Products
-(``_slice_products`` plus one gcd or ``% p`` pass), sums, scalings,
-transposes and the (I + g)^(-1/2) series of the lifting layer work on the
-slices; ``_matmul`` runs the same kernel on the payload grids of ``forms``.
-Over ``laurent2`` and ``truncnil(laurent2)`` matrices stay payload grids
-and call the ring's bound ops (``RingSpec.ops``) entry by entry.
+(``_slice_products`` plus one gcd or ``% p`` pass, ``_reduced``), sums,
+scalings, transposes, block sums and the (I + g)^(-1/2) series of the
+lifting layer work on the slices, and so do the congruence grids of
+``forms``.  Over ``laurent2`` and ``truncnil(laurent2)`` matrices stay
+payload grids and call the ring's bound ops (``RingSpec.ops``) entry by
+entry, products included (``_matmul``).
 
 Inverses exist exactly when the determinant is a unit.  Over F_p, Q and
 Z[1/2] the determinant is int_det(slice 0) / den^n (fraction-free Bareiss);
@@ -37,14 +38,13 @@ from .rings import (
     TRUNC_NIL,
     RingElem,
     RingSpec,
-    _add,
     _fixed,
     _inv,
     _is_nilpotent,
     _is_unit,
-    _mul,
     _neg,
     _one,
+    _restore_slots,
     _zero,
     canon_payload,
     payload_from_json,
@@ -83,6 +83,8 @@ class InvMatrix:
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("InvMatrix is immutable")
+
+    __setstate__ = _restore_slots
 
     @property
     def cells(self) -> tuple:
@@ -129,8 +131,13 @@ class InvMatrix:
     @classmethod
     def diagonal(cls, spec: RingSpec, entries: Sequence[Any]) -> "InvMatrix":
         cooked = [_cook(spec, e) for e in entries]
-        zero = _zero(spec)
         n = len(cooked)
+        if _layout(spec) is not None:
+            # the slices of the entries as one row, spread over the diagonal
+            rows, den = _slices_of(spec, [cooked])
+            slices = [[[v if i == j else 0 for j in range(n)] for i, v in enumerate(row)] for (row,) in rows]
+            return cls._from_slices(spec, slices, den, n, n)
+        zero = _zero(spec)
         grid = tuple(
             tuple(cooked[i] if i == j else zero for j in range(n)) for i in range(n)
         )
@@ -145,15 +152,26 @@ class InvMatrix:
             raise SpecMismatch("block_diag blocks over different rings")
         nrows = sum(b.nrows for b in blocks)
         ncols = sum(b.ncols for b in blocks)
-        zero = _zero(spec)
-        grid = [[zero] * ncols for _ in range(nrows)]
+        layout = _layout(spec)
+        if layout is None:
+            den, parts, fill = 1, [[b.cells] for b in blocks], _zero(spec)
+        else:
+            # every block over the lcm of the denominators: still canonical,
+            # since each prime power of it is one block's whole denominator
+            forms = [b._slice_form() for b in blocks]
+            den, fill = lcm(*[d for _, d in forms]), 0
+            parts = [[[[den // d * v for v in row] for row in s] for s in slices] for slices, d in forms]
+        out = [[[fill] * ncols for _ in range(nrows)] for _ in parts[0]]
         r0 = c0 = 0
-        for b in blocks:
-            for i in range(b.nrows):
-                grid[r0 + i][c0 : c0 + b.ncols] = list(b.cells[i])
+        for b, part in zip(blocks, parts):
+            for grid, s in zip(out, part):
+                for i, row in enumerate(s):
+                    grid[r0 + i][c0 : c0 + b.ncols] = row
             r0 += b.nrows
             c0 += b.ncols
-        return cls(spec, tuple(tuple(row) for row in grid), nrows, ncols)
+        if layout is None:
+            return cls(spec, tuple(map(tuple, out[0])), nrows, ncols)
+        return cls._from_slices(spec, out, den, nrows, ncols)
 
     @classmethod
     def kron(cls, a: "InvMatrix", b: "InvMatrix") -> "InvMatrix":
@@ -477,47 +495,48 @@ def _payloads(spec: RingSpec, slices: Sequence[Any], den: int) -> list[list[Any]
     return [[v % p if p else Fraction(v, den) for v in row] for row in slices[0]]
 
 
-def _canonical(spec: RingSpec, slices: list, den: int, nrows: int, ncols: int) -> InvMatrix:
-    """The matrix slices / den in canonical form: over F_p the entries times
-    den^(-1) mod p over 1, else den and the entries divided by their gcd."""
-    p = _layout(spec)[1]
+def _reduced(p: int | None, slices: list, den: int) -> tuple[list, int]:
+    """(slices, den) of the matrix slices / den in canonical form: over F_p
+    the entries times den^(-1) mod p over 1, else the entries and den
+    divided by their gcd, with the sign that makes den positive."""
     if p:
         inv = pow(den, -1, p)
-        slices = [[[v * inv % p for v in row] for row in s] for s in slices]
-        den = 1
-    elif den != 1:
-        g = gcd(den, *[v for s in slices for row in s for v in row])
-        if g != 1:
-            slices = [[[v // g for v in row] for row in s] for s in slices]
-            den //= g
-    return InvMatrix._from_slices(spec, slices, den, nrows, ncols)
+        return [[[v * inv % p for v in row] for row in s] for s in slices], 1
+    if den == 1:
+        return slices, den
+    g = gcd(den, *[v for s in slices for row in s for v in row])
+    if den < 0:
+        g = -g
+    if g == 1:
+        return slices, den
+    return [[[v // g for v in row] for row in s] for s in slices], den // g
+
+
+def _canonical(spec: RingSpec, slices: list, den: int, nrows: int, ncols: int) -> InvMatrix:
+    """The matrix slices / den in canonical form."""
+    return InvMatrix._from_slices(spec, *_reduced(_layout(spec)[1], slices, den), nrows, ncols)
 
 
 def _matmul(spec: RingSpec, x: Sequence[Sequence[Any]], y: Sequence[Sequence[Any]]) -> list[list[Any]]:
-    """Product of the payload grids x (n x l) and y (l x m), as a list of rows.
-
-    Over fp, q, dyadic and truncnil of those it is ``_slice_products`` on
-    the slice forms, then one % p or one Fraction per output coefficient.
-    Laurent coefficients are summed entry by entry.  When y has no rows its
-    width is unknown, and each of the n output rows is empty.
+    """Product of the payload grids x (n x l) and y (l x m), as a list of rows,
+    summed entry by entry with the ring's bound ops: the product of matrices
+    over Laurent bases, which have no slices.  When y has no rows its width
+    is unknown, and each of the n output rows is empty.
     """
     if not x or not y or not y[0]:
         return [[] for _ in x]
-    layout = _layout(spec)
-    if layout is None:
-        zero = _zero(spec)
-        out = []
-        for row in x:
-            out_row = []
-            for col in zip(*y):
-                acc = zero
-                for a, b in zip(row, col):
-                    acc = _add(spec, acc, _mul(spec, a, b))
-                out_row.append(acc)
-            out.append(out_row)
-        return out
-    (xs, dx), (ys, dy) = _slices_of(spec, x), _slices_of(spec, y)
-    return _payloads(spec, _slice_products(xs, ys, layout[0]), dx * dy)
+    add, _, mul_, _, _ = spec.ops
+    zero = _zero(spec)
+    out = []
+    for row in x:
+        out_row = []
+        for col in zip(*y):
+            acc = zero
+            for a, b in zip(row, col):
+                acc = add(acc, mul_(a, b))
+            out_row.append(acc)
+        out.append(out_row)
+    return out
 
 
 def _slice_products(xs: Sequence[Any], ys: Sequence[Any], k: int) -> list[list[list[int]]]:

@@ -77,6 +77,13 @@ def _is_odd_prime(p: int) -> bool:
     return True
 
 
+def _restore_slots(self: Any, state: tuple) -> None:
+    """``__setstate__`` of the immutable slotted classes: pickle and copy
+    restore the slots past the guard in their ``__setattr__``."""
+    for name, value in state[1].items():
+        object.__setattr__(self, name, value)
+
+
 def _is_dyadic(q: Fraction) -> bool:
     d = q.denominator
     return d & (d - 1) == 0
@@ -108,6 +115,10 @@ class RingSpec:
         else:
             raise IllFormed(f"unknown ring kind {self.kind!r}")
         object.__setattr__(self, "ops", _ring_ops(self))
+
+    def __reduce__(self) -> tuple:
+        # the ops closures do not pickle; the constructor builds them again
+        return (RingSpec, (self.kind, self.p, self.base, self.k))
 
     # -- constructors ----------------------------------------------------
 
@@ -567,6 +578,8 @@ class RingElem:
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("RingElem is immutable")
+
+    __setstate__ = _restore_slots
 
     # -- constructors -----------------------------------------------------
 

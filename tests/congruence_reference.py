@@ -1,0 +1,449 @@
+"""The congruence steps of ``wittkit.forms`` as they were on Fraction grids.
+
+This is the reference the integer congruence of ``forms`` is tested
+against (``test_forms.py``): the same elimination order, pivot choices and
+splitting steps, with every entry a ``Fraction`` (an int mod p over F_p)
+and every product a payload fold through the ring's ops.  ``diagonalize``
+and ``witt_decompose`` here return what the package returned before its
+grids became integers over one denominator.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Any, Sequence
+
+from wittkit.errors import DegenerateForm, IdentityViolated, IllFormed, OracleInconclusive, SpecMismatch
+from wittkit.forms import (
+    _PIVOT_BOUND,
+    _SEARCH_RINGS,
+    GramForm,
+    WittDecomposition,
+    _certify,
+    _complete_dyadic_columns,
+    _hyperbolic_matrix,
+    _isotropic_on_diagonal,
+    _signed_vectors,
+    _unit_vector_search,
+)
+from wittkit.intlinalg import bezout_vector, square_part
+from wittkit.matrices import InvMatrix, _matmul
+from wittkit.rings import (
+    DYADIC,
+    PRIME_FIELD,
+    RATIONALS,
+    RingSpec,
+    _add,
+    _inv,
+    _is_zero,
+    _mul,
+    _neg,
+    _one,
+    _zero,
+    canon_payload,
+)
+
+
+def _pid(spec: RingSpec, n: int) -> list[list[Any]]:
+    one, zero = _one(spec), _zero(spec)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def _pembed(spec: RingSpec, t: list[list[Any]], n: int, offset: int) -> list[list[Any]]:
+    out = _pid(spec, n)
+    for i, row in enumerate(t):
+        for j, c in enumerate(row):
+            out[offset + i][offset + j] = c
+    return out
+
+
+class _Congruence:
+    """Mutable Gram grid plus the accumulated basis (columns of ``p``).
+
+    ``addmul(dst, src, c)`` performs the basis change e_dst += c*e_src and
+    keeps the Gram grid congruent, so at any moment  p* . original . p = a.
+    It serves fp, q and dyadic only: their involution is trivial and their
+    payloads are ints mod p or Fractions, so the row and column operations
+    use plain integer or Fraction arithmetic, skipping zero source entries.
+    """
+
+    def __init__(self, spec: RingSpec, grid: Sequence[Sequence[Any]]):
+        self.spec = spec
+        self.mod = spec.p  # None except over fp
+        self.a = [list(row) for row in grid]
+        self.p = _pid(spec, len(self.a))
+
+    def swap(self, i: int, j: int) -> None:
+        if i == j:
+            return
+        a = self.a
+        a[i], a[j] = a[j], a[i]
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in self.p:
+            row[i], row[j] = row[j], row[i]
+
+    def addmul(self, dst: int, src: int, c: Any) -> None:
+        a, mod = self.a, self.mod
+        if mod is None:
+            a[dst] = [x + c * y if y else x for x, y in zip(a[dst], a[src])]
+            for grid in (a, self.p):
+                for row in grid:
+                    if row[src]:
+                        row[dst] += c * row[src]
+        else:
+            a[dst] = [(x + c * y) % mod if y else x for x, y in zip(a[dst], a[src])]
+            for grid in (a, self.p):
+                for row in grid:
+                    if row[src]:
+                        row[dst] = (row[dst] + c * row[src]) % mod
+
+    def scalecol(self, i: int, c: Any) -> None:
+        """e_i *= c, over q and dyadic only (it normalizes their diagonals)."""
+        a = self.a
+        a[i] = [c * x for x in a[i]]
+        for grid in (a, self.p):
+            for row in grid:
+                row[i] *= c
+
+    def apply(self, t: list[list[Any]]) -> None:
+        spec = self.spec
+        self.a = _matmul(spec, list(zip(*t)), _matmul(spec, self.a, t))
+        self.p = _matmul(spec, self.p, t)
+
+
+
+def _diag_field(spec: RingSpec, grid: Sequence[Sequence[Any]]) -> _Congruence:
+    ws = _Congruence(spec, grid)
+    a = ws.a
+    n = len(a)
+    one = _one(spec)
+    for i in range(n):
+        if _is_zero(spec, a[i][i]):
+            j = next((k for k in range(i + 1, n) if not _is_zero(spec, a[k][k])), None)
+            if j is not None:
+                ws.swap(i, j)
+            else:
+                j = next(
+                    (k for k in range(i + 1, n) if not _is_zero(spec, a[i][k])), None
+                )
+                if j is None:
+                    raise DegenerateForm("form has a zero row")
+                # a[i][i] becomes 2*a[i][j], nonzero because 2 is invertible
+                ws.addmul(i, j, one)
+        dinv = _inv(spec, a[i][i])
+        for j in range(i + 1, n):
+            if not _is_zero(spec, a[i][j]):
+                ws.addmul(j, i, _neg(spec, _mul(spec, a[i][j], dinv)))
+    return ws
+
+
+
+def _dyadic_unit(q: Fraction) -> bool:
+    num = abs(q.numerator)
+    return num != 0 and num & (num - 1) == 0
+
+
+def _v2_of_unit(q: Fraction) -> int:
+    return abs(q.numerator).bit_length() - q.denominator.bit_length()
+
+
+
+def _scaled_int_grid(grid: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+    denom = math.lcm(*(c.denominator for row in grid for c in row)) if grid else 1
+    return [[int(c * denom) for c in row] for row in grid]
+
+
+
+def _dyadic_block_pivot(ws: _Congruence, i: int, bound: int) -> None:
+    """Make a[i][i] a unit when no trailing diagonal entry is one.
+
+    Preferred route: find a 2x2 principal block with unit determinant,
+    isolate it, and diagonalize it by a tiny search.  Fallback: bounded
+    search for a unit-valued vector in the whole trailing block.
+    """
+    a = ws.a
+    n = len(a)
+    pair = None
+    for r in range(i, n):
+        for s in range(r + 1, n):
+            if _dyadic_unit(a[r][r] * a[s][s] - a[r][s] * a[r][s]):
+                pair = (r, s)
+                break
+        if pair:
+            break
+    if pair is not None:
+        r, s = pair
+        ws.swap(i, r)
+        if s == i:
+            s = r
+        ws.swap(i + 1, s)
+        aa, u, bb = a[i][i], a[i][i + 1], a[i + 1][i + 1]
+        det2 = aa * bb - u * u
+        for l in range(i + 2, n):
+            p_, q_ = a[i][l], a[i + 1][l]
+            c1 = (bb * p_ - u * q_) / det2
+            c2 = (aa * q_ - u * p_) / det2
+            if c1:
+                ws.addmul(l, i, -c1)
+            if c2:
+                ws.addmul(l, i + 1, -c2)
+        for x, y in _signed_vectors(2, 8):
+            val = aa * x * x + 2 * u * x * y + bb * y * y
+            if val and _dyadic_unit(val):
+                g, alpha, beta = _bezout2(x, y)
+                # alpha*x + beta*y = g, so det of the 2x2 change is g = 2^j
+                if g & (g - 1):
+                    raise IdentityViolated(f"pivot change has determinant {g}")
+                t2 = [
+                    [Fraction(x), Fraction(-beta)],
+                    [Fraction(y), Fraction(alpha)],
+                ]
+                ws.apply(_pembed(ws.spec, t2, n, i))
+                if not _dyadic_unit(ws.a[i][i]):
+                    raise IdentityViolated("the 2x2 pivot step left a non-unit pivot")
+                return
+    # general fallback, bounded and honest about giving up
+    sub = [[a[r][c] for c in range(i, n)] for r in range(i, n)]
+    v = _unit_vector_search(_scaled_int_grid(sub), bound)
+    if v is None:
+        raise OracleInconclusive(
+            f"no unit-valued vector of height <= {bound} found while "
+            f"diagonalizing a {n - i}-dimensional block over Z[1/2]"
+        )
+    t_int = _complete_dyadic_columns([list(v)], n - i)
+    t = [[Fraction(c) for c in row] for row in t_int]
+    ws.apply(_pembed(ws.spec, t, n, i))
+    if not _dyadic_unit(ws.a[i][i]):
+        raise IdentityViolated("the unit-vector pivot step left a non-unit pivot")
+
+
+
+def _diag_dyadic(grid: Sequence[Sequence[Fraction]], bound: int) -> _Congruence:
+    spec = RingSpec.dyadic()
+    ws = _Congruence(spec, grid)
+    a = ws.a
+    n = len(a)
+    for i in range(n):
+        if not _dyadic_unit(a[i][i]):
+            j = next((k for k in range(i + 1, n) if _dyadic_unit(a[k][k])), None)
+            if j is not None:
+                ws.swap(i, j)
+            else:
+                _dyadic_block_pivot(ws, i, bound)
+        a = ws.a  # apply() may have replaced the grid object
+        d = a[i][i]
+        for j in range(i + 1, n):
+            if a[i][j]:
+                ws.addmul(j, i, -a[i][j] / d)
+    # units of Z[1/2] are +-2^k; squares of units absorb even powers
+    for i in range(n):
+        e = _v2_of_unit(a[i][i])
+        s = e // 2
+        if s:
+            ws.scalecol(i, Fraction(1, 1 << s) if s > 0 else Fraction(1 << (-s)))
+    return ws
+
+
+def _reduce_rational_diag(ws: _Congruence) -> None:
+    """Rescale basis vectors so diagonal entries become squarefree integers.
+
+    Entry values move by squares only, so nothing Witt-theoretic changes,
+    but isotropy witnesses get dramatically smaller coordinates, which is
+    what keeps the bounded search effective.
+    """
+    a = ws.a
+    for i in range(len(a)):
+        q = a[i][i]
+        if q.denominator != 1:
+            ws.scalecol(i, Fraction(q.denominator))
+        s = square_part(a[i][i].numerator)
+        if s > 1:
+            ws.scalecol(i, Fraction(1, s))
+
+
+def diagonalize(f: GramForm) -> tuple[InvMatrix, GramForm]:
+    """Congruence-diagonalize a symmetric form.
+
+    Returns (P, D) with P*.gram.P = D.gram, D diagonal.  Over Z[1/2] the
+    diagonal entries are normalized into {+-1, +-2} by unit-square scaling.
+    """
+    spec = f.ring
+    if f.epsilon != 1:
+        raise SpecMismatch("only symmetric forms diagonalize; got epsilon = -1")
+    if not (spec.is_field or spec.kind == DYADIC):
+        raise SpecMismatch(f"diagonalization not supported over {spec}")
+    if spec.kind == DYADIC:
+        ws = _diag_dyadic(f.gram.cells, _PIVOT_BOUND)
+    else:
+        ws = _diag_field(spec, f.gram.cells)
+    n = f.dim
+    p = InvMatrix(spec, tuple(map(tuple, ws.p)), n, n)
+    d = InvMatrix(spec, tuple(map(tuple, ws.a)), n, n)
+    if p.conj_transpose() * f.gram * p != d:
+        raise IdentityViolated("diagonalization certificate P*.G.P = D failed")
+    return p, GramForm(d, 1)
+
+
+
+def _primitivize(spec: RingSpec, v: list[Any]) -> list[Any]:
+    if spec.kind == PRIME_FIELD:
+        return v
+    denom = math.lcm(*(c.denominator for c in v))
+    ints = [int(c * denom) for c in v]
+    g = math.gcd(*ints)
+    return [Fraction(c // g) for c in ints]
+
+
+def _dual_vector(spec: RingSpec, grid: list[list[Any]], x: list[Any]) -> list[Any]:
+    """Some w with B(x, w) = 1, for primitive x in a unimodular form."""
+    n = len(grid)
+    row = _matmul(spec, [x], grid)[0]
+    if spec.kind != DYADIC:
+        j = next(k for k in range(n) if not _is_zero(spec, row[k]))
+        w = [_zero(spec)] * n
+        w[j] = _inv(spec, row[j])
+        return w
+    denom = math.lcm(*(c.denominator for c in row))
+    ints = [int(c * denom) for c in row]
+    g, coeffs = bezout_vector(ints)
+    # the functional B(x, .) is onto, so the odd part of g must be trivial
+    if not g or g & (g - 1):
+        raise IdentityViolated(f"B(x, .) is not onto: its gcd is {g}")
+    scale = Fraction(denom, g)
+    return [Fraction(c) * scale for c in coeffs]
+
+
+def _complete_pair(
+    spec: RingSpec, x: list[Any], w: list[Any]
+) -> list[list[Any]]:
+    """An invertible matrix whose first two columns are exactly x and w."""
+    m = len(x)
+    if spec.kind == DYADIC:
+        xi = [int(c) for c in x]
+        dw = math.lcm(*(c.denominator for c in w))
+        wi = [int(c * dw) for c in w]
+        t_int = _complete_dyadic_columns([xi, wi], m)
+        t = [[Fraction(c) for c in row] for row in t_int]
+        for i in range(m):
+            t[i][0] = x[i]
+            t[i][1] = w[i]
+        return t
+    j1 = next(k for k in range(m) if not _is_zero(spec, x[k]))
+    c = _mul(spec, w[j1], _inv(spec, x[j1]))
+    wred = [_add(spec, w[k], _neg(spec, _mul(spec, c, x[k]))) for k in range(m)]
+    j2 = next(k for k in range(m) if not _is_zero(spec, wred[k]))
+    one, zero = _one(spec), _zero(spec)
+    t = [[x[i], w[i]] for i in range(m)]
+    for k in range(m):
+        if k in (j1, j2):
+            continue
+        for i in range(m):
+            t[i].append(one if i == k else zero)
+    return t
+
+
+def witt_decompose(
+    f: GramForm, height_bound: int = 6, require_certified: bool = False
+) -> WittDecomposition:
+    """Split off hyperbolic planes until no isotropic vector is found.
+
+    The search bound applies to the isotropy searches (on diagonalized
+    coordinates over Q / Z[1/2]); over a prime field everything is
+    exhaustive.  When the leftover block cannot be proved anisotropic the
+    result is returned with ``certified=False``, or OracleInconclusive is
+    raised if ``require_certified`` was set.
+    """
+    spec = f.ring
+    if spec.kind not in _SEARCH_RINGS:
+        raise SpecMismatch(f"Witt decomposition not supported over {spec}")
+    if height_bound < 1:
+        raise IllFormed("height_bound must be a positive integer")
+    eps = f.epsilon
+    n = f.dim
+    one = _one(spec)
+    p_total = _pid(spec, n)
+    current = [list(row) for row in f.gram.cells]
+    hyp = 0
+    aniso: list[list[Any]] = []
+    while True:
+        m = len(current)
+        if m == 0:
+            break
+        if eps == 1:
+            if spec.kind == DYADIC:
+                ws = _diag_dyadic(current, height_bound + _PIVOT_BOUND)
+            else:
+                ws = _diag_field(spec, current)
+                if spec.kind == RATIONALS:
+                    _reduce_rational_diag(ws)
+            xd = _isotropic_on_diagonal(
+                spec, [ws.a[k][k] for k in range(m)], height_bound
+            )
+            if xd is None:
+                p_total = _matmul(spec, p_total, _pembed(spec, ws.p, n, n - m))
+                aniso = ws.a
+                break
+            x = [r[0] for r in _matmul(spec, ws.p, [[canon_payload(spec, c)] for c in xd])]
+        else:
+            # skew: every vector is isotropic, and m is even by nondegeneracy
+            x = [one] + [_zero(spec)] * (m - 1)
+        x = _primitivize(spec, x)
+        w = _dual_vector(spec, current, x)
+        if eps == 1:
+            # shear w so its own value vanishes: q(w - (q(w)/2) x) = 0
+            half_q = _mul(spec, _qval(spec, current, w), canon_payload(spec, Fraction(1, 2)))
+            w = [_add(spec, w[k], _neg(spec, _mul(spec, half_q, x[k]))) for k in range(m)]
+        t = _complete_pair(spec, x, w)
+        a1 = _matmul(spec, list(zip(*t)), _matmul(spec, current, t))
+        e = _pid(spec, m)
+        for l in range(2, m):
+            # kill B(x, v_l) and B(w, v_l) against the hyperbolic pair
+            beta = a1[0][l]
+            alpha = a1[1][l] if eps == 1 else _neg(spec, a1[1][l])
+            e[0][l] = _neg(spec, alpha)
+            e[1][l] = _neg(spec, beta)
+        step = _matmul(spec, t, e)
+        a2 = _matmul(spec, list(zip(*step)), _matmul(spec, current, step))
+        # the first two basis vectors must now span a standard hyperbolic plane
+        # orthogonal to the rest
+        plane = [[_zero(spec), one], [canon_payload(spec, eps), _zero(spec)]]
+        if [r[:2] for r in a2[:2]] != plane or any(
+            not _is_zero(spec, a2[r][l]) or not _is_zero(spec, a2[l][r])
+            for r in (0, 1)
+            for l in range(2, m)
+        ):
+            raise IdentityViolated("the hyperbolic pair did not split off")
+        current = [row[2:] for row in a2[2:]]
+        p_total = _matmul(spec, p_total, _pembed(spec, step, n, n - m))
+        hyp += 1
+
+    aniso_matrix = InvMatrix(spec, tuple(map(tuple, aniso)), len(aniso), len(aniso))
+    aniso_form = GramForm(aniso_matrix, eps)
+    basis = InvMatrix(spec, tuple(map(tuple, p_total)), n, n)
+    blocks = [_hyperbolic_matrix(spec, 1, eps) for _ in range(hyp)]
+    if aniso_matrix.nrows:
+        blocks.append(aniso_matrix)
+    expected = (
+        InvMatrix.block_diag(blocks) if blocks else InvMatrix.from_rows(spec, [])
+    )
+    if basis.conj_transpose() * f.gram * basis != expected:
+        raise IdentityViolated("Witt decomposition certificate failed to re-multiply")
+    certified = _certify(spec, eps, aniso)
+    if require_certified and not certified:
+        raise OracleInconclusive(
+            f"anisotropy of the {len(aniso)}-dimensional remainder is not "
+            f"certified within height bound {height_bound}"
+        )
+    return WittDecomposition(hyp, aniso_form, basis, certified)
+
+
+def _qval(spec: RingSpec, grid: list[list[Any]], v: list[Any]) -> Any:
+    """The quadratic value v^T . grid . v."""
+    return _matmul(spec, _matmul(spec, [v], grid), [[c] for c in v])[0][0]
+
+
+def _bezout2(x: int, y: int) -> tuple[int, int, int]:
+    g, coeffs = bezout_vector([x, y])
+    return g, coeffs[0], coeffs[1]

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -186,6 +187,57 @@ def test_malformed_form_file_is_a_validation_error(tmp_path, capsys, doc):
     p.write_text(json.dumps(doc))
     code, out = run(capsys, "witt", "class", "--file", str(p))
     assert code == 2 and out["error"]["type"] == "IllFormed"
+
+
+@pytest.mark.parametrize("argv", [
+    ["witt", "class", "--ring", "q", "--diag", "1,1e19999"],
+    ["witt", "class", "--ring", "q", "--diag", "1," + "7" * 5000],
+    ["witt", "ring", "--ring", "fp:7", "--gen", "1,2e-4301"],
+    ["witt", "class", "--file", "{big_int}"],
+    ["witt", "class", "--file", "{big_exponent}"],
+    ["stab", "colim", "--file", "{big_torsion}"],
+])
+def test_oversize_numerals_are_refused_before_arithmetic(tmp_path, capsys, argv):
+    docs = {
+        "big_int": '{"ring": "q", "diag": [1, %s]}' % ("7" * 5000),
+        "big_exponent": '{"ring": "q", "diag": [1, 1e99999]}',
+        "big_torsion": '{"prefix": [], "period": {"group": {"rank": 0, "torsion": [1%s]}, "map": []}}' % ("0" * 4400),
+    }
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(doc)
+    argv = [str(tmp_path / (a[1:-1] + ".json")) if a.startswith("{") else a for a in argv]
+    t0 = time.perf_counter()
+    code = cli.main(argv)
+    elapsed = time.perf_counter() - t0
+    out = json.loads(capsys.readouterr().out)  # exactly one JSON document
+    assert code == 2
+    assert out["error"]["type"] == "BudgetExceeded"
+    assert str(cli.NUMERAL_LIMIT) in out["error"]["message"]
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("doc", [
+    '{"ring": {"ring": "fp", "p": 5}, "diag": [1.5, 2.7]}',
+    '{"ring": "q", "gram": [[[1.5, 1]]]}',
+    '{"ring": {"ring": "fp", "p": 5}, "diag": [1e400]}',
+    '{"ring": "q", "diag": [1, 2], "epsilon": 1.0}',
+])
+def test_json_floats_are_refused(tmp_path, capsys, doc):
+    # the file formats take integers only; a float was read by truncation,
+    # or ended in a traceback when it overflowed
+    path = tmp_path / "form.json"
+    path.write_text(doc)
+    code, out = run(capsys, "witt", "class", "--file", str(path))
+    assert code == 2 and out["error"]["type"] == "IllFormed"
+
+
+def test_numerals_within_the_limit_are_read(tmp_path, capsys):
+    code, out = run(capsys, "witt", "class", "--ring", "q", "--diag", "1,1e300")
+    assert code == 0 and out["signature"] == 2
+    path = tmp_path / "form.json"
+    path.write_text('{"ring": "q", "diag": [1, %s]}' % ("1" + "0" * (cli.NUMERAL_LIMIT - 1)))
+    code, out = run(capsys, "witt", "class", "--file", str(path))
+    assert code == 0 and out["signature"] == 2
 
 
 def test_degenerate_form_reported(capsys):

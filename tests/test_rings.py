@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -9,6 +11,8 @@ from fractions import Fraction
 import pytest
 
 from wittkit.errors import BudgetExceeded, IllFormed, NonUnit, SpecMismatch
+from wittkit.forms import GramForm
+from wittkit.matrices import InvMatrix
 from wittkit.rings import _MR_LIMIT, RingElem, RingSpec, _is_odd_prime, nil_generator
 
 Q = RingSpec.rationals()
@@ -229,3 +233,25 @@ def test_ring_axioms_random():
             assert (a * b) * c == a * (b * c)
             assert (a * b).involute() == a.involute() * b.involute()
             assert a - a == RingElem.zero(spec)
+
+
+@pytest.mark.parametrize(
+    "tag", ["fp:5", "q", "dyadic", "laurent2", "truncnil:q:3", "truncnil:fp:5:3", "truncnil:dyadic:2",
+            "truncnil:laurent2:2"],
+)
+def test_pickle_and_copy_round_trip(tag):
+    # specs carry closures and the values guard their slots; both must
+    # still pickle and copy, and the copies must compute
+    spec = RingSpec.from_tag(tag)
+    x = RingElem.one(spec) + RingElem.one(spec)
+    built = InvMatrix.from_rows(spec, [[1, 2], [3, 4]])
+    product = built * built  # slice-only over every ring but the Laurent ones
+    form = GramForm.from_rows(spec, [[1, 0], [0, -1]])
+    for obj in (spec, x, built, product, form):
+        for clone in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+            assert type(clone) is type(obj) and clone == obj and hash(clone) == hash(obj)
+    for clone in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+        assert (RingElem.one(clone) + RingElem.one(clone)).payload == x.payload
+    for clone in (pickle.loads(pickle.dumps(product)), copy.deepcopy(product)):
+        assert (clone * built).cells == (product * built).cells
+        assert clone.det() == product.det()

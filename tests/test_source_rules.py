@@ -83,6 +83,7 @@ def test_entrywise_arithmetic_binds_the_ring_ops():
         ("matrices.py", "InvMatrix"): {
             "__add__", "__sub__", "_combine", "__neg__", "scale", "is_zero", "trace", "conj_transpose",
         },
+        ("forms.py", "GramForm"): {"is_diagonal", "bilinear"},
     }
     found: dict[str, bool] = {}
     for (module, cls), names in checked.items():
@@ -92,5 +93,24 @@ def test_entrywise_arithmetic_binds_the_ring_ops():
         for fn in body:
             if isinstance(fn, ast.FunctionDef) and fn.name in names:
                 found[f"{module}:{fn.name}"] = _compares_kind(fn)
-    assert len(found) == 12
+    assert len(found) == 14
     assert [name for name, bad in found.items() if bad] == []
+
+
+def test_congruence_steps_build_no_fraction():
+    # the congruence grids are integers over one denominator; a Fraction
+    # built or a denominator read in these steps would bring back the
+    # per-coefficient arithmetic they replaced
+    body = ast.parse((SRC / "forms.py").read_text()).body
+    congruence = next(n for n in body if isinstance(n, ast.ClassDef) and n.name == "_Congruence")
+    steps = [n for n in congruence.body if isinstance(n, ast.FunctionDef)]
+    steps += [n for n in body if isinstance(n, ast.FunctionDef) and n.name in ("_diag_field", "_diag_dyadic")]
+    assert {"pivot", "scale", "apply", "_diag_field", "_diag_dyadic"} <= {fn.name for fn in steps}
+    found = [
+        f"{fn.name}:{node.lineno}"
+        for fn in steps
+        for node in ast.walk(fn)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Fraction")
+        or (isinstance(node, ast.Attribute) and node.attr == "denominator")
+    ]
+    assert found == []
