@@ -33,17 +33,18 @@ def matvec_int(a: IntMatrix, v: list[int]) -> list[int]:
 
 
 def int_det(a: IntMatrix) -> int:
-    """Fraction-free Bareiss determinant of a square integer matrix.
+    """Determinant of a square integer matrix: the product of the diagonal
+    if a is upper triangular, else fraction-free Bareiss elimination.
 
-    After step k every entry of the trailing block is a (k+1)-minor of a,
-    so the division by the previous pivot is exact and entries stay bounded
-    by Hadamard's bound.  A zero pivot is replaced by a lower row with a
-    nonzero entry in its column, flipping the sign; if none exists the
-    determinant is 0.
+    After Bareiss step k every entry of the trailing block is a (k+1)-minor
+    of a, so the division by the previous pivot is exact and entries stay
+    bounded by Hadamard's bound.  A zero pivot is replaced by a lower row
+    with a nonzero entry in its column, flipping the sign; if none exists
+    the determinant is 0.
     """
+    if not any(any(row[:i]) for i, row in enumerate(a)):
+        return prod(row[i] for i, row in enumerate(a))
     n = len(a)
-    if n == 0:
-        return 1
     rows = list(a)  # the trailing block still to eliminate; rows are never written
     sign, prev = 1, 1
     for _ in range(n - 1):

@@ -19,7 +19,6 @@ formally stripped (rank n mod 2), which makes it a class invariant too.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +26,7 @@ from typing import Any, Sequence
 
 from .errors import IdentityViolated, IllFormed, NotClosed, SpecMismatch
 from .forms import GramForm, diagonalize, tensor
-from .intlinalg import bezout_vector, kernel_basis_int, prime_factors, square_part
+from .intlinalg import bezout_vector, kernel_basis_int, prime_factors
 from .rings import DYADIC, PRIME_FIELD, RATIONALS, RingSpec, _is_odd_prime
 
 __all__ = [
@@ -80,9 +79,16 @@ def _square_class_int(x: Any, what: str) -> int:
     return n
 
 
-def _squarefree_int(x: int | Fraction) -> int:
-    n = x if isinstance(x, int) else x.numerator * x.denominator
-    return n // square_part(n) ** 2
+def _square_class(n: int) -> tuple[int, frozenset[int]]:
+    """The squarefree integer in the square class of the nonzero n, and its primes."""
+    odd = frozenset(p for p in prime_factors(n) if _split_valuation(n, p)[0] % 2)
+    return (-1 if n < 0 else 1) * math.prod(odd), odd
+
+
+def _sqf_mul(x: int, y: int) -> int:
+    """The squarefree integer in the square class of x*y, for squarefree x and y."""
+    g = math.gcd(x, y)
+    return (x // g) * (y // g)
 
 
 def _infinite_place(place: Any) -> bool:
@@ -200,27 +206,18 @@ class WittClass:
                 disc=(-1 if neg else 1) * (2 if parity else 1),
                 dyadic_disc_parity=parity,
             )
-        disc = _squarefree_int(self.disc * other.disc * (-1 if cross else 1))
-        mine = dict(self.hasse)
-        theirs = dict(other.hasse)
-        places = {2, *mine, *theirs}
-        places.update(prime_factors(self.disc))
-        places.update(prime_factors(other.disc))
+        disc = _sqf_mul(self.disc, other.disc)
+        mine, theirs = dict(self.hasse), dict(other.hasse)
+        places = {2, *mine, *theirs, *prime_factors(self.disc), *prime_factors(other.disc)}
         minus = []
         for p in sorted(places):
-            v = mine.get(p, 1) * theirs.get(p, 1)
-            v *= hilbert_symbol(self.disc, other.disc, p)
+            v = mine.get(p, 1) * theirs.get(p, 1) * hilbert_symbol(self.disc, other.disc, p)
             if cross:
-                v *= hilbert_symbol(-self.disc * other.disc, -1, p)
+                v *= hilbert_symbol(-disc, -1, p)
             if v < 0:
                 minus.append((p, -1))
-        return WittClass(
-            self.ring,
-            dim_mod2=r,
-            signature=self.signature + other.signature,
-            disc=disc,
-            hasse=tuple(minus),
-        )
+        signature = self.signature + other.signature
+        return WittClass(self.ring, r, signature, -disc if cross else disc, tuple(minus))
 
     def __neg__(self) -> "WittClass":
         kind = self.ring.kind
@@ -240,13 +237,9 @@ class WittClass:
         if r:
             return WittClass(self.ring, r, -self.signature, -self.disc, self.hasse)
         mine = dict(self.hasse)
-        places = {2, *mine}
-        places.update(prime_factors(self.disc))
-        minus = []
-        for p in sorted(places):
-            if mine.get(p, 1) * hilbert_symbol(self.disc, -1, p) < 0:
-                minus.append((p, -1))
-        return WittClass(self.ring, r, -self.signature, self.disc, tuple(minus))
+        places = sorted({2, *mine, *prime_factors(self.disc)})
+        minus = tuple((p, -1) for p in places if mine.get(p, 1) * hilbert_symbol(self.disc, -1, p) < 0)
+        return WittClass(self.ring, r, -self.signature, self.disc, minus)
 
     def __sub__(self, other: "WittClass") -> "WittClass":
         if not isinstance(other, WittClass):
@@ -274,26 +267,28 @@ class WittClass:
 # ---------------------------------------------------------------------------
 
 
-def _stripped_hasse(entries: Sequence[Fraction], det: Fraction, n: int) -> tuple[tuple[int, int], ...]:
-    """Hasse symbols of the form with its hyperbolic part formally removed.
+def _stripped_hasse(xs: list[int], prefix: list[int], places: set[int]) -> tuple[tuple[int, int], ...]:
+    """Hasse symbols of <x_1, ..., x_n> with its hyperbolic part formally
+    removed; ``prefix[j]`` is the squarefree class of x_1...x_j.
 
-    Removing one hyperbolic plane from a form g multiplies the symbol by
-    (-det(g), -1)_p and flips the sign of the determinant, so stripping
-    floor(n/2) planes multiplies the raw symbol prod_{i<j} (a_i, a_j)_p by
-    the alternating product below.  Symbols at primes dividing none of
-    2, the entries are +1, so only those places are visited.
+    By bimultiplicativity the raw prod_{i<j} (x_i, x_j)_p is
+    prod_j (x_1...x_(j-1), x_j)_p.  Removing a hyperbolic plane from g
+    multiplies it by (-det g, -1)_p and negates det g, so stripping
+    m = floor(n/2) planes multiplies it by (-1, -1)_p^floor(m/2)
+    (-det, -1)_p^(m mod 2).  ``places`` are 2 and the primes of the x_i;
+    at any other place every symbol is +1.
     """
-    places = {2}
-    for e in entries:
-        places.update(prime_factors(e.numerator))
-        places.update(prime_factors(e.denominator))
+    det = prefix[-1]
+    m = len(xs) // 2
     minus = []
     for p in sorted(places):
         c = 1
-        for a, b in itertools.combinations(entries, 2):
-            c *= hilbert_symbol(a, b, p)
-        for j in range(n // 2):
-            c *= hilbert_symbol(det if j % 2 else -det, -1, p)
+        for before, x in zip(prefix[1:], xs[1:]):
+            c *= hilbert_symbol(before, x, p)
+        if m // 2 % 2:
+            c *= hilbert_symbol(-1, -1, p)
+        if m % 2:
+            c *= hilbert_symbol(-det, -1, p)
         if c < 0:
             minus.append((p, -1))
     return tuple(minus)
@@ -303,7 +298,9 @@ def witt_class(f: GramForm) -> WittClass:
     """Complete Witt invariants of a symmetric form.
 
     Skew forms over a field are hyperbolic, hence the zero class.  Skew
-    forms over Z[1/2] are out of scope and rejected.
+    forms over Z[1/2] are out of scope and rejected.  Over Q each
+    numerator of ``diagonalize``'s D, and their denominator, is factored
+    once; all else follows from their squarefree classes.
     """
     spec = f.ring
     if spec.kind not in (PRIME_FIELD, RATIONALS, DYADIC):
@@ -313,37 +310,35 @@ def witt_class(f: GramForm) -> WittClass:
             raise SpecMismatch("skew classes are only classified over fields")
         return WittClass.zero(spec)
     _, d = diagonalize(f)
-    entries = [e.payload for e in d.diagonal_entries()]
+    (grid,), den = d.gram._slice_form()
+    nums = [row[i] for i, row in enumerate(grid)]
     n = f.dim
     twist = (n * (n - 1) // 2) % 2
     if spec.kind == PRIME_FIELD:
         p = spec.p
         assert p is not None
-        det = 1
-        for e in entries:
-            det = det * e % p
-        signed = (-det) % p if twist else det
-        return WittClass(spec, dim_mod2=n % 2, disc=_fp_rep(signed, p))
-    signature = sum(1 if e > 0 else -1 for e in entries)
-    det = Fraction(1)
-    for e in entries:
-        det *= e
+        return WittClass(spec, dim_mod2=n % 2, disc=_fp_rep(math.prod(nums) * (-1) ** twist % p, p))
+    # den > 0, so each entry a_i / den has the sign of a_i
+    signature = sum(1 if a > 0 else -1 for a in nums)
     if spec.kind == RATIONALS:
-        return WittClass(
-            spec,
-            dim_mod2=n % 2,
-            signature=signature,
-            disc=_squarefree_int(-det if twist else det),
-            hasse=_stripped_hasse(entries, det, n),
-        )
+        # a_i / den is in the square class of a_i * den
+        den_class, den_primes = _square_class(den)
+        classes = {a: _square_class(a) for a in set(nums)}
+        xs = [_sqf_mul(classes[a][0], den_class) for a in nums]
+        places = {2}.union(*(primes ^ den_primes for _, primes in classes.values()))
+        prefix = [1]
+        for x in xs:
+            prefix.append(_sqf_mul(prefix[-1], x))
+        hasse = _stripped_hasse(xs, prefix, places)
+        return WittClass(spec, n % 2, signature, -prefix[-1] if twist else prefix[-1], hasse)
     # dyadic: diagonalize has normalized every entry into {+-1, +-2}
     parity = 0
-    for e in entries:
-        if abs(e) not in (1, 2):
-            raise IdentityViolated(f"dyadic diagonal entry {e} is not in +-1, +-2")
-        if abs(e) == 2:
-            parity ^= 1
-    negative = (det < 0) != bool(twist)
+    negative = bool(twist)
+    for a in nums:
+        if abs(a) not in (den, 2 * den):
+            raise IdentityViolated(f"dyadic diagonal entry {Fraction(a, den)} is not in +-1, +-2")
+        parity ^= abs(a) != den
+        negative ^= a < 0
     return WittClass(
         spec,
         dim_mod2=n % 2,
@@ -365,22 +360,18 @@ def witt_equiv(f: GramForm, g: GramForm) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _fp_entries(c: WittClass) -> list[int]:
+    """The diagonal of the least form in a prime-field class."""
+    p = c.ring.p
+    assert p is not None
+    if c.dim_mod2:
+        return [c.disc]
+    return [] if c.disc == 1 else [1, (-c.disc) % p]
+
+
 def _fp_label(c: WittClass) -> str:
-    p = c.ring.p
-    assert p is not None
-    if c.dim_mod2 == 0:
-        return "0" if c.disc == 1 else f"<1,{(-c.disc) % p}>"
-    return f"<{c.disc}>"
-
-
-def _fp_rep_form(c: WittClass) -> GramForm:
-    p = c.ring.p
-    assert p is not None
-    if c.dim_mod2 == 0:
-        entries = [] if c.disc == 1 else [1, (-c.disc) % p]
-    else:
-        entries = [c.disc]
-    return GramForm.diagonal(c.ring, entries)
+    entries = _fp_entries(c)
+    return "<" + ",".join(map(str, entries)) + ">" if entries else "0"
 
 
 def _dyadic_label(signature: int, parity: int) -> str:
@@ -441,8 +432,7 @@ def _class_order(c: WittClass) -> int:
     return order
 
 
-def _fp_table(ring: RingSpec, gens: Sequence[GramForm], labels: tuple[str, ...]) -> WittRingTable:
-    gen_classes = [witt_class(g) for g in gens]
+def _fp_table(ring: RingSpec, gen_classes: list[WittClass]) -> WittRingTable:
     closure = {WittClass.zero(ring), *gen_classes}
     grew = True
     while grew:
@@ -453,15 +443,15 @@ def _fp_table(ring: RingSpec, gens: Sequence[GramForm], labels: tuple[str, ...])
                     closure.add(y)
                     grew = True
     ordered = sorted(closure, key=lambda c: (c.dim_mod2, c.disc))
-    index = {c: i for i, c in enumerate(ordered)}
+    least = {c: GramForm.diagonal(ring, _fp_entries(c)) for c in ordered}
     add_rows = []
     mul_rows = []
     for x in ordered:
         add_rows.append(tuple(_fp_label(x + y) for y in ordered))
         row = []
         for y in ordered:
-            prod = witt_class(tensor(_fp_rep_form(x), _fp_rep_form(y)))
-            if prod not in index:
+            prod = witt_class(tensor(least[x], least[y]))
+            if prod not in closure:
                 raise NotClosed(
                     f"product {_fp_label(x)} * {_fp_label(y)} = {_fp_label(prod)} "
                     "lies outside the group the generators span"
@@ -479,15 +469,15 @@ def _fp_table(ring: RingSpec, gens: Sequence[GramForm], labels: tuple[str, ...])
     return WittRingTable(
         ring=ring,
         group=group,
-        generators=labels,
-        classes=tuple(_fp_label(c) for c in ordered),
+        generators=tuple(map(_fp_label, gen_classes)),
+        classes=tuple(map(_fp_label, ordered)),
         add=tuple(add_rows),
         mul=tuple(mul_rows),
     )
 
 
-def _dyadic_table(ring: RingSpec, gens: Sequence[GramForm], labels: tuple[str, ...]) -> WittRingTable:
-    gen_classes = [witt_class(g) for g in gens]
+def _dyadic_table(ring: RingSpec, gens: Sequence[GramForm], gen_classes: list[WittClass]) -> WittRingTable:
+    labels = tuple(_dyadic_label(c.signature, c.dyadic_disc_parity) for c in gen_classes)
     sigs = [c.signature for c in gen_classes]
     bits = [c.dyadic_disc_parity for c in gen_classes]
     step = math.gcd(*sigs)
@@ -552,9 +542,7 @@ def _dyadic_table(ring: RingSpec, gens: Sequence[GramForm], labels: tuple[str, .
             torsion_gen = "<1,-2>"
     elif torsion:
         torsion_gen = "<1,-2>"
-    distinct = sorted(
-        {(c.signature, c.dyadic_disc_parity) for c in gen_classes}
-    )
+    distinct = sorted({(c.signature, c.dyadic_disc_parity) for c in gen_classes})
     return WittRingTable(
         ring=ring,
         group=group,
@@ -595,10 +583,5 @@ def witt_ring_table(ring: RingSpec, generators: Sequence[GramForm] | None = None
                 raise SpecMismatch("generator ring does not match the table ring")
             if g.epsilon != 1:
                 raise SpecMismatch("Witt ring tables take symmetric generators")
-    if ring.kind == PRIME_FIELD:
-        labels = tuple(_fp_label(witt_class(g)) for g in gens)
-        return _fp_table(ring, gens, labels)
-    labels = tuple(
-        _dyadic_label((c := witt_class(g)).signature, c.dyadic_disc_parity) for g in gens
-    )
-    return _dyadic_table(ring, gens, labels)
+    classes = [witt_class(g) for g in gens]
+    return _fp_table(ring, classes) if ring.kind == PRIME_FIELD else _dyadic_table(ring, gens, classes)

@@ -16,9 +16,9 @@ is recorded in ``PROJECTION_CONVENTION`` and in demo reports.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import (
     IdentityViolated,
@@ -30,6 +30,9 @@ from .errors import (
 )
 from .matrices import InvMatrix, _canonical, inv_sqrt_one_plus
 from .rings import LAURENT2, PRIME_FIELD, RATIONALS, TRUNC_NIL, RingElem, RingSpec, _zero
+
+if TYPE_CHECKING:
+    import random
 
 __all__ = [
     "PROJECTION_CONVENTION",
@@ -236,6 +239,8 @@ def roundtrip_isomorphism_demo(
         raise IllFormed(f"desk-scale bounds are 1 <= n <= 8 and 1 <= k <= 6, got n={n} k={k}")
     if trials < 1:
         raise IllFormed("at least one trial is required")
+    import random  # loaded here, not with the package: only the demo draws
+
     spec = RingSpec.trunc_nil(base, k)
     ident = InvMatrix.identity(base, n)
     surjectivity = 0

@@ -534,15 +534,22 @@ def payload_to_json(spec: RingSpec, a: Any) -> Any:
     return [payload_to_json(base, c) for c in a]  # type: ignore[arg-type]
 
 
+def _json_int(x: Any) -> int:
+    """An integer leaf of a JSON payload; a float or bool is refused, not truncated."""
+    if isinstance(x, (bool, float)):
+        raise TypeError(f"{x!r} is not an integer")
+    return int(x)
+
+
 def payload_from_json(spec: RingSpec, obj: Any) -> Any:
     try:
         if spec.kind == PRIME_FIELD:
-            return canon_payload(spec, int(obj))
+            return canon_payload(spec, _json_int(obj))
         if spec.kind in (RATIONALS, DYADIC):
             num, den = obj
-            return canon_payload(spec, Fraction(int(num), int(den)))
+            return canon_payload(spec, Fraction(_json_int(num), _json_int(den)))
         if spec.kind == LAURENT2:
-            terms = [((int(i), int(j)), Fraction(int(num), int(den)))
+            terms = [((_json_int(i), _json_int(j)), Fraction(_json_int(num), _json_int(den)))
                      for (i, j), (num, den) in obj]
             return canon_payload(spec, terms)
         base = spec.base

@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from math import gcd
 from typing import Any, Sequence
 
@@ -547,6 +546,8 @@ class CatalogEntry:
 
 @lru_cache(maxsize=1)
 def _catalog() -> dict[tuple[str, int, str, int], CatalogEntry]:
+    from importlib import resources  # pathlib, tempfile and more: load on first lookup only
+
     raw = json.loads(
         resources.files("wittkit").joinpath("data/catalog.json").read_text(encoding="utf-8")
     )

@@ -322,6 +322,27 @@ def test_identity_check_survives_python_O():
         assert expected in out["error"]["message"]
 
 
+def test_import_leaves_the_heavy_stdlib_modules_unloaded():
+    # the catalog's importlib.resources (pathlib, tempfile, shutil, urllib)
+    # and the lift demo's random load on first use, not with the package
+    script = textwrap.dedent("""
+        import sys
+        sys.path.insert(0, sys.argv[1])
+        import wittkit, wittkit.cli
+        heavy = ("importlib.resources", "pathlib", "tempfile", "shutil", "urllib", "random")
+        print([name for name in heavy if name in sys.modules])
+        from wittkit.stabilization import catalog_lookup
+        print(catalog_lookup("W", 0, "dyadic", 1).group.to_json())
+    """)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-S", "-E", "-c", script, src],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded, group = proc.stdout.splitlines()
+    assert loaded == "[]"
+    assert group == "{'rank': 1, 'torsion': [2]}"
+
+
 def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])

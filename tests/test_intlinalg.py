@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -10,7 +11,7 @@ import pytest
 
 from wittkit import intlinalg
 from wittkit.errors import BudgetExceeded
-from wittkit.intlinalg import _factorization, prime_factors, square_part
+from wittkit.intlinalg import _factorization, int_det, prime_factors, square_part
 from wittkit.rings import _is_odd_prime
 
 
@@ -80,3 +81,50 @@ def test_factoring_against_sympy():
         for _ in range(20):
             n = rng.getrandbits(bits) + 1
             assert _factorization(n) == sympy.factorint(n)
+
+
+# -- determinants -----------------------------------------------------------------
+
+
+def _leibniz_det(a: list[list[int]]) -> int:
+    """Sum over permutations, signed by their inversion count."""
+    n = len(a)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(a[i][perm[i]] for i in range(n))
+    return total
+
+
+# upper triangular with a 100-digit diagonal: det 10^240, out of Leibniz's reach
+_BIG_UPPER = [[10**30 * (i == j) + (j > i) for j in range(8)] for i in range(8)]
+
+
+def _det_cases() -> list[list[list[int]]]:
+    rng = random.Random(53)
+    cases = [[], [[0]], [[-7]], [[3, 5], [0, 0]], [[0, 2], [0, 3]]]
+    for n in range(1, 7):
+        dense = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        upper = [[v if j >= i else 0 for j, v in enumerate(row)] for i, row in enumerate(dense)]
+        lower = [[v if j <= i else 0 for j, v in enumerate(row)] for i, row in enumerate(dense)]
+        diagonal = [[v if j == i else 0 for j, v in enumerate(row)] for i, row in enumerate(dense)]
+        pivot_zero = [row[:] for row in dense]
+        pivot_zero[0][0] = 0  # Bareiss swaps in a lower row
+        cases += [dense, upper, lower, diagonal, pivot_zero]
+    return cases + [_BIG_UPPER]
+
+
+def test_int_det_matches_leibniz():
+    # upper-triangular and diagonal grids (zero pivots included) take the
+    # product of the diagonal; lower-triangular and dense ones take Bareiss
+    for a in _det_cases():
+        if len(a) <= 6:
+            assert int_det(a) == _leibniz_det(a), a
+    assert int_det(_BIG_UPPER) == 10**240
+
+
+def test_int_det_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    for a in _det_cases():
+        want = sympy.Matrix(a).det() if a else 1
+        assert int_det(a) == want, a

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+import invariants_reference as ref
 from wittkit.errors import IllFormed, NotClosed, SpecMismatch
 from wittkit.forms import GramForm, hyperbolic, orth_sum
 from wittkit.invariants import (
@@ -234,3 +236,19 @@ def test_table_addition_is_group_law():
             want = witt_class(orth_sum(forms[a], forms[b]))
             got = witt_class(forms[t.add[i][j]])
             assert want == got
+
+
+
+# primes near 2^44, 2^45 and 2^46: each is proved prime directly, but the
+# product of two is beyond the factoring's work limit
+P44, P45, P46 = 17592186044423, 35184372088891, 70368744177679
+
+
+def test_entries_with_large_prime_factors_are_never_multiplied_out():
+    places = {2, P44, P45, P46}
+    for entries, disc in (([P44, P45], -P44 * P45), ([P44, -P45, P46], P44 * P45 * P46)):
+        start = time.perf_counter()
+        got = witt_class(GramForm.diagonal(Q, entries))
+        elapsed = time.perf_counter() - start
+        assert got == ref.witt_class_q(entries, places=places, disc=disc)
+        assert elapsed < 0.1

@@ -174,6 +174,30 @@ def test_elem_json_roundtrip():
             assert RingElem.from_json(spec, e.to_json()) == e
 
 
+def test_json_numbers_are_integers_not_truncated_floats():
+    # a float (or bool) where an integer belongs is refused, never read as int(x)
+    with pytest.raises(IllFormed):
+        GramForm.from_json({"ring": {"ring": "fp", "p": 5}, "diag": [1.5, 2.7]})
+    with pytest.raises(IllFormed):
+        GramForm.from_json({"ring": {"ring": "q"}, "diag": [[1.5, 1]]})
+    truncnil = RingSpec.trunc_nil(Q, 2)
+    bad = {
+        Q: ([1.5, 1], [3, 2.0], [1, True]),
+        F7: (2.0, False),
+        truncnil: ([[1, 1], [1.5, 1]], [[1, 1], [2, 1.0]]),
+        L2: ([[[0, 0], [1.5, 1]]], [[[0, 1.0], [1, 1]]], [[[True, 0], [1, 1]]]),
+    }
+    for spec, payloads in bad.items():
+        for payload in payloads:
+            with pytest.raises(IllFormed):
+                RingElem.from_json(spec, payload)
+    # integers, as before
+    assert RingElem.from_json(truncnil, [[1, 1], [3, 2]]) == RingElem.series(truncnil, [1, Fraction(3, 2)])
+    assert GramForm.from_json({"ring": {"ring": "fp", "p": 5}, "diag": [1, 7]}) == GramForm.diagonal(
+        RingSpec.prime_field(5), [1, 2]
+    )
+
+
 def _random_elem(spec: RingSpec, rng: random.Random) -> RingElem:
     kind = spec.kind
     if kind == "fp":
