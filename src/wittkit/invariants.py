@@ -20,7 +20,7 @@ formally stripped (rank n mod 2), which makes it a class invariant too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -79,9 +79,13 @@ def _square_class_int(x: Any, what: str) -> int:
     return n
 
 
-def _square_class(n: int) -> tuple[int, frozenset[int]]:
-    """The squarefree integer in the square class of the nonzero n, and its primes."""
-    odd = frozenset(p for p in prime_factors(n) if _split_valuation(n, p)[0] % 2)
+def _square_class(n: int, known: Sequence[int] = ()) -> tuple[int, frozenset[int]]:
+    """The squarefree integer in the square class of the nonzero n, and its
+    primes; the primes ``known`` are divided out before the rest is factored."""
+    rest = n
+    for p in known:
+        rest = _split_valuation(rest, p)[1]
+    odd = frozenset(p for p in {*known, *prime_factors(rest)} if _split_valuation(n, p)[0] % 2)
     return (-1 if n < 0 else 1) * math.prod(odd), odd
 
 
@@ -156,7 +160,10 @@ class WittClass:
 
     The hasse and disc fields store the hyperbolic-stable normalization
     described in the module docstring, so adding hyperbolic planes does
-    not move them.
+    not move them.  Over Q, ``disc_primes`` carries the primes of disc
+    from ``witt_class`` to sums and negations, which then never factor; it
+    is not an invariant (left out of ==, hash and JSON), and None means
+    unknown: disc is factored when they are needed.
     """
 
     ring: RingSpec
@@ -165,6 +172,7 @@ class WittClass:
     disc: int = 1
     hasse: tuple[tuple[int, int], ...] = ()
     dyadic_disc_parity: int = 0
+    disc_primes: frozenset[int] | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def zero(cls, ring: RingSpec) -> "WittClass":
@@ -173,6 +181,11 @@ class WittClass:
     @property
     def is_zero(self) -> bool:
         return self == WittClass.zero(self.ring)
+
+    def _places(self) -> set[int]:
+        """2, the primes of disc and those with a Hasse symbol -1."""
+        primes = self.disc_primes if self.disc_primes is not None else prime_factors(self.disc)
+        return {2, *primes, *dict(self.hasse)}
 
     # -- group structure ---------------------------------------------------
     #
@@ -208,7 +221,7 @@ class WittClass:
             )
         disc = _sqf_mul(self.disc, other.disc)
         mine, theirs = dict(self.hasse), dict(other.hasse)
-        places = {2, *mine, *theirs, *prime_factors(self.disc), *prime_factors(other.disc)}
+        places = self._places() | other._places()
         minus = []
         for p in sorted(places):
             v = mine.get(p, 1) * theirs.get(p, 1) * hilbert_symbol(self.disc, other.disc, p)
@@ -217,7 +230,8 @@ class WittClass:
             if v < 0:
                 minus.append((p, -1))
         signature = self.signature + other.signature
-        return WittClass(self.ring, r, signature, -disc if cross else disc, tuple(minus))
+        primes = frozenset(p for p in places if disc % p == 0)
+        return WittClass(self.ring, r, signature, -disc if cross else disc, tuple(minus), disc_primes=primes)
 
     def __neg__(self) -> "WittClass":
         kind = self.ring.kind
@@ -235,11 +249,11 @@ class WittClass:
                 dyadic_disc_parity=self.dyadic_disc_parity,
             )
         if r:
-            return WittClass(self.ring, r, -self.signature, -self.disc, self.hasse)
+            return WittClass(self.ring, r, -self.signature, -self.disc, self.hasse, disc_primes=self.disc_primes)
         mine = dict(self.hasse)
-        places = sorted({2, *mine, *prime_factors(self.disc)})
+        places = sorted(self._places())
         minus = tuple((p, -1) for p in places if mine.get(p, 1) * hilbert_symbol(self.disc, -1, p) < 0)
-        return WittClass(self.ring, r, -self.signature, self.disc, minus)
+        return WittClass(self.ring, r, -self.signature, self.disc, minus, disc_primes=self.disc_primes)
 
     def __sub__(self, other: "WittClass") -> "WittClass":
         if not isinstance(other, WittClass):
@@ -322,15 +336,18 @@ def witt_class(f: GramForm) -> WittClass:
     signature = sum(1 if a > 0 else -1 for a in nums)
     if spec.kind == RATIONALS:
         # a_i / den is in the square class of a_i * den
-        den_class, den_primes = _square_class(den)
-        classes = {a: _square_class(a) for a in set(nums)}
+        den_primes = prime_factors(den)
+        den_class, den_odd = _square_class(den, den_primes)
+        classes = {a: _square_class(a, den_primes) for a in set(nums)}
         xs = [_sqf_mul(classes[a][0], den_class) for a in nums]
-        places = {2}.union(*(primes ^ den_primes for _, primes in classes.values()))
+        places = {2}.union(*(primes ^ den_odd for _, primes in classes.values()))
         prefix = [1]
         for x in xs:
             prefix.append(_sqf_mul(prefix[-1], x))
         hasse = _stripped_hasse(xs, prefix, places)
-        return WittClass(spec, n % 2, signature, -prefix[-1] if twist else prefix[-1], hasse)
+        disc = -prefix[-1] if twist else prefix[-1]
+        primes = frozenset(p for p in places if disc % p == 0)
+        return WittClass(spec, n % 2, signature, disc, hasse, disc_primes=primes)
     # dyadic: diagonalize has normalized every entry into {+-1, +-2}
     parity = 0
     negative = bool(twist)

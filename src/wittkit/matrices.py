@@ -17,14 +17,16 @@ entry, products included (``_matmul``).
 
 Inverses exist exactly when the determinant is a unit.  Over F_p, Q and
 Z[1/2] the determinant is int_det(slice 0) / den^n (fraction-free Bareiss);
-elsewhere, where a pivot need not divide exactly, it is division-free
-minor expansion (``_det_minors``).  The adjugate is built from minors, so
-it takes the same two paths.
+elsewhere, where a pivot need not divide exactly, it is read off the
+characteristic polynomial (``_charpoly``, Berkowitz's division-free
+algorithm).  Every inverse comes from that polynomial by Cayley-Hamilton,
+over F_p, Q and Z[1/2] taken of the integer numerators of slice 0.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import comb, gcd, lcm
 from typing import Any, Sequence
 
@@ -39,10 +41,8 @@ from .rings import (
     RingElem,
     RingSpec,
     _fixed,
-    _inv,
+    _from_fraction,
     _is_nilpotent,
-    _is_unit,
-    _neg,
     _one,
     _restore_slots,
     _zero,
@@ -304,7 +304,8 @@ class InvMatrix:
             raise IllFormed("determinant of a non-square matrix")
         spec = self.spec
         if spec.kind not in (PRIME_FIELD, RATIONALS, DYADIC):
-            return _det_minors(spec, self.cells)
+            c = _charpoly(spec.ops, self.cells, _one(spec))
+            return c[-1] if self.nrows % 2 == 0 else spec.ops.neg(c[-1])
         # fraction-free Bareiss elimination on the numerators
         (numerators,), den = self._slice_form()
         d = int_det(numerators)
@@ -313,36 +314,32 @@ class InvMatrix:
     def det(self) -> RingElem:
         return RingElem(self.spec, self._det_payload(), _raw=True)
 
-    def _minor_matrix(self, i: int, j: int) -> "InvMatrix":
-        grid = tuple(
-            tuple(c for cj, c in enumerate(row) if cj != j)
-            for ri, row in enumerate(self.cells)
-            if ri != i
-        )
-        return InvMatrix(self.spec, grid, self.nrows - 1, self.ncols - 1)
-
-    def adjugate(self) -> "InvMatrix":
-        if self.nrows != self.ncols:
-            raise IllFormed("adjugate of a non-square matrix")
-        spec, n = self.spec, self.nrows
-        if n == 0:
-            return self
-        grid = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                m = self._minor_matrix(i, j)._det_payload()
-                grid[j][i] = m if (i + j) % 2 == 0 else _neg(spec, m)
-        return InvMatrix(spec, tuple(tuple(r) for r in grid), n, n)
-
     def det_and_inverse(self) -> tuple[RingElem, "InvMatrix | None"]:
-        """Determinant, and the inverse iff the determinant is a unit."""
-        d = self._det_payload()
-        if not _is_unit(self.spec, d):
-            return RingElem(self.spec, d, _raw=True), None
-        inv_d = _inv(self.spec, d)
-        return RingElem(self.spec, d, _raw=True), self.adjugate().scale(
-            RingElem(self.spec, inv_d, _raw=True)
-        )
+        """Determinant, and the inverse iff the determinant is a unit.
+
+        By Cayley-Hamilton, with det(tI - A) = t^n + c_1 t^(n-1) + ... + c_n,
+        det A = (-1)^n c_n and A^(-1) = -B / c_n, where B = A^(n-1) +
+        c_1 A^(n-2) + ... + c_(n-1) I is summed by Horner's rule.
+        """
+        if self.nrows != self.ncols:
+            raise IllFormed("determinant of a non-square matrix")
+        spec, n = self.spec, self.nrows
+        if spec.kind in (PRIME_FIELD, RATIONALS, DYADIC):
+            # c_i(A) = c_i(N) / den^i for the numerators N = den * A; the ops
+            # of Q and Z[1/2] are +, - and *, so they run on ints as well
+            (numerators,), den = self._slice_form()
+            c = _charpoly(spec.ops, numerators, 1)
+            c = [_from_fraction(spec, Fraction(v, den**i)) for i, v in enumerate(c)]
+        else:
+            c = _charpoly(spec.ops, self.cells, _one(spec))
+        last = RingElem(spec, c[-1], _raw=True)
+        det = last if n % 2 == 0 else -last
+        if not det.is_unit():
+            return det, None
+        ident = b = InvMatrix.identity(spec, n)
+        for ci in c[1:-1]:
+            b = self * b + ident.scale(RingElem(spec, ci, _raw=True))
+        return det, b.scale((-last).inv())
 
     def inverse(self) -> "InvMatrix":
         d, inv = self.det_and_inverse()
@@ -423,44 +420,26 @@ class InvMatrix:
         return f"<{self.nrows}x{self.ncols} [{rows}] over {self.spec}>"
 
 
-def _det_minors(spec: RingSpec, cells: Sequence[Sequence[Any]]) -> Any:
-    """Determinant of a square payload grid over any supported ring.
+def _charpoly(ops: Sequence[Any], grid: Sequence[Sequence[Any]], one: Any) -> list[Any]:
+    """[1, c_1, ..., c_n] with det(tI - A) = t^n + c_1 t^(n-1) + ... + c_n,
+    for the square grid A over a commutative ring with ops (add, neg, mul).
 
-    Division-free Laplace expansion along the rows, memoized on the mask of
-    columns still free: O(2^n * n) ring operations, so meant for the small
-    matrices of the Laurent and truncated rings.  It is also the reference
-    the Bareiss path is tested against.
+    Berkowitz's algorithm (1984): division-free, O(n^4) ring operations.
+    The leading block A_(r+1) borders M = A_r with the column C, the row R
+    and the corner a; its charpoly is the Toeplitz product of
+    (1, -a, -R C, -R M C, ..., -R M^(r-1) C) with the charpoly of M.
     """
-    n = len(cells)
-    if n == 0:
-        return _one(spec)
-    add, neg, mul_, is_zero, _ = spec.ops
-    memo: dict[int, Any] = {}
-
-    def minor(r: int, mask: int) -> Any:
-        if mask == 0:
-            return _one(spec)
-        key = mask  # row index is determined by popcount of mask
-        got = memo.get(key)
-        if got is not None:
-            return got
-        acc = _zero(spec)
-        sign = 1
-        row = cells[r]
-        m = mask
-        while m:
-            low = m & -m
-            c = low.bit_length() - 1
-            a = row[c]
-            if not is_zero(a):
-                term = mul_(a, minor(r + 1, mask & ~low))
-                acc = add(acc, term if sign > 0 else neg(term))
-            sign = -sign
-            m &= m - 1
-        memo[key] = acc
-        return acc
-
-    return minor(0, (1 << n) - 1)
+    add, neg, mul = ops[:3]
+    poly = [one]
+    for r, row in enumerate(grid):
+        col = [grid[i][r] for i in range(r)]
+        q = [one, neg(row[r])]
+        for k in range(r):
+            if k:
+                col = [reduce(add, map(mul, grid[i], col)) for i in range(r)]
+            q.append(neg(reduce(add, map(mul, row, col))))
+        poly = [reduce(add, map(mul, q[i::-1], poly)) for i in range(r + 2)]
+    return poly
 
 
 def _layout(spec: RingSpec) -> tuple[int, int | None] | None:

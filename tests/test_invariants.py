@@ -252,3 +252,28 @@ def test_entries_with_large_prime_factors_are_never_multiplied_out():
         elapsed = time.perf_counter() - start
         assert got == ref.witt_class_q(entries, places=places, disc=disc)
         assert elapsed < 0.1
+
+
+def test_sums_and_negations_of_large_prime_classes_never_factor():
+    # the class carries the primes of its discriminant P44 * P45, so the
+    # sum and the negation read them instead of factoring the product
+    c = witt_class(GramForm.diagonal(Q, [P44, P45]))
+    one = witt_class(GramForm.diagonal(Q, [1]))
+    cases = (
+        (lambda: c + one, [P44, P45, 1], -P44 * P45),
+        (lambda: one + c, [1, P44, P45], -P44 * P45),
+        (lambda: -c, [-P44, -P45], -P44 * P45),
+        (lambda: c - one, [P44, P45, -1], P44 * P45),
+        (lambda: c + c, [P44, P45, P44, P45], 1),
+        (lambda: -(c + one), [-P44, -P45, -1], P44 * P45),
+        # a sum carries the primes on to the next sum and negation
+        (lambda: c + one + one, [P44, P45, 1, 1], P44 * P45),
+        (lambda: -(c + one + one), [-P44, -P45, -1, -1], P44 * P45),
+    )
+    for op, entries, disc in cases:
+        start = time.perf_counter()
+        got = op()
+        elapsed = time.perf_counter() - start
+        want = ref.witt_class_q(entries, places={2, P44, P45}, disc=disc)
+        assert got == want and hash(got) == hash(want) and got.to_json() == want.to_json()
+        assert elapsed < 0.1

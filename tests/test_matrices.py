@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+import matrices_reference as ref
 from wittkit.errors import NonUnit, SpecMismatch
 from wittkit.matrices import (
     InvMatrix,
-    _det_minors,
+    _charpoly,
     _inv_sqrt_series,
     _matmul,
     inv_sqrt_one_plus,
@@ -293,7 +295,7 @@ def test_bareiss_det_matches_minor_expansion(spec):
     singular = 0
     for grid in grids:
         d = InvMatrix(spec, tuple(map(tuple, grid)), len(grid), len(grid)).det().payload
-        assert d == _det_minors(spec, grid)
+        assert d == ref.det_minors(spec, grid)
         _assert_canonical(spec, d)
         singular += d == _zero(spec)
     assert singular >= 6 * 12
@@ -329,6 +331,48 @@ def test_det_against_sympy():
             if spec.kind == "fp":
                 want = want.numerator % spec.p
             assert InvMatrix.from_rows(spec, grid).det().payload == want
+
+
+def test_charpoly_and_inverse_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(22)
+    for n in (1, 4, 7, 10):
+        grid = [[_random_payload(Q, rng) for _ in range(n)] for _ in range(n)]
+        m = InvMatrix.from_rows(Q, grid)
+        s = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row] for row in grid])
+        want = [Fraction(int(c.p), int(c.q)) for c in s.charpoly().all_coeffs()]
+        assert _charpoly(Q.ops, m.cells, Fraction(1)) == want
+        # on the numerators N = den * m, c_i(N) = den^i c_i(m)
+        (numerators,), den = m._slice_form()
+        assert _charpoly(Q.ops, numerators, 1) == [c * den**i for i, c in enumerate(want)]
+        det, inv = m.det_and_inverse()
+        assert det.payload == want[-1] * (-1) ** n
+        if inv is not None:
+            want_inv = [[Fraction(int(c.p), int(c.q)) for c in row] for row in s.inv().tolist()]
+            assert inv == InvMatrix.from_rows(Q, want_inv)
+
+
+def test_dense_16x16_det_over_truncated_q_is_polynomial_time():
+    # the minor expansion, O(2^n n), took 5-12 s here; the charpoly takes
+    # about 0.3 s on a 2-vCPU machine
+    spec = RingSpec.from_tag("truncnil:q:2")
+    rng = random.Random(16)
+
+    def entry():
+        return Fraction(rng.choice((1, -1)) * rng.randrange(1, 10), rng.randrange(1, 5))
+
+    n = 16
+    rows = [[(entry(), entry()) for _ in range(n)] for _ in range(n)]
+    m = InvMatrix.from_rows(spec, rows)
+    start = time.perf_counter()
+    d = m.det().payload
+    assert time.perf_counter() - start < 2.0
+    # constant term: Bareiss on slice 0; x term: det(A_0) tr(A_0^(-1) A_1) (Jacobi)
+    a0 = InvMatrix.from_rows(Q, [[e[0] for e in row] for row in rows])
+    a1 = InvMatrix.from_rows(Q, [[e[1] for e in row] for row in rows])
+    det0, inv0 = a0.det_and_inverse()
+    assert d[0] == det0.payload != 0
+    assert d[1] == det0.payload * (inv0 * a1).trace().payload
 
 
 # -- (I + g)^(-1/2) on integer slices against the InvMatrix series -------------
