@@ -11,36 +11,41 @@ corrupted) data and reports per-identity outcomes instead of raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping
 
 from .errors import IdentityViolated, IllFormed, NonUnitAssignment, SpecMismatch
 from .matrices import InvMatrix
-from .rings import LAURENT2, RingElem, RingSpec
+from .rings import LAURENT2, RingElem, RingSpec, _Record
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any, Mapping
 
 __all__ = ["BottData", "build_bott", "specialize", "verify_bott_suite"]
 
 
-@dataclass(frozen=True)
-class BottData:
+class BottData(_Record):
     """Conjugation data for the periodicity element.
 
     ``p`` is ``u * p0 * u^-1`` with entries ``a, b, c, d`` read off
     row-major; ``m`` is the 2x2 representative built from them.  The
-    dataclass itself performs no validation so that corrupted copies can
+    record itself performs no validation so that corrupted copies can
     be assembled for mutation testing; ``build_bott`` is the validating
     constructor.
     """
 
-    p0: InvMatrix
-    u: InvMatrix
-    p: InvMatrix
-    a: RingElem
-    b: RingElem
-    c: RingElem
-    d: RingElem
-    m: InvMatrix
+    __slots__ = _fields = ("p0", "u", "p", "a", "b", "c", "d", "m")
+
+    def __init__(self, p0: InvMatrix, u: InvMatrix, p: InvMatrix, a: RingElem, b: RingElem,
+                 c: RingElem, d: RingElem, m: InvMatrix):
+        object.__setattr__(self, "p0", p0)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "m", m)
 
 
 def build_bott(lam: Fraction = Fraction(1, 2)) -> BottData:

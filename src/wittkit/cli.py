@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
-from typing import Any, Sequence
 
 from .bott import build_bott, verify_bott_suite
 from .errors import BudgetExceeded, IllFormed, WittkitError
@@ -41,6 +41,10 @@ from .invariants import witt_class, witt_equiv, witt_ring_table
 from .lifting import roundtrip_isomorphism_demo
 from .rings import RingSpec
 from .stabilization import FgAbGroup, GroupHom, GroupSeq, colimit, exactness_check
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any, Sequence
 
 __all__ = ["main"]
 
@@ -57,6 +61,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> Any:
         raise IllFormed(message)
+
+    def _get_formatter(self) -> argparse.HelpFormatter:
+        # shutil's terminal width, which argparse imports shutil (zlib, bz2, lzma) for
+        try:
+            columns = int(os.environ.get("COLUMNS") or os.get_terminal_size(sys.__stdout__.fileno()).columns)
+        except (AttributeError, ValueError, OSError):
+            columns = 80
+        return self.formatter_class(prog=self.prog, width=(columns if columns > 0 else 80) - 2)
 
 
 def _emit(obj: Any) -> None:

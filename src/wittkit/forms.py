@@ -14,12 +14,11 @@ demand one.  Which isotropic vector is split off is not promised.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd, lcm
 from operator import mul
-from typing import Any, Iterator, Sequence
 
 from .errors import (
+    BudgetExceeded,
     DegenerateForm,
     IdentityViolated,
     IllFormed,
@@ -41,12 +40,16 @@ from .rings import (
     RATIONALS,
     RingElem,
     RingSpec,
-    _restore_slots,
+    _Record,
     _zero,
     canon_payload,
     payload_from_json,
     payload_to_json,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any, Iterator, Sequence
 
 # Rings the isotropy machinery knows how to search.  All three carry the
 # trivial involution, so "conjugate transpose" below is plain transpose.
@@ -57,11 +60,14 @@ _SEARCH_RINGS = (PRIME_FIELD, RATIONALS, DYADIC)
 # which at our matrix sizes essentially never happens.
 _PIVOT_BOUND = 12
 
+# The most vectors an isotropy search may try before it refuses.
+_SEARCH_BUDGET = 1 << 20
 
-class GramForm:
+
+class GramForm(_Record):
     """A nondegenerate epsilon-symmetric form, stored as its Gram matrix."""
 
-    __slots__ = ("ring", "epsilon", "gram")
+    __slots__ = _fields = ("ring", "epsilon", "gram")
 
     def __init__(self, gram: InvMatrix, epsilon: int = 1):
         if epsilon not in (1, -1):
@@ -76,11 +82,6 @@ class GramForm:
         object.__setattr__(self, "ring", gram.spec)
         object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "gram", gram)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("GramForm is immutable")
-
-    __setstate__ = _restore_slots
 
     @classmethod
     def diagonal(
@@ -169,18 +170,6 @@ class GramForm:
             return cls(InvMatrix.from_rows(spec, grid), epsilon)
         raise IllFormed("form descriptor needs either 'gram' or 'diag'")
 
-    def __eq__(self, other: Any) -> bool:
-        if not isinstance(other, GramForm):
-            return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.epsilon == other.epsilon
-            and self.gram == other.gram
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.epsilon, self.gram))
-
     def __repr__(self) -> str:
         sign = "+1" if self.epsilon == 1 else "-1"
         if self.dim and self.is_diagonal():
@@ -189,8 +178,7 @@ class GramForm:
         return f"GramForm({self.ring}, eps={sign}, gram={self.gram!r})"
 
 
-@dataclass(frozen=True)
-class WittDecomposition:
+class WittDecomposition(_Record):
     """Result of splitting a form into hyperbolic planes plus a remainder.
 
     ``change_of_basis`` conjugates the original Gram matrix into
@@ -199,10 +187,13 @@ class WittDecomposition:
     (always over a prime field, only in favourable cases over Q / Z[1/2]).
     """
 
-    hyperbolic_rank: int
-    anisotropic: GramForm
-    change_of_basis: InvMatrix
-    certified: bool
+    __slots__ = _fields = ("hyperbolic_rank", "anisotropic", "change_of_basis", "certified")
+
+    def __init__(self, hyperbolic_rank: int, anisotropic: GramForm, change_of_basis: InvMatrix, certified: bool):
+        object.__setattr__(self, "hyperbolic_rank", hyperbolic_rank)
+        object.__setattr__(self, "anisotropic", anisotropic)
+        object.__setattr__(self, "change_of_basis", change_of_basis)
+        object.__setattr__(self, "certified", certified)
 
 
 def _cook_scalar(spec: RingSpec, entry: Any) -> Any:
@@ -538,7 +529,9 @@ def isotropy_oracle(
         raise IllFormed("height_bound must be a positive integer")
     else:
         vectors = _signed_vectors(n, height_bound)
-    for v in vectors:
+    for count, v in enumerate(vectors):
+        if count == _SEARCH_BUDGET:
+            raise BudgetExceeded(f"isotropy oracle over {spec} stopped after {_SEARCH_BUDGET} vectors")
         val = sum(c * sum(map(mul, row, v)) for c, row in zip(v, g) if c)
         if any(v) and (val % p if p else val) == 0:
             return tuple(RingElem(spec, c) for c in v)
@@ -569,16 +562,19 @@ def _isotropic_on_diagonal(
     own; each table starts with its zero vector, which so pairs only with
     a nonzero one.  Over F_p the height runs to (p-1)/2, so with signs
     every residue is covered, and values are taken mod p: the search is
-    exhaustive and None proves anisotropy (``bound`` is unused).  Over Q
-    and Z[1/2] a witness has the least height of any, if that is at most
-    ``bound``; None says only that there is none within it.  Which witness
-    of that height is returned is not promised.
+    exhaustive and None proves anisotropy (``bound`` is unused); a binary
+    <a, b> with -ab a non-residue (Euler's criterion) needs no search.
+    Over Q and Z[1/2] a witness has the least height of any, if that is at
+    most ``bound``; None says only that there is none within it.  Which
+    witness of that height is returned is not promised.
     """
     n = len(coeffs)
     if n < 2:
         return None
     if spec.kind == PRIME_FIELD:
         top, mod = (spec.p - 1) // 2, spec.p
+        if n == 2 and all(c % mod for c in coeffs) and pow(-coeffs[0] * coeffs[1], top, mod) != 1:
+            return None
     else:
         top = bound
         # above |B(v, v)| for every v within the bound, so two halves'
@@ -587,15 +583,19 @@ def _isotropic_on_diagonal(
     nl = (n + 1) // 2
     halves = (coeffs[:nl], coeffs[nl:])
     tables = ({0: (0,) * nl}, {0: (0,) * (n - nl)})
+    left = _SEARCH_BUDGET
     for h in range(1, top + 1):
         for side, d in enumerate(halves):
             own, other = tables[side], tables[1 - side]
-            for v in _height_shell(len(d), h):
+            for v in itertools.islice(_height_shell(len(d), h), left):
                 s = sum(map(mul, d, map(mul, v, v))) % mod
                 w = other.get(-s % mod)
                 if w is not None:
                     return v + w if side == 0 else w + v
                 own.setdefault(s, v)
+            left -= (h + 1) ** len(d) - h ** len(d)  # the size of the shell
+            if left < 0:
+                raise BudgetExceeded(f"isotropy search over {spec} passed {_SEARCH_BUDGET} vectors at height {h}")
     return None
 
 

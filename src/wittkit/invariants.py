@@ -20,14 +20,16 @@ formally stripped (rank n mod 2), which makes it a class invariant too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Sequence
 
 from .errors import IdentityViolated, IllFormed, NotClosed, SpecMismatch
 from .forms import GramForm, diagonalize, tensor
 from .intlinalg import bezout_vector, kernel_basis_int, prime_factors
-from .rings import DYADIC, PRIME_FIELD, RATIONALS, RingSpec, _is_odd_prime
+from .rings import DYADIC, PRIME_FIELD, RATIONALS, RingSpec, _is_odd_prime, _Record
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any, Sequence
 
 __all__ = [
     "WittClass",
@@ -145,12 +147,11 @@ def hilbert_symbol(a: int | Fraction, b: int | Fraction, place: Any) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WittClass:
+class WittClass(_Record):
     """Witt class of a symmetric form, stored as its complete invariants.
 
     Fields not meaningful for a ring stay at their defaults so that
-    dataclass equality decides Witt equivalence directly:
+    field-by-field equality decides Witt equivalence directly:
 
     * prime field: dim_mod2, disc (1 or the least non-residue);
     * rationals: dim_mod2, signature, disc (signed squarefree integer),
@@ -166,13 +167,19 @@ class WittClass:
     unknown: disc is factored when they are needed.
     """
 
-    ring: RingSpec
-    dim_mod2: int = 0
-    signature: int = 0
-    disc: int = 1
-    hasse: tuple[tuple[int, int], ...] = ()
-    dyadic_disc_parity: int = 0
-    disc_primes: frozenset[int] | None = field(default=None, compare=False, repr=False)
+    _fields = ("ring", "dim_mod2", "signature", "disc", "hasse", "dyadic_disc_parity")
+    __slots__ = (*_fields, "disc_primes")
+
+    def __init__(self, ring: RingSpec, dim_mod2: int = 0, signature: int = 0, disc: int = 1,
+                 hasse: tuple[tuple[int, int], ...] = (), dyadic_disc_parity: int = 0,
+                 disc_primes: frozenset[int] | None = None):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "dim_mod2", dim_mod2)
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "disc", disc)
+        object.__setattr__(self, "hasse", hasse)
+        object.__setattr__(self, "dyadic_disc_parity", dyadic_disc_parity)
+        object.__setattr__(self, "disc_primes", disc_primes)
 
     @classmethod
     def zero(cls, ring: RingSpec) -> "WittClass":
@@ -399,8 +406,7 @@ def _dyadic_label(signature: int, parity: int) -> str:
     return "<" + ",".join(str(e) for e in entries) + ">"
 
 
-@dataclass(frozen=True)
-class WittRingTable:
+class WittRingTable(_Record):
     """Addition and multiplication tables plus the abstract group name.
 
     Over a prime field the group is finite, so ``classes`` lists every
@@ -410,14 +416,20 @@ class WittRingTable:
     generator classes and the tables are indexed by ``generators``.
     """
 
-    ring: RingSpec
-    group: str
-    generators: tuple[str, ...]
-    classes: tuple[str, ...]
-    add: tuple[tuple[str, ...], ...]
-    mul: tuple[tuple[str, ...], ...]
-    free_generator: str | None = None
-    torsion_generator: str | None = None
+    __slots__ = _fields = ("ring", "group", "generators", "classes", "add", "mul",
+                           "free_generator", "torsion_generator")
+
+    def __init__(self, ring: RingSpec, group: str, generators: tuple[str, ...], classes: tuple[str, ...],
+                 add: tuple[tuple[str, ...], ...], mul: tuple[tuple[str, ...], ...],
+                 free_generator: str | None = None, torsion_generator: str | None = None):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "add", add)
+        object.__setattr__(self, "mul", mul)
+        object.__setattr__(self, "free_generator", free_generator)
+        object.__setattr__(self, "torsion_generator", torsion_generator)
 
     def to_json(self) -> dict:
         out: dict[str, Any] = {

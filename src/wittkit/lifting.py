@@ -16,9 +16,7 @@ is recorded in ``PROJECTION_CONVENTION`` and in demo reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .errors import (
     IdentityViolated,
@@ -29,8 +27,9 @@ from .errors import (
     SpecMismatch,
 )
 from .matrices import InvMatrix, _canonical, inv_sqrt_one_plus
-from .rings import LAURENT2, PRIME_FIELD, RATIONALS, TRUNC_NIL, RingElem, RingSpec, _zero
+from .rings import LAURENT2, PRIME_FIELD, RATIONALS, TRUNC_NIL, RingElem, RingSpec, _Record, _zero
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import random
 
@@ -49,20 +48,19 @@ __all__ = [
 PROJECTION_CONVENTION = "P = (I - J)/2"
 
 
-@dataclass(frozen=True)
-class SelfAdjInvolution:
+class SelfAdjInvolution(_Record):
     """A matrix J with J^2 = I and J* = J, both checked at construction."""
 
-    j: InvMatrix
+    __slots__ = _fields = ("j",)
 
-    def __post_init__(self) -> None:
-        j = self.j
+    def __init__(self, j: InvMatrix):
         if j.nrows != j.ncols or j.nrows == 0:
             raise IllFormed(f"an involution must be square and nonempty, got {j.nrows}x{j.ncols}")
         if not j.is_self_adjoint():
             raise IllFormed("matrix is not self-adjoint")
         if not (j * j).is_identity():
             raise IllFormed("matrix does not square to the identity")
+        object.__setattr__(self, "j", j)
 
     @property
     def ring(self) -> RingSpec:

@@ -28,7 +28,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import comb, gcd, lcm
-from typing import Any, Sequence
 
 from .errors import IdentityViolated, IllFormed, NonUnit, NotNilpotent, SpecMismatch
 from .intlinalg import int_det, matmul_int
@@ -40,17 +39,21 @@ from .rings import (
     TRUNC_NIL,
     RingElem,
     RingSpec,
+    _Frozen,
     _fixed,
     _from_fraction,
     _is_nilpotent,
     _one,
-    _restore_slots,
     _zero,
     canon_payload,
     payload_from_json,
     payload_repr,
     payload_to_json,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any, Sequence
 
 
 def _cook(spec: RingSpec, entry: Any) -> Any:
@@ -61,7 +64,7 @@ def _cook(spec: RingSpec, entry: Any) -> Any:
     return canon_payload(spec, entry)
 
 
-class InvMatrix:
+class InvMatrix(_Frozen):
     """Rectangular matrix over one ring, stored as the module docstring says."""
 
     __slots__ = ("spec", "nrows", "ncols", "_cells", "_sliced")
@@ -80,11 +83,6 @@ class InvMatrix:
         m = cls(spec, None, nrows, ncols)
         object.__setattr__(m, "_sliced", (slices, den))
         return m
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("InvMatrix is immutable")
-
-    __setstate__ = _restore_slots
 
     @property
     def cells(self) -> tuple:

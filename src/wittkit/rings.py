@@ -30,12 +30,15 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
-from operator import add, mul, neg, not_
-from typing import Any, Callable, Iterable, NamedTuple
+from operator import add, attrgetter, mul, neg, not_
 
 from .errors import BudgetExceeded, IllFormed, NonUnit, SpecMismatch
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any, Iterable
 
 PRIME_FIELD = "fp"
 RATIONALS = "q"
@@ -77,11 +80,46 @@ def _is_odd_prime(p: int) -> bool:
     return True
 
 
-def _restore_slots(self: Any, state: tuple) -> None:
-    """``__setstate__`` of the immutable slotted classes: pickle and copy
-    restore the slots past the guard in their ``__setattr__``."""
-    for name, value in state[1].items():
-        object.__setattr__(self, name, value)
+class _Frozen:
+    """Immutable slots, set past the guard by ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: Any = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class _Record(_Frozen):
+    """==, hash and a dataclass-style repr over the ``_fields`` of the slots."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key(self) == self._key(other)
+
+    def __ne__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is not other and self._key(self) != self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
 
 
 def _is_dyadic(q: Fraction) -> bool:
@@ -89,31 +127,30 @@ def _is_dyadic(q: Fraction) -> bool:
     return d & (d - 1) == 0
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class RingSpec(_Record):
     """Identifier of one supported ring; shared by all elements over it."""
 
-    kind: str
-    p: int | None = None
-    base: "RingSpec | None" = None
-    k: int | None = None
-    # payload arithmetic with the kind dispatched once, set by __post_init__
-    ops: "RingOps" = field(init=False, repr=False, compare=False)
+    _fields = ("kind", "p", "base", "k")
+    __slots__ = (*_fields, "ops")  # ops: payload arithmetic with the kind dispatched once
 
-    def __post_init__(self) -> None:
-        if self.kind == PRIME_FIELD:
-            if self.p is None or not _is_odd_prime(self.p):
-                raise IllFormed(f"prime field needs an odd prime, got {self.p!r}")
-        elif self.kind in (RATIONALS, DYADIC, LAURENT2):
-            if self.p is not None or self.base is not None or self.k is not None:
-                raise IllFormed(f"{self.kind} takes no parameters")
-        elif self.kind == TRUNC_NIL:
-            if self.base is None or self.base.kind == TRUNC_NIL:
+    def __init__(self, kind: str, p: int | None = None, base: RingSpec | None = None, k: int | None = None):
+        if kind == PRIME_FIELD:
+            if p is None or not _is_odd_prime(p):
+                raise IllFormed(f"prime field needs an odd prime, got {p!r}")
+        elif kind in (RATIONALS, DYADIC, LAURENT2):
+            if p is not None or base is not None or k is not None:
+                raise IllFormed(f"{kind} takes no parameters")
+        elif kind == TRUNC_NIL:
+            if base is None or base.kind == TRUNC_NIL:
                 raise IllFormed("truncated ring needs a non-truncated base ring")
-            if self.k is None or self.k < 1:
+            if k is None or k < 1:
                 raise IllFormed("truncation order must be a positive integer")
         else:
-            raise IllFormed(f"unknown ring kind {self.kind!r}")
+            raise IllFormed(f"unknown ring kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "ops", _ring_ops(self))
 
     def __reduce__(self) -> tuple:
@@ -289,7 +326,7 @@ def _one(spec: RingSpec) -> Any:
     return (_one(spec.base),) + (_zero(spec.base),) * (spec.k - 1)
 
 
-class RingOps(NamedTuple):
+class RingOps(namedtuple("RingOps", "add neg mul is_zero involute")):
     """Payload arithmetic of one ring, specialised to its kind.
 
     Every payload of every kind is falsy exactly when it is zero, so
@@ -298,11 +335,7 @@ class RingOps(NamedTuple):
     Laurent variables are involved.
     """
 
-    add: Callable[[Any, Any], Any]
-    neg: Callable[[Any], Any]
-    mul: Callable[[Any, Any], Any]
-    is_zero: Callable[[Any], bool]
-    involute: Callable[[Any], Any]
+    __slots__ = ()
 
 
 def _laurent_add(a: tuple, b: tuple) -> tuple:
@@ -569,7 +602,7 @@ def payload_from_json(spec: RingSpec, obj: Any) -> Any:
 # ---------------------------------------------------------------------------
 
 
-class RingElem:
+class RingElem(_Frozen):
     """Immutable element of one of the supported rings.
 
     Arithmetic operators require both operands over the same ``RingSpec``
@@ -582,11 +615,6 @@ class RingElem:
     def __init__(self, spec: RingSpec, payload: Any, *, _raw: bool = False):
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "payload", payload if _raw else canon_payload(spec, payload))
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("RingElem is immutable")
-
-    __setstate__ = _restore_slots
 
     # -- constructors -----------------------------------------------------
 

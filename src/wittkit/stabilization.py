@@ -22,10 +22,8 @@ is deliberately no API for adding entries at runtime.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Any, Sequence
 
 from .errors import IdentityViolated, IllFormed, NotCatalogued
 from .intlinalg import (
@@ -41,6 +39,11 @@ from .intlinalg import (
     smith_normal_form,
     solve_int,
 )
+from .rings import _Record
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any, Sequence
 
 __all__ = [
     "CatalogEntry",
@@ -63,8 +66,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FgAbGroup:
+class FgAbGroup(_Record):
     """Finitely generated abelian group in canonical form.
 
     ``torsion`` holds the invariant factors, each > 1 and dividing the
@@ -73,19 +75,20 @@ class FgAbGroup:
     non-canonical data.
     """
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = _fields = ("free_rank", "torsion")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.free_rank, int) or self.free_rank < 0:
-            raise IllFormed(f"free rank must be a nonnegative integer, got {self.free_rank!r}")
+    def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
+        if not isinstance(free_rank, int) or free_rank < 0:
+            raise IllFormed(f"free rank must be a nonnegative integer, got {free_rank!r}")
         prev = 1
-        for d in self.torsion:
+        for d in torsion:
             if not isinstance(d, int) or d <= 1:
                 raise IllFormed(f"invariant factors must be integers > 1, got {d!r}")
             if d % prev:
-                raise IllFormed(f"invariant factors must divide in order, got {self.torsion}")
+                raise IllFormed(f"invariant factors must divide in order, got {torsion}")
             prev = d
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
 
     @classmethod
     def of(cls, rank: int, torsion: Sequence[int] = ()) -> "FgAbGroup":
@@ -162,8 +165,7 @@ class FgAbGroup:
         return "+".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(_Record):
     """Homomorphism between canonical-coordinate groups.
 
     ``matrix[i][j]`` is the i-th target coordinate of the image of the
@@ -174,24 +176,21 @@ class GroupHom:
     are stored reduced, making equality canonical.
     """
 
-    source: FgAbGroup
-    target: FgAbGroup
-    matrix: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("source", "target", "matrix")
 
-    def __post_init__(self) -> None:
-        rows = [list(r) for r in self.matrix]
-        if len(rows) != self.target.ngens or any(len(r) != self.source.ngens for r in rows):
+    def __init__(self, source: FgAbGroup, target: FgAbGroup, matrix: tuple[tuple[int, ...], ...]):
+        rows = [list(r) for r in matrix]
+        if len(rows) != target.ngens or any(len(r) != source.ngens for r in rows):
             raise IllFormed(
-                f"map matrix must be {self.target.ngens} x {self.source.ngens}, "
+                f"map matrix must be {target.ngens} x {source.ngens}, "
                 f"got {len(rows)} row(s)"
             )
         for r in rows:
             for x in r:
                 if isinstance(x, bool) or not isinstance(x, int):
                     raise IllFormed(f"matrix entries must be integers, got {x!r}")
-        src_orders = self.source.orders
-        tgt_orders = self.target.orders
-        for j, d in enumerate(src_orders):
+        tgt_orders = target.orders
+        for j, d in enumerate(source.orders):
             if d == 0:
                 continue
             for i, e in enumerate(tgt_orders):
@@ -208,6 +207,8 @@ class GroupHom:
         for i, e in enumerate(tgt_orders):
             if e:
                 rows[i] = [x % e for x in rows[i]]
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", tuple(tuple(r) for r in rows))
 
     @classmethod
@@ -238,22 +239,22 @@ class GroupHom:
         return [list(r) for r in self.matrix]
 
 
-@dataclass(frozen=True)
-class GroupSeq:
+class GroupSeq(_Record):
     """Eventually-periodic system: a composable prefix feeding an endomorphism."""
 
-    prefix: tuple[GroupHom, ...]
-    period_map: GroupHom
+    __slots__ = _fields = ("prefix", "period_map")
 
-    def __post_init__(self) -> None:
-        if self.period_map.source != self.period_map.target:
+    def __init__(self, prefix: tuple[GroupHom, ...], period_map: GroupHom):
+        if period_map.source != period_map.target:
             raise IllFormed("the period map must be an endomorphism")
-        chain = list(self.prefix)
+        chain = list(prefix)
         for i in range(len(chain) - 1):
             if chain[i].target != chain[i + 1].source:
                 raise IllFormed(f"prefix breaks between positions {i} and {i + 1}")
-        if chain and chain[-1].target != self.period_map.source:
+        if chain and chain[-1].target != period_map.source:
             raise IllFormed("prefix must end at the period group")
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "period_map", period_map)
 
     @property
     def period_group(self) -> FgAbGroup:
@@ -305,8 +306,7 @@ def _matrix_from_json(obj: Any) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ColimResult:
+class ColimResult(_Record):
     """Direct limit reported as (Z with inverted_primes inverted)^rank + torsion.
 
     The inverted primes belong to the free part only; torsion is listed
@@ -314,9 +314,12 @@ class ColimResult:
     set means the limit is finitely generated over Z.
     """
 
-    rank: int
-    inverted_primes: tuple[int, ...] = ()
-    torsion: tuple[int, ...] = ()
+    __slots__ = _fields = ("rank", "inverted_primes", "torsion")
+
+    def __init__(self, rank: int, inverted_primes: tuple[int, ...] = (), torsion: tuple[int, ...] = ()):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "inverted_primes", inverted_primes)
+        object.__setattr__(self, "torsion", torsion)
 
     def to_json(self) -> dict:
         return {
@@ -523,15 +526,18 @@ def tensor_with_dyadic(x: "FgAbGroup | ColimResult") -> ColimResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    theory: str
-    n: int
-    ring: str
-    epsilon: int
-    group: FgAbGroup
-    citation: str
-    note: str | None = None
+class CatalogEntry(_Record):
+    __slots__ = _fields = ("theory", "n", "ring", "epsilon", "group", "citation", "note")
+
+    def __init__(self, theory: str, n: int, ring: str, epsilon: int, group: FgAbGroup, citation: str,
+                 note: str | None = None):
+        object.__setattr__(self, "theory", theory)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "citation", citation)
+        object.__setattr__(self, "note", note)
 
     def to_json(self) -> dict:
         out: dict[str, Any] = {

@@ -324,13 +324,18 @@ def test_identity_check_survives_python_O():
 
 def test_import_leaves_the_heavy_stdlib_modules_unloaded():
     # the catalog's importlib.resources (pathlib, tempfile, shutil, urllib)
-    # and the lift demo's random load on first use, not with the package
+    # and the lift demo's random load on first use, not with the package;
+    # the records need no dataclasses (inspect, ast, dis, copy) and the
+    # annotations no typing; the parser finds the terminal width without shutil
     script = textwrap.dedent("""
         import sys
         sys.path.insert(0, sys.argv[1])
         import wittkit, wittkit.cli
-        heavy = ("importlib.resources", "pathlib", "tempfile", "shutil", "urllib", "random")
+        heavy = ("importlib.resources", "pathlib", "tempfile", "shutil", "urllib", "random",
+                 "dataclasses", "inspect", "typing", "ast", "dis", "copy")
         print([name for name in heavy if name in sys.modules])
+        wittkit.cli._build_parser()
+        print([name for name in ("shutil",) if name in sys.modules])
         from wittkit.stabilization import catalog_lookup
         print(catalog_lookup("W", 0, "dyadic", 1).group.to_json())
     """)
@@ -338,8 +343,9 @@ def test_import_leaves_the_heavy_stdlib_modules_unloaded():
     proc = subprocess.run([sys.executable, "-S", "-E", "-c", script, src],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    loaded, group = proc.stdout.splitlines()
+    loaded, after_parser, group = proc.stdout.splitlines()
     assert loaded == "[]"
+    assert after_parser == "[]"
     assert group == "{'rank': 1, 'torsion': [2]}"
 
 

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from wittkit import forms
 from wittkit.errors import (
+    BudgetExceeded,
     DegenerateForm,
     IllFormed,
     OracleInconclusive,
@@ -178,6 +180,42 @@ def test_diagonal_search_agrees_with_oracle_over_fp():
                 if w is not None:
                     assert any(c % p for c in w)
                     assert sum(d * c * c for d, c in zip(diag, w)) % p == 0
+
+
+def test_binary_remainder_over_a_large_prime_is_decided_without_search():
+    # <1, -ns> with ns a non-residue: Euler's criterion proves it anisotropic
+    # at once, where the exhaustive search ran past a minute at this prime
+    p = 100000007
+    spec = RingSpec.prime_field(p)
+    ns = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+    start = time.perf_counter()
+    dec = witt_decompose(GramForm.diagonal(spec, [1, -ns]))
+    assert time.perf_counter() - start < 0.1
+    assert dec.hyperbolic_rank == 0 and dec.certified
+    assert dec.anisotropic == GramForm.diagonal(spec, [1, -ns])
+    # a residue -ab still searches, and finds the witness
+    assert witt_decompose(GramForm.diagonal(spec, [1, -4])).hyperbolic_rank == 1
+
+
+def test_isotropy_searches_refuse_past_their_budget(monkeypatch):
+    # a ternary form over F_p is isotropic, but the witness can lie high
+    p = 100000007
+    spec = RingSpec.prime_field(p)
+    ns = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+    monkeypatch.setattr(forms, "_SEARCH_BUDGET", 5000)
+    with pytest.raises(BudgetExceeded, match="passed 5000 vectors at height"):
+        forms._isotropic_on_diagonal(spec, [1, p - ns, 3], 1)
+    # a definite form over Q has no witness at any height bound
+    with pytest.raises(BudgetExceeded, match="passed 5000 vectors at height 7"):
+        forms._isotropic_on_diagonal(Q, [1] * 8, 40)
+    assert forms._isotropic_on_diagonal(Q, [1] * 8, 6) is None  # 2 * (7^4 - 1) = 4800 vectors
+    # within the budget the witness is the one found without it
+    want = forms._isotropic_on_diagonal(F7, [1, 2, 3, 4, 5], 1)
+    monkeypatch.setattr(forms, "_SEARCH_BUDGET", 10)
+    assert forms._isotropic_on_diagonal(F7, [1, 2, 3, 4, 5], 1) == want
+    # the oracle counts its vectors: <1, 1> over F_7 is anisotropic, 49 of them
+    with pytest.raises(BudgetExceeded, match="after 10 vectors"):
+        isotropy_oracle(GramForm.diagonal(F7, [1, 1]))
 
 
 def test_diagonal_search_finds_least_height_over_q_and_dyadic():
