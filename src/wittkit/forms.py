@@ -2,13 +2,16 @@
 
 A form is a square Gram matrix over one of the scalar rings together with a
 sign epsilon = +-1.  The module supplies congruence diagonalization (fields
-and Z[1/2]), a bounded isotropy search, and Witt decomposition: hyperbolic
-planes are split off isotropic vectors until what is left refuses to
-represent zero.  Over a prime field the search is exhaustive, so a negative
-answer is a proof.  Over Q and Z[1/2] a witness has the least height of
-any, and a negative answer only says "nothing within the height bound";
-decompositions carry a ``certified`` flag and callers that need a proof can
-demand one.  Which isotropic vector is split off is not promised.
+and Z[1/2]), isotropic vectors of diagonal forms, and Witt decomposition: a
+symmetric form is diagonalized once, and hyperbolic planes are split off
+isotropic vectors, each inside the diagonal block of its witness's support,
+until what is left refuses to represent zero.  Over a prime field a witness
+comes from a square root mod p, with no search, so a negative answer is a
+proof.  Over Q and Z[1/2] a definite diagonal is anisotropic; otherwise a
+witness has the least height of any, and a negative answer only says
+"nothing within the height bound"; decompositions carry a ``certified``
+flag and callers that need a proof can demand one.  Which isotropic vector
+is split off is not promised.
 """
 
 from __future__ import annotations
@@ -234,7 +237,7 @@ class _Congruence:
     def __init__(self, mod: int | None, grid: Sequence[Sequence[int]], den: int):
         self.mod = mod
         self.a, self.da = [list(row) for row in grid], den
-        self.p, self.dp = _embed([], len(grid)), 1
+        self.p, self.dp = _embed(len(grid)), 1
 
     def _reduce(self) -> None:
         (self.a,), self.da = _reduced(self.mod, [self.a], self.da)
@@ -296,30 +299,60 @@ class _Congruence:
         self._reduce()
 
     def apply(self, t: list[list[int]], den: int, off: int = 0) -> None:
-        """The basis change e_(off+j) := sum_k (t[k][j] / den) e_(off+k).
-
-        Rows and columns before ``off`` must be orthogonal to the rest, so
-        they only move to the new denominator.
+        """The basis change e_(off+j) := sum_k (t[k][j] / den) e_(off+k) on
+        the k = len(t) coordinates from ``off``, which must be orthogonal to
+        all others: those only move to the new denominator.
         """
-        a = self.a
-        tail = matmul_int(list(map(list, zip(*t))), matmul_int([row[off:] for row in a[off:]], t))
-        d2 = den * den
-        for r in range(off):
-            a[r] = [d2 * x for x in a[r]]
-        a[off:] = [[0] * off + row for row in tail]
-        cols = matmul_int([row[off:] for row in self.p], t)
-        self.p = [[den * x for x in row[:off]] + new for row, new in zip(self.p, cols)]
-        self.da *= d2
-        self.dp *= den
+        a, end = self.a, off + len(t)
+        blk = matmul_int(list(map(list, zip(*t))), matmul_int([row[off:end] for row in a[off:end]], t))
+        cols = matmul_int([row[off:end] for row in self.p], t)
+        if den != 1:
+            d2 = den * den
+            self.a = a = [[d2 * x for x in row] for row in a]
+            self.p = [[den * x for x in row] for row in self.p]
+            self.da *= d2
+            self.dp *= den
+        for row, new in zip(a[off:end], blk):
+            row[off:end] = new
+        for row, new in zip(self.p, cols):
+            row[off:end] = new
+        self._reduce()
+
+    def plane(self, i: int, eps: int) -> None:
+        """Split e_i, e_(i+1) off as a standard hyperbolic plane: the pair
+        is isotropic, orthogonal to the coordinates before i, and c = a_i(i+1)
+        is nonzero (a unit over Z[1/2]).  e_l -= (eps a_(i+1)l e_i + a_il
+        e_(i+1)) / c for l > i + 1, with coefficients from the pair's rows as
+        they were, is a rank-2 update of the trailing block; then e_(i+1) *=
+        da / c.  Over Q and Z[1/2] the grids move to the denominator times |c|.
+        """
+        a, mod, n = self.a, self.mod, len(self.a)
+        x, y = a[i], a[i + 1]
+        c = x[i + 1]
+        s, inv = (1, pow(c, -1, mod)) if mod else (abs(c), 1 if c > 0 else -1)
+        w = inv if mod else inv * self.da
+        # the coefficients of e_(i+1) and of e_i in each new e_l
+        cx = [0] * (i + 2) + [v * inv for v in x[i + 2 :]]
+        cy = [0] * (i + 2) + [eps * v * inv for v in y[i + 2 :]]
+        for l in range(i + 2, n):
+            a[l] = [s * u - cx[l] * yk - cy[l] * xk for u, xk, yk in zip(a[l], x, y)]
+        for k in range(i):
+            a[k] = [s * u for u in a[k]]
+        d = 1 if mod else self.da * s
+        a[i], a[i + 1] = [0] * n, [0] * n
+        a[i][i + 1], a[i + 1][i] = d, eps * d
+        for row in self.p:
+            pi, pj = row[i], row[i + 1]
+            row[:] = [s * u - cyl * pi - cxl * pj for u, cxl, cyl in zip(row, cx, cy)]
+            row[i + 1] = w * pj
+        self.da *= s
+        self.dp *= s
         self._reduce()
 
 
-def _embed(t: list[list[int]], n: int, den: int = 1) -> list[list[int]]:
-    """den * I_n with t over it in the top left corner."""
-    out = [[den * (i == j) for j in range(n)] for i in range(n)]
-    for i, row in enumerate(t):
-        out[i][: len(row)] = row
-    return out
+def _embed(n: int, den: int = 1) -> list[list[int]]:
+    """den * I_n."""
+    return [[den * (i == j) for j in range(n)] for i in range(n)]
 
 
 # -- diagonalization ----------------------------------------------------------
@@ -339,7 +372,7 @@ def _diag_field(mod: int | None, grid: Sequence[Sequence[int]], den: int) -> _Co
                 if j is None:
                     raise DegenerateForm("form has a zero row")
                 # e_i += e_j makes a[i][i] = 2 a[i][j], nonzero as 2 is invertible
-                t = _embed([], n - i)
+                t = _embed(n - i)
                 t[j - i][0] = 1
                 ws.apply(t, 1, i)
         ws.pivot(i)
@@ -412,7 +445,7 @@ def _dyadic_block_pivot(ws: _Congruence, i: int, bound: int) -> None:
         det2 = aa * bb - u * u
         # e_l -= c1 e_i + c2 e_(i+1) with c1, c2 over det2, which clears
         # rows i and i + 1 beyond the block
-        t = _embed([], n - i, det2)
+        t = _embed(n - i, det2)
         for l in range(i + 2, n):
             p_, q_ = a[i][l], a[i + 1][l]
             t[0][l - i] = u * q_ - bb * p_
@@ -425,7 +458,7 @@ def _dyadic_block_pivot(ws: _Congruence, i: int, bound: int) -> None:
                 # alpha*x + beta*y = g, so det of the 2x2 change is g = 2^j
                 if g & (g - 1):
                     raise IdentityViolated(f"pivot change has determinant {g}")
-                ws.apply(_embed([[x, -beta], [y, alpha]], n - i), 1, i)
+                ws.apply([[x, -beta], [y, alpha]], 1, i)  # the block is orthogonal to the rest now
                 if not _dyadic_unit(ws.a[i][i]):
                     raise IdentityViolated("the 2x2 pivot step left a non-unit pivot")
                 return
@@ -475,6 +508,17 @@ def _reduce_rational_diag(ws: _Congruence) -> None:
         nums.append(qden)
         dens.append(square_part(row[i] // g * qden))
     ws.scale(nums, dens)
+
+
+def _diag_for_search(spec: RingSpec, grid: Sequence[Sequence[int]], den: int, bound: int) -> _Congruence:
+    """The diagonal the isotropy search reads: squarefree integers over Q,
+    units +-1, +-2 over Z[1/2] (pivot searches to ``bound``)."""
+    if spec.kind == DYADIC:
+        return _diag_dyadic(grid, den, bound)
+    ws = _diag_field(spec.p, grid, den)
+    if spec.kind == RATIONALS:
+        _reduce_rational_diag(ws)
+    return ws
 
 
 def diagonalize(f: GramForm) -> tuple[InvMatrix, GramForm]:
@@ -547,6 +591,29 @@ def _height_shell(k: int, h: int) -> Iterator[tuple[int, ...]]:
                 yield head + (h,) + tail
 
 
+def _sqrt_mod(t: int, p: int) -> int | None:
+    """A square root of t mod the odd prime p, or None for a non-residue
+    (Euler's criterion); Tonelli-Shanks, with z the least non-residue."""
+    t %= p
+    if t == 0:
+        return 0
+    if pow(t, (p - 1) // 2, p) != 1:
+        return None
+    q, e = p - 1, 0
+    while q % 2 == 0:
+        q, e = q // 2, e + 1
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, u, r = pow(z, q, p), pow(t, q, p), pow(t, (q + 1) // 2, p)
+    # r^2 = t u with u of order 2^k, k < e; each step halves that order
+    while u != 1:
+        k, v = 0, u
+        while v != 1:
+            k, v = k + 1, v * v % p
+        b = pow(c, 1 << (e - k - 1), p)
+        e, c, u, r = k, b * b % p, u * b * b % p, r * b % p
+    return r
+
+
 def _isotropic_on_diagonal(
     spec: RingSpec, coeffs: list[int], bound: int
 ) -> tuple[int, ...] | None:
@@ -555,16 +622,19 @@ def _isotropic_on_diagonal(
     ``coeffs`` is the diagonal: residues over F_p, and over Q and Z[1/2]
     its numerators over one positive denominator, which has the same zeros.
 
-    Changing signs of entries keeps the value, so entries run over 0..h.
-    The two halves of the coordinates meet in the middle: height by
+    Over F_p nothing is searched (``bound`` is unused) and None proves
+    anisotropy: <a, b> has the witness (x, 1) with x a square root of
+    -b/a, if there is one; <a, b, c, ...> has (x, y, 1, 0, ...) for the
+    first y = 0, 1, 2, ... that makes -(c + b y^2)/a a square, which some
+    y < p does, as only two of the p + 1 zeros of the conic lie at z = 0.
+
+    Over Q and Z[1/2] a definite diagonal gives None at once.  Otherwise,
+    as changing signs of entries keeps the value, entries run over 0..h,
+    and the two halves of the coordinates meet in the middle: height by
     height, each half's vectors of that exact height are looked up in the
     other half's table of first vector per value, then entered in their
     own; each table starts with its zero vector, which so pairs only with
-    a nonzero one.  Over F_p the height runs to (p-1)/2, so with signs
-    every residue is covered, and values are taken mod p: the search is
-    exhaustive and None proves anisotropy (``bound`` is unused); a binary
-    <a, b> with -ab a non-residue (Euler's criterion) needs no search.
-    Over Q and Z[1/2] a witness has the least height of any, if that is at
+    a nonzero one.  A witness has the least height of any, if that is at
     most ``bound``; None says only that there is none within it.  Which
     witness of that height is returned is not promised.
     """
@@ -572,19 +642,26 @@ def _isotropic_on_diagonal(
     if n < 2:
         return None
     if spec.kind == PRIME_FIELD:
-        top, mod = (spec.p - 1) // 2, spec.p
-        if n == 2 and all(c % mod for c in coeffs) and pow(-coeffs[0] * coeffs[1], top, mod) != 1:
-            return None
-    else:
-        top = bound
-        # above |B(v, v)| for every v within the bound, so two halves'
-        # values add to 0 mod it exactly when they do as integers
-        mod = bound * bound * sum(map(abs, coeffs)) + 1
+        p = spec.p
+        inv = pow(-coeffs[0], -1, p)
+        if n == 2:
+            x = _sqrt_mod(coeffs[1] * inv, p)
+            return None if x is None else (x, 1)
+        for y in range(p):
+            x = _sqrt_mod((coeffs[2] + coeffs[1] * y * y) * inv, p)
+            if x is not None:
+                return (x, y, 1) + (0,) * (n - 3)
+        raise IdentityViolated(f"a ternary form over {spec} has no zero")
+    if all(c > 0 for c in coeffs) or all(c < 0 for c in coeffs):
+        return None
+    # above |B(v, v)| for every v within the bound, so two halves'
+    # values add to 0 mod it exactly when they do as integers
+    mod = bound * bound * sum(map(abs, coeffs)) + 1
     nl = (n + 1) // 2
     halves = (coeffs[:nl], coeffs[nl:])
     tables = ({0: (0,) * nl}, {0: (0,) * (n - nl)})
     left = _SEARCH_BUDGET
-    for h in range(1, top + 1):
+    for h in range(1, bound + 1):
         for side, d in enumerate(halves):
             own, other = tables[side], tables[1 - side]
             for v in itertools.islice(_height_shell(len(d), h), left):
@@ -649,11 +726,17 @@ def witt_decompose(
 ) -> WittDecomposition:
     """Split off hyperbolic planes until no isotropic vector is found.
 
-    The search bound applies to the isotropy searches (on diagonalized
-    coordinates over Q / Z[1/2]); over a prime field everything is
-    exhaustive.  When the leftover block cannot be proved anisotropic the
-    result is returned with ``certified=False``, or OracleInconclusive is
-    raised if ``require_certified`` was set.
+    A symmetric form is diagonalized once; each plane is split off inside
+    the diagonal block of its witness's support S, whose other |S| - 2
+    coordinates are diagonalized again, and every other diagonal entry
+    stays.  In a skew form every vector is isotropic: the first remaining
+    coordinate is paired with one it meets, by a rank-2 update.
+
+    The search bound applies to the isotropy searches on the diagonal over
+    Q / Z[1/2]; over a prime field the answer is exact.  When the leftover
+    block cannot be proved anisotropic the result is returned with
+    ``certified=False``, or OracleInconclusive is raised if
+    ``require_certified`` was set.
     """
     spec = f.ring
     if spec.kind not in _SEARCH_RINGS:
@@ -661,41 +744,47 @@ def witt_decompose(
     if height_bound < 1:
         raise IllFormed("height_bound must be a positive integer")
     eps, n, mod = f.epsilon, f.dim, spec.p
+    pivot_bound = height_bound + _PIVOT_BOUND
     (grid,), den = f.gram._slice_form()
     # the planes split off so far fill a[:off][:off]; what is left is the
-    # block from off on, orthogonal to them
-    ws = _Congruence(mod, grid, den)
+    # block from off on, orthogonal to them, and diagonal if eps = 1
+    ws = _diag_for_search(spec, grid, den, pivot_bound) if eps == 1 else _Congruence(mod, grid, den)
     off = 0
     while off < n:
-        m = n - off
-        (cur,), dcur = _reduced(mod, [[row[off:] for row in ws.a[off:]]], ws.da)
+        a = ws.a
         if eps == 1:
-            if spec.kind == DYADIC:
-                dg = _diag_dyadic(cur, dcur, height_bound + _PIVOT_BOUND)
-            else:
-                dg = _diag_field(mod, cur, dcur)
-                if spec.kind == RATIONALS:
-                    _reduce_rational_diag(dg)
-            xd = _isotropic_on_diagonal(spec, [dg.a[k][k] for k in range(m)], height_bound)
+            xd = _isotropic_on_diagonal(spec, [a[k][k] for k in range(off, n)], height_bound)
             if xd is None:
-                ws.apply(dg.p, dg.dp, off)
                 break
-            x = [sum(map(mul, r, xd)) for r in dg.p]
-            g = gcd(*x)  # x is made primitive; over F_p the residues will do
-            x = [c % mod for c in x] if mod else [c // g for c in x]
+            # the coordinates of the support move to the front of what is left
+            support = [k for k, c in enumerate(xd) if c]
+            for r, k in enumerate(support):
+                ws.swap(off + r, off + k)
+            g, k = gcd(*xd), len(support)
+            # that diagonal block is orthogonal to the rest: the plane is
+            # split off inside it, and its k - 2 other coordinates are
+            # diagonalized again
+            (blk,), dblk = _reduced(mod, [[r[off : off + k] for r in a[off : off + k]]], ws.da)
+            loc = _Congruence(mod, blk, dblk)
+            loc.apply(*_hyperbolic_pair(spec, blk, dblk, [xd[s] // g for s in support], 1))
+            loc.plane(0, 1)
+            if k > 2:
+                (rest,), drest = _reduced(mod, [[r[2:] for r in loc.a[2:]]], loc.da)
+                dg = _diag_for_search(spec, rest, drest, pivot_bound)
+                loc.apply(dg.p, dg.dp, 2)
+            ws.apply(loc.p, loc.dp, off)
         else:
-            # skew: every vector is isotropic, and m is even by nondegeneracy
-            x = [1] + [0] * (m - 1)
-        ws.apply(*_hyperbolic_pair(spec, cur, dcur, x, eps), off)
-        # kill B(x, v_l) and B(w, v_l) against the hyperbolic pair
-        a, d = ws.a, ws.da
-        e = _embed([], m, d)
-        for l in range(2, m):
-            e[0][l] = -eps * a[off + 1][off + l]
-            e[1][l] = -a[off][off + l]
-        ws.apply(e, d, off)
-        # the first two basis vectors must now span a standard hyperbolic
-        # plane orthogonal to the rest
+            # over Z[1/2] the partner must meet e_off in a unit
+            unit = _dyadic_unit if spec.kind == DYADIC else bool
+            j = next((l for l in range(off + 1, n) if unit(a[off][l])), None)
+            if j is None:
+                (cur,), dcur = _reduced(mod, [[r[off:] for r in a[off:]]], ws.da)
+                ws.apply(*_hyperbolic_pair(spec, cur, dcur, [1] + [0] * (n - off - 1), eps), off)
+            else:
+                ws.swap(off + 1, j)
+            ws.plane(off, eps)
+        # the two basis vectors must now span a standard hyperbolic plane
+        # orthogonal to the rest
         a, d = ws.a, ws.da
         plane = [[0, d], [eps * d % mod if mod else eps * d, 0]]
         if [r[off : off + 2] for r in a[off : off + 2]] != plane or any(

@@ -4,16 +4,24 @@ This is the reference the integer congruence of ``forms`` is tested
 against (``test_forms.py``): the same elimination order, pivot choices and
 splitting steps, with every entry a ``Fraction`` (an int mod p over F_p)
 and every product a payload fold through the ring's ops.  ``diagonalize``
-and ``witt_decompose`` here return what the package returned before its
-grids became integers over one denominator.
+and ``witt_decompose`` here must return bit for bit what the package
+returns, with grids of integers over one denominator.
+
+``witt_decompose_whole_block`` is an integer splitting loop that
+diagonalizes all that is left of the form after every plane and splits
+the plane with two congruences of that whole block, O(n^4) in all; it is
+the oracle ``test_congruence.py`` compares the number of planes and the
+remainder's Witt class against.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Any, Sequence
 
+from wittkit import forms
 from wittkit.errors import DegenerateForm, IdentityViolated, IllFormed, OracleInconclusive, SpecMismatch
 from wittkit.forms import (
     _PIVOT_BOUND,
@@ -28,10 +36,9 @@ from wittkit.forms import (
     _unit_vector_search,
 )
 from wittkit.intlinalg import bezout_vector, square_part
-from wittkit.matrices import InvMatrix, _matmul
+from wittkit.matrices import InvMatrix, _canonical, _matmul, _reduced
 from wittkit.rings import (
     DYADIC,
-    PRIME_FIELD,
     RATIONALS,
     RingSpec,
     _add,
@@ -287,13 +294,13 @@ def diagonalize(f: GramForm) -> tuple[InvMatrix, GramForm]:
 
 
 
-def _primitivize(spec: RingSpec, v: list[Any]) -> list[Any]:
-    if spec.kind == PRIME_FIELD:
-        return v
-    denom = math.lcm(*(c.denominator for c in v))
-    ints = [int(c * denom) for c in v]
-    g = math.gcd(*ints)
-    return [Fraction(c // g) for c in ints]
+def _diag_for_search(spec: RingSpec, grid: Sequence[Sequence[Any]], bound: int) -> _Congruence:
+    if spec.kind == DYADIC:
+        return _diag_dyadic(grid, bound)
+    ws = _diag_field(spec, grid)
+    if spec.kind == RATIONALS:
+        _reduce_rational_diag(ws)
+    return ws
 
 
 def _dual_vector(spec: RingSpec, grid: list[list[Any]], x: list[Any]) -> list[Any]:
@@ -344,90 +351,81 @@ def _complete_pair(
     return t
 
 
+def _split_pair(ws: _Congruence, i: int, eps: int) -> None:
+    """e_(i+1) /= B(e_i, e_(i+1)), then e_l -= eps B(e_(i+1), e_l) e_i +
+    B(e_i, e_l) e_(i+1) for every l > i + 1, for an isotropic pair."""
+    spec, n = ws.spec, len(ws.a)
+    one, zero = _one(spec), _zero(spec)
+    ws.apply(_pembed(spec, [[one, zero], [zero, _inv(spec, ws.a[i][i + 1])]], n, i))
+    a, e = ws.a, _pid(spec, n)
+    for l in range(i + 2, n):
+        e[i][l] = _neg(spec, _mul(spec, canon_payload(spec, eps), a[i + 1][l]))
+        e[i + 1][l] = _neg(spec, a[i][l])
+    ws.apply(e)
+
+
 def witt_decompose(
     f: GramForm, height_bound: int = 6, require_certified: bool = False
 ) -> WittDecomposition:
-    """Split off hyperbolic planes until no isotropic vector is found.
-
-    The search bound applies to the isotropy searches (on diagonalized
-    coordinates over Q / Z[1/2]); over a prime field everything is
-    exhaustive.  When the leftover block cannot be proved anisotropic the
-    result is returned with ``certified=False``, or OracleInconclusive is
-    raised if ``require_certified`` was set.
-    """
+    """Diagonalize once; split each plane inside the support of its
+    witness and diagonalize the rest of that block again (symmetric), or
+    pair e_off with the first coordinate it meets (skew)."""
     spec = f.ring
     if spec.kind not in _SEARCH_RINGS:
         raise SpecMismatch(f"Witt decomposition not supported over {spec}")
     if height_bound < 1:
         raise IllFormed("height_bound must be a positive integer")
-    eps = f.epsilon
-    n = f.dim
-    one = _one(spec)
-    p_total = _pid(spec, n)
-    current = [list(row) for row in f.gram.cells]
-    hyp = 0
-    aniso: list[list[Any]] = []
-    while True:
-        m = len(current)
-        if m == 0:
-            break
+    eps, n = f.epsilon, f.dim
+    bound = height_bound + _PIVOT_BOUND
+    cells = [list(row) for row in f.gram.cells]
+    ws = _diag_for_search(spec, cells, bound) if eps == 1 else _Congruence(spec, cells)
+    off = 0
+    while off < n:
+        a = ws.a
         if eps == 1:
-            if spec.kind == DYADIC:
-                ws = _diag_dyadic(current, height_bound + _PIVOT_BOUND)
-            else:
-                ws = _diag_field(spec, current)
-                if spec.kind == RATIONALS:
-                    _reduce_rational_diag(ws)
-            xd = _isotropic_on_diagonal(
-                spec, [ws.a[k][k] for k in range(m)], height_bound
-            )
+            xd = _isotropic_on_diagonal(spec, [a[k][k] for k in range(off, n)], height_bound)
             if xd is None:
-                p_total = _matmul(spec, p_total, _pembed(spec, ws.p, n, n - m))
-                aniso = ws.a
                 break
-            x = [r[0] for r in _matmul(spec, ws.p, [[canon_payload(spec, c)] for c in xd])]
-        else:
-            # skew: every vector is isotropic, and m is even by nondegeneracy
-            x = [one] + [_zero(spec)] * (m - 1)
-        x = _primitivize(spec, x)
-        w = _dual_vector(spec, current, x)
-        if eps == 1:
+            support = [k for k, c in enumerate(xd) if c]
+            for r, k in enumerate(support):
+                ws.swap(off + r, off + k)
+            g = math.gcd(*(xd[k] for k in support))
+            x = [canon_payload(spec, xd[k] // g) for k in support]
+            m = len(x)
+            blk = [r[off : off + m] for r in ws.a[off : off + m]]
+            w = _dual_vector(spec, blk, x)
             # shear w so its own value vanishes: q(w - (q(w)/2) x) = 0
-            half_q = _mul(spec, _qval(spec, current, w), canon_payload(spec, Fraction(1, 2)))
+            half_q = _mul(spec, _qval(spec, blk, w), canon_payload(spec, Fraction(1, 2)))
             w = [_add(spec, w[k], _neg(spec, _mul(spec, half_q, x[k]))) for k in range(m)]
-        t = _complete_pair(spec, x, w)
-        a1 = _matmul(spec, list(zip(*t)), _matmul(spec, current, t))
-        e = _pid(spec, m)
-        for l in range(2, m):
-            # kill B(x, v_l) and B(w, v_l) against the hyperbolic pair
-            beta = a1[0][l]
-            alpha = a1[1][l] if eps == 1 else _neg(spec, a1[1][l])
-            e[0][l] = _neg(spec, alpha)
-            e[1][l] = _neg(spec, beta)
-        step = _matmul(spec, t, e)
-        a2 = _matmul(spec, list(zip(*step)), _matmul(spec, current, step))
-        # the first two basis vectors must now span a standard hyperbolic plane
-        # orthogonal to the rest
-        plane = [[_zero(spec), one], [canon_payload(spec, eps), _zero(spec)]]
-        if [r[:2] for r in a2[:2]] != plane or any(
-            not _is_zero(spec, a2[r][l]) or not _is_zero(spec, a2[l][r])
+            ws.apply(_pembed(spec, _complete_pair(spec, x, w), n, off))
+            _split_pair(ws, off, 1)
+            if m > 2:
+                rest = [r[off + 2 : off + m] for r in ws.a[off + 2 : off + m]]
+                ws.apply(_pembed(spec, _diag_for_search(spec, rest, bound).p, n, off + 2))
+        else:
+            unit = _dyadic_unit if spec.kind == DYADIC else (lambda c: not _is_zero(spec, c))
+            j = next((l for l in range(off + 1, n) if unit(a[off][l])), None)
+            if j is None:
+                current = [r[off:] for r in a[off:]]
+                x = [_one(spec)] + [_zero(spec)] * (n - off - 1)
+                ws.apply(_pembed(spec, _complete_pair(spec, x, _dual_vector(spec, current, x)), n, off))
+            else:
+                ws.swap(off + 1, j)
+            _split_pair(ws, off, eps)
+        a = ws.a
+        plane = [[_zero(spec), _one(spec)], [canon_payload(spec, eps), _zero(spec)]]
+        if [r[off : off + 2] for r in a[off : off + 2]] != plane or any(
+            not _is_zero(spec, a[off + r][l]) or not _is_zero(spec, a[l][off + r])
             for r in (0, 1)
-            for l in range(2, m)
+            for l in range(off + 2, n)
         ):
             raise IdentityViolated("the hyperbolic pair did not split off")
-        current = [row[2:] for row in a2[2:]]
-        p_total = _matmul(spec, p_total, _pembed(spec, step, n, n - m))
-        hyp += 1
+        off += 2
 
+    aniso = [row[off:] for row in ws.a[off:]]
     aniso_matrix = InvMatrix(spec, tuple(map(tuple, aniso)), len(aniso), len(aniso))
-    aniso_form = GramForm(aniso_matrix, eps)
-    basis = InvMatrix(spec, tuple(map(tuple, p_total)), n, n)
-    blocks = [_hyperbolic_matrix(spec, 1, eps) for _ in range(hyp)]
-    if aniso_matrix.nrows:
-        blocks.append(aniso_matrix)
-    expected = (
-        InvMatrix.block_diag(blocks) if blocks else InvMatrix.from_rows(spec, [])
-    )
+    basis = InvMatrix(spec, tuple(map(tuple, ws.p)), n, n)
+    expected = InvMatrix.block_diag([_hyperbolic_matrix(spec, 1, eps)] * (off // 2) + [aniso_matrix])
     if basis.conj_transpose() * f.gram * basis != expected:
         raise IdentityViolated("Witt decomposition certificate failed to re-multiply")
     certified = _certify(spec, eps, aniso)
@@ -436,7 +434,76 @@ def witt_decompose(
             f"anisotropy of the {len(aniso)}-dimensional remainder is not "
             f"certified within height bound {height_bound}"
         )
-    return WittDecomposition(hyp, aniso_form, basis, certified)
+    return WittDecomposition(off // 2, GramForm(aniso_matrix, eps), basis, certified)
+
+
+def witt_decompose_whole_block(
+    f: GramForm, height_bound: int = 6, require_certified: bool = False
+) -> WittDecomposition:
+    """Split off hyperbolic planes, diagonalizing all that is left of the
+    form before each search, on the integer grids of ``forms``."""
+    spec = f.ring
+    if spec.kind not in _SEARCH_RINGS:
+        raise SpecMismatch(f"Witt decomposition not supported over {spec}")
+    if height_bound < 1:
+        raise IllFormed("height_bound must be a positive integer")
+    eps, n, mod = f.epsilon, f.dim, spec.p
+    (grid,), den = f.gram._slice_form()
+    # the planes split off so far fill a[:off][:off]; what is left is the
+    # block from off on, orthogonal to them
+    ws = forms._Congruence(mod, grid, den)
+    off = 0
+    while off < n:
+        m = n - off
+        (cur,), dcur = _reduced(mod, [[row[off:] for row in ws.a[off:]]], ws.da)
+        if eps == 1:
+            if spec.kind == DYADIC:
+                dg = forms._diag_dyadic(cur, dcur, height_bound + _PIVOT_BOUND)
+            else:
+                dg = forms._diag_field(mod, cur, dcur)
+                if spec.kind == RATIONALS:
+                    forms._reduce_rational_diag(dg)
+            xd = _isotropic_on_diagonal(spec, [dg.a[k][k] for k in range(m)], height_bound)
+            if xd is None:
+                ws.apply(dg.p, dg.dp, off)
+                break
+            x = [sum(map(operator.mul, r, xd)) for r in dg.p]
+            g = math.gcd(*x)  # x is made primitive; over F_p the residues will do
+            x = [c % mod for c in x] if mod else [c // g for c in x]
+        else:
+            # skew: every vector is isotropic, and m is even by nondegeneracy
+            x = [1] + [0] * (m - 1)
+        ws.apply(*forms._hyperbolic_pair(spec, cur, dcur, x, eps), off)
+        # kill B(x, v_l) and B(w, v_l) against the hyperbolic pair
+        a, d = ws.a, ws.da
+        e = forms._embed(m, d)
+        for l in range(2, m):
+            e[0][l] = -eps * a[off + 1][off + l]
+            e[1][l] = -a[off][off + l]
+        ws.apply(e, d, off)
+        # the first two basis vectors must now span a standard hyperbolic
+        # plane orthogonal to the rest
+        a, d = ws.a, ws.da
+        plane = [[0, d], [eps * d % mod if mod else eps * d, 0]]
+        if [r[off : off + 2] for r in a[off : off + 2]] != plane or any(
+            a[off + r][l] or a[l][off + r] for r in (0, 1) for l in range(off + 2, n)
+        ):
+            raise IdentityViolated("the hyperbolic pair did not split off")
+        off += 2
+
+    aniso_matrix = _canonical(spec, [[row[off:] for row in ws.a[off:]]], ws.da, n - off, n - off)
+    (aniso,), _ = aniso_matrix._slice_form()
+    basis = InvMatrix._from_slices(spec, [ws.p], ws.dp, n, n)
+    expected = InvMatrix.block_diag([_hyperbolic_matrix(spec, 1, eps)] * (off // 2) + [aniso_matrix])
+    if basis.conj_transpose() * f.gram * basis != expected:
+        raise IdentityViolated("Witt decomposition certificate failed to re-multiply")
+    certified = _certify(spec, eps, aniso)
+    if require_certified and not certified:
+        raise OracleInconclusive(
+            f"anisotropy of the {len(aniso)}-dimensional remainder is not "
+            f"certified within height bound {height_bound}"
+        )
+    return WittDecomposition(off // 2, GramForm(aniso_matrix, eps), basis, certified)
 
 
 def _qval(spec: RingSpec, grid: list[list[Any]], v: list[Any]) -> Any:

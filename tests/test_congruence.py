@@ -5,7 +5,10 @@ integers over one denominator.  ``congruence_reference`` holds the same
 steps on Fraction grids; on random forms over fp:5, fp:7, q and dyadic,
 with zero diagonals, swaps and skew forms among them, both must return
 bit-identical matrices (or raise the same error), every returned matrix in
-the canonical slice form.
+the canonical slice form.  ``witt_decompose`` is also compared with the
+integer whole-block loop of ``congruence_reference``, which diagonalizes
+all that is left of the form after each plane: the number of planes, the
+remainder's class and the refusals.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import congruence_reference as ref
 from wittkit.errors import DegenerateForm
 from wittkit.forms import GramForm, diagonalize, witt_decompose
 from wittkit.intlinalg import matmul_int
+from wittkit.invariants import witt_class
 from wittkit.rings import RingSpec
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -67,6 +71,10 @@ def _forms(draw):
         hypothesis.assume(False)
 
 
+def _form(tag, rows, eps=1):
+    return GramForm.from_rows(RingSpec.from_tag(tag), [[Fraction(c) for c in row] for row in rows], eps)
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -86,6 +94,9 @@ def _assert_canonical(m):
 
 @settings(max_examples=200, deadline=None)
 @given(_forms(), st.integers(1, 3))
+# no entry of the first row is a unit of Z[1/2], so the skew plane is
+# completed from a Bezout vector (the Pfaffian is 3 * 3 - 5 * 7 + 3 * 9 = 1)
+@hypothesis.example(_form("dyadic", [[0, 3, 5, 3], [-3, 0, 9, 7], [-5, -9, 0, 3], [-3, -7, -3, 0]], -1), 1)
 def test_congruence_matches_the_fraction_reference(f, bound):
     if f.epsilon == 1:
         got, want = _outcome(diagonalize, f), _outcome(ref.diagonalize, f)
@@ -106,3 +117,52 @@ def test_congruence_matches_the_fraction_reference(f, bound):
         assert got.anisotropic.gram.cells == want.anisotropic.gram.cells
         _assert_canonical(got.change_of_basis)
         _assert_canonical(got.anisotropic.gram)
+
+
+def _split_outcome(fn, f, bound):
+    """(planes, remainder class, certified), or the refusal's type."""
+    got = _outcome(fn, f, bound)
+    if isinstance(got, tuple):
+        return got[0]
+    assert got.anisotropic.dim == 0 or f.epsilon == 1
+    return got.hyperbolic_rank, witt_class(got.anisotropic) if f.epsilon == 1 else None, got.certified
+
+
+# Forms on which witt_decompose splits fewer planes than the whole-block
+# loop at the given height bound: no witness on the diagonal its remainder
+# keeps lies within the bound, while one on a fresh diagonal does.
+_FEWER_PLANES = [
+    (_form("q", [[2, 1, 2, 0, 0], [1, 1, 1, 0, 0], [2, 1, 3, 0, 0], [0, 0, 0, -1, 0], [0, 0, 0, 0, -1]]), 1),
+    (_form("q", [[1, 0, 0, 0, 0, 0], [0, -3, 0, 2, 0, 0], [0, 0, 5, 0, 0, 0], [0, 2, 0, "-125/27", "2/3", "4/9"],
+                 [0, 0, 0, "2/3", -1, -1], [0, 0, 0, "4/9", -1, "-2/3"]]), 4),
+    (_form("dyadic", [[1, -1, 1, 0, 2, 0, 1, 0], [-1, -1, -1, 0, -2, 0, -1, 0], [1, -1, "3/2", 0, "5/2", "1/2", 1, 0],
+                      [0, 0, 0, 4, 0, 0, 0, 0], [2, -2, "5/2", 0, "13/2", "1/2", 2, 0], [0, 0, "1/2", 0, "1/2", "1/2", 0, -2],
+                      [1, -1, 1, 0, 2, 0, 0, 0], [0, 0, 0, 0, 0, -2, 0, -2]]), 1),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_forms(), st.integers(1, 4))
+@hypothesis.example(*_FEWER_PLANES[0])
+@hypothesis.example(*_FEWER_PLANES[1])
+@hypothesis.example(*_FEWER_PLANES[2])
+def test_one_diagonalization_against_the_whole_block_loop(f, bound):
+    # the whole-block loop, which diagonalizes all that is left after each
+    # plane, is the oracle: over F_p both are exact and must agree; over Q
+    # and Z[1/2] the searches read other diagonals, so witt_decompose may
+    # refuse only where the oracle refuses the same way, and may split
+    # fewer planes only with a remainder it does not certify
+    got = _split_outcome(witt_decompose, f, bound)
+    want = _split_outcome(ref.witt_decompose_whole_block, f, bound)
+    if isinstance(got, str):
+        assert got == want
+    elif isinstance(want, str):
+        assert (f.ring.kind, want) == ("dyadic", "OracleInconclusive")
+    elif f.ring.kind == "fp":
+        assert got == want
+    else:
+        (rank, cls, certified), (rank_ref, cls_ref, certified_ref) = got, want
+        assert cls == cls_ref
+        assert rank >= rank_ref or not certified
+        if certified and certified_ref:
+            assert rank == rank_ref

@@ -193,26 +193,55 @@ def test_binary_remainder_over_a_large_prime_is_decided_without_search():
     assert time.perf_counter() - start < 0.1
     assert dec.hyperbolic_rank == 0 and dec.certified
     assert dec.anisotropic == GramForm.diagonal(spec, [1, -ns])
-    # a residue -ab still searches, and finds the witness
+    # a residue -ab gives the witness from its square root
     assert witt_decompose(GramForm.diagonal(spec, [1, -4])).hyperbolic_rank == 1
 
 
+def test_ternary_forms_over_a_large_prime_split_from_a_square_root():
+    # every form of dimension 3 over F_p is isotropic, and one square root
+    # gives its witness however large p is
+    spec = RingSpec.prime_field(100000007)
+    start = time.perf_counter()
+    dec = witt_decompose(GramForm.diagonal(spec, [1, -5, 3]))
+    assert time.perf_counter() - start < 0.1
+    assert dec.hyperbolic_rank == 1 and dec.anisotropic.dim == 1 and dec.certified
+    _check_decomposition(GramForm.diagonal(spec, [1, -5, 3]), dec)
+
+
+def test_square_roots_mod_p():
+    for p in (3, 5, 7, 13, 17, 97, 257, 7681):  # 2-adic orders of p - 1 from 1 to 9
+        squares = {x * x % p for x in range(p)}
+        for t in range(p):
+            r = forms._sqrt_mod(t, p)
+            assert (r is not None) == (t in squares)
+            assert r is None or r * r % p == t
+
+
+def test_definite_diagonals_end_the_search_at_once():
+    # a definite form over Q or Z[1/2] has no isotropic vector at any
+    # height bound, so there is nothing to search
+    assert forms._isotropic_on_diagonal(Q, [1] * 8, 40) is None
+    assert forms._isotropic_on_diagonal(DY, [-1, -2, -1], 40) is None
+    start = time.perf_counter()
+    dec = witt_decompose(GramForm.diagonal(Q, [1] * 40))
+    assert time.perf_counter() - start < 0.1
+    assert dec.hyperbolic_rank == 0 and dec.certified
+
+
 def test_isotropy_searches_refuse_past_their_budget(monkeypatch):
-    # a ternary form over F_p is isotropic, but the witness can lie high
-    p = 100000007
-    spec = RingSpec.prime_field(p)
-    ns = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+    # x^2 + y^2 + z^2 = 7 w^2 and x^2 = 3 y^2 have no rational zero, and
+    # both forms are indefinite, so their searches run to the bound
     monkeypatch.setattr(forms, "_SEARCH_BUDGET", 5000)
-    with pytest.raises(BudgetExceeded, match="passed 5000 vectors at height"):
-        forms._isotropic_on_diagonal(spec, [1, p - ns, 3], 1)
-    # a definite form over Q has no witness at any height bound
-    with pytest.raises(BudgetExceeded, match="passed 5000 vectors at height 7"):
-        forms._isotropic_on_diagonal(Q, [1] * 8, 40)
-    assert forms._isotropic_on_diagonal(Q, [1] * 8, 6) is None  # 2 * (7^4 - 1) = 4800 vectors
+    with pytest.raises(BudgetExceeded, match="passed 5000 vectors at height 50"):
+        forms._isotropic_on_diagonal(Q, [1, 1, 1, -7], 60)
+    assert forms._isotropic_on_diagonal(Q, [1, 1, 1, -7], 49) is None  # 2 * 49^2 + 4 * 49 = 4998 vectors
+    with pytest.raises(BudgetExceeded, match="passed 5000 vectors at height 2501"):
+        forms._isotropic_on_diagonal(Q, [1, -3], 3000)
+    assert forms._isotropic_on_diagonal(Q, [1, -3], 2500) is None
     # within the budget the witness is the one found without it
-    want = forms._isotropic_on_diagonal(F7, [1, 2, 3, 4, 5], 1)
+    want = forms._isotropic_on_diagonal(Q, [2, 3, -5, 7], 4)
     monkeypatch.setattr(forms, "_SEARCH_BUDGET", 10)
-    assert forms._isotropic_on_diagonal(F7, [1, 2, 3, 4, 5], 1) == want
+    assert forms._isotropic_on_diagonal(Q, [2, 3, -5, 7], 4) == want
     # the oracle counts its vectors: <1, 1> over F_7 is anisotropic, 49 of them
     with pytest.raises(BudgetExceeded, match="after 10 vectors"):
         isotropy_oracle(GramForm.diagonal(F7, [1, 1]))
@@ -338,6 +367,61 @@ def test_witt_decompose_uncertified_mixed_signature():
         witt_decompose(f, require_certified=True)
 
 
+def _sheared(f: GramForm, rng: random.Random, shears: int) -> GramForm:
+    g = f.gram
+    for _ in range(shears):
+        s = _shear(f.ring, f.dim, rng)
+        g = s.conj_transpose() * g * s
+    return GramForm(g, f.epsilon)
+
+
+@pytest.mark.parametrize("spec", [F7, Q, DY], ids=str)
+def test_witt_decompose_diagonalizes_once(monkeypatch, spec):
+    # 5 planes and an anisotropic binary block, moved by 12 shears: one
+    # 12 x 12 diagonalization, then per plane at most the |S| - 2 other
+    # coordinates of its witness's support S are diagonalized again
+    block = [1, -3] if spec == F7 else [1, 1]
+    f = _sheared(orth_sum(hyperbolic(5, 1, spec), GramForm.diagonal(spec, block)), random.Random(7), 12)
+    events = []
+
+    def spy(fn, kind, rows):
+        def wrapped(*args):
+            out = fn(*args)
+            events.append((kind, len(rows(args)) if rows else sum(1 for c in out or () if c)))
+            return out
+        return wrapped
+
+    monkeypatch.setattr(forms, "_diag_field", spy(forms._diag_field, "diag", lambda args: args[1]))
+    monkeypatch.setattr(forms, "_diag_dyadic", spy(forms._diag_dyadic, "diag", lambda args: args[0]))
+    monkeypatch.setattr(forms, "_isotropic_on_diagonal", spy(forms._isotropic_on_diagonal, "search", None))
+    dec = witt_decompose(f)
+    assert dec.hyperbolic_rank == 5 and dec.certified
+    assert events[0] == ("diag", 12) and [e for e in events if e[0] == "diag"].count(("diag", 12)) == 1
+    support = 0
+    for kind, size in events[1:]:
+        if kind == "search":
+            support = size
+        else:
+            assert size <= support - 2 and (size <= 1 or spec != F7)
+    assert [size for kind, size in events if kind == "search"].count(0) == 1  # the last search
+
+
+@pytest.mark.parametrize("spec", [F7, Q, DY], ids=str)
+def test_skew_planes_take_no_whole_block_congruence(monkeypatch, spec):
+    f = _sheared(hyperbolic(6, -1, spec), random.Random(7), 12)
+    sizes = []
+    apply = forms._Congruence.apply
+
+    def spy(ws, t, den, off=0):
+        sizes.append(len(t))
+        return apply(ws, t, den, off)
+
+    monkeypatch.setattr(forms._Congruence, "apply", spy)
+    dec = witt_decompose(f)
+    assert dec.hyperbolic_rank == 6
+    assert max(sizes, default=0) < 12
+
+
 def test_skew_forms_split_completely():
     f = GramForm.from_rows(F7, [[0, 3], [-3, 0]], epsilon=-1)
     dec = witt_decompose(f)
@@ -398,11 +482,7 @@ def test_symplectic_basis():
 
 
 def _random_skew(spec: RingSpec, n: int, rng: random.Random) -> GramForm:
-    base = hyperbolic(n // 2, -1, spec).gram
-    for _ in range(4):
-        s = _shear(spec, n, rng)
-        base = s.conj_transpose() * base * s
-    return GramForm(base, epsilon=-1)
+    return _sheared(hyperbolic(n // 2, -1, spec), rng, 4)
 
 
 def test_form_json_roundtrip():
