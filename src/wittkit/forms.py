@@ -5,19 +5,22 @@ sign epsilon = +-1.  The module supplies congruence diagonalization (fields
 and Z[1/2]), isotropic vectors of diagonal forms, and Witt decomposition: a
 symmetric form is diagonalized once, and hyperbolic planes are split off
 isotropic vectors, each inside the diagonal block of its witness's support,
-until what is left refuses to represent zero.  Over a prime field a witness
-comes from a square root mod p, with no search, so a negative answer is a
-proof.  Over Q and Z[1/2] a definite diagonal is anisotropic; otherwise a
-witness has the least height of any, and a negative answer only says
-"nothing within the height bound"; decompositions carry a ``certified``
-flag and callers that need a proof can demand one.  Which isotropic vector
-is split off is not promised.
+until what is left refuses to represent zero.  A form is immutable, and its
+checked diagonalization is computed once and kept on it as long as it
+lives: ``diagonalize``, ``invariants.witt_class`` and ``witt_decompose``
+share it.  Over a prime field a witness comes from a square root mod p,
+with no search, so a negative answer is a proof.  Over Q and Z[1/2] a
+definite diagonal, and <a, b> with -ab not a square, are anisotropic;
+otherwise a witness has the least height of any, and a negative answer only
+says "nothing within the height bound"; decompositions carry a
+``certified`` flag and callers that need a proof can demand one.  Which
+isotropic vector is split off is not promised.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from .errors import (
@@ -68,9 +71,15 @@ _SEARCH_BUDGET = 1 << 20
 
 
 class GramForm(_Record):
-    """A nondegenerate epsilon-symmetric form, stored as its Gram matrix."""
+    """A nondegenerate epsilon-symmetric form, stored as its Gram matrix.
 
-    __slots__ = _fields = ("ring", "epsilon", "gram")
+    Its checked diagonalization (``_diag``, from ``diagonalize``) and Witt
+    class (``_class``, from ``invariants.witt_class``) are computed once and
+    kept as long as the form lives; ==, hash and repr read ``_fields`` only.
+    """
+
+    _fields = ("ring", "epsilon", "gram")
+    __slots__ = (*_fields, "_diag", "_class")
 
     def __init__(self, gram: InvMatrix, epsilon: int = 1):
         if epsilon not in (1, -1):
@@ -85,6 +94,8 @@ class GramForm(_Record):
         object.__setattr__(self, "ring", gram.spec)
         object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "_diag", None)
+        object.__setattr__(self, "_class", None)
 
     @classmethod
     def diagonal(
@@ -526,12 +537,16 @@ def diagonalize(f: GramForm) -> tuple[InvMatrix, GramForm]:
 
     Returns (P, D) with P*.gram.P = D.gram, D diagonal.  Over Z[1/2] the
     diagonal entries are normalized into {+-1, +-2} by unit-square scaling.
+    The pair is computed and checked once per form and kept on it; later
+    calls, ``witt_class`` and ``witt_decompose`` reuse it.
     """
     spec = f.ring
     if f.epsilon != 1:
         raise SpecMismatch("only symmetric forms diagonalize; got epsilon = -1")
     if not (spec.is_field or spec.kind == DYADIC):
         raise SpecMismatch(f"diagonalization not supported over {spec}")
+    if f._diag is not None:
+        return f._diag
     (grid,), den = f.gram._slice_form()
     ws = _diag_dyadic(grid, den, _PIVOT_BOUND) if spec.kind == DYADIC else _diag_field(spec.p, grid, den)
     n = f.dim
@@ -539,7 +554,8 @@ def diagonalize(f: GramForm) -> tuple[InvMatrix, GramForm]:
     d = InvMatrix._from_slices(spec, [ws.a], ws.da, n, n)
     if p.conj_transpose() * f.gram * p != d:
         raise IdentityViolated("diagonalization certificate P*.G.P = D failed")
-    return p, GramForm(d, 1)
+    object.__setattr__(f, "_diag", (p, GramForm(d, 1)))
+    return f._diag
 
 
 # -- isotropy -----------------------------------------------------------------
@@ -628,7 +644,8 @@ def _isotropic_on_diagonal(
     first y = 0, 1, 2, ... that makes -(c + b y^2)/a a square, which some
     y < p does, as only two of the p + 1 zeros of the conic lie at z = 0.
 
-    Over Q and Z[1/2] a definite diagonal gives None at once.  Otherwise,
+    Over Q and Z[1/2] a definite diagonal gives None at once, and so does
+    <a, b> with -ab not a square (``_decided_anisotropic``).  Otherwise,
     as changing signs of entries keeps the value, entries run over 0..h,
     and the two halves of the coordinates meet in the middle: height by
     height, each half's vectors of that exact height are looked up in the
@@ -652,7 +669,7 @@ def _isotropic_on_diagonal(
             if x is not None:
                 return (x, y, 1) + (0,) * (n - 3)
         raise IdentityViolated(f"a ternary form over {spec} has no zero")
-    if all(c > 0 for c in coeffs) or all(c < 0 for c in coeffs):
+    if _decided_anisotropic(coeffs):
         return None
     # above |B(v, v)| for every v within the bound, so two halves'
     # values add to 0 mod it exactly when they do as integers
@@ -748,7 +765,23 @@ def witt_decompose(
     (grid,), den = f.gram._slice_form()
     # the planes split off so far fill a[:off][:off]; what is left is the
     # block from off on, orthogonal to them, and diagonal if eps = 1
-    ws = _diag_for_search(spec, grid, den, pivot_bound) if eps == 1 else _Congruence(mod, grid, den)
+    if eps == -1:
+        ws = _Congruence(mod, grid, den)
+    else:
+        try:
+            p, d = diagonalize(f)
+        except OracleInconclusive:
+            # a dyadic pivot search may succeed past diagonalize's bound;
+            # where it succeeds within it, the larger bound finds the same
+            ws = _diag_dyadic(grid, den, pivot_bound)
+        else:
+            # on copies of diagonalize's grids, which stay as they are
+            (diag,), dd = d.gram._slice_form()
+            ws = _Congruence(mod, diag, dd)
+            (basis,), ws.dp = p._slice_form()
+            ws.p = [list(row) for row in basis]
+            if spec.kind == RATIONALS:
+                _reduce_rational_diag(ws)
     off = 0
     while off < n:
         a = ws.a
@@ -808,12 +841,23 @@ def witt_decompose(
     return WittDecomposition(off // 2, GramForm(aniso_matrix, eps), basis, certified)
 
 
+def _decided_anisotropic(coeffs: Sequence[Any]) -> bool:
+    """Whether a rational diagonal is anisotropic by a test that needs no
+    search: it is definite, or it is <a, b> with -ab not a square."""
+    if all(c > 0 for c in coeffs) or all(c < 0 for c in coeffs):
+        return True
+    if len(coeffs) != 2:
+        return False
+    t = -coeffs[0] * coeffs[1]
+    t = t.numerator * t.denominator  # positive, and a square exactly when t is
+    return isqrt(t) ** 2 != t
+
+
 def _certify(spec: RingSpec, eps: int, aniso: list[list[int]]) -> bool:
     if spec.kind == PRIME_FIELD or len(aniso) <= 1 or eps == -1:
         return True
-    # diagonal by construction; definite forms cannot represent zero
-    entries = [aniso[i][i] for i in range(len(aniso))]
-    return all(c > 0 for c in entries) or all(c < 0 for c in entries)
+    # diagonal by construction
+    return _decided_anisotropic([aniso[i][i] for i in range(len(aniso))])
 
 
 def _hyperbolic_matrix(spec: RingSpec, n: int, eps: int) -> InvMatrix:

@@ -319,7 +319,9 @@ def witt_class(f: GramForm) -> WittClass:
     """Complete Witt invariants of a symmetric form.
 
     Skew forms over a field are hyperbolic, hence the zero class.  Skew
-    forms over Z[1/2] are out of scope and rejected.  Over Q each
+    forms over Z[1/2] are out of scope and rejected.  The class of a
+    symmetric form is computed once, from the diagonalization the form
+    keeps, and kept on the form as long as it lives.  Over Q each
     numerator of ``diagonalize``'s D, and their denominator, is factored
     once; all else follows from their squarefree classes.
     """
@@ -330,10 +332,16 @@ def witt_class(f: GramForm) -> WittClass:
         if spec.kind == DYADIC:
             raise SpecMismatch("skew classes are only classified over fields")
         return WittClass.zero(spec)
-    _, d = diagonalize(f)
+    if f._class is None:
+        object.__setattr__(f, "_class", _diagonal_class(diagonalize(f)[1]))
+    return f._class
+
+
+def _diagonal_class(d: GramForm) -> WittClass:
+    """The class of the diagonal symmetric form d."""
+    spec, n = d.ring, d.dim
     (grid,), den = d.gram._slice_form()
     nums = [row[i] for i, row in enumerate(grid)]
-    n = f.dim
     twist = (n * (n - 1) // 2) % 2
     if spec.kind == PRIME_FIELD:
         p = spec.p

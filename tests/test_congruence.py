@@ -8,7 +8,9 @@ bit-identical matrices (or raise the same error), every returned matrix in
 the canonical slice form.  ``witt_decompose`` is also compared with the
 integer whole-block loop of ``congruence_reference``, which diagonalizes
 all that is left of the form after each plane: the number of planes, the
-remainder's class and the refusals.
+remainder's class and the refusals.  A form keeps its diagonalization
+and its class once computed: whatever was asked of it before, each call
+must answer as on a fresh form.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from fractions import Fraction
 import pytest
 
 import congruence_reference as ref
+from wittkit import forms
 from wittkit.errors import DegenerateForm
 from wittkit.forms import GramForm, diagonalize, witt_decompose
 from wittkit.intlinalg import matmul_int
@@ -35,10 +38,10 @@ STEPS = {"fp": (1, 2, -1), "q": (1, -1, 2, Fraction(1, 2), Fraction(-2, 3)), "dy
 
 
 @st.composite
-def _forms(draw):
+def _forms(draw, rings=RINGS):
     """A nondegenerate form: hyperbolic planes plus unit diagonal entries,
     moved by random shears and swaps, or a random dense symmetric grid."""
-    spec = draw(st.sampled_from(RINGS))
+    spec = draw(st.sampled_from(rings))
     eps = draw(st.sampled_from((1, 1, -1)))
     n = draw(st.integers(0, 8))
     if eps == -1:
@@ -166,3 +169,67 @@ def test_one_diagonalization_against_the_whole_block_loop(f, bound):
         assert rank >= rank_ref or not certified
         if certified and certified_ref:
             assert rank == rank_ref
+
+
+def _answer(f, call):
+    """What ``call`` gives on f, in a form to compare: matrices as their
+    canonical grids, a refusal as its type and message."""
+    out = _outcome(call[0], f, *call[1:])
+    if isinstance(out, tuple) and isinstance(out[0], str):
+        return out
+    if call[0] is diagonalize:
+        p, d = out
+        return p.cells, d.gram.cells
+    if call[0] is witt_class:
+        return out, out.to_json(), out.disc_primes
+    return out, out.change_of_basis.cells, out.anisotropic.gram.cells
+
+
+_CALLS = [(diagonalize,), (witt_class,)] + [(witt_decompose, bound) for bound in range(1, 5)]
+# no 2 x 2 principal block has a unit determinant: the dyadic pivot's
+# unit-vector search runs; and a plane, which takes the 2 x 2 pivot
+_DYADIC_PIVOTS = [[[47, -10, 33, -17], [-10, 9, -10, 6], [33, -10, 25, -13], [-17, 6, -13, 7]],
+                  [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 2], [1, 0, 2, 0]]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_forms((RingSpec.from_tag("fp:5"), RingSpec.from_tag("q"), RingSpec.from_tag("dyadic"))),
+       st.permutations(_CALLS))
+@hypothesis.example(_form("dyadic", _DYADIC_PIVOTS[0]), _CALLS[::-1])
+@hypothesis.example(_form("dyadic", _DYADIC_PIVOTS[1]), _CALLS[2:] + _CALLS[:2])
+def test_kept_results_match_a_fresh_form(f, calls):
+    hypothesis.assume(f.dim >= 1)
+    for call in calls:
+        fresh = GramForm.from_rows(f.ring, f.gram.cells, f.epsilon)
+        assert _answer(f, call) == _answer(fresh, call)
+
+
+def test_the_dyadic_examples_reach_the_pivot(monkeypatch):
+    # the examples above take the 2 x 2 pivot step and its unit-vector
+    # fallback
+    seen = []
+    pivot = forms._dyadic_block_pivot
+    search = forms._unit_vector_search
+    monkeypatch.setattr(forms, "_dyadic_block_pivot", lambda *a: seen.append("pivot") or pivot(*a))
+    monkeypatch.setattr(forms, "_unit_vector_search", lambda *a: seen.append("search") or search(*a))
+    for rows in _DYADIC_PIVOTS:
+        seen.clear()
+        diagonalize(_form("dyadic", rows))
+        assert "pivot" in seen and ("search" in seen) == (rows is _DYADIC_PIVOTS[0])
+
+
+_BINARY = {"q": (1, -1, 2, -2, 3, -3, 5, -6, 4, -9, Fraction(1, 2), Fraction(-8, 9)),
+           "dyadic": (1, -1, 2, -2, 4, -4, Fraction(1, 2), Fraction(-1, 8)),
+           "fp": (1, 2, 3, 4, 5, 6)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((RingSpec.from_tag("q"), RingSpec.from_tag("dyadic"), RingSpec.from_tag("fp:7"))),
+       st.data())
+def test_a_certified_binary_decomposition_splits_exactly_the_zero_class(spec, data):
+    entries = [data.draw(st.sampled_from(_BINARY[spec.kind])) for _ in range(2)]
+    f = GramForm.diagonal(spec, entries)
+    dec = witt_decompose(f, data.draw(st.integers(1, 4)))
+    assert dec.certified or spec.kind != "fp"
+    if dec.certified:
+        assert (dec.hyperbolic_rank == 1) == witt_class(f).is_zero

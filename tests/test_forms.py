@@ -28,6 +28,7 @@ from wittkit.forms import (
     tensor,
     witt_decompose,
 )
+from wittkit.invariants import witt_class, witt_equiv
 from wittkit.matrices import InvMatrix
 from wittkit.rings import RingElem, RingSpec
 
@@ -228,16 +229,29 @@ def test_definite_diagonals_end_the_search_at_once():
     assert dec.hyperbolic_rank == 0 and dec.certified
 
 
+@pytest.mark.parametrize("spec,entries", [(Q, [1, -2]), (Q, [1, -3]), (Q, [3, -5]), (DY, [1, -2])], ids=str)
+def test_anisotropic_binary_remainders_are_decided_without_search(monkeypatch, spec, entries):
+    # <a, b> is isotropic exactly when -ab is a square, which 2, 3 and 15
+    # are not: the search (which would call _height_shell) does not run
+    monkeypatch.setattr(forms, "_height_shell", None)
+    dec = witt_decompose(GramForm.diagonal(spec, entries), height_bound=1000)
+    assert dec.hyperbolic_rank == 0 and dec.certified
+    assert not witt_class(GramForm.diagonal(spec, entries)).is_zero
+
+
 def test_isotropy_searches_refuse_past_their_budget(monkeypatch):
-    # x^2 + y^2 + z^2 = 7 w^2 and x^2 = 3 y^2 have no rational zero, and
-    # both forms are indefinite, so their searches run to the bound
+    # x^2 + y^2 + z^2 = 7 w^2 has no rational zero, and the form is
+    # indefinite, so its search runs to the bound; the least zero of
+    # x^2 = 2600^2 y^2 lies above the bounds tried
     monkeypatch.setattr(forms, "_SEARCH_BUDGET", 5000)
     with pytest.raises(BudgetExceeded, match="passed 5000 vectors at height 50"):
         forms._isotropic_on_diagonal(Q, [1, 1, 1, -7], 60)
     assert forms._isotropic_on_diagonal(Q, [1, 1, 1, -7], 49) is None  # 2 * 49^2 + 4 * 49 = 4998 vectors
     with pytest.raises(BudgetExceeded, match="passed 5000 vectors at height 2501"):
-        forms._isotropic_on_diagonal(Q, [1, -3], 3000)
-    assert forms._isotropic_on_diagonal(Q, [1, -3], 2500) is None
+        forms._isotropic_on_diagonal(Q, [1, -2600 * 2600], 3000)
+    assert forms._isotropic_on_diagonal(Q, [1, -2600 * 2600], 2500) is None
+    # x^2 = 3 y^2 has no rational zero: decided at once, at any bound
+    assert forms._isotropic_on_diagonal(Q, [1, -3], 3000) is None
     # within the budget the witness is the one found without it
     want = forms._isotropic_on_diagonal(Q, [2, 3, -5, 7], 4)
     monkeypatch.setattr(forms, "_SEARCH_BUDGET", 10)
@@ -404,6 +418,61 @@ def test_witt_decompose_diagonalizes_once(monkeypatch, spec):
         else:
             assert size <= support - 2 and (size <= 1 or spec != F7)
     assert [size for kind, size in events if kind == "search"].count(0) == 1  # the last search
+
+
+@pytest.mark.parametrize("spec", [F7, Q, DY], ids=str)
+def test_class_equivalence_and_decomposition_share_one_diagonalization(monkeypatch, spec):
+    # one full-size diagonalization per form, and one product with its Gram
+    # matrix for the diagonalization's certificate (f, g) plus the
+    # decomposition's own (f), wherever the class of f is asked again
+    block = [1, -3] if spec == F7 else [1, 1]
+    f = _sheared(orth_sum(hyperbolic(4, 1, spec), GramForm.diagonal(spec, block)), random.Random(11), 10)
+    g = _sheared(GramForm.diagonal(spec, [1, 2, -1]), random.Random(12), 3)
+    rows, products = [], {"f": 0, "g": 0}
+
+    def spy(fn, grid):
+        def wrapped(*args):
+            rows.append(len(grid(args)))
+            return fn(*args)
+        return wrapped
+
+    mul = InvMatrix.__mul__
+
+    def counting_mul(x, y):
+        for name, form in (("f", f), ("g", g)):
+            products[name] += y is form.gram
+        return mul(x, y)
+
+    monkeypatch.setattr(forms, "_diag_field", spy(forms._diag_field, lambda args: args[1]))
+    monkeypatch.setattr(forms, "_diag_dyadic", spy(forms._diag_dyadic, lambda args: args[0]))
+    monkeypatch.setattr(InvMatrix, "__mul__", counting_mul)
+    cls = witt_class(f)
+    assert rows == [10] and products == {"f": 1, "g": 0}
+    assert witt_equiv(f, g) == (cls == witt_class(g))
+    assert rows == [10, 3] and products == {"f": 1, "g": 1}
+    dec = witt_decompose(f)
+    assert dec.hyperbolic_rank == 4 and dec.certified
+    assert rows.count(10) == 1 and max(rows[2:], default=0) < 10
+    assert products == {"f": 2, "g": 1}
+    assert witt_class(f) is cls and diagonalize(f) is diagonalize(f)
+
+
+def test_a_refused_diagonalization_is_not_kept(monkeypatch):
+    # diagonalize's pivot searches stop at _PIVOT_BOUND, witt_decompose's
+    # at height_bound more: a decomposition that needs the larger bound
+    # succeeds, and diagonalize still refuses afterwards
+    monkeypatch.setattr(forms, "_PIVOT_BOUND", 0)
+    f = GramForm.from_rows(
+        DY,
+        [[47, -10, 33, -17], [-10, 9, -10, 6], [33, -10, 25, -13], [-17, 6, -13, 7]],
+    )
+    for _ in range(2):
+        with pytest.raises(OracleInconclusive, match="height <= 0"):
+            diagonalize(f)
+        dec = witt_decompose(f, height_bound=1)
+        _check_decomposition(f, dec)
+    with pytest.raises(OracleInconclusive):
+        witt_class(f)
 
 
 @pytest.mark.parametrize("spec", [F7, Q, DY], ids=str)

@@ -15,8 +15,8 @@ import pytest
 
 from wittkit.bott import BottData
 from wittkit.errors import IllFormed
-from wittkit.forms import GramForm, WittDecomposition
-from wittkit.invariants import WittClass, WittRingTable
+from wittkit.forms import GramForm, WittDecomposition, diagonalize
+from wittkit.invariants import WittClass, WittRingTable, witt_class
 from wittkit.lifting import SelfAdjInvolution
 from wittkit.matrices import InvMatrix
 from wittkit.rings import RingElem, RingSpec
@@ -141,3 +141,26 @@ def test_disc_primes_and_ops_stay_out_of_eq_hash_and_repr():
     assert "ops" not in repr(spec)
     for clone in (pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec)):
         assert clone == spec and clone.ops.mul(3, 5) == 1
+
+
+def test_a_forms_kept_diagonalization_and_class_stay_out_of_the_record():
+    rows = [[1, 2], [2, -3]]
+    f, fresh = GramForm.from_rows(Q, rows), GramForm.from_rows(Q, rows)
+    cls = witt_class(f)
+    pair = diagonalize(f)
+    assert f._diag is pair and f._class is cls and fresh._diag is fresh._class is None
+    pinned = "GramForm(q, eps=+1, gram=<2x2 [1, 2; 2, -3] over q>)"
+    assert f == fresh and not f != fresh and hash(f) == hash(fresh) and repr(f) == repr(fresh) == pinned
+    for clone in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+        assert type(clone) is GramForm
+        assert clone == f and hash(clone) == hash(f) and repr(clone) == pinned
+        assert clone._class == cls and clone._diag == pair
+        assert witt_class(clone) == cls and diagonalize(clone) == pair
+    for name in ("gram", "_diag", "_class"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, None)
+        with pytest.raises(AttributeError):
+            delattr(f, name)
+    with pytest.raises(AttributeError):
+        f.not_a_field = 1
+    assert f._diag is pair and f._class is cls
