@@ -343,11 +343,6 @@ def columns_to_matrix(cols: list[list[int]], nrows: int) -> IntMatrix:
     return [[col[i] for col in cols] for i in range(nrows)]
 
 
-def lattice_contains(gens: IntMatrix, v: list[int]) -> bool:
-    """Is ``v`` an integer combination of the columns of ``gens``?"""
-    return solve_int(gens, v) is not None
-
-
 def lattice_equal(a: IntMatrix, b: IntMatrix) -> bool:
     """Do the columns of ``a`` and ``b`` generate the same lattice?"""
     nrows = len(a)
@@ -355,6 +350,6 @@ def lattice_equal(a: IntMatrix, b: IntMatrix) -> bool:
         raise ValueError("lattices live in different ambient ranks")
     acols = [list(col) for col in zip(*a)] if a and a[0] else []
     bcols = [list(col) for col in zip(*b)] if b and b[0] else []
-    return all(lattice_contains(b, col) for col in acols) and all(
-        lattice_contains(a, col) for col in bcols
+    return all(solve_int(b, col) is not None for col in acols) and all(
+        solve_int(a, col) is not None for col in bcols
     )

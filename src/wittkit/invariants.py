@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .errors import IdentityViolated, IllFormed, NotClosed, SpecMismatch
 from .forms import GramForm, diagonalize, tensor
-from .intlinalg import bezout_vector, kernel_basis_int, prime_factors
+from .intlinalg import bezout_vector, prime_factors
 from .rings import DYADIC, PRIME_FIELD, RATIONALS, RingSpec, _is_odd_prime, _Record
 
 TYPE_CHECKING = False
@@ -517,27 +517,23 @@ def _dyadic_table(ring: RingSpec, gens: Sequence[GramForm], gen_classes: list[Wi
     labels = tuple(_dyadic_label(c.signature, c.dyadic_disc_parity) for c in gen_classes)
     sigs = [c.signature for c in gen_classes]
     bits = [c.dyadic_disc_parity for c in gen_classes]
-    step = math.gcd(*sigs)
-    # Parities reachable at signature zero: the parity functional on the
-    # kernel of the signature row.  Nonzero anywhere means the lattice
-    # contains the full torsion summand.
-    torsion = False
-    for vec in kernel_basis_int([sigs]):
-        if sum(l * b for l, b in zip(vec, bits)) % 2:
-            torsion = True
-            break
-    if step == 0 and any(bits):
-        torsion = True
+    # (step, parity) = sum c_i (s_i, b_i) has the least signature the span
+    # reaches, so the span is Z (step, parity) plus the classes of signature
+    # zero that each generator leaves over when that multiple is taken away
+    step, coeffs = bezout_vector(sigs)
+    parity = sum(l * b for l, b in zip(coeffs, bits)) % 2
+
+    def defect(s: int, b: int) -> int | None:
+        """Parity of (s, b) minus the multiple of (step, parity) at
+        signature s; None when no multiple has signature s."""
+        q, r = divmod(s, step) if step else (0, s)
+        return None if r else (b - q * parity) % 2
+
+    torsion = any(defect(s, b) for s, b in zip(sigs, bits))
 
     def member(c: WittClass) -> bool:
-        s, b = c.signature, c.dyadic_disc_parity
-        if step == 0:
-            return s == 0 and (b == 0 or torsion)
-        if s % step:
-            return False
-        _, coeffs = bezout_vector(tuple(sigs))
-        reached = sum((s // step) * l * b_ for l, b_ in zip(coeffs, bits)) % 2
-        return reached == b % 2 or torsion
+        left = defect(c.signature, c.dyadic_disc_parity)
+        return left is not None and (left == 0 or torsion)
 
     add_rows = []
     mul_rows = []
@@ -572,8 +568,6 @@ def _dyadic_table(ring: RingSpec, gens: Sequence[GramForm], gen_classes: list[Wi
         free_gen = "<1>"
         torsion_gen = "<1> - <2>"
     elif step:
-        _, coeffs = bezout_vector(tuple(sigs))
-        parity = sum(l * b for l, b in zip(coeffs, bits)) % 2
         free_gen = _dyadic_label(step, parity)
         if torsion:
             torsion_gen = "<1,-2>"

@@ -6,9 +6,11 @@ system is determined by the periodic part alone (cofinality), and it is
 reported as a triple (rank, inverted primes, torsion): the free part
 stabilizes to a localized lattice Z[1/S]^rank where S collects the prime
 divisors of the period map's determinant on its eventual image, and the
-torsion part stabilizes to the eventual image of the map on the torsion
-subgroup, which is finite and therefore settles after finitely many
-steps.
+torsion part is the eventual image of the map A on the torsion subgroup
+G.  Each image A^(k+1) G that differs from A^k G has at most half its
+order, and once two agree all later ones do, so A^M G is the eventual
+image for any M >= log2 |G|.  That image is read off in closed form from
+A^M, computed by repeated squaring, and checked against A^(M+1) G.
 
 Groups are kept in canonical coordinates throughout: free generators
 first, then one generator per invariant factor.  Homomorphism matrices
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from math import gcd
+from math import prod
 
 from .errors import IdentityViolated, IllFormed, NotCatalogued
 from .intlinalg import (
@@ -223,8 +225,8 @@ class GroupHom(_Record):
         """self after first."""
         if first.target != self.source:
             raise IllFormed("maps do not compose")
-        prod = matmul_int([list(r) for r in self.matrix], [list(r) for r in first.matrix])
-        return GroupHom(first.source, self.target, tuple(tuple(r) for r in prod))
+        product = matmul_int([list(r) for r in self.matrix], [list(r) for r in first.matrix])
+        return GroupHom(first.source, self.target, tuple(tuple(r) for r in product))
 
     def free_block(self) -> IntMatrix:
         rt, rs = self.target.free_rank, self.source.free_rank
@@ -345,20 +347,6 @@ class ColimResult(_Record):
         return "+".join(parts) if parts else "0"
 
 
-def _lattice_basis(mat: IntMatrix) -> IntMatrix:
-    """Full-column-rank basis matrix of the lattice the columns span."""
-    nrows = len(mat)
-    if not nrows or not mat[0]:
-        return [[] for _ in range(nrows)]
-    u, d, _ = smith_normal_form(mat)
-    ui = int_inverse_unimodular(u)
-    cols = []
-    for i in range(min(nrows, len(mat[0]))):
-        if d[i][i]:
-            cols.append([ui[r][i] * d[i][i] for r in range(nrows)])
-    return columns_to_matrix(cols, nrows)
-
-
 def _mat_pow(a: IntMatrix, k: int) -> IntMatrix:
     out = identity_int(len(a))
     for _ in range(k):
@@ -393,40 +381,43 @@ def _free_colimit(g: GroupHom) -> tuple[int, tuple[int, ...]]:
     return rho, tuple(prime_factors(delta))
 
 
+def _reduced_product(a: IntMatrix, b: IntMatrix, factors: tuple[int, ...]) -> IntMatrix:
+    """a*b for endomorphisms of the sum of the Z/d_i, row i reduced mod d_i."""
+    return [[x % d for x in row] for row, d in zip(matmul_int(a, b), factors)]
+
+
+def _image_group(power: IntMatrix, factors: tuple[int, ...]) -> FgAbGroup:
+    """The image of the sum of the Z/d_i under ``power``: Z^s modulo the
+    x with power*x in the relations, read off the kernel of [power | -diag(d)]."""
+    s = len(factors)
+    stacked = [
+        row + [-d if j == i else 0 for j in range(s)] for i, (row, d) in enumerate(zip(power, factors))
+    ]
+    return FgAbGroup.from_presentation(s, [vec[:s] for vec in kernel_basis_int(stacked)])
+
+
 def _torsion_colimit(g: GroupHom) -> tuple[int, ...]:
     factors = g.source.torsion
-    s = len(factors)
-    if s == 0:
+    if not factors:
         return ()
     a = g.torsion_block()
-    relations = [[factors[j] if i == j else 0 for j in range(s)] for i in range(s)]
-    rel_cols = [[relations[i][j] for i in range(s)] for j in range(s)]
-    basis = identity_int(s)
-    full = 1
-    for d in factors:
-        full *= d
-    order = full
-    while True:
-        ab = matmul_int(a, basis)
-        cols = [[ab[i][j] for i in range(s)] for j in range(len(basis[0]))] + rel_cols
-        basis = _lattice_basis(columns_to_matrix(cols, s))
-        new_order = full // abs(int_det(basis))
-        if new_order == order:
-            break
-        order = new_order
-    # invariant factors of (image + relations) / relations
-    x_cols = []
-    for j in range(s):
-        col = solve_int(basis, rel_cols[j])
-        if col is None:
-            raise IdentityViolated("relations lie inside every iterated image")
-        x_cols.append(col)
-    _, d, _ = smith_normal_form(columns_to_matrix(x_cols, s))
-    return tuple(d[i][i] for i in range(s) if d[i][i] > 1)
+    steps = prod(factors).bit_length() - 1  # floor(log2 |G|)
+    power, m = a, 1
+    while m < steps:
+        power, m = _reduced_product(power, power, factors), 2 * m
+    image = _image_group(power, factors)
+    if _image_group(_reduced_product(a, power, factors), factors) != image:
+        raise IdentityViolated("the torsion image settles within log2 |G| steps")
+    return image.torsion
 
 
 def colimit(seq: GroupSeq) -> ColimResult:
-    """Direct limit of the system; the prefix is absorbed by cofinality."""
+    """Direct limit of the system; the prefix is absorbed by cofinality.
+
+    The torsion is A^M G for the period map's torsion block A on G, the sum
+    of the Z/d_i, with M >= log2 |G|: Z^s modulo the x with A^M x in the
+    relations.  IdentityViolated if A^(M+1) G is a different group.
+    """
     rank, primes = _free_colimit(seq.period_map)
     torsion = _torsion_colimit(seq.period_map)
     return ColimResult(rank=rank, inverted_primes=tuple(sorted(primes)), torsion=torsion)

@@ -10,9 +10,10 @@ import pytest
 
 import invariants_reference as ref
 from wittkit.errors import IllFormed, NotClosed, SpecMismatch
-from wittkit.forms import GramForm, hyperbolic, orth_sum
+from wittkit.forms import GramForm, hyperbolic, orth_sum, tensor
 from wittkit.invariants import (
     WittClass,
+    _dyadic_label,
     hilbert_symbol,
     witt_class,
     witt_equiv,
@@ -219,6 +220,50 @@ def test_table_generated_subgroup():
         witt_ring_table(DY, [GramForm.diagonal(DY, [2])])
     with pytest.raises(NotClosed):
         witt_ring_table(F5, [GramForm.diagonal(F5, [2])])
+
+
+def _span_in_box(pairs: list[tuple[int, int]], bound: int) -> set[tuple[int, int]]:
+    """The (signature, parity) pairs with |signature| <= bound in the span of
+    ``pairs`` in Z + Z/2: {(0, 0)} closed under adding and subtracting each
+    pair inside the box, which reaches all of them once bound >= every |s_i|."""
+    span, frontier = {(0, 0)}, [(0, 0)]
+    while frontier:
+        s, b = frontier.pop()
+        for t, c in pairs:
+            for nxt in ((s + t, (b + c) % 2), (s - t, (b + c) % 2)):
+                if abs(nxt[0]) <= bound and nxt not in span:
+                    span.add(nxt)
+                    frontier.append(nxt)
+    return span
+
+
+def test_dyadic_table_matches_the_span_in_a_signature_box():
+    rng = random.Random(13)
+    seen = set()
+    for _ in range(200):
+        gens = [
+            GramForm.diagonal(DY, [rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(1, 2))])
+            for _ in range(rng.randint(1, 3))
+        ]
+        pairs = [(c.signature, c.dyadic_disc_parity) for c in map(witt_class, gens)]
+        span = _span_in_box(pairs, 8)
+        products = [witt_class(tensor(f, g)) for f in gens for g in gens]
+        if any((c.signature, c.dyadic_disc_parity) not in span for c in products):
+            seen.add("NotClosed")
+            with pytest.raises(NotClosed):
+                witt_ring_table(DY, gens)
+            continue
+        t = witt_ring_table(DY, gens)
+        seen.add(t.group)
+        step = min((s for s, _ in span if s > 0), default=0)
+        torsion = (0, 1) in span
+        assert t.group == {(1, 1): "Z+Z/2", (1, 0): "Z", (0, 1): "Z/2", (0, 0): "0"}[bool(step), torsion]
+        assert (t.torsion_generator is not None) == torsion
+        if step:
+            assert t.free_generator in {_dyadic_label(step, b) for s, b in span if s == step}
+        else:
+            assert t.free_generator is None
+    assert seen == {"Z+Z/2", "Z", "Z/2", "0", "NotClosed"}
 
 
 def test_table_addition_is_group_law():

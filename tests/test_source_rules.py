@@ -40,16 +40,22 @@ def test_no_check_is_stripped_by_python_O():
 
 
 
-def test_every_private_helper_is_referenced():
-    # a private module-level function that nothing else in the package names
-    # (a call from inside its own body does not count) is dead code
-    helpers: set[str] = set()
+def _functions_and_references() -> tuple[set[str], set[str], set[str]]:
+    """Module-level function names, the names the package refers to (a
+    reference from inside a function's own body does not count for it),
+    and the names listed in some ``__all__``."""
+    functions: set[str] = set()
     referenced: set[str] = set()
+    exported: set[str] = set()
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text(), str(path)).body:
             own = top.name if isinstance(top, ast.FunctionDef) else None
-            if own is not None and own.startswith("_") and not own.startswith("__"):
-                helpers.add(own)
+            if own is not None:
+                functions.add(own)
+            if isinstance(top, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in top.targets
+            ):
+                exported.update(node.value for node in ast.walk(top.value) if isinstance(node, ast.Constant))
             for node in ast.walk(top):
                 if isinstance(node, ast.Name):
                     name = node.id
@@ -61,7 +67,23 @@ def test_every_private_helper_is_referenced():
                     continue
                 if name != own:
                     referenced.add(name)
+    return functions, referenced, exported
+
+
+def test_every_private_helper_is_referenced():
+    # a private module-level function that nothing else in the package names
+    # is dead code
+    functions, referenced, _ = _functions_and_references()
+    helpers = {f for f in functions if f.startswith("_") and not f.startswith("__")}
     assert sorted(helpers - referenced) == []
+
+
+def test_every_public_function_is_exported_or_referenced():
+    # a public module-level function is either part of the API, listed in
+    # some __all__, or used elsewhere in the package; else it is an orphan
+    functions, referenced, exported = _functions_and_references()
+    public = {f for f in functions if not f.startswith("_")}
+    assert sorted(public - referenced - exported) == []
 
 
 def _compares_kind(fn: ast.FunctionDef) -> bool:
