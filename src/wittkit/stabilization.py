@@ -24,8 +24,8 @@ is deliberately no API for adding entries at runtime.
 from __future__ import annotations
 
 import json
+import math
 from functools import lru_cache
-from math import prod
 
 from .errors import IdentityViolated, IllFormed, NotCatalogued
 from .intlinalg import (
@@ -225,8 +225,8 @@ class GroupHom(_Record):
         """self after first."""
         if first.target != self.source:
             raise IllFormed("maps do not compose")
-        product = matmul_int([list(r) for r in self.matrix], [list(r) for r in first.matrix])
-        return GroupHom(first.source, self.target, tuple(tuple(r) for r in product))
+        prod = matmul_int([list(r) for r in self.matrix], [list(r) for r in first.matrix])
+        return GroupHom(first.source, self.target, tuple(tuple(r) for r in prod))
 
     def free_block(self) -> IntMatrix:
         rt, rs = self.target.free_rank, self.source.free_rank
@@ -381,17 +381,12 @@ def _free_colimit(g: GroupHom) -> tuple[int, tuple[int, ...]]:
     return rho, tuple(prime_factors(delta))
 
 
-def _reduced_product(a: IntMatrix, b: IntMatrix, factors: tuple[int, ...]) -> IntMatrix:
-    """a*b for endomorphisms of the sum of the Z/d_i, row i reduced mod d_i."""
-    return [[x % d for x in row] for row, d in zip(matmul_int(a, b), factors)]
-
-
 def _image_group(power: IntMatrix, factors: tuple[int, ...]) -> FgAbGroup:
     """The image of the sum of the Z/d_i under ``power``: Z^s modulo the
     x with power*x in the relations, read off the kernel of [power | -diag(d)]."""
     s = len(factors)
     stacked = [
-        row + [-d if j == i else 0 for j in range(s)] for i, (row, d) in enumerate(zip(power, factors))
+        [*row, *(-d if j == i else 0 for j in range(s))] for i, (row, d) in enumerate(zip(power, factors))
     ]
     return FgAbGroup.from_presentation(s, [vec[:s] for vec in kernel_basis_int(stacked)])
 
@@ -400,13 +395,14 @@ def _torsion_colimit(g: GroupHom) -> tuple[int, ...]:
     factors = g.source.torsion
     if not factors:
         return ()
-    a = g.torsion_block()
-    steps = prod(factors).bit_length() - 1  # floor(log2 |G|)
+    t = FgAbGroup(0, factors)
+    a = GroupHom(t, t, g.torsion_block())
+    steps = math.prod(factors).bit_length() - 1  # floor(log2 |G|)
     power, m = a, 1
     while m < steps:
-        power, m = _reduced_product(power, power, factors), 2 * m
-    image = _image_group(power, factors)
-    if _image_group(_reduced_product(a, power, factors), factors) != image:
+        power, m = power.compose(power), 2 * m
+    image = _image_group(power.matrix, factors)
+    if _image_group(a.compose(power).matrix, factors) != image:
         raise IdentityViolated("the torsion image settles within log2 |G| steps")
     return image.torsion
 
