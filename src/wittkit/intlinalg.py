@@ -1,6 +1,8 @@
 """Integer matrix utilities: Smith normal form, solving, kernels, lattices.
 
 Matrices are plain ``list[list[int]]``; Python ints keep everything exact.
+``solve_int`` solves for a matrix of right-hand sides with one Smith form,
+so ``lattice_equal`` takes two, one per side, whatever the column count.
 """
 
 from __future__ import annotations
@@ -26,10 +28,6 @@ def matmul_int(a: IntMatrix, b: IntMatrix) -> IntMatrix:
         return [[] for _ in a]
     bt = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in bt] for row in a]
-
-
-def matvec_int(a: IntMatrix, v: list[int]) -> list[int]:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 def int_det(a: IntMatrix) -> int:
@@ -299,26 +297,31 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return U, A, V
 
 
-def solve_int(a: IntMatrix, b: list[int]) -> list[int] | None:
-    """One integer solution x of a*x = b, or None when there is none."""
+def solve_int(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
+    """An n x k integer X with a*X = b for the m x n ``a`` and the m x k
+    ``b`` (one right-hand side per column), or None when any column has
+    none.  One Smith form D = U*a*V serves all columns: X = V*Y, row i
+    of Y being row i of U*b over d_i, and rows of U*b past the last
+    nonzero d_i must be zero."""
     nrows = len(a)
     ncols = len(a[0]) if a else 0
     if len(b) != nrows:
         raise ValueError("dimension mismatch in solve_int")
     if ncols == 0:
-        return [] if all(x == 0 for x in b) else None
+        return None if any(map(any, b)) else []
     U, D, V = smith_normal_form(a)
-    c = matvec_int(U, b)
-    y = [0] * ncols
-    for i in range(nrows):
-        d = D[i][i] if i < min(nrows, ncols) else 0
-        if d:
-            if c[i] % d:
-                return None
-            y[i] = c[i] // d
-        elif c[i]:
+    c = matmul_int(U, b)
+    rank = sum(1 for i in range(min(nrows, ncols)) if D[i][i])  # zeros come last
+    if any(map(any, c[rank:])):
+        return None
+    y = []
+    for i, row in enumerate(c[:rank]):
+        d = D[i][i]
+        if any(x % d for x in row):
             return None
-    return matvec_int(V, y)
+        y.append([x // d for x in row])
+    y += [[0] * len(b[0]) for _ in range(ncols - rank)]
+    return matmul_int(V, y)
 
 
 def kernel_basis_int(a: IntMatrix) -> list[list[int]]:
@@ -344,12 +347,9 @@ def columns_to_matrix(cols: list[list[int]], nrows: int) -> IntMatrix:
 
 
 def lattice_equal(a: IntMatrix, b: IntMatrix) -> bool:
-    """Do the columns of ``a`` and ``b`` generate the same lattice?"""
-    nrows = len(a)
-    if nrows != len(b):
+    """Do the columns of ``a`` and ``b`` generate the same lattice?  Each
+    side is solved for in the other, all its columns at once: two Smith
+    forms in all."""
+    if len(a) != len(b):
         raise ValueError("lattices live in different ambient ranks")
-    acols = [list(col) for col in zip(*a)] if a and a[0] else []
-    bcols = [list(col) for col in zip(*b)] if b and b[0] else []
-    return all(solve_int(b, col) is not None for col in acols) and all(
-        solve_int(a, col) is not None for col in bcols
-    )
+    return solve_int(b, a) is not None and solve_int(a, b) is not None

@@ -368,14 +368,10 @@ def _free_colimit(g: GroupHom) -> tuple[int, tuple[int, ...]]:
         return 0, ()
     ui = int_inverse_unimodular(u)
     basis = [[ui[i][j] for j in range(rho)] for i in range(r)]
-    fb = matmul_int(f, basis)
-    restricted = []
-    for j in range(rho):
-        col = solve_int(basis, [fb[i][j] for i in range(r)])
-        if col is None:
-            raise IdentityViolated("the period map must preserve its eventual image")
-        restricted.append(col)
-    delta = int_det(columns_to_matrix(restricted, rho))
+    restricted = solve_int(basis, matmul_int(f, basis))
+    if restricted is None:
+        raise IdentityViolated("the period map must preserve its eventual image")
+    delta = int_det(restricted)
     if delta == 0:
         raise IdentityViolated("the period map is invertible on its eventual image")
     return rho, tuple(prime_factors(delta))

@@ -21,9 +21,10 @@ from wittkit.intlinalg import (
     int_inverse_unimodular,
     matmul_int,
     smith_normal_form,
-    solve_int,
 )
 from wittkit.stabilization import GroupHom
+
+from intlinalg_reference import solve_int
 
 
 def _lattice_basis(mat: IntMatrix) -> IntMatrix:

@@ -1,4 +1,4 @@
-"""Integer factoring: trial division below a bound, Pollard-Brent rho above it."""
+"""Integer factoring, determinants, and solving for a matrix of right-hand sides."""
 
 from __future__ import annotations
 
@@ -9,10 +9,20 @@ import time
 
 import pytest
 
-from wittkit import intlinalg
+import intlinalg_reference as ref
+from wittkit import intlinalg, stabilization
 from wittkit.errors import BudgetExceeded
-from wittkit.intlinalg import _factorization, int_det, prime_factors, square_part
+from wittkit.intlinalg import (
+    _factorization,
+    int_det,
+    lattice_equal,
+    matmul_int,
+    prime_factors,
+    solve_int,
+    square_part,
+)
 from wittkit.rings import _is_odd_prime
+from wittkit.stabilization import ColimResult, FgAbGroup, GroupHom, GroupSeq, colimit
 
 
 def _factor_by_trial_division(n: int) -> dict[int, int]:
@@ -128,3 +138,111 @@ def test_int_det_against_sympy():
     for a in _det_cases():
         want = sympy.Matrix(a).det() if a else 1
         assert int_det(a) == want, a
+
+
+# -- solving for a matrix of right-hand sides ----------------------------------
+
+
+def _check_solution(a: list[list[int]], b: list[list[int]]) -> bool:
+    """Whether ``solve_int(a, b)`` found X; when it did, a*X = b exactly."""
+    x = solve_int(a, b)
+    if x is None:
+        return False
+    n = len(a[0]) if a else 0
+    if n == 0:
+        # the 0 x k matrix has no rows to carry k: matmul_int cannot rebuild b
+        assert x == [] and not any(map(any, b))
+    else:
+        assert len(x) == n and all(len(row) == len(b[0]) for row in x)
+        assert matmul_int(a, x) == b
+    return True
+
+
+def test_solve_int_on_corner_shapes():
+    assert _check_solution([], [])  # no rows
+    no_cols = [[], []]
+    assert _check_solution(no_cols, [[0, 0], [0, 0]])
+    assert _check_solution(no_cols, [[], []])
+    assert solve_int(no_cols, [[0], [1]]) is None
+    deficient = [[1, 2], [2, 4]]
+    assert _check_solution(deficient, [[3, -1], [6, -2]])
+    assert solve_int(deficient, [[3, 1], [6, 1]]) is None  # the second column leaves the image
+    assert solve_int(deficient, [[], []]) == [[], []]  # no right-hand sides
+    assert solve_int([[2, 0], [0, 3]], [[2, 4], [3, 9]]) == [[1, 2], [1, 3]]
+    assert solve_int([[2, 0], [0, 3]], [[2, 1], [3, 0]]) is None  # 2 does not divide 1
+    assert solve_int([[1], [2], [3]], [[2], [4], [6]]) == [[2]]
+    assert solve_int([[1], [2], [3]], [[2], [4], [7]]) is None
+    with pytest.raises(ValueError):
+        solve_int([[1, 0]], [[1], [0]])
+
+
+def _product(x: list[list[int]], y: list[list[int]], ncols: int) -> list[list[int]]:
+    """x*y with the column count given, so that an inner dimension 0 keeps it."""
+    return [[sum(r[t] * y[t][j] for t in range(len(r))) for j in range(ncols)] for r in x]
+
+
+def test_solve_int_matches_the_vector_form_column_by_column():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def grid(data, rows, cols, bound):
+        return [[data.draw(st.integers(-bound, bound)) for _ in range(cols)] for _ in range(rows)]
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        m, n, k = (data.draw(st.integers(0, 4)) for _ in range(3))
+        rank = data.draw(st.integers(0, min(m, n)))  # a has rank at most this
+        a = _product(grid(data, m, rank, 4), grid(data, rank, n, 4), n)
+        if data.draw(st.booleans()):
+            b = grid(data, m, k, 6)
+        else:  # solvable, unless one entry is then moved
+            b = _product(a, grid(data, n, k, 3), k)
+            if m and k and data.draw(st.booleans()):
+                b[data.draw(st.integers(0, m - 1))][data.draw(st.integers(0, k - 1))] += 1
+        columns = [list(col) for col in zip(*b)]
+        assert _check_solution(a, b) == all(ref.solve_int(a, col) is not None for col in columns)
+
+    check()
+
+
+# -- one Smith form per coefficient matrix ---------------------------------------
+
+
+def _counted_smith_forms(monkeypatch) -> list:
+    calls = []
+    real = intlinalg.smith_normal_form
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    for module in (intlinalg, stabilization):
+        monkeypatch.setattr(module, "smith_normal_form", counted)
+    return calls
+
+
+def test_lattice_equal_makes_one_smith_form_per_side(monkeypatch):
+    calls = _counted_smith_forms(monkeypatch)
+    a = [[2, 1, 0], [0, 3, 1], [1, 0, 5]]
+    # the same lattice: three columns from a unimodular change of basis and
+    # two redundant ones
+    b = _product(a, [[1, 0, 1, 2, 0], [1, 1, 0, 1, 0], [0, 0, 1, 0, 0]], 5)
+    assert lattice_equal(a, b) and len(calls) == 2
+    calls.clear()
+    # a doubled lies in a's lattice but not the other way round: both sides solved
+    assert not lattice_equal([[2 * x for x in row] for row in a], a) and len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "mat, result",
+    [
+        (((2, 1, 0), (0, 3, 1), (1, 0, 5)), ColimResult(3, (31,), ())),
+        (((1, 1, 0), (1, 1, 0), (0, 0, 3)), ColimResult(2, (2, 3), ())),
+    ],
+)
+def test_free_colimit_makes_one_smith_form_for_the_power_and_one_for_the_basis(monkeypatch, mat, result):
+    calls = _counted_smith_forms(monkeypatch)
+    z3 = FgAbGroup(3)
+    assert colimit(GroupSeq((), GroupHom(z3, z3, mat))) == result
+    assert len(calls) == 2

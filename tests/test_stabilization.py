@@ -9,6 +9,7 @@ from time import perf_counter
 
 import pytest
 
+from wittkit import stabilization
 from wittkit.errors import IdentityViolated, IllFormed, NotCatalogued
 from wittkit.stabilization import (
     ColimResult,
@@ -138,6 +139,13 @@ def test_colimit_sees_only_the_period():
     pre = (GroupHom(Z, Z, ((3,),)), GroupHom(Z, Z, ((5,),)))
     s = GroupSeq(pre, GroupHom(Z, Z, ((8,),)))
     assert colimit(s) == ColimResult(1, (2,), ())
+
+
+def test_free_colimit_checks_that_the_map_preserves_the_image(monkeypatch):
+    # a basis (1, 1) in place of the eventual image's (1, 0): F maps it to (1, 0)
+    monkeypatch.setattr(stabilization, "int_inverse_unimodular", lambda u: [[1, 0], [1, 1]])
+    with pytest.raises(IdentityViolated, match="preserve"):
+        colimit(seq_of(FgAbGroup(2), ((1, 0), (0, 0))))
 
 
 # -- the torsion colimit in closed form ---------------------------------------
