@@ -39,7 +39,7 @@ from .intlinalg import (
     smith_normal_form,
     square_part,
 )
-from .matrices import InvMatrix, _canonical, _payloads, _reduced
+from .matrices import InvMatrix, _canonical, _cook, _payloads, _reduced
 from .rings import (
     DYADIC,
     PRIME_FIELD,
@@ -47,7 +47,7 @@ from .rings import (
     RingElem,
     RingSpec,
     _Record,
-    _zero,
+    _is_power_of_two,
     canon_payload,
     payload_from_json,
     payload_to_json,
@@ -61,12 +61,13 @@ if TYPE_CHECKING:
 # trivial involution, so "conjugate transpose" below is plain transpose.
 _SEARCH_RINGS = (PRIME_FIELD, RATIONALS, DYADIC)
 
-# Height cap for the internal pivot searches inside dyadic diagonalization.
-# These searches only run when no unit pivot is available by elimination,
-# which at our matrix sizes essentially never happens.
+# Height cap for the pivot searches inside dyadic diagonalization.  They run
+# when no diagonal entry and no 2x2 principal block is a unit, which dense
+# dyadic forms reach often; the unit-vector search is also held to
+# _SEARCH_BUDGET vectors.
 _PIVOT_BOUND = 12
 
-# The most vectors an isotropy search may try before it refuses.
+# The most vectors any search may try before it refuses.
 _SEARCH_BUDGET = 1 << 20
 
 
@@ -116,12 +117,12 @@ class GramForm(_Record):
     def bilinear(self, v: Sequence[Any], w: Sequence[Any]) -> RingElem:
         """B(v, w) with the involution applied to the left slot."""
         spec = self.ring
-        vp = [_cook_scalar(spec, c) for c in v]
-        wp = [_cook_scalar(spec, c) for c in w]
+        vp = [_cook(spec, c) for c in v]
+        wp = [_cook(spec, c) for c in w]
         if len(vp) != self.dim or len(wp) != self.dim:
             raise IllFormed("vector length does not match the form")
         add, _, mul_, is_zero, involute = spec.ops
-        acc = _zero(spec)
+        acc = spec.zero
         for vi, row in zip(map(involute, vp), self.gram.cells):
             if is_zero(vi):
                 continue
@@ -208,14 +209,6 @@ class WittDecomposition(_Record):
         object.__setattr__(self, "anisotropic", anisotropic)
         object.__setattr__(self, "change_of_basis", change_of_basis)
         object.__setattr__(self, "certified", certified)
-
-
-def _cook_scalar(spec: RingSpec, entry: Any) -> Any:
-    if isinstance(entry, RingElem):
-        if entry.spec != spec:
-            raise SpecMismatch(f"scalar over {entry.spec} used over {spec}")
-        return entry.payload
-    return canon_payload(spec, entry)
 
 
 def _entry_from_json(spec: RingSpec, leaf: Any) -> Any:
@@ -390,13 +383,6 @@ def _diag_field(mod: int | None, grid: Sequence[Sequence[int]], den: int) -> _Co
     return ws
 
 
-def _dyadic_unit(num: int) -> bool:
-    """Whether num / 2^k is a unit of Z[1/2]: the grids over Z[1/2] have a
-    power of two as their denominator, so a unit is +-2^j over it."""
-    num = abs(num)
-    return num != 0 and num & (num - 1) == 0
-
-
 def _signed_vectors(n: int, bound: int) -> Iterator[tuple[int, ...]]:
     """Integer vectors ordered by height, then lexicographically with the
     per-coordinate order 0, 1, -1, 2, -2, ..."""
@@ -409,9 +395,15 @@ def _signed_vectors(n: int, bound: int) -> Iterator[tuple[int, ...]]:
 
 def _unit_vector_search(grid: Sequence[Sequence[int]], bound: int) -> tuple[int, ...] | None:
     """First integer vector (height order) whose quadratic value is a unit,
-    for a grid of numerators over a power of two."""
-    for v in _signed_vectors(len(grid), bound):
-        if _dyadic_unit(sum(c * sum(map(mul, row, v)) for c, row in zip(v, grid))):
+    for a grid of numerators over a power of two (a unit is +-2^j over it);
+    refuses after ``_SEARCH_BUDGET`` vectors."""
+    for count, v in enumerate(_signed_vectors(len(grid), bound)):
+        if count == _SEARCH_BUDGET:
+            raise OracleInconclusive(
+                f"unit-vector search stopped after {_SEARCH_BUDGET} vectors in a "
+                f"{len(grid)}-dimensional block over Z[1/2], at height {max(map(abs, v))}"
+            )
+        if _is_power_of_two(sum(c * sum(map(mul, row, v)) for c, row in zip(v, grid))):
             return v
     return None
 
@@ -424,7 +416,7 @@ def _complete_dyadic_columns(cols: list[list[int]], m: int) -> list[list[int]]:
     u, d, _ = smith_normal_form(n_grid)
     for i in range(k):
         di = d[i][i]
-        if di <= 0 or di & (di - 1):
+        if not _is_power_of_two(di):
             raise IdentityViolated("columns do not span a direct summand")
     uinv = int_inverse_unimodular(u)
     out = [row[:] for row in n_grid]
@@ -445,7 +437,7 @@ def _dyadic_block_pivot(ws: _Congruence, i: int, bound: int) -> None:
     n = len(a)
     pair = next(
         ((r, s) for r in range(i, n) for s in range(r + 1, n)
-         if _dyadic_unit(a[r][r] * a[s][s] - a[r][s] * a[r][s])),
+         if _is_power_of_two(a[r][r] * a[s][s] - a[r][s] * a[r][s])),
         None,
     )
     if pair is not None:
@@ -464,13 +456,13 @@ def _dyadic_block_pivot(ws: _Congruence, i: int, bound: int) -> None:
         ws.apply(t, det2, i)
         for x, y in _signed_vectors(2, 8):
             # aa, u and bb over the denominator they were read at
-            if _dyadic_unit(aa * x * x + 2 * u * x * y + bb * y * y):
+            if _is_power_of_two(aa * x * x + 2 * u * x * y + bb * y * y):
                 g, (alpha, beta) = bezout_vector([x, y])
                 # alpha*x + beta*y = g, so det of the 2x2 change is g = 2^j
-                if g & (g - 1):
+                if not _is_power_of_two(g):
                     raise IdentityViolated(f"pivot change has determinant {g}")
                 ws.apply([[x, -beta], [y, alpha]], 1, i)  # the block is orthogonal to the rest now
-                if not _dyadic_unit(ws.a[i][i]):
+                if not _is_power_of_two(ws.a[i][i]):
                     raise IdentityViolated("the 2x2 pivot step left a non-unit pivot")
                 return
     # general fallback, bounded and honest about giving up
@@ -481,7 +473,7 @@ def _dyadic_block_pivot(ws: _Congruence, i: int, bound: int) -> None:
             f"diagonalizing a {n - i}-dimensional block over Z[1/2]"
         )
     ws.apply(_complete_dyadic_columns([list(v)], n - i), 1, i)
-    if not _dyadic_unit(ws.a[i][i]):
+    if not _is_power_of_two(ws.a[i][i]):
         raise IdentityViolated("the unit-vector pivot step left a non-unit pivot")
 
 
@@ -489,8 +481,8 @@ def _diag_dyadic(grid: Sequence[Sequence[int]], den: int, bound: int) -> _Congru
     ws = _Congruence(None, grid, den)
     n = len(grid)
     for i in range(n):
-        if not _dyadic_unit(ws.a[i][i]):
-            j = next((k for k in range(i + 1, n) if _dyadic_unit(ws.a[k][k])), None)
+        if not _is_power_of_two(ws.a[i][i]):
+            j = next((k for k in range(i + 1, n) if _is_power_of_two(ws.a[k][k])), None)
             if j is not None:
                 ws.swap(i, j)
             else:
@@ -714,7 +706,7 @@ def _hyperbolic_pair(
         # odd part of gcd(ints) must be trivial
         g0 = gcd(den, *row)
         gb, coeffs = bezout_vector([c // g0 for c in row])
-        if not gb or gb & (gb - 1):
+        if not _is_power_of_two(gb):
             raise IdentityViolated(f"B(x, .) is not onto: its gcd is {gb}")
         w, dw = [c * (den // g0) for c in coeffs], gb
     else:
@@ -808,7 +800,7 @@ def witt_decompose(
             ws.apply(loc.p, loc.dp, off)
         else:
             # over Z[1/2] the partner must meet e_off in a unit
-            unit = _dyadic_unit if spec.kind == DYADIC else bool
+            unit = _is_power_of_two if spec.kind == DYADIC else bool
             j = next((l for l in range(off + 1, n) if unit(a[off][l])), None)
             if j is None:
                 (cur,), dcur = _reduced(mod, [[r[off:] for r in a[off:]]], ws.da)

@@ -458,17 +458,6 @@ class WittRingTable(_Record):
 _DEFAULT_DYADIC_DIAGS = ((1,), (2,), (-1,), (-2,))
 
 
-def _class_order(c: WittClass) -> int:
-    acc = c
-    order = 1
-    while not acc.is_zero:
-        acc = acc + c
-        order += 1
-        if order > 8:
-            raise IdentityViolated("prime-field Witt groups have order at most 4")
-    return order
-
-
 def _fp_table(ring: RingSpec, gen_classes: list[WittClass]) -> WittRingTable:
     closure = {WittClass.zero(ring), *gen_classes}
     grew = True
@@ -480,6 +469,9 @@ def _fp_table(ring: RingSpec, gen_classes: list[WittClass]) -> WittRingTable:
                     closure.add(y)
                     grew = True
     ordered = sorted(closure, key=lambda c: (c.dim_mod2, c.disc))
+    order = len(ordered)
+    if order not in (1, 2, 4):
+        raise IdentityViolated(f"prime-field Witt groups have 1, 2 or 4 classes, not {order}")
     least = {c: GramForm.diagonal(ring, _fp_entries(c)) for c in ordered}
     add_rows = []
     mul_rows = []
@@ -495,14 +487,11 @@ def _fp_table(ring: RingSpec, gen_classes: list[WittClass]) -> WittRingTable:
                 )
             row.append(_fp_label(prod))
         mul_rows.append(tuple(row))
-    order = len(ordered)
-    if order == 1:
-        group = "0"
-    elif order == 2:
-        group = "Z/2"
+    if order == 4:
+        # cyclic exactly when some class has order 4
+        group = "Z/4" if any(not (c + c).is_zero for c in ordered) else "Z/2+Z/2"
     else:
-        exponent = max(_class_order(c) for c in ordered)
-        group = "Z/4" if exponent == 4 else "Z/2+Z/2"
+        group = "0" if order == 1 else "Z/2"
     return WittRingTable(
         ring=ring,
         group=group,

@@ -27,7 +27,7 @@ from .errors import (
     SpecMismatch,
 )
 from .matrices import InvMatrix, _canonical, inv_sqrt_one_plus
-from .rings import LAURENT2, PRIME_FIELD, RATIONALS, TRUNC_NIL, RingElem, RingSpec, _Record, _zero
+from .rings import LAURENT2, PRIME_FIELD, RATIONALS, TRUNC_NIL, RingElem, RingSpec, _Record
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -98,7 +98,7 @@ def embed_constants(m: InvMatrix, spec: RingSpec) -> InvMatrix:
         (constants,), den = m._slice_form()
         zeros = [[[0] * m.ncols] * m.nrows] * (spec.k - 1)
         return InvMatrix._from_slices(spec, [constants, *zeros], den, m.nrows, m.ncols)
-    pad = (_zero(base),) * (spec.k - 1)
+    pad = (base.zero,) * (spec.k - 1)
     grid = tuple(tuple([(e, *pad) for e in row]) for row in m.cells)
     return InvMatrix(spec, grid, m.nrows, m.ncols)
 

@@ -41,10 +41,7 @@ from .rings import (
     RingSpec,
     _Frozen,
     _fixed,
-    _from_fraction,
     _is_nilpotent,
-    _one,
-    _zero,
     canon_payload,
     payload_from_json,
     payload_repr,
@@ -59,7 +56,7 @@ if TYPE_CHECKING:
 def _cook(spec: RingSpec, entry: Any) -> Any:
     if isinstance(entry, RingElem):
         if entry.spec != spec:
-            raise SpecMismatch(f"entry over {entry.spec} in a matrix over {spec}")
+            raise SpecMismatch(f"scalar over {entry.spec} used over {spec}")
         return entry.payload
     return canon_payload(spec, entry)
 
@@ -117,13 +114,13 @@ class InvMatrix(_Frozen):
         if layout is not None:
             eye = [[int(i == j) for j in range(n)] for i in range(n)]
             return cls._from_slices(spec, [eye] + [[[0] * n] * n] * (layout[0] - 1), 1, n, n)
-        one, zero = _one(spec), _zero(spec)
+        one, zero = spec.one, spec.zero
         grid = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
         return cls(spec, grid, n, n)
 
     @classmethod
     def zeros(cls, spec: RingSpec, nrows: int, ncols: int) -> "InvMatrix":
-        zero = _zero(spec)
+        zero = spec.zero
         return cls(spec, tuple((zero,) * ncols for _ in range(nrows)), nrows, ncols)
 
     @classmethod
@@ -135,7 +132,7 @@ class InvMatrix(_Frozen):
             rows, den = _slices_of(spec, [cooked])
             slices = [[[v if i == j else 0 for j in range(n)] for i, v in enumerate(row)] for (row,) in rows]
             return cls._from_slices(spec, slices, den, n, n)
-        zero = _zero(spec)
+        zero = spec.zero
         grid = tuple(
             tuple(cooked[i] if i == j else zero for j in range(n)) for i in range(n)
         )
@@ -152,7 +149,7 @@ class InvMatrix(_Frozen):
         ncols = sum(b.ncols for b in blocks)
         layout = _layout(spec)
         if layout is None:
-            den, parts, fill = 1, [[b.cells] for b in blocks], _zero(spec)
+            den, parts, fill = 1, [[b.cells] for b in blocks], spec.zero
         else:
             # every block over the lcm of the denominators: still canonical,
             # since each prime power of it is one block's whole denominator
@@ -290,7 +287,7 @@ class InvMatrix(_Frozen):
         if self.nrows != self.ncols:
             raise IllFormed("trace of a non-square matrix")
         spec = self.spec
-        add, acc = spec.ops.add, _zero(spec)
+        add, acc = spec.ops.add, spec.zero
         for i in range(self.nrows):
             acc = add(acc, self.cells[i][i])
         return RingElem(spec, acc, _raw=True)
@@ -302,7 +299,7 @@ class InvMatrix(_Frozen):
             raise IllFormed("determinant of a non-square matrix")
         spec = self.spec
         if spec.kind not in (PRIME_FIELD, RATIONALS, DYADIC):
-            c = _charpoly(spec.ops, self.cells, _one(spec))
+            c = _charpoly(spec.ops, self.cells, spec.one)
             return c[-1] if self.nrows % 2 == 0 else spec.ops.neg(c[-1])
         # fraction-free Bareiss elimination on the numerators
         (numerators,), den = self._slice_form()
@@ -327,9 +324,9 @@ class InvMatrix(_Frozen):
             # of Q and Z[1/2] are +, - and *, so they run on ints as well
             (numerators,), den = self._slice_form()
             c = _charpoly(spec.ops, numerators, 1)
-            c = [_from_fraction(spec, Fraction(v, den**i)) for i, v in enumerate(c)]
+            c = [canon_payload(spec, Fraction(v, den**i)) for i, v in enumerate(c)]
         else:
-            c = _charpoly(spec.ops, self.cells, _one(spec))
+            c = _charpoly(spec.ops, self.cells, spec.one)
         last = RingElem(spec, c[-1], _raw=True)
         det = last if n % 2 == 0 else -last
         if not det.is_unit():
@@ -503,7 +500,7 @@ def _matmul(spec: RingSpec, x: Sequence[Sequence[Any]], y: Sequence[Sequence[Any
     if not x or not y or not y[0]:
         return [[] for _ in x]
     add, _, mul_, _, _ = spec.ops
-    zero = _zero(spec)
+    zero = spec.zero
     out = []
     for row in x:
         out_row = []

@@ -18,7 +18,11 @@ exactly (no floating point anywhere):
   coefficients.
 
 Elements are immutable, hashable, and kept in canonical form, so ``==`` is
-exact equality in the ring.
+exact equality in the ring.  ``canon_payload`` is the one normalizer: every
+payload, from an int, a Fraction or a coefficient list, comes out of it.
+A ``RingSpec`` builds its ``ops``, the payload arithmetic specialised to
+its kind, once, when it is created; its ``zero`` and ``one``, built then
+too, are ``canon_payload`` of 0 and 1.
 
 >>> R = RingSpec.trunc_nil(RingSpec.rationals(), 3)
 >>> x = nil_generator(R)
@@ -122,16 +126,19 @@ class _Record(_Frozen):
         return f"{type(self).__qualname__}({args})"
 
 
-def _is_dyadic(q: Fraction) -> bool:
-    d = q.denominator
-    return d & (d - 1) == 0
+def _is_power_of_two(n: int) -> bool:
+    """Whether |n| = 2^j for some j >= 0: a denominator of Z[1/2], or the
+    numerator of one of its units."""
+    n = abs(n)
+    return n != 0 and n & (n - 1) == 0
 
 
 class RingSpec(_Record):
     """Identifier of one supported ring; shared by all elements over it."""
 
     _fields = ("kind", "p", "base", "k")
-    __slots__ = (*_fields, "ops")  # ops: payload arithmetic with the kind dispatched once
+    # ops: payload arithmetic with the kind dispatched once; zero, one: canonical payloads
+    __slots__ = (*_fields, "ops", "zero", "one")
 
     def __init__(self, kind: str, p: int | None = None, base: RingSpec | None = None, k: int | None = None):
         if kind == PRIME_FIELD:
@@ -152,9 +159,12 @@ class RingSpec(_Record):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "ops", _ring_ops(self))
+        object.__setattr__(self, "zero", canon_payload(self, 0))
+        object.__setattr__(self, "one", canon_payload(self, 1))
 
     def __reduce__(self) -> tuple:
-        # the ops closures do not pickle; the constructor builds them again
+        # the ops closures do not pickle; the constructor builds them and the
+        # zero and one payloads again
         return (RingSpec, (self.kind, self.p, self.base, self.k))
 
     # -- constructors ----------------------------------------------------
@@ -256,16 +266,20 @@ def _frac(value: Any) -> Fraction:
 def canon_payload(spec: RingSpec, raw: Any) -> Any:
     """Normalize ``raw`` into the canonical payload for ``spec``."""
     if spec.kind == PRIME_FIELD:
+        p = spec.p
+        assert p is not None
         if isinstance(raw, Fraction):
-            return _from_fraction(spec, raw)
+            if raw.denominator % p == 0:
+                raise NonUnit(f"denominator of {raw} vanishes mod {p}")
+            return raw.numerator * pow(raw.denominator, p - 2, p) % p
         if not isinstance(raw, int):
             raise IllFormed(f"prime field payload must be an int, got {raw!r}")
-        return raw % spec.p  # type: ignore[operator]
+        return raw % p
     if spec.kind == RATIONALS:
         return _frac(raw)
     if spec.kind == DYADIC:
         q = _frac(raw)
-        if not _is_dyadic(q):
+        if not _is_power_of_two(q.denominator):
             raise IllFormed(f"{q} is not a dyadic rational")
         return q
     if spec.kind == LAURENT2:
@@ -286,9 +300,7 @@ def canon_payload(spec: RingSpec, raw: Any) -> Any:
         else:
             raise IllFormed(f"cannot read truncated payload from {raw!r}")
         out = [canon_payload(base, c) for c in coeffs[: spec.k]]
-        zero = _zero(base)
-        out.extend(zero for _ in range(spec.k - len(out)))
-        return tuple(out)
+        return tuple(out + [base.zero] * (spec.k - len(out)))
     raise IllFormed(f"unknown ring kind {spec.kind!r}")
 
 
@@ -297,33 +309,11 @@ def _laurent_from_terms(terms: Iterable[tuple[Any, Any]]) -> tuple:
     for key, coeff in terms:
         et, ez = key
         c = _frac(coeff)
-        if not _is_dyadic(c):
+        if not _is_power_of_two(c.denominator):
             raise IllFormed(f"Laurent coefficient {c} is not dyadic")
         k = (int(et), int(ez))
         acc[k] = acc.get(k, Fraction(0)) + c
     return tuple(sorted((k, v) for k, v in acc.items() if v != 0))
-
-
-def _zero(spec: RingSpec) -> Any:
-    if spec.kind == PRIME_FIELD:
-        return 0
-    if spec.kind in (RATIONALS, DYADIC):
-        return Fraction(0)
-    if spec.kind == LAURENT2:
-        return ()
-    assert spec.base is not None and spec.k is not None
-    return (_zero(spec.base),) * spec.k
-
-
-def _one(spec: RingSpec) -> Any:
-    if spec.kind == PRIME_FIELD:
-        return 1
-    if spec.kind in (RATIONALS, DYADIC):
-        return Fraction(1)
-    if spec.kind == LAURENT2:
-        return (((0, 0), Fraction(1)),)
-    assert spec.base is not None and spec.k is not None
-    return (_one(spec.base),) + (_zero(spec.base),) * (spec.k - 1)
 
 
 class RingOps(namedtuple("RingOps", "add neg mul is_zero involute")):
@@ -386,7 +376,7 @@ def _ring_ops(spec: RingSpec) -> RingOps:
     base, k = spec.base, spec.k
     assert base is not None and k is not None
     badd, bneg, bmul, _, binv = base.ops
-    zero = _zero(base)
+    zero = base.zero
 
     def trunc_add(a: tuple, b: tuple) -> tuple:
         return tuple(map(badd, a, b))
@@ -452,16 +442,9 @@ def _is_unit(spec: RingSpec, a: Any) -> bool:
     if spec.kind == RATIONALS:
         return bool(a)
     if spec.kind == DYADIC:
-        if not a:
-            return False
-        n = abs(a.numerator)
-        return n & (n - 1) == 0
+        return _is_power_of_two(a.numerator)
     if spec.kind == LAURENT2:
-        if len(a) != 1:
-            return False
-        (_, coeff), = a
-        n = abs(coeff.numerator)
-        return n & (n - 1) == 0
+        return len(a) == 1 and _is_power_of_two(a[0][1].numerator)
     base = spec.base
     return _is_unit(base, a[0])  # type: ignore[index]
 
@@ -482,15 +465,14 @@ def _inv(spec: RingSpec, a: Any) -> Any:
     # a = a0 (1 + m) with m nilpotent: invert a0, then a geometric series in -m.
     a0inv = _inv(base, a[0])
     m = tuple(_mul(base, a0inv, x) for x in a[1:])  # coefficients of m, degree 1..k-1
-    m_full = (_zero(base),) + m
-    out = _one(spec)
-    term = _one(spec)
+    m_full = (base.zero,) + m
+    out = term = spec.one
     for _ in range(1, k):
         term = _mul(spec, term, _neg(spec, m_full))
         if _is_zero(spec, term):
             break
         out = _add(spec, out, term)
-    scalar = (a0inv,) + (_zero(base),) * (k - 1)
+    scalar = (a0inv,) + (base.zero,) * (k - 1)
     return _mul(spec, out, scalar)
 
 
@@ -499,29 +481,6 @@ def _is_nilpotent(spec: RingSpec, a: Any) -> bool:
         base = spec.base
         return _is_zero(base, a[0])  # type: ignore[arg-type]
     return _is_zero(spec, a)
-
-
-def _from_fraction(spec: RingSpec, q: Fraction) -> Any:
-    if spec.kind == PRIME_FIELD:
-        p = spec.p
-        assert p is not None
-        if q.denominator % p == 0:
-            raise NonUnit(f"denominator of {q} vanishes mod {p}")
-        return q.numerator * pow(q.denominator, p - 2, p) % p
-    if spec.kind == RATIONALS:
-        return q
-    if spec.kind == DYADIC:
-        if not _is_dyadic(q):
-            raise IllFormed(f"{q} is not a dyadic rational")
-        return q
-    if spec.kind == LAURENT2:
-        if not _is_dyadic(q):
-            raise IllFormed(f"{q} is not a dyadic rational")
-        return (((0, 0), q),) if q else ()
-    base = spec.base
-    k = spec.k
-    assert base is not None and k is not None
-    return (_from_fraction(base, q),) + (_zero(base),) * (k - 1)
 
 
 def payload_repr(spec: RingSpec, a: Any) -> str:
@@ -590,9 +549,7 @@ def payload_from_json(spec: RingSpec, obj: Any) -> Any:
         assert base is not None and k is not None
         if not isinstance(obj, list) or len(obj) > k:
             raise IllFormed(f"truncated payload needs at most {k} coefficients")
-        coeffs = [payload_from_json(base, c) for c in obj]
-        coeffs.extend(_zero(base) for _ in range(k - len(coeffs)))
-        return tuple(coeffs)
+        return canon_payload(spec, [payload_from_json(base, c) for c in obj])
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise IllFormed(f"bad payload {obj!r} for {spec}: {exc}") from exc
 
@@ -620,15 +577,15 @@ class RingElem(_Frozen):
 
     @classmethod
     def zero(cls, spec: RingSpec) -> "RingElem":
-        return cls(spec, _zero(spec), _raw=True)
+        return cls(spec, spec.zero, _raw=True)
 
     @classmethod
     def one(cls, spec: RingSpec) -> "RingElem":
-        return cls(spec, _one(spec), _raw=True)
+        return cls(spec, spec.one, _raw=True)
 
     @classmethod
     def from_fraction(cls, spec: RingSpec, q: Fraction | int) -> "RingElem":
-        return cls(spec, _from_fraction(spec, _frac(q)), _raw=True)
+        return cls(spec, _frac(q))
 
     @classmethod
     def monomial(cls, coeff: Fraction | int, t_exp: int = 0, z_exp: int = 0) -> "RingElem":
@@ -776,9 +733,4 @@ def nil_generator(spec: RingSpec) -> RingElem:
     """The class of x in B[x]/(x^k); zero when k = 1."""
     if spec.kind != TRUNC_NIL:
         raise SpecMismatch(f"nil generator lives in a truncated ring, not {spec}")
-    assert spec.base is not None and spec.k is not None
-    if spec.k == 1:
-        return RingElem.zero(spec)
-    coeffs = [_zero(spec.base)] * spec.k
-    coeffs[1] = _one(spec.base)
-    return RingElem(spec, tuple(coeffs), _raw=True)
+    return RingElem(spec, [0, 1])  # canon_payload cuts it to k coefficients

@@ -46,14 +46,12 @@ from wittkit.rings import (
     _is_zero,
     _mul,
     _neg,
-    _one,
-    _zero,
     canon_payload,
 )
 
 
 def _pid(spec: RingSpec, n: int) -> list[list[Any]]:
-    one, zero = _one(spec), _zero(spec)
+    one, zero = spec.one, spec.zero
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
@@ -125,7 +123,7 @@ def _diag_field(spec: RingSpec, grid: Sequence[Sequence[Any]]) -> _Congruence:
     ws = _Congruence(spec, grid)
     a = ws.a
     n = len(a)
-    one = _one(spec)
+    one = spec.one
     for i in range(n):
         if _is_zero(spec, a[i][i]):
             j = next((k for k in range(i + 1, n) if not _is_zero(spec, a[k][k])), None)
@@ -309,7 +307,7 @@ def _dual_vector(spec: RingSpec, grid: list[list[Any]], x: list[Any]) -> list[An
     row = _matmul(spec, [x], grid)[0]
     if spec.kind != DYADIC:
         j = next(k for k in range(n) if not _is_zero(spec, row[k]))
-        w = [_zero(spec)] * n
+        w = [spec.zero] * n
         w[j] = _inv(spec, row[j])
         return w
     denom = math.lcm(*(c.denominator for c in row))
@@ -341,7 +339,7 @@ def _complete_pair(
     c = _mul(spec, w[j1], _inv(spec, x[j1]))
     wred = [_add(spec, w[k], _neg(spec, _mul(spec, c, x[k]))) for k in range(m)]
     j2 = next(k for k in range(m) if not _is_zero(spec, wred[k]))
-    one, zero = _one(spec), _zero(spec)
+    one, zero = spec.one, spec.zero
     t = [[x[i], w[i]] for i in range(m)]
     for k in range(m):
         if k in (j1, j2):
@@ -355,7 +353,7 @@ def _split_pair(ws: _Congruence, i: int, eps: int) -> None:
     """e_(i+1) /= B(e_i, e_(i+1)), then e_l -= eps B(e_(i+1), e_l) e_i +
     B(e_i, e_l) e_(i+1) for every l > i + 1, for an isotropic pair."""
     spec, n = ws.spec, len(ws.a)
-    one, zero = _one(spec), _zero(spec)
+    one, zero = spec.one, spec.zero
     ws.apply(_pembed(spec, [[one, zero], [zero, _inv(spec, ws.a[i][i + 1])]], n, i))
     a, e = ws.a, _pid(spec, n)
     for l in range(i + 2, n):
@@ -407,13 +405,13 @@ def witt_decompose(
             j = next((l for l in range(off + 1, n) if unit(a[off][l])), None)
             if j is None:
                 current = [r[off:] for r in a[off:]]
-                x = [_one(spec)] + [_zero(spec)] * (n - off - 1)
+                x = [spec.one] + [spec.zero] * (n - off - 1)
                 ws.apply(_pembed(spec, _complete_pair(spec, x, _dual_vector(spec, current, x)), n, off))
             else:
                 ws.swap(off + 1, j)
             _split_pair(ws, off, eps)
         a = ws.a
-        plane = [[_zero(spec), _one(spec)], [canon_payload(spec, eps), _zero(spec)]]
+        plane = [[spec.zero, spec.one], [canon_payload(spec, eps), spec.zero]]
         if [r[off : off + 2] for r in a[off : off + 2]] != plane or any(
             not _is_zero(spec, a[off + r][l]) or not _is_zero(spec, a[l][off + r])
             for r in (0, 1)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from wittkit.matrices import InvMatrix
-from wittkit.rings import RingSpec, _inv, _is_unit, _one, _zero
+from wittkit.rings import RingSpec, _inv, _is_unit
 
 
 def det_minors(spec: RingSpec, cells: Sequence[Sequence[Any]]) -> Any:
@@ -25,14 +25,14 @@ def det_minors(spec: RingSpec, cells: Sequence[Sequence[Any]]) -> Any:
     """
     n = len(cells)
     add, neg, mul, is_zero, _ = spec.ops
-    memo: dict[int, Any] = {0: _one(spec)}
+    memo: dict[int, Any] = {0: spec.one}
 
     def minor(r: int, mask: int) -> Any:
         # the row index r is the number of columns already used
         got = memo.get(mask)
         if got is not None:
             return got
-        acc = _zero(spec)
+        acc = spec.zero
         sign = 1
         m = mask
         while m:

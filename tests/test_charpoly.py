@@ -17,7 +17,7 @@ import pytest
 
 import matrices_reference as ref
 from wittkit.matrices import InvMatrix, _charpoly
-from wittkit.rings import RingElem, RingSpec, _one, _zero, canon_payload
+from wittkit.rings import RingElem, RingSpec, canon_payload
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -63,7 +63,7 @@ def _square(draw):
     n = draw(st.integers(0, 6))
     shape = draw(st.sampled_from(("dense", "invertible", "singular")))
     rng = draw(st.randoms(use_true_random=False))
-    zero, one = _zero(spec), _one(spec)
+    zero, one = spec.zero, spec.one
     grid = [[_payload(spec, rng) for _ in range(n)] for _ in range(n)]
     m = InvMatrix(spec, tuple(map(tuple, grid)), n, n)
     if shape == "invertible" and n:
@@ -91,12 +91,12 @@ def test_det_charpoly_and_inverse_match_the_minors(case):
     want = ref.det_minors(spec, m.cells)
     assert m.det().payload == want
     add, neg = spec.ops.add, spec.ops.neg
-    c = _charpoly(spec.ops, m.cells, _one(spec))
-    assert len(c) == n + 1 and c[0] == _one(spec)
+    c = _charpoly(spec.ops, m.cells, spec.one)
+    assert len(c) == n + 1 and c[0] == spec.one
     assert (c[-1] if n % 2 == 0 else neg(c[-1])) == want
     if n:
         # c_1 = -trace
-        assert add(c[1], m.trace().payload) == _zero(spec)
+        assert add(c[1], m.trace().payload) == spec.zero
     det, inv = m.det_and_inverse()
     assert det.payload == want
     expected = ref.inverse_by_minors(m)

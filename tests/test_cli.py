@@ -282,7 +282,7 @@ def test_identity_check_survives_python_O():
     script = textwrap.dedent("""
         import sys
         from wittkit import cli, matrices
-        from wittkit.rings import _add, _one
+        from wittkit.rings import _add
 
         assert False, "asserts must be stripped under -O"
         # "_slice_products:k" corrupts only the products with k slices
@@ -291,7 +291,7 @@ def test_identity_check_survives_python_O():
 
         def corrupt_matmul(spec, x, y):
             out = real(spec, x, y)
-            out[0][0] = _add(spec, out[0][0], _one(spec))
+            out[0][0] = _add(spec, out[0][0], spec.one)
             return out
 
         def corrupt_slices(xs, ys, k):

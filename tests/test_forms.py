@@ -301,6 +301,17 @@ def test_dyadic_unit_vector_fallback(monkeypatch):
     assert p.conj_transpose() * f.gram * p == d.gram
 
 
+def test_dyadic_unit_vector_search_refuses_past_its_budget(monkeypatch):
+    # the fallback form of test_dyadic_unit_vector_fallback: its search is
+    # held to _SEARCH_BUDGET vectors like every other search
+    rows = [[47, -10, 33, -17], [-10, 9, -10, 6], [33, -10, 25, -13], [-17, 6, -13, 7]]
+    _, d = diagonalize(GramForm.from_rows(DY, rows))
+    assert d.diagonal_entries() == (1, 1, 2, 2)
+    monkeypatch.setattr(forms, "_SEARCH_BUDGET", 10)
+    with pytest.raises(OracleInconclusive, match="after 10 vectors in a 4-dimensional block .* at height 1"):
+        diagonalize(GramForm.from_rows(DY, rows))
+
+
 def test_witness_is_isotropic_property():
     rng = random.Random(13)
     for _ in range(30):

@@ -18,7 +18,7 @@ from wittkit.matrices import (
     _matmul,
     inv_sqrt_one_plus,
 )
-from wittkit.rings import RingElem, RingSpec, _add, _mul, _zero, canon_payload, nil_generator
+from wittkit.rings import RingElem, RingSpec, _add, _mul, canon_payload, nil_generator
 
 Q = RingSpec.rationals()
 F5 = RingSpec.prime_field(5)
@@ -181,7 +181,7 @@ _COPRIME_DENS = (1, 3, 10007, 65537, 999983, 2**61 - 1)
 
 def _fold_product(spec, x, y, ncols):
     """Reference product: one _add/_mul fold per output entry."""
-    zero = _zero(spec)
+    zero = spec.zero
     out = []
     for row in x:
         out_row = []
@@ -196,7 +196,7 @@ def _fold_product(spec, x, y, ncols):
 
 def _random_scalar(base, rng):
     if rng.random() < 0.2:
-        return _zero(base)
+        return base.zero
     if base.kind == "fp":
         return rng.randrange(base.p)
     if base.kind == "q":
@@ -269,7 +269,7 @@ def _singular(spec, grid, rng):
     """The grid with its last row replaced by a combination of the others."""
     n = len(grid)
     c = [_random_scalar(spec, rng) for _ in range(n - 1)]
-    last = [_zero(spec)] * n
+    last = [spec.zero] * n
     for ci, row in zip(c, grid):
         last = [_add(spec, x, _mul(spec, ci, y)) for x, y in zip(last, row)]
     return grid[:-1] + [last]
@@ -281,10 +281,10 @@ def test_bareiss_det_matches_minor_expansion(spec):
     one = canon_payload(spec, 1)
     grids = [
         # zero pivots: at the start, and in the middle of the elimination
-        [[_zero(spec), one], [one, _zero(spec)]],
-        [[one, one, _zero(spec)], [one, one, one], [_zero(spec), one, one]],
+        [[spec.zero, one], [one, spec.zero]],
+        [[one, one, spec.zero], [one, one, one], [spec.zero, one, one]],
         # no nonzero entry in a pivot column, so no row to swap in
-        [[one, one, one], [_zero(spec)] * 3, [_zero(spec), _zero(spec), one]],
+        [[one, one, one], [spec.zero] * 3, [spec.zero, spec.zero, one]],
     ]
     for n in range(8):
         for _ in range(12):
@@ -297,7 +297,7 @@ def test_bareiss_det_matches_minor_expansion(spec):
         d = InvMatrix(spec, tuple(map(tuple, grid)), len(grid), len(grid)).det().payload
         assert d == ref.det_minors(spec, grid)
         _assert_canonical(spec, d)
-        singular += d == _zero(spec)
+        singular += d == spec.zero
     assert singular >= 6 * 12
 
 
@@ -380,7 +380,7 @@ def test_dense_16x16_det_over_truncated_q_is_polynomial_time():
 
 def _random_nilpotent(spec, n, rng):
     """n x n over B[x]/(x^k) with no constant terms, so I + g is invertible."""
-    zero = _zero(spec.base)
+    zero = spec.base.zero
     grid = tuple(tuple((zero, *_random_payload(spec, rng)[1:]) for _ in range(n)) for _ in range(n))
     return InvMatrix(spec, grid, n, n)
 

@@ -10,10 +10,11 @@ from fractions import Fraction
 
 import pytest
 
+import rings_reference as ref
 from wittkit.errors import BudgetExceeded, IllFormed, NonUnit, SpecMismatch
 from wittkit.forms import GramForm
 from wittkit.matrices import InvMatrix
-from wittkit.rings import _MR_LIMIT, RingElem, RingSpec, _is_odd_prime, nil_generator
+from wittkit.rings import _MR_LIMIT, RingElem, RingSpec, _is_odd_prime, canon_payload, nil_generator
 
 Q = RingSpec.rationals()
 DY = RingSpec.dyadic()
@@ -131,6 +132,12 @@ def test_laurent_arithmetic_and_involution():
     assert RingElem.monomial(Fraction(-1, 2), 3, -2).is_unit()
     assert not (t + z).is_unit()
     assert (t * t.inv()) == RingElem.one(L2)
+
+
+def test_laurent_monomials_are_units_only_with_a_power_of_two_coefficient():
+    for coeff, unit in ((1, True), (-4, True), (Fraction(1, 8), True), (3, False), (Fraction(-3, 2), False)):
+        assert RingElem.monomial(coeff, 2, -1).is_unit() == unit
+    assert not RingElem.zero(L2).is_unit()
 
 
 def test_laurent_substitution():
@@ -279,3 +286,28 @@ def test_pickle_and_copy_round_trip(tag):
     for clone in (pickle.loads(pickle.dumps(product)), copy.deepcopy(product)):
         assert (clone * built).cells == (product * built).cells
         assert clone.det() == product.det()
+
+
+_BASE_TAGS = ("fp:3", "fp:7", "q", "dyadic", "laurent2")
+
+
+@pytest.mark.parametrize("tag", [*_BASE_TAGS, *(f"truncnil:{b}:3" for b in _BASE_TAGS)])
+def test_canon_payload_converts_fractions_as_the_reference_did(tag):
+    # canon_payload is the one normalizer: on a Fraction it gives the payload
+    # of the former per-kind conversion, or raises the same exception type
+    spec = RingSpec.from_tag(tag)
+    rng = random.Random(tag)
+    for _ in range(300):
+        q = Fraction(rng.randrange(-40, 41), rng.randrange(1, 65))
+        try:
+            want = ref._from_fraction(spec, q)
+        except (IllFormed, NonUnit) as exc:
+            with pytest.raises(type(exc)):
+                canon_payload(spec, q)
+        else:
+            assert repr(canon_payload(spec, q)) == repr(want), q
+    # the zero and one a spec carries are its canonical payloads, rebuilt
+    # by pickling and copying
+    assert spec.zero == canon_payload(spec, 0) and spec.one == canon_payload(spec, 1)
+    for clone in (pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec)):
+        assert (repr(clone.zero), repr(clone.one)) == (repr(spec.zero), repr(spec.one))

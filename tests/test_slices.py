@@ -17,7 +17,7 @@ import pytest
 import matrices_reference as ref
 from wittkit.lifting import embed_constants, reduce_mod_I
 from wittkit.matrices import InvMatrix, _slices_of, inv_sqrt_one_plus
-from wittkit.rings import RingElem, RingSpec, _from_fraction, _one, _zero
+from wittkit.rings import RingElem, RingSpec, canon_payload
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -97,7 +97,7 @@ def _fold(spec, x, y, ncols):
     for row in x:
         out_row = []
         for c in range(ncols):
-            acc = _zero(spec)
+            acc = spec.zero
             for a, y_row in zip(row, y):
                 acc = add(acc, mul(a, y_row[c]))
             out_row.append(acc)
@@ -122,7 +122,7 @@ def test_product_matches_the_fold(operands):
 def test_entrywise_operations_match_the_ring_ops(operands):
     spec, a, b = operands
     add, neg, mul, _, _ = spec.ops
-    half = _from_fraction(spec, Fraction(1, 2))
+    half = canon_payload(spec, Fraction(1, 2))
     shape = a.shape
     cases = {
         "sum": (a + b, [[add(x, y) for x, y in zip(r, s)] for r, s in zip(a.cells, b.cells)]),
@@ -153,15 +153,15 @@ def _series_reference(spec, g):
     """sum_j C(-1/2, j) g^j with payload folds, until the power vanishes."""
     add, _, mul, is_zero, _ = spec.ops
     n = len(g)
-    one = _one(spec)
-    out = [[one if i == j else _zero(spec) for j in range(n)] for i in range(n)]
+    one = spec.one
+    out = [[one if i == j else spec.zero for j in range(n)] for i in range(n)]
     power, coeff = out, Fraction(1)
     for j in range(1, spec.k + 1):
         power = _fold(spec, power, g, n)
         if all(is_zero(a) for row in power for a in row):
             break
         coeff *= Fraction(-1 - 2 * (j - 1), 2 * j)
-        c = _from_fraction(spec, coeff)
+        c = canon_payload(spec, coeff)
         out = [[add(x, mul(c, y)) for x, y in zip(r, s)] for r, s in zip(out, power)]
     return tuple(map(tuple, out))
 
@@ -169,7 +169,7 @@ def _series_reference(spec, g):
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([r for r in RINGS if r.kind == "truncnil"]), st.integers(0, 4), st.data())
 def test_inv_sqrt_one_plus_matches_the_payload_series(spec, n, data):
-    zero = _zero(spec.base)
+    zero = spec.base.zero
     grid = data.draw(_grid(spec, n, n))
     grid = tuple(tuple((zero, *e[1:]) for e in row) for row in grid)
     got = inv_sqrt_one_plus(InvMatrix(spec, grid, n, n))

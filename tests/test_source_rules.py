@@ -136,3 +136,24 @@ def test_congruence_steps_build_no_fraction():
         or (isinstance(node, ast.Attribute) and node.attr == "denominator")
     ]
     assert found == []
+
+
+def test_every_unbounded_search_names_the_budget():
+    # a vector search whose bound is not a literal counts its vectors
+    # against _SEARCH_BUDGET, so no input runs it without bound
+    searches = ("_signed_vectors", "_height_shell")
+    found, exempt = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            names = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in searches:
+                    where = f"{path.name}:{fn.name}:{node.lineno}"
+                    if isinstance(node.args[1], ast.Constant):
+                        exempt.append(where)
+                    elif "_SEARCH_BUDGET" not in names:
+                        found.append(where)
+    assert [w.rsplit(":", 1)[0] for w in exempt] == ["forms.py:_dyadic_block_pivot"]
+    assert found == []
