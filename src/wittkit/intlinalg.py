@@ -21,12 +21,15 @@ def identity_int(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def matmul_int(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Integer matrix product; the products of ``InvMatrix`` slices and the
-    congruence steps of ``forms`` reduce to it."""
+def matmul_int(a: IntMatrix, b: IntMatrix, p: int | None = None) -> IntMatrix:
+    """Integer matrix product, each entry taken mod p when p is given; the
+    products of ``InvMatrix`` slices and the congruence steps of ``forms``
+    reduce to it."""
     if not a or not b:
         return [[] for _ in a]
     bt = list(zip(*b))
+    if p:
+        return [[sum(map(mul, row, col)) % p for col in bt] for row in a]
     return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 

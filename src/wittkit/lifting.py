@@ -115,7 +115,7 @@ def associated_projection(j: SelfAdjInvolution) -> InvMatrix:
 def lift_involution(jbar: SelfAdjInvolution, r: InvMatrix) -> SelfAdjInvolution:
     """Correct an arbitrary lift of an involution into an exact one.
 
-    Symmetrizing gives S = R + (R* - R)/2; then gamma = S^2 - I is
+    Symmetrizing gives S = (R + R*)/2; then gamma = S^2 - I is
     nilpotent, self-adjoint, and commutes with S, so U = (I + gamma)^(-1/2)
     makes SU square to I while leaving the reduction untouched.
     """
@@ -126,7 +126,7 @@ def lift_involution(jbar: SelfAdjInvolution, r: InvMatrix) -> SelfAdjInvolution:
     if reduce_mod_I(r) != jbar.j:
         raise NotALift("the given matrix does not reduce to the involution")
     half = RingElem.from_fraction(spec, Fraction(1, 2))
-    s = r + (r.conj_transpose() - r).scale(half)
+    s = (r + r.conj_transpose()).scale(half)
     gamma = s * s - InvMatrix.identity(spec, r.nrows)
     out = s * inv_sqrt_one_plus(gamma)
     lifted = SelfAdjInvolution(out)
@@ -166,7 +166,8 @@ def conjugating_unitary(j1: SelfAdjInvolution, j2: SelfAdjInvolution) -> InvMatr
     satisfies delta*J1 = J2*delta on the nose (both sides equal
     (J1 + J2)/2), while the reversed product (I + J1*J2)/2 does not.
     delta*delta^* commutes with J1, so the polar correction preserves
-    the intertwining property.
+    the intertwining property.  As J1 is self-adjoint, a self-adjoint D
+    commutes with J1 iff D*J1 is self-adjoint: (D*J1)^* = J1*D, one product.
     """
     if j1.ring != j2.ring or j1.dim != j2.dim:
         raise SpecMismatch("the involutions must act on the same module")
@@ -180,7 +181,7 @@ def conjugating_unitary(j1: SelfAdjInvolution, j2: SelfAdjInvolution) -> InvMatr
     if delta * j1.j != j2.j * delta:
         raise IdentityViolated("intertwining identity failed")
     dd = delta * delta.conj_transpose()
-    if dd * j1.j != j1.j * dd:
+    if not dd.is_self_adjoint() or not (dd * j1.j).is_self_adjoint():
         raise IdentityViolated("delta*delta^* must commute with the involution")
     out = delta * inv_sqrt_one_plus(dd - ident)
     if not out.is_unitary() or out * j1.j != j2.j * out:

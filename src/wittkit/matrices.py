@@ -8,12 +8,12 @@ canonical, so ``==`` compares it as it is: ``den > 0``, gcd(den, entries)
 = 1, and over F_p ``den = 1`` with entries in [0, p).  ``cells``, the grid
 of payloads, is a view built on first use; a matrix built from payloads
 keeps them as that view and builds its slices on first use.  Products
-(``_slice_products`` plus one gcd or ``% p`` pass, ``_reduced``), sums,
-scalings, transposes, block sums and the (I + g)^(-1/2) series of the
-lifting layer work on the slices, and so do the congruence grids of
-``forms``.  Over ``laurent2`` and ``truncnil(laurent2)`` matrices stay
-payload grids and call the ring's bound ops (``RingSpec.ops``) entry by
-entry, products included (``_matmul``).
+(``_slice_products`` plus one gcd pass, ``_reduced``; over F_p one
+``% p`` per entry inside the product), sums, scalings, transposes, block
+sums and the (I + g)^(-1/2) series of the lifting layer work on the
+slices, and so do the congruence grids of ``forms``.  Over ``laurent2`` and
+``truncnil(laurent2)`` matrices stay payload grids and call the ring's
+bound ops (``RingSpec.ops``) entry by entry, products included (``_matmul``).
 
 Inverses exist exactly when the determinant is a unit.  Over F_p, Q and
 Z[1/2] the determinant is int_det(slice 0) / den^n (fraction-free Bareiss);
@@ -216,6 +216,13 @@ class InvMatrix(_Frozen):
             )
             return InvMatrix(self.spec, grid, self.nrows, self.ncols)
         (xs, dx), (ys, dy) = self._slice_form(), other._slice_form()
+        p = _layout(self.spec)[1]
+        if p:  # den = 1, and the sums mod p are canonical
+            slices = [
+                [[(u + sign * v) % p for u, v in zip(ur, vr)] for ur, vr in zip(x, y)]
+                for x, y in zip(xs, ys)
+            ]
+            return InvMatrix._from_slices(self.spec, slices, 1, self.nrows, self.ncols)
         den = lcm(dx, dy)
         a, b = den // dx, sign * (den // dy)
         slices = [
@@ -245,7 +252,10 @@ class InvMatrix(_Frozen):
                 grid = _matmul(self.spec, self.cells, other.cells)
                 return InvMatrix(self.spec, tuple(map(tuple, grid)), self.nrows, other.ncols)
             (xs, dx), (ys, dy) = self._slice_form(), other._slice_form()
-            prods = _slice_products(xs, ys, layout[0])
+            k, p = layout
+            prods = _slice_products(xs, ys, k, p)
+            if p:
+                return InvMatrix._from_slices(self.spec, prods, 1, self.nrows, other.ncols)
             return _canonical(self.spec, prods, dx * dy, self.nrows, other.ncols)
         return self.scale(other)
 
@@ -262,9 +272,12 @@ class InvMatrix(_Frozen):
         # s is a 1x1 matrix polynomial, each slice a row of nrows * ncols entries
         scalar_slices, ds = _slices_of(spec, ((s,),))
         slices, den = self._slice_form()
-        flat = _slice_products(scalar_slices, [[[v for row in t for v in row]] for t in slices], len(slices))
+        p = _layout(spec)[1]
+        flat = _slice_products(scalar_slices, [[[v for row in t for v in row]] for t in slices], len(slices), p)
         m = self.ncols
         out = [[row[i * m : (i + 1) * m] for i in range(self.nrows)] for (row,) in flat]
+        if p:
+            return InvMatrix._from_slices(spec, out, 1, self.nrows, m)
         return _canonical(spec, out, den * ds, self.nrows, m)
 
     def transpose(self) -> "InvMatrix":
@@ -351,9 +364,15 @@ class InvMatrix(_Frozen):
         return all(map(is_zero, (a for row in self.cells for a in row)))
 
     def is_identity(self) -> bool:
-        if self.nrows != self.ncols:
+        n = self.nrows
+        if n != self.ncols:
             return False
-        return self == InvMatrix.identity(self.spec, self.nrows)
+        if _layout(self.spec) is None:
+            return self == InvMatrix.identity(self.spec, n)
+        # canonical slices: den 1, slice 0 the identity, every other slice 0
+        (first, *rest), den = self._slice_form()
+        return (den == 1 and all(row[i] == 1 and row.count(0) == n - 1 for i, row in enumerate(first))
+                and not any(any(row) for s in rest for row in s))
 
     def is_self_adjoint(self) -> bool:
         return self.nrows == self.ncols and self.conj_transpose() == self
@@ -513,19 +532,19 @@ def _matmul(spec: RingSpec, x: Sequence[Sequence[Any]], y: Sequence[Sequence[Any
     return out
 
 
-def _slice_products(xs: Sequence[Any], ys: Sequence[Any], k: int) -> list[list[list[int]]]:
+def _slice_products(xs: Sequence[Any], ys: Sequence[Any], k: int, p: int | None = None) -> list[list[list[int]]]:
     """Degrees 0..k-1 of the product of two integer matrix polynomials.
 
     ``xs[d]`` and ``ys[d]`` are the integer matrices of degree d (n x l and
     l x m).  Degree d of the truncated product, sum_{i+j=d} X_i*Y_j, is
-    one integer product [X_0 .. X_d] * [Y_d; ..; Y_0].
+    one integer product [X_0 .. X_d] * [Y_d; ..; Y_0], mod p if p is given.
     """
     left, right, prods = xs[0], [], []
     for d in range(k):
         if d:
             left = [a + b for a, b in zip(left, xs[d])]
         right = [*ys[d], *right]
-        prods.append(matmul_int(left, right))
+        prods.append(matmul_int(left, right, p))
     return prods
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 from operator import add, attrgetter, mul, neg, not_
 
 from .errors import BudgetExceeded, IllFormed, NonUnit, SpecMismatch
@@ -182,6 +183,7 @@ class RingSpec(_Record):
         return cls(DYADIC)
 
     @classmethod
+    @cache
     def laurent2(cls) -> "RingSpec":
         return cls(LAURENT2)
 

@@ -278,7 +278,7 @@ def test_internal_assertion_maps_to_exit_one(capsys, monkeypatch):
 def test_identity_check_survives_python_O():
     # a corrupted product must still trip the diagonalization certificate,
     # the idempotent check of the Bott data and the square-root identity of
-    # the lifting series when asserts are compiled away
+    # the lifting series, over Q and over F_p, when asserts are compiled away
     script = textwrap.dedent("""
         import sys
         from wittkit import cli, matrices
@@ -294,10 +294,10 @@ def test_identity_check_survives_python_O():
             out[0][0] = _add(spec, out[0][0], spec.one)
             return out
 
-        def corrupt_slices(xs, ys, k):
+        def corrupt_slices(xs, ys, k, *modulus):
             # one wrong integer in the top degree: over a truncated ring the
             # constant terms, and with them nilpotency, stay intact
-            prods = real(xs, ys, k)
+            prods = real(xs, ys, k, *modulus)
             if k == int(only_k):
                 prods[-1][0][0] += 1
             return prods
@@ -311,6 +311,9 @@ def test_identity_check_survives_python_O():
         ("_slice_products:1", ["witt", "class", "--ring", "q", "--diag", "1,2"], "certificate"),
         ("_matmul", ["bott", "verify"], "idempotent"),
         ("_slice_products:3", ["lift", "demo", "--base", "q", "--k", "3", "--n", "2", "--trials", "1"],
+         "square-root identity"),
+        # over F_p each product is reduced mod p inside the kernel
+        ("_slice_products:3", ["lift", "demo", "--base", "fp:5", "--k", "3", "--n", "2", "--trials", "1"],
          "square-root identity"),
     ]
     for target, argv, expected in cases:

@@ -185,6 +185,36 @@ def test_conjugating_unitary_random_pairs():
         assert dp * ja.j == jc.j * dp
 
 
+@pytest.mark.parametrize("spec", [Q, T3F5], ids=str)
+def test_commute_test_of_conjugating_unitary_matches_the_commutator(spec):
+    # for self-adjoint J and D: D*J == J*D iff D == D^* and D*J == (D*J)^*
+    rng = random.Random(str(spec))
+    k = spec.k or 1
+
+    def symmetric(n):
+        rows = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                e = [rng.randrange(-2, 3) for _ in range(k)]
+                rows[i][j] = rows[j][i] = e if spec.kind == "truncnil" else e[0]
+        return InvMatrix.from_rows(spec, rows)
+
+    outcomes = set()
+    for n in (1, 2, 3, 4):
+        for _ in range(25):
+            j = symmetric(n)
+            # a polynomial in J commutes with it; a random D rarely does
+            if rng.random() < 0.5:
+                d = j * j.scale(rng.randrange(-2, 3)) + j + InvMatrix.identity(spec, n).scale(rng.randrange(-2, 3))
+            else:
+                d = symmetric(n)
+            assert j.is_self_adjoint() and d.is_self_adjoint()
+            commute = d * j == j * d
+            assert commute == (d.is_self_adjoint() and (d * j).is_self_adjoint())
+            outcomes.add(commute)
+    assert outcomes == {True, False}
+
+
 def test_conjugating_unitary_rejects_different_reductions():
     jd = SelfAdjInvolution(embed_constants(InvMatrix.diagonal(F5, [1, -1, 1, 1]), T3F5))
     je = SelfAdjInvolution(embed_constants(InvMatrix.diagonal(F5, [1, 1, -1, 1]), T3F5))

@@ -57,9 +57,9 @@ def _grid(spec, nrows, ncols):
 
 
 @st.composite
-def _operands(draw, square=False):
+def _operands(draw, square=False, rings=RINGS):
     """A ring and two payload-built matrices a (n x l) and b (l x m)."""
-    spec = draw(st.sampled_from(RINGS))
+    spec = draw(st.sampled_from(rings))
     n, l, m = [draw(st.integers(0, 4))] * 3 if square else [draw(st.integers(0, 4)) for _ in range(3)]
     a = InvMatrix(spec, draw(_grid(spec, n, l)), n, l)
     b = InvMatrix(spec, draw(_grid(spec, l, m)), l, m)
@@ -137,6 +137,63 @@ def test_entrywise_operations_match_the_ring_ops(operands):
         assert got.cells == tuple(map(tuple, reference)), name
         assert got.shape == shape, name
     assert (a - a).is_zero() and (a - a) == InvMatrix.zeros(spec, *shape)
+
+
+FP_RINGS = (RingSpec.from_tag("fp:5"), *(RingSpec.trunc_nil(RingSpec.prime_field(7), k) for k in range(1, 6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_operands(square=True, rings=FP_RINGS), st.data())
+def test_fp_results_are_reduced_as_they_are_computed(operands, data):
+    # over F_p products, sums and scalings take % p in the pass that
+    # computes them and skip the canonical pass: den 1, entries in [0, p)
+    spec, a, b = operands
+    add, neg, mul, _, _ = spec.ops
+    s = data.draw(_payloads(spec))
+    cases = {
+        "product": (a * b, _fold(spec, a.cells, b.cells, b.ncols)),
+        "sum": (a + b, [[add(x, y) for x, y in zip(r, t)] for r, t in zip(a.cells, b.cells)]),
+        "difference": (a - b, [[add(x, neg(y)) for x, y in zip(r, t)] for r, t in zip(a.cells, b.cells)]),
+        "scaling": (a.scale(RingElem(spec, s, _raw=True)), [[mul(s, x) for x in r] for r in a.cells]),
+    }
+    for name, (got, reference) in cases.items():
+        _assert_canonical(got)
+        assert got.cells == tuple(map(tuple, reference)), name
+
+
+ID_RINGS = tuple(
+    RingSpec.from_tag(tag)
+    for tag in ("fp:5", "q", "dyadic", "laurent2", "truncnil:q:3", "truncnil:fp:7:2",
+                "truncnil:dyadic:2", "truncnil:laurent2:2")
+)
+
+
+@pytest.mark.parametrize("spec", ID_RINGS, ids=str)
+def test_is_identity_agrees_with_comparing_to_the_identity(spec):
+    rng = random.Random(str(spec))
+    k = spec.k if spec.kind == "truncnil" else 1
+
+    def entry(i, j):
+        # the identity's entry, now and then off in degree 0 or above
+        e = [int(i == j)] + [0] * (k - 1)
+        r = rng.random()
+        if r < 0.1:
+            e[0] = rng.choice((0, -1, 2, Fraction(1, 2)))
+        elif r < 0.2 and k > 1:
+            e[rng.randrange(1, k)] = rng.choice((1, -1))
+        return e if spec.kind == "truncnil" else e[0]
+
+    outcomes = set()
+    for n, m in [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (3, 3), (2, 3), (3, 2), (4, 4)]:
+        ident = InvMatrix.identity(spec, n)
+        cases = [InvMatrix.zeros(spec, n, m), ident.scale(Fraction(1, 2)), ident * ident, ident + ident - ident]
+        if n:  # from_rows of no rows is 0 x 0
+            cases += [InvMatrix.from_rows(spec, [[entry(i, j) for j in range(m)] for i in range(n)]) for _ in range(12)]
+        for c in cases:
+            expected = c.nrows == c.ncols and c == InvMatrix.identity(spec, c.nrows)
+            assert c.is_identity() == expected, c
+            outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 @settings(max_examples=150, deadline=None)
