@@ -248,7 +248,7 @@ def _build_parser() -> _Parser:
     ldemo.add_argument("--base", required=True, help="base ring tag: q or fp:<p>")
     ldemo.add_argument("--k", type=int, required=True, help="truncation order, 1..6")
     ldemo.add_argument("--n", type=int, required=True, help="matrix size, 1..8")
-    ldemo.add_argument("--trials", type=int, required=True, help="number of trials")
+    ldemo.add_argument("--trials", type=int, required=True, help="number of trials, 1..1000")
     ldemo.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help=f"RNG seed (default {DEFAULT_SEED})")
     ldemo.set_defaults(handler=_cmd_lift_demo)

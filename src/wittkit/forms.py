@@ -2,19 +2,22 @@
 
 A form is a square Gram matrix over one of the scalar rings together with a
 sign epsilon = +-1.  The module supplies congruence diagonalization (fields
-and Z[1/2]), isotropic vectors of diagonal forms, and Witt decomposition: a
-symmetric form is diagonalized once, and hyperbolic planes are split off
-isotropic vectors, each inside the diagonal block of its witness's support,
-until what is left refuses to represent zero.  A form is immutable, and its
-checked diagonalization is computed once and kept on it as long as it
-lives: ``diagonalize``, ``invariants.witt_class`` and ``witt_decompose``
-share it.  Over a prime field a witness comes from a square root mod p,
-with no search, so a negative answer is a proof.  Over Q and Z[1/2] a
-definite diagonal, and <a, b> with -ab not a square, are anisotropic;
-otherwise a witness has the least height of any, and a negative answer only
-says "nothing within the height bound"; decompositions carry a
-``certified`` flag and callers that need a proof can demand one.  Which
-isotropic vector is split off is not promised.
+and Z[1/2]: one loop, which pivots on units of the ring and over Z[1/2]
+searches for a pivot up to one height, ``_PIVOT_BOUND``), isotropic vectors
+of diagonal forms, and Witt decomposition: a symmetric form is diagonalized
+once, and hyperbolic planes are split off isotropic vectors, each inside the
+diagonal block of its witness's support, until what is left refuses to
+represent zero.  A form is immutable, and its checked diagonalization is
+computed once and kept on it as long as it lives: ``diagonalize``,
+``invariants.witt_class`` and ``witt_decompose`` share it, or share its
+refusal.  Over a prime field a witness comes from a square root mod p, with
+no search, so a negative answer is a proof.  Over Q and Z[1/2] a definite
+diagonal, and <a, b> with -ab not a square, are anisotropic; otherwise a
+witness has the least height of any, and a negative answer only says
+"nothing within the height bound", which bounds these isotropy searches
+and nothing else; decompositions carry a ``certified`` flag and callers
+that need a proof can demand one.  Which isotropic vector is split off is
+not promised.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .intlinalg import (
     smith_normal_form,
     square_part,
 )
-from .matrices import InvMatrix, _canonical, _cook, _payloads, _reduced
+from .matrices import InvMatrix, _canonical, _cook, _reduced
 from .rings import (
     DYADIC,
     PRIME_FIELD,
@@ -61,11 +64,12 @@ if TYPE_CHECKING:
 # trivial involution, so "conjugate transpose" below is plain transpose.
 _SEARCH_RINGS = (PRIME_FIELD, RATIONALS, DYADIC)
 
-# Height cap for the pivot searches inside dyadic diagonalization.  They run
-# when no diagonal entry and no 2x2 principal block is a unit, which dense
-# dyadic forms reach often; the unit-vector search is also held to
-# _SEARCH_BUDGET vectors.
-_PIVOT_BOUND = 12
+# Height cap for the pivot searches inside dyadic diagonalization, the one
+# bound for diagonalize, witt_class and witt_decompose.  They run when no
+# diagonal entry and no 2x2 principal block is a unit, which dense dyadic
+# forms reach often; the unit-vector search is also held to _SEARCH_BUDGET
+# vectors.
+_PIVOT_BOUND = 18
 
 # The most vectors any search may try before it refuses.
 _SEARCH_BUDGET = 1 << 20
@@ -136,23 +140,13 @@ class GramForm(_Record):
         return self.bilinear(v, v)
 
     def is_diagonal(self) -> bool:
-        g = self.gram
-        if g._sliced is None:
-            is_zero = self.ring.ops.is_zero
-            return all(is_zero(c) for i, row in enumerate(g.cells) for j, c in enumerate(row) if i != j)
-        # the integer slices are zero exactly where the entries are
-        return not any(any(row[:i]) or any(row[i + 1 :]) for s in g._sliced[0] for i, row in enumerate(s))
+        is_zero = self.ring.ops.is_zero
+        return all(is_zero(c) for i, row in enumerate(self.gram.cells) for j, c in enumerate(row) if i != j)
 
     def diagonal_entries(self) -> tuple[RingElem, ...]:
         if not self.is_diagonal():
             raise IllFormed("form is not diagonal")
-        g = self.gram
-        if g._cells is not None:
-            return tuple(g.entry(i, i) for i in range(self.dim))
-        # the diagonal payloads alone, without building the whole view
-        slices, den = g._sliced
-        (diag,) = _payloads(self.ring, [[[s[i][i] for i in range(self.dim)]] for s in slices], den)
-        return tuple(RingElem(self.ring, c, _raw=True) for c in diag)
+        return tuple(self.gram.entry(i, i) for i in range(self.dim))
 
     def to_json(self) -> dict:
         return {
@@ -362,27 +356,6 @@ def _embed(n: int, den: int = 1) -> list[list[int]]:
 # -- diagonalization ----------------------------------------------------------
 
 
-def _diag_field(mod: int | None, grid: Sequence[Sequence[int]], den: int) -> _Congruence:
-    ws = _Congruence(mod, grid, den)
-    n = len(grid)
-    for i in range(n):
-        a = ws.a
-        if not a[i][i]:
-            j = next((k for k in range(i + 1, n) if a[k][k]), None)
-            if j is not None:
-                ws.swap(i, j)
-            else:
-                j = next((k for k in range(i + 1, n) if a[i][k]), None)
-                if j is None:
-                    raise DegenerateForm("form has a zero row")
-                # e_i += e_j makes a[i][i] = 2 a[i][j], nonzero as 2 is invertible
-                t = _embed(n - i)
-                t[j - i][0] = 1
-                ws.apply(t, 1, i)
-        ws.pivot(i)
-    return ws
-
-
 def _signed_vectors(n: int, bound: int) -> Iterator[tuple[int, ...]]:
     """Integer vectors ordered by height, then lexicographically with the
     per-coordinate order 0, 1, -1, 2, -2, ..."""
@@ -426,12 +399,13 @@ def _complete_dyadic_columns(cols: list[list[int]], m: int) -> list[list[int]]:
     return out
 
 
-def _dyadic_block_pivot(ws: _Congruence, i: int, bound: int) -> None:
+def _dyadic_block_pivot(ws: _Congruence, i: int) -> None:
     """Make a[i][i] a unit when no trailing diagonal entry is one.
 
     Preferred route: find a 2x2 principal block with unit determinant,
-    isolate it, and diagonalize it by a tiny search.  Fallback: bounded
-    search for a unit-valued vector in the whole trailing block.
+    isolate it, and diagonalize it by a tiny search.  Fallback: search
+    the whole trailing block for a unit-valued vector of height at most
+    ``_PIVOT_BOUND``.
     """
     a = ws.a
     n = len(a)
@@ -466,10 +440,10 @@ def _dyadic_block_pivot(ws: _Congruence, i: int, bound: int) -> None:
                     raise IdentityViolated("the 2x2 pivot step left a non-unit pivot")
                 return
     # general fallback, bounded and honest about giving up
-    v = _unit_vector_search([row[i:] for row in ws.a[i:]], bound)
+    v = _unit_vector_search([row[i:] for row in ws.a[i:]], _PIVOT_BOUND)
     if v is None:
         raise OracleInconclusive(
-            f"no unit-valued vector of height <= {bound} found while "
+            f"no unit-valued vector of height <= {_PIVOT_BOUND} found while "
             f"diagonalizing a {n - i}-dimensional block over Z[1/2]"
         )
     ws.apply(_complete_dyadic_columns([list(v)], n - i), 1, i)
@@ -477,26 +451,9 @@ def _dyadic_block_pivot(ws: _Congruence, i: int, bound: int) -> None:
         raise IdentityViolated("the unit-vector pivot step left a non-unit pivot")
 
 
-def _diag_dyadic(grid: Sequence[Sequence[int]], den: int, bound: int) -> _Congruence:
-    ws = _Congruence(None, grid, den)
-    n = len(grid)
-    for i in range(n):
-        if not _is_power_of_two(ws.a[i][i]):
-            j = next((k for k in range(i + 1, n) if _is_power_of_two(ws.a[k][k])), None)
-            if j is not None:
-                ws.swap(i, j)
-            else:
-                _dyadic_block_pivot(ws, i, bound)
-        ws.pivot(i)
-    # units of Z[1/2] are +-2^k; squares of units absorb even powers
-    halves = [(abs(ws.a[i][i]).bit_length() - ws.da.bit_length()) // 2 for i in range(n)]
-    if any(halves):
-        ws.scale([1 << max(-h, 0) for h in halves], [1 << max(h, 0) for h in halves])
-    return ws
-
-
 def _reduce_rational_diag(ws: _Congruence) -> None:
-    """Rescale basis vectors so diagonal entries become squarefree integers.
+    """Rescale basis vectors so diagonal entries become squarefree integers:
+    over Z[1/2], where they are units +-2^j, +-1 or +-2.
 
     Entry values move by squares only, so nothing Witt-theoretic changes,
     but isotropy witnesses get dramatically smaller coordinates, which is
@@ -513,13 +470,32 @@ def _reduce_rational_diag(ws: _Congruence) -> None:
     ws.scale(nums, dens)
 
 
-def _diag_for_search(spec: RingSpec, grid: Sequence[Sequence[int]], den: int, bound: int) -> _Congruence:
-    """The diagonal the isotropy search reads: squarefree integers over Q,
-    units +-1, +-2 over Z[1/2] (pivot searches to ``bound``)."""
-    if spec.kind == DYADIC:
-        return _diag_dyadic(grid, den, bound)
-    ws = _diag_field(spec.p, grid, den)
-    if spec.kind == RATIONALS:
+def _diagonal(spec: RingSpec, grid: Sequence[Sequence[int]], den: int) -> _Congruence:
+    """Congruence-diagonalize the grid over ``den``, pivoting on units of
+    the ring: nonzero entries over a field, +-2^j over Z[1/2], whose
+    diagonal then moves into {+-1, +-2} by squares of units."""
+    ws = _Congruence(spec.p, grid, den)
+    dyadic = spec.kind == DYADIC
+    unit = _is_power_of_two if dyadic else bool
+    n = len(grid)
+    for i in range(n):
+        a = ws.a
+        if not unit(a[i][i]):
+            j = next((k for k in range(i + 1, n) if unit(a[k][k])), None)
+            if j is not None:
+                ws.swap(i, j)
+            elif dyadic:
+                _dyadic_block_pivot(ws, i)
+            else:
+                j = next((k for k in range(i + 1, n) if a[i][k]), None)
+                if j is None:
+                    raise DegenerateForm("form has a zero row")
+                # e_i += e_j makes a[i][i] = 2 a[i][j], nonzero as 2 is invertible
+                t = _embed(n - i)
+                t[j - i][0] = 1
+                ws.apply(t, 1, i)
+        ws.pivot(i)
+    if dyadic:
         _reduce_rational_diag(ws)
     return ws
 
@@ -540,7 +516,7 @@ def diagonalize(f: GramForm) -> tuple[InvMatrix, GramForm]:
     if f._diag is not None:
         return f._diag
     (grid,), den = f.gram._slice_form()
-    ws = _diag_dyadic(grid, den, _PIVOT_BOUND) if spec.kind == DYADIC else _diag_field(spec.p, grid, den)
+    ws = _diagonal(spec, grid, den)
     n = f.dim
     p = InvMatrix._from_slices(spec, [ws.p], ws.dp, n, n)
     d = InvMatrix._from_slices(spec, [ws.a], ws.da, n, n)
@@ -741,11 +717,14 @@ def witt_decompose(
     stays.  In a skew form every vector is isotropic: the first remaining
     coordinate is paired with one it meets, by a rank-2 update.
 
-    The search bound applies to the isotropy searches on the diagonal over
-    Q / Z[1/2]; over a prime field the answer is exact.  When the leftover
-    block cannot be proved anisotropic the result is returned with
-    ``certified=False``, or OracleInconclusive is raised if
-    ``require_certified`` was set.
+    ``height_bound`` bounds only the isotropy searches on the diagonal over
+    Q / Z[1/2]; over a prime field the answer is exact.  The diagonal is
+    ``diagonalize``'s, so over Z[1/2] its pivot searches, and those of the
+    blocks diagonalized again, stop at ``_PIVOT_BOUND`` whatever the
+    height bound: a form ``diagonalize`` refuses is refused here with the
+    same error.  When the leftover block cannot be proved anisotropic the
+    result is returned with ``certified=False``, or OracleInconclusive is
+    raised if ``require_certified`` was set.
     """
     spec = f.ring
     if spec.kind not in _SEARCH_RINGS:
@@ -753,27 +732,20 @@ def witt_decompose(
     if height_bound < 1:
         raise IllFormed("height_bound must be a positive integer")
     eps, n, mod = f.epsilon, f.dim, spec.p
-    pivot_bound = height_bound + _PIVOT_BOUND
-    (grid,), den = f.gram._slice_form()
     # the planes split off so far fill a[:off][:off]; what is left is the
     # block from off on, orthogonal to them, and diagonal if eps = 1
     if eps == -1:
+        (grid,), den = f.gram._slice_form()
         ws = _Congruence(mod, grid, den)
     else:
-        try:
-            p, d = diagonalize(f)
-        except OracleInconclusive:
-            # a dyadic pivot search may succeed past diagonalize's bound;
-            # where it succeeds within it, the larger bound finds the same
-            ws = _diag_dyadic(grid, den, pivot_bound)
-        else:
-            # on copies of diagonalize's grids, which stay as they are
-            (diag,), dd = d.gram._slice_form()
-            ws = _Congruence(mod, diag, dd)
-            (basis,), ws.dp = p._slice_form()
-            ws.p = [list(row) for row in basis]
-            if spec.kind == RATIONALS:
-                _reduce_rational_diag(ws)
+        # on copies of diagonalize's grids, which stay as they are
+        p, d = diagonalize(f)
+        (diag,), dd = d.gram._slice_form()
+        ws = _Congruence(mod, diag, dd)
+        (basis,), ws.dp = p._slice_form()
+        ws.p = [list(row) for row in basis]
+        if spec.kind == RATIONALS:
+            _reduce_rational_diag(ws)
     off = 0
     while off < n:
         a = ws.a
@@ -795,7 +767,9 @@ def witt_decompose(
             loc.plane(0, 1)
             if k > 2:
                 (rest,), drest = _reduced(mod, [[r[2:] for r in loc.a[2:]]], loc.da)
-                dg = _diag_for_search(spec, rest, drest, pivot_bound)
+                dg = _diagonal(spec, rest, drest)
+                if spec.kind == RATIONALS:
+                    _reduce_rational_diag(dg)
                 loc.apply(dg.p, dg.dp, 2)
             ws.apply(loc.p, loc.dp, off)
         else:

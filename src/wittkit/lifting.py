@@ -83,6 +83,8 @@ def reduce_mod_I(m: InvMatrix) -> InvMatrix:
     base = _require_trunc(m.spec, "reduction")
     if base.kind != LAURENT2:
         slices, den = m._slice_form()
+        if base.p:  # den = 1, and slice 0 is already canonical
+            return InvMatrix._from_slices(base, slices[:1], 1, m.nrows, m.ncols)
         return _canonical(base, slices[:1], den, m.nrows, m.ncols)
     grid = tuple(tuple([e[0] for e in row]) for row in m.cells)
     return InvMatrix(base, grid, m.nrows, m.ncols)
@@ -236,8 +238,8 @@ def roundtrip_isomorphism_demo(
         raise SpecMismatch(f"demo bases are q or an odd prime field, got {base}")
     if not 1 <= n <= 8 or not 1 <= k <= 6:
         raise IllFormed(f"desk-scale bounds are 1 <= n <= 8 and 1 <= k <= 6, got n={n} k={k}")
-    if trials < 1:
-        raise IllFormed("at least one trial is required")
+    if not 1 <= trials <= 1000:
+        raise IllFormed(f"trials must be between 1 and 1000, got {trials}")
     import random  # loaded here, not with the package: only the demo draws
 
     spec = RingSpec.trunc_nil(base, k)

@@ -292,9 +292,9 @@ def diagonalize(f: GramForm) -> tuple[InvMatrix, GramForm]:
 
 
 
-def _diag_for_search(spec: RingSpec, grid: Sequence[Sequence[Any]], bound: int) -> _Congruence:
+def _diag_for_search(spec: RingSpec, grid: Sequence[Sequence[Any]]) -> _Congruence:
     if spec.kind == DYADIC:
-        return _diag_dyadic(grid, bound)
+        return _diag_dyadic(grid, _PIVOT_BOUND)
     ws = _diag_field(spec, grid)
     if spec.kind == RATIONALS:
         _reduce_rational_diag(ws)
@@ -374,9 +374,8 @@ def witt_decompose(
     if height_bound < 1:
         raise IllFormed("height_bound must be a positive integer")
     eps, n = f.epsilon, f.dim
-    bound = height_bound + _PIVOT_BOUND
     cells = [list(row) for row in f.gram.cells]
-    ws = _diag_for_search(spec, cells, bound) if eps == 1 else _Congruence(spec, cells)
+    ws = _diag_for_search(spec, cells) if eps == 1 else _Congruence(spec, cells)
     off = 0
     while off < n:
         a = ws.a
@@ -399,7 +398,7 @@ def witt_decompose(
             _split_pair(ws, off, 1)
             if m > 2:
                 rest = [r[off + 2 : off + m] for r in ws.a[off + 2 : off + m]]
-                ws.apply(_pembed(spec, _diag_for_search(spec, rest, bound).p, n, off + 2))
+                ws.apply(_pembed(spec, _diag_for_search(spec, rest).p, n, off + 2))
         else:
             unit = _dyadic_unit if spec.kind == DYADIC else (lambda c: not _is_zero(spec, c))
             j = next((l for l in range(off + 1, n) if unit(a[off][l])), None)
@@ -455,12 +454,9 @@ def witt_decompose_whole_block(
         m = n - off
         (cur,), dcur = _reduced(mod, [[row[off:] for row in ws.a[off:]]], ws.da)
         if eps == 1:
-            if spec.kind == DYADIC:
-                dg = forms._diag_dyadic(cur, dcur, height_bound + _PIVOT_BOUND)
-            else:
-                dg = forms._diag_field(mod, cur, dcur)
-                if spec.kind == RATIONALS:
-                    forms._reduce_rational_diag(dg)
+            dg = forms._diagonal(spec, cur, dcur)
+            if spec.kind == RATIONALS:
+                forms._reduce_rational_diag(dg)
             xd = _isotropic_on_diagonal(spec, [dg.a[k][k] for k in range(m)], height_bound)
             if xd is None:
                 ws.apply(dg.p, dg.dp, off)

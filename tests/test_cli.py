@@ -256,6 +256,15 @@ def test_lift_demo_bounds(capsys):
     assert code == 2 and out["error"]["type"] == "SpecMismatch"
 
 
+@pytest.mark.parametrize("trials", ["0", "1001"])
+def test_lift_demo_refuses_a_trial_count_out_of_bounds(capsys, trials):
+    # refused before the first trial runs; one trial at k = 6, n = 8 takes
+    # about 0.1 s, so an unbounded count could run for hours
+    code, out = run(capsys, "lift", "demo", "--base", "q", "--k", "6", "--n", "8", "--trials", trials)
+    assert code == 2 and out["error"]["type"] == "IllFormed"
+    assert "1 and 1000" in out["error"]["message"]
+
+
 def test_unknown_subcommand(capsys):
     code, out = run(capsys, "witt", "frobnicate")
     assert code == 2

@@ -30,7 +30,7 @@ from wittkit.forms import (
 )
 from wittkit.invariants import witt_class, witt_equiv
 from wittkit.matrices import InvMatrix
-from wittkit.rings import RingElem, RingSpec
+from wittkit.rings import RingElem, RingSpec, nil_generator
 
 Q = RingSpec.rationals()
 DY = RingSpec.dyadic()
@@ -416,8 +416,7 @@ def test_witt_decompose_diagonalizes_once(monkeypatch, spec):
             return out
         return wrapped
 
-    monkeypatch.setattr(forms, "_diag_field", spy(forms._diag_field, "diag", lambda args: args[1]))
-    monkeypatch.setattr(forms, "_diag_dyadic", spy(forms._diag_dyadic, "diag", lambda args: args[0]))
+    monkeypatch.setattr(forms, "_diagonal", spy(forms._diagonal, "diag", lambda args: args[1]))
     monkeypatch.setattr(forms, "_isotropic_on_diagonal", spy(forms._isotropic_on_diagonal, "search", None))
     dec = witt_decompose(f)
     assert dec.hyperbolic_rank == 5 and dec.certified
@@ -454,8 +453,7 @@ def test_class_equivalence_and_decomposition_share_one_diagonalization(monkeypat
             products[name] += y is form.gram
         return mul(x, y)
 
-    monkeypatch.setattr(forms, "_diag_field", spy(forms._diag_field, lambda args: args[1]))
-    monkeypatch.setattr(forms, "_diag_dyadic", spy(forms._diag_dyadic, lambda args: args[0]))
+    monkeypatch.setattr(forms, "_diagonal", spy(forms._diagonal, lambda args: args[1]))
     monkeypatch.setattr(InvMatrix, "__mul__", counting_mul)
     cls = witt_class(f)
     assert rows == [10] and products == {"f": 1, "g": 0}
@@ -468,22 +466,90 @@ def test_class_equivalence_and_decomposition_share_one_diagonalization(monkeypat
     assert witt_class(f) is cls and diagonalize(f) is diagonalize(f)
 
 
-def test_a_refused_diagonalization_is_not_kept(monkeypatch):
-    # diagonalize's pivot searches stop at _PIVOT_BOUND, witt_decompose's
-    # at height_bound more: a decomposition that needs the larger bound
-    # succeeds, and diagonalize still refuses afterwards
+def test_one_pivot_bound_refuses_every_caller_alike(monkeypatch):
+    # every dyadic pivot search stops at _PIVOT_BOUND, whatever the height
+    # bound of the isotropy search: a form diagonalize refuses is refused by
+    # witt_class and witt_decompose too, with the same error, every time
+    # (a refusal is not kept)
     monkeypatch.setattr(forms, "_PIVOT_BOUND", 0)
     f = GramForm.from_rows(
         DY,
         [[47, -10, 33, -17], [-10, 9, -10, 6], [33, -10, 25, -13], [-17, 6, -13, 7]],
     )
+    calls = [diagonalize, witt_class, lambda f: witt_decompose(f, height_bound=1), witt_decompose]
+    messages = []
     for _ in range(2):
-        with pytest.raises(OracleInconclusive, match="height <= 0"):
-            diagonalize(f)
-        dec = witt_decompose(f, height_bound=1)
-        _check_decomposition(f, dec)
-    with pytest.raises(OracleInconclusive):
-        witt_class(f)
+        for call in calls:
+            with pytest.raises(OracleInconclusive, match="height <= 0") as exc:
+                call(f)
+            messages.append(str(exc.value))
+    assert len(set(messages)) == 1
+
+
+# No diagonal entry and no 2 x 2 principal minor is a unit of Z[1/2], and the
+# first unit-valued vector, (15, -6, -2), has height 15: above 12, within
+# _PIVOT_BOUND (18), which diagonalize shares with witt_decompose.
+_HEIGHT_15_PIVOT = [[-22, -48, -18], [-48, -130, 38], [-18, 38, -251]]
+
+
+def test_diagonalize_answers_a_pivot_of_height_15(monkeypatch):
+    heights = []
+    search = forms._unit_vector_search
+
+    def spy(grid, bound):
+        v = search(grid, bound)
+        heights.append(max(map(abs, v)))
+        return v
+
+    monkeypatch.setattr(forms, "_unit_vector_search", spy)
+    f = GramForm.from_rows(DY, _HEIGHT_15_PIVOT)
+    p, d = diagonalize(f)
+    assert heights == [15]
+    assert p.conj_transpose() * f.gram * p == d.gram
+    assert d.diagonal_entries() == (-2, -2, -1)
+    assert witt_class(f).signature == -3
+    dec = witt_decompose(f, height_bound=1)
+    assert (dec.hyperbolic_rank, dec.certified) == (0, True)
+    _check_decomposition(f, dec)
+
+
+@pytest.mark.parametrize(
+    "tag", ["fp:7", "q", "dyadic", "laurent2", "truncnil:q:3", "truncnil:fp:7:2", "truncnil:dyadic:2"]
+)
+def test_is_diagonal_reads_sliced_and_cell_grams_alike(tag):
+    # products and diagonalize leave a gram as integer slices, with its
+    # cells built on first use; a gram made from cells must answer the
+    # same, a truncated one whose constant slice alone is diagonal too
+    spec = RingSpec.from_tag(tag)
+    if spec.kind == "laurent2":
+        c = RingElem.monomial(1, 1)
+    elif spec.kind == "truncnil":
+        c = nil_generator(spec)
+    else:
+        c = RingElem.from_fraction(spec, 3)
+    d = GramForm.diagonal(spec, [1, 2, -1]).gram
+    grams = [d]
+    for rows in ([[1, c, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 1], [0, 1, c], [0, 0, 1]]):
+        t = InvMatrix.from_rows(spec, rows)
+        grams.append(t.conj_transpose() * d * t)
+    if spec.kind in ("fp", "q", "dyadic"):
+        grams.append(diagonalize(GramForm(grams[-1]))[1].gram)
+
+    def answers(g):
+        f = GramForm(g)
+        return f.is_diagonal(), f.diagonal_entries() if f.is_diagonal() else None, repr(f)
+
+    got = []
+    for g in grams:
+        cells = InvMatrix(spec, g.cells, g.nrows, g.ncols)
+        if spec.kind == "laurent2":
+            got.append(answers(cells))
+            continue
+        sliced = InvMatrix._from_slices(spec, *g._slice_form(), g.nrows, g.ncols)
+        got.append(answers(sliced))
+        assert got[-1] == answers(cells)
+    assert [diag for diag, _, _ in got] == [True, False, False, True][: len(grams)]
+    assert got[0][1] == tuple(RingElem.from_fraction(spec, v) for v in (1, 2, -1))
 
 
 @pytest.mark.parametrize("spec", [F7, Q, DY], ids=str)

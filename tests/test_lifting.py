@@ -62,20 +62,24 @@ def test_reduce_and_embed_empty_matrices():
 
 def test_reduce_is_a_ring_map():
     rng = random.Random(3)
-    x = nil_generator(T2)
-    for _ in range(15):
-        a = _noisy(rng, x)
-        b = _noisy(rng, x)
-        assert reduce_mod_I(a * b) == reduce_mod_I(a) * reduce_mod_I(b)
-        assert reduce_mod_I(a.conj_transpose()) == reduce_mod_I(a).conj_transpose()
+    for spec in (T2, T3F5):
+        x, p = nil_generator(spec), spec.base.p
+        for _ in range(15):
+            a = _noisy(rng, x)
+            b = _noisy(rng, x)
+            assert reduce_mod_I(a * b) == reduce_mod_I(a) * reduce_mod_I(b)
+            assert reduce_mod_I(a.conj_transpose()) == reduce_mod_I(a).conj_transpose()
+            if p:  # slice 0 is kept as it is, so it must already be canonical
+                (grid,), den = reduce_mod_I(a * b)._slice_form()
+                assert den == 1 and all(0 <= v < p for row in grid for v in row)
 
 
 def _noisy(rng: random.Random, x: RingElem) -> InvMatrix:
     base = InvMatrix.from_rows(
-        T2, [[Fraction(rng.randrange(-3, 4)) for _ in range(2)] for _ in range(2)]
+        x.spec, [[Fraction(rng.randrange(-3, 4)) for _ in range(2)] for _ in range(2)]
     )
     noise = InvMatrix.from_rows(
-        T2, [[rng.randrange(-3, 4) for _ in range(2)] for _ in range(2)]
+        x.spec, [[rng.randrange(-3, 4) for _ in range(2)] for _ in range(2)]
     )
     return base + noise.scale(x)
 
@@ -278,7 +282,7 @@ def test_roundtrip_demo_deterministic():
 
 
 def test_roundtrip_demo_bounds():
-    for bad in ((Q, 7, 2, 1), (Q, 2, 9, 1), (Q, 2, 2, 0)):
+    for bad in ((Q, 7, 2, 1), (Q, 2, 9, 1), (Q, 2, 2, 0), (Q, 2, 2, 1001)):
         with pytest.raises(IllFormed):
             roundtrip_isomorphism_demo(*bad)
     with pytest.raises(SpecMismatch):

@@ -40,48 +40,65 @@ def test_no_check_is_stripped_by_python_O():
 
 
 
-def _functions_and_references() -> tuple[set[str], set[str], set[str]]:
-    """Module-level function names, the names the package refers to (a
-    reference from inside a function's own body does not count for it),
-    and the names listed in some ``__all__``."""
+def _functions_and_references() -> tuple[set[str], set[str], set[str], set[str]]:
+    """Module-level function names, the method names of package classes
+    whose bases all come from the package, the names the package refers to
+    (a reference from inside a function's or a method's own body does not
+    count for it), and the names listed in some ``__all__``."""
     functions: set[str] = set()
+    methods: set[str] = set()
     referenced: set[str] = set()
     exported: set[str] = set()
-    for path in sorted(SRC.glob("*.py")):
-        for top in ast.parse(path.read_text(), str(path)).body:
-            own = top.name if isinstance(top, ast.FunctionDef) else None
-            if own is not None:
-                functions.add(own)
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
+    classes = {top.name for tree in trees for top in tree.body if isinstance(top, ast.ClassDef)}
+    for tree in trees:
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef):
+                # a method of a class with an outside base may be a hook
+                # that base calls, such as an argparse formatter
+                if all(isinstance(b, ast.Name) and b.id in classes for b in top.bases):
+                    methods.update(n.name for n in top.body if isinstance(n, ast.FunctionDef))
+                parts = [(None, n) for n in (*top.bases, *top.keywords, *top.decorator_list)]
+                parts += [(n.name if isinstance(n, ast.FunctionDef) else None, n) for n in top.body]
+            else:
+                parts = [(top.name if isinstance(top, ast.FunctionDef) else None, top)]
+            if isinstance(top, ast.FunctionDef):
+                functions.add(top.name)
             if isinstance(top, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in top.targets
             ):
                 exported.update(node.value for node in ast.walk(top.value) if isinstance(node, ast.Constant))
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                elif isinstance(node, ast.alias):
-                    name = node.name
-                else:
-                    continue
-                if name != own:
-                    referenced.add(name)
-    return functions, referenced, exported
+            for own, part in parts:
+                for node in ast.walk(part):
+                    if isinstance(node, ast.Name):
+                        name = node.id
+                    elif isinstance(node, ast.Attribute):
+                        name = node.attr
+                    elif isinstance(node, ast.alias):
+                        name = node.name
+                    else:
+                        continue
+                    if name != own:
+                        referenced.add(name)
+    return functions, methods, referenced, exported
+
+
+def _private(names: set[str]) -> set[str]:
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
 
 
 def test_every_private_helper_is_referenced():
-    # a private module-level function that nothing else in the package names
-    # is dead code
-    functions, referenced, _ = _functions_and_references()
-    helpers = {f for f in functions if f.startswith("_") and not f.startswith("__")}
-    assert sorted(helpers - referenced) == []
+    # a private module-level function, or a private method of a package
+    # class, that nothing else in the package names is dead code
+    functions, methods, referenced, _ = _functions_and_references()
+    assert sorted(_private(functions) - referenced) == []
+    assert sorted(_private(methods) - referenced) == []
 
 
 def test_every_public_function_is_exported_or_referenced():
     # a public module-level function is either part of the API, listed in
     # some __all__, or used elsewhere in the package; else it is an orphan
-    functions, referenced, exported = _functions_and_references()
+    functions, _, referenced, exported = _functions_and_references()
     public = {f for f in functions if not f.startswith("_")}
     assert sorted(public - referenced - exported) == []
 
@@ -126,8 +143,8 @@ def test_congruence_steps_build_no_fraction():
     body = ast.parse((SRC / "forms.py").read_text()).body
     congruence = next(n for n in body if isinstance(n, ast.ClassDef) and n.name == "_Congruence")
     steps = [n for n in congruence.body if isinstance(n, ast.FunctionDef)]
-    steps += [n for n in body if isinstance(n, ast.FunctionDef) and n.name in ("_diag_field", "_diag_dyadic")]
-    assert {"pivot", "scale", "apply", "_diag_field", "_diag_dyadic"} <= {fn.name for fn in steps}
+    steps += [n for n in body if isinstance(n, ast.FunctionDef) and n.name == "_diagonal"]
+    assert {"pivot", "scale", "apply", "_diagonal"} <= {fn.name for fn in steps}
     found = [
         f"{fn.name}:{node.lineno}"
         for fn in steps
