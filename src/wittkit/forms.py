@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import eq, mul
 
 from .errors import (
     BudgetExceeded,
@@ -91,8 +91,16 @@ class GramForm(_Record):
             raise IllFormed(f"epsilon must be +1 or -1, got {epsilon!r}")
         if gram.nrows != gram.ncols:
             raise IllFormed("Gram matrix must be square")
-        star = gram.conj_transpose()
-        if star != (gram if epsilon == 1 else -gram):
+        if gram.spec.kind in _SEARCH_RINGS:
+            # the numerators over one denominator, each column against its
+            # row (negated mod p when eps = -1), one pair at a time
+            (g,), _ = gram._slice_form()
+            mod = gram.spec.p
+            rows = map(tuple, g) if epsilon == 1 else (tuple([-x % mod if mod else -x for x in r]) for r in g)
+            symmetric = all(map(eq, zip(*g), rows))
+        else:
+            symmetric = gram.conj_transpose() == (gram if epsilon == 1 else -gram)
+        if not symmetric:
             raise IllFormed("Gram matrix is not epsilon-symmetric")
         if not gram.det().is_unit():
             raise DegenerateForm("Gram determinant is not a unit")
@@ -218,7 +226,8 @@ def _entry_from_json(spec: RingSpec, leaf: Any) -> Any:
 # The splitting algorithms keep a Gram grid and a basis grid each as one
 # integer grid over one denominator, in the canonical form of InvMatrix slice
 # 0 (``matrices._reduced``), and wrap results with ``InvMatrix._from_slices``;
-# no Fraction is built on the way.  Every ring searched here has the trivial
+# no Fraction is built on the way, and the GramForm of a result checks its
+# symmetry on those integers.  Every ring searched here has the trivial
 # involution, so a congruence t* a t is transpose(t) * a * t.
 
 
@@ -227,9 +236,10 @@ class _Congruence:
     ``p`` over ``dp``, so that at any moment  p* . original . p = a.
 
     Both are integer grids in canonical form: over F_p (``mod``) residues
-    over 1, over Q and Z[1/2] (``mod`` None) entries over a positive
-    denominator prime to them.  A step that divides scales the whole grid
-    instead, multiplies the denominator and ends with one gcd pass.
+    over 1, each row taken mod p in the pass that computes it, over Q and
+    Z[1/2] (``mod`` None) entries over a positive denominator prime to
+    them.  There a step that divides scales the whole grid instead,
+    multiplies the denominator and ends with one gcd pass.
     """
 
     def __init__(self, mod: int | None, grid: Sequence[Sequence[int]], den: int):
@@ -271,20 +281,25 @@ class _Congruence:
         else:
             s, coef = abs(pv), top if pv > 0 else [-c for c in top]
         for j in range(i + 1, len(a)):
-            if coef[j] or s != 1:
+            if coef[j] and mod:
+                a[j] = [(x - coef[j] * y) % mod for x, y in zip(a[j], top)]
+            elif coef[j] or s != 1:
                 a[j] = [s * x - coef[j] * y for x, y in zip(a[j], top)]
         a[i] = [0] * len(a)
         a[i][i] = s * pv
-        for k in range(i):
-            a[k][k] *= s
         cols = [0] * (i + 1) + coef[i + 1 :]
         for row in self.p:
             y = row[i]
-            if y or s != 1:
+            if y and mod:
+                row[:] = [(x - c * y) % mod for x, c in zip(row, cols)]
+            elif y or s != 1:
                 row[:] = [s * x - c * y for x, c in zip(row, cols)]
-        self.da *= s
-        self.dp *= s
-        self._reduce()
+        if not mod:
+            for k in range(i):
+                a[k][k] *= s
+            self.da *= s
+            self.dp *= s
+            self._reduce()
 
     def scale(self, nums: Sequence[int], dens: Sequence[int]) -> None:
         """e_i *= nums[i] / dens[i], all positive; over Q and Z[1/2] only."""
@@ -301,9 +316,9 @@ class _Congruence:
         the k = len(t) coordinates from ``off``, which must be orthogonal to
         all others: those only move to the new denominator.
         """
-        a, end = self.a, off + len(t)
-        blk = matmul_int(list(map(list, zip(*t))), matmul_int([row[off:end] for row in a[off:end]], t))
-        cols = matmul_int([row[off:end] for row in self.p], t)
+        a, end, mod = self.a, off + len(t), self.mod
+        blk = matmul_int(list(map(list, zip(*t))), matmul_int([row[off:end] for row in a[off:end]], t), mod)
+        cols = matmul_int([row[off:end] for row in self.p], t, mod)
         if den != 1:
             d2 = den * den
             self.a = a = [[d2 * x for x in row] for row in a]
@@ -314,7 +329,8 @@ class _Congruence:
             row[off:end] = new
         for row, new in zip(self.p, cols):
             row[off:end] = new
-        self._reduce()
+        if den != 1 or not mod:
+            self._reduce()
 
     def plane(self, i: int, eps: int) -> None:
         """Split e_i, e_(i+1) off as a standard hyperbolic plane: the pair
@@ -333,19 +349,23 @@ class _Congruence:
         cx = [0] * (i + 2) + [v * inv for v in x[i + 2 :]]
         cy = [0] * (i + 2) + [eps * v * inv for v in y[i + 2 :]]
         for l in range(i + 2, n):
-            a[l] = [s * u - cx[l] * yk - cy[l] * xk for u, xk, yk in zip(a[l], x, y)]
-        for k in range(i):
-            a[k] = [s * u for u in a[k]]
-        d = 1 if mod else self.da * s
-        a[i], a[i + 1] = [0] * n, [0] * n
-        a[i][i + 1], a[i + 1][i] = d, eps * d
+            a[l] = ([(u - cx[l] * yk - cy[l] * xk) % mod for u, xk, yk in zip(a[l], x, y)] if mod
+                    else [s * u - cx[l] * yk - cy[l] * xk for u, xk, yk in zip(a[l], x, y)])
+        if s != 1:
+            for k in range(i):
+                a[k] = [s * u for u in a[k]]
         for row in self.p:
             pi, pj = row[i], row[i + 1]
-            row[:] = [s * u - cyl * pi - cxl * pj for u, cxl, cyl in zip(row, cx, cy)]
-            row[i + 1] = w * pj
-        self.da *= s
-        self.dp *= s
-        self._reduce()
+            row[:] = ([(u - cyl * pi - cxl * pj) % mod for u, cxl, cyl in zip(row, cx, cy)] if mod
+                      else [s * u - cyl * pi - cxl * pj for u, cxl, cyl in zip(row, cx, cy)])
+            row[i + 1] = w * pj % mod if mod else w * pj
+        d = 1 if mod else self.da * s
+        a[i], a[i + 1] = [0] * n, [0] * n
+        a[i][i + 1], a[i + 1][i] = d, eps * d % mod if mod else eps * d
+        if not mod:
+            self.da *= s
+            self.dp *= s
+            self._reduce()
 
 
 def _embed(n: int, den: int = 1) -> list[list[int]]:
@@ -405,7 +425,9 @@ def _dyadic_block_pivot(ws: _Congruence, i: int) -> None:
     Preferred route: find a 2x2 principal block with unit determinant,
     isolate it, and diagonalize it by a tiny search.  Fallback: search
     the whole trailing block for a unit-valued vector of height at most
-    ``_PIVOT_BOUND``.
+    ``_PIVOT_BOUND``; when that finds none, search again after one
+    Lagrange reduction step of the isolated block, which turns
+    [[0, 2], [2, 85]] (a unit value first at height 21) into [[0, 2], [2, 1]].
     """
     a = ws.a
     n = len(a)
@@ -441,6 +463,16 @@ def _dyadic_block_pivot(ws: _Congruence, i: int) -> None:
                 return
     # general fallback, bounded and honest about giving up
     v = _unit_vector_search([row[i:] for row in ws.a[i:]], _PIVOT_BOUND)
+    if v is None and pair is not None:
+        # one Lagrange step (Cohen, GTM 138, 5.3): with |aa| <= |bb|, e_(i+1) -=
+        # q e_i for q the nearest integer to u / aa, or to bb / 2u when aa = 0
+        aa, u, bb = ws.a[i][i], ws.a[i][i + 1], ws.a[i + 1][i + 1]
+        if abs(aa) > abs(bb):
+            ws.swap(i, i + 1)
+            aa, bb = bb, aa
+        q = (2 * u + aa) // (2 * aa) if aa else (bb + u) // (2 * u)
+        ws.apply([[1, -q], [0, 1]], 1, i)
+        v = _unit_vector_search([row[i:] for row in ws.a[i:]], _PIVOT_BOUND)
     if v is None:
         raise OracleInconclusive(
             f"no unit-valued vector of height <= {_PIVOT_BOUND} found while "

@@ -7,7 +7,9 @@ rational matrix; slice d holds the numerators of degree d.  The form is
 canonical, so ``==`` compares it as it is: ``den > 0``, gcd(den, entries)
 = 1, and over F_p ``den = 1`` with entries in [0, p).  ``cells``, the grid
 of payloads, is a view built on first use; a matrix built from payloads
-keeps them as that view and builds its slices on first use.  Products
+keeps them as that view and builds its slices on first use.  Rows of
+Python ints over F_p, Q and Z[1/2] enter ``from_rows`` as slice 0 over 1
+(mod p over F_p), with no payload built.  Products
 (``_slice_products`` plus one gcd pass, ``_reduced``; over F_p one
 ``% p`` per entry inside the product), sums, scalings, transposes, block
 sums and the (I + g)^(-1/2) series of the lifting layer work on the
@@ -100,12 +102,18 @@ class InvMatrix(_Frozen):
 
     @classmethod
     def from_rows(cls, spec: RingSpec, rows: Sequence[Sequence[Any]]) -> "InvMatrix":
-        grid = tuple(tuple(_cook(spec, e) for e in row) for row in rows)
+        rows, p = [list(row) for row in rows], spec.p  # each row read twice, kept as a copy
+        # int rows over F_p, Q and Z[1/2] are slice 0 over den 1 as they are
+        ints = spec.kind in (PRIME_FIELD, RATIONALS, DYADIC) and all(type(e) is int for row in rows for e in row)
+        grid = (([[e % p for e in row] for row in rows] if p else rows) if ints
+                else tuple(tuple(_cook(spec, e) for e in row) for row in rows))
         if not grid:
             return cls(spec, (), 0, 0)
         widths = {len(row) for row in grid}
         if len(widths) != 1:
             raise IllFormed("ragged rows in matrix input")
+        if ints:
+            return cls._from_slices(spec, [grid], 1, len(grid), widths.pop())
         return cls(spec, grid, len(grid), widths.pop())
 
     @classmethod

@@ -16,6 +16,7 @@ must answer as on a fresh form.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ import congruence_reference as ref
 from wittkit import forms
 from wittkit.errors import DegenerateForm
 from wittkit.forms import GramForm, diagonalize, witt_decompose
-from wittkit.intlinalg import matmul_int
+from wittkit.intlinalg import int_det, matmul_int
 from wittkit.invariants import witt_class
 from wittkit.rings import RingSpec
 
@@ -233,3 +234,43 @@ def test_a_certified_binary_decomposition_splits_exactly_the_zero_class(spec, da
     assert dec.certified or spec.kind != "fp"
     if dec.certified:
         assert (dec.hyperbolic_rank == 1) == witt_class(f).is_zero
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_fp_congruence_steps_keep_their_grids_canonical(monkeypatch, p):
+    # over F_p pivot, apply and plane take % p in the pass that computes
+    # each row and run no canonical pass after it: after every step both
+    # grids are residues in [0, p) over 1
+    seen = {"pivot": 0, "apply": 0, "plane": 0}
+    for name in seen:
+        real = getattr(forms._Congruence, name)
+
+        def step(ws, *args, _real=real, _name=name):
+            _real(ws, *args)
+            assert ws.mod == p and ws.da == ws.dp == 1, _name
+            for grid in (ws.a, ws.p):
+                assert all(type(v) is int and 0 <= v < p for row in grid for v in row), _name
+            seen[_name] += 1
+
+        monkeypatch.setattr(forms._Congruence, name, step)
+    spec = RingSpec.prime_field(p)
+    rng = random.Random(p)
+    for n in range(2, 13):
+        for eps in (1, -1) if n % 2 == 0 else (1,):
+            for _ in range(3):
+                while True:
+                    # zero diagonal entries among the symmetric ones make
+                    # _diagonal pair coordinates with apply
+                    grid = [[0] * n for _ in range(n)]
+                    for i in range(n):
+                        for j in range(i, n):
+                            v = 0 if i == j and (eps == -1 or rng.random() < 0.5) else rng.randrange(p)
+                            grid[i][j], grid[j][i] = v, eps * v % p
+                    if int_det(grid) % p:
+                        break
+                f = GramForm.from_rows(spec, grid, eps)
+                dec = witt_decompose(f)
+                assert 2 * dec.hyperbolic_rank + dec.anisotropic.dim == n
+                _assert_canonical(dec.change_of_basis)
+                _assert_canonical(dec.anisotropic.gram)
+    assert min(seen.values()) > 0, seen

@@ -30,7 +30,7 @@ from wittkit.forms import (
 )
 from wittkit.invariants import witt_class, witt_equiv
 from wittkit.matrices import InvMatrix
-from wittkit.rings import RingElem, RingSpec, nil_generator
+from wittkit.rings import RingElem, RingSpec, canon_payload, nil_generator
 
 Q = RingSpec.rationals()
 DY = RingSpec.dyadic()
@@ -310,6 +310,35 @@ def test_dyadic_unit_vector_search_refuses_past_its_budget(monkeypatch):
     monkeypatch.setattr(forms, "_SEARCH_BUDGET", 10)
     with pytest.raises(OracleInconclusive, match="after 10 vectors in a 4-dimensional block .* at height 1"):
         diagonalize(GramForm.from_rows(DY, rows))
+
+
+
+# Job 38 of the witt benchmark's dense-dyadic family at seed 4: its last
+# 2x2 block is [[0, 2], [2, 85]] (numerators over 4), whose first unit
+# value, 4 (x + 21 y) y + y^2 at (-21, 1), lies past _PIVOT_BOUND (18).
+_SHEARED_PIVOT = [[-9, -11, 6, -17], [-11, -4, 2, -17], [6, 2, -1, 9], [-17, -17, 9, -32]]
+
+
+def test_a_lagrange_step_finds_the_unit_past_the_pivot_bound(monkeypatch):
+    found = []
+    search = forms._unit_vector_search
+
+    def spy(grid, bound):
+        v = search(grid, bound)
+        found.append((grid, v))
+        return v
+
+    monkeypatch.setattr(forms, "_unit_vector_search", spy)
+    f = GramForm.from_rows(DY, _SHEARED_PIVOT)
+    p, d = diagonalize(f)
+    # the block's own search finds nothing; e_1 -= 21 e_0 gives it the value 1
+    assert found[-2:] == [([[0, 2], [2, 85]], None), ([[0, 2], [2, 1]], (0, 1))]
+    assert p.conj_transpose() * f.gram * p == d.gram
+    assert d.diagonal_entries() == (-1, 2, 1, -1)
+    assert witt_class(f) == witt_class(GramForm.diagonal(DY, [-1, 2, 1, -1]))
+    dec = witt_decompose(f)
+    assert (dec.hyperbolic_rank, dec.certified) == (1, True)
+    _check_decomposition(f, dec)
 
 
 def test_witness_is_isotropic_property():
@@ -654,3 +683,139 @@ def test_decomposition_invariant_under_congruence():
         if dec.certified and dec2.certified:
             assert dec.hyperbolic_rank == dec2.hyperbolic_rank
             assert dec.anisotropic.dim == dec2.anisotropic.dim
+
+
+
+def _accepts(gram: InvMatrix, eps: int) -> bool:
+    try:
+        GramForm(gram, eps)
+    except IllFormed as exc:
+        assert "epsilon-symmetric" in str(exc)
+        return False
+    except DegenerateForm:
+        pass
+    return True
+
+
+def _by_transpose(gram: InvMatrix, eps: int) -> bool:
+    return gram.conj_transpose() == (gram if eps == 1 else -gram)
+
+
+@pytest.mark.parametrize("tag", ["fp:3", "fp:7", "q", "dyadic", "laurent2", "truncnil:q:2", "truncnil:fp:5:3"])
+def test_symmetry_check_agrees_with_the_conjugate_transpose(monkeypatch, tag):
+    # over fp, q and dyadic GramForm compares the numerators of slice 0 in
+    # place; every other ring compares the conjugate transpose
+    spec = RingSpec.from_tag(tag)
+    rng = random.Random(tag)
+    kind = spec.base.kind if spec.kind == "truncnil" else spec.kind
+    p = (spec.base if spec.kind == "truncnil" else spec).p
+    ops = spec.ops
+    stars = []
+    real = InvMatrix.conj_transpose
+    monkeypatch.setattr(InvMatrix, "conj_transpose", lambda m: stars.append(m) or real(m))
+
+    def entry():
+        if kind == "laurent2":
+            return {(rng.randrange(-2, 3), rng.randrange(-1, 2)): Fraction(rng.randrange(-5, 6), rng.choice((1, 2)))}
+        if kind == "fp":
+            return rng.randrange(p)
+        return Fraction(rng.randrange(-9, 10), rng.choice((1, 2, 4, 8) if kind == "dyadic" else (1, 2, 3, 6)))
+
+    def cooked():
+        raw = entry() if spec.kind != "truncnil" else [entry() for _ in range(spec.k)]
+        return canon_payload(spec, raw)
+
+    seen = {True: 0, False: 0}
+    for n in range(1, 6):
+        for eps in (1, -1):
+            for _ in range(8):
+                grid = [[None] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i, n):
+                        a = cooked()
+                        star = ops.involute(a)
+                        if i == j and (eps == 1 or rng.random() < 0.7):
+                            a = ops.add(a, star if eps == 1 else ops.neg(star))  # a* = eps a
+                            star = ops.involute(a)
+                        grid[i][j], grid[j][i] = a, (star if eps == 1 else ops.neg(star))
+                variants = [grid]
+                i, j = rng.randrange(n), rng.randrange(n)
+                bent = [row[:] for row in grid]
+                bent[i][j] = ops.add(bent[i][j], spec.one)  # not symmetric unless i == j and eps == 1
+                variants.append(bent)
+                if kind in ("q", "dyadic") and spec.kind != "truncnil" and i != j and grid[i][j]:
+                    # the same numerator over another denominator
+                    other = [row[:] for row in grid]
+                    c = other[i][j]
+                    other[i][j] = Fraction(c.numerator, 2 * c.denominator)
+                    variants.append(other)
+                for g in variants:
+                    gram = InvMatrix(spec, tuple(map(tuple, g)), n, n)
+                    before = len(stars)
+                    accepted = _accepts(gram, eps)
+                    in_place = len(stars) == before
+                    assert accepted == _by_transpose(gram, eps), (g, eps)
+                    assert in_place == (spec.kind in ("fp", "q", "dyadic"))
+                    seen[accepted] += 1
+    assert min(seen.values()) >= 40, seen
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_a_skew_grid_with_a_nonzero_diagonal_is_refused(p):
+    spec = RingSpec.prime_field(p)
+    assert _accepts(InvMatrix.from_rows(spec, [[0, 1], [p - 1, 0]]), -1)
+    for d in range(1, p):
+        assert not _accepts(InvMatrix.from_rows(spec, [[d, 1], [p - 1, 0]]), -1)
+        assert not _accepts(InvMatrix.from_rows(spec, [[0, 1], [p - 1, d]]), -1)
+    assert not _accepts(InvMatrix.from_rows(spec, [[0, 1], [1, 0]]), -1)
+    assert not _accepts(InvMatrix.from_rows(spec, [[0, 1], [p - 1, 0]]), 1)
+
+
+def test_q_and_dyadic_numerators_are_compared_over_one_denominator():
+    for spec in (Q, DY):
+        # 1/2 and 1/4 share a numerator but not a value
+        assert not _accepts(InvMatrix.from_rows(spec, [[1, Fraction(1, 2)], [Fraction(1, 4), 1]]), 1)
+        assert _accepts(InvMatrix.from_rows(spec, [[1, Fraction(1, 2)], [Fraction(2, 4), 1]]), 1)
+        assert not _accepts(InvMatrix.from_rows(spec, [[0, Fraction(1, 2)], [Fraction(1, 4), 0]]), -1)
+        assert _accepts(InvMatrix.from_rows(spec, [[0, Fraction(1, 2)], [Fraction(-1, 2), 0]]), -1)
+        assert not _accepts(InvMatrix.from_rows(spec, [[Fraction(1, 8), Fraction(1, 2)], [Fraction(-1, 2), 0]]), -1)
+
+
+def test_an_integer_form_builds_one_fraction_per_determinant(monkeypatch):
+    # a 12-dimensional form over Q from int rows, like the witt benchmark's
+    # sym-q jobs: H^5 + <1, 1> moved by 12 shears of +-1, and a partner.
+    # Its rows enter as slices; until cells are read the only Fraction
+    # built is the value of each determinant taken
+    rng = random.Random(12)
+
+    def sheared(rows):
+        n = len(rows)
+        for _ in range(n):
+            i, j = rng.sample(range(n), 2)
+            c = rng.choice((-1, 1))
+            rows = [row[:j] + [row[j] + c * row[i]] + row[j + 1 :] for row in rows]  # column j += c column i
+            rows[j] = [x + c * y for x, y in zip(rows[j], rows[i])]  # row j += c row i
+        return rows
+
+    base = hyperbolic(5, 1, Q).gram.cells
+    rows = sheared([[int(c) for c in row] + [0, 0] for row in base] + [[0] * 10 + [1, 0], [0] * 11 + [1]])
+    partner_rows = sheared([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    built, dets = [], []
+    real_new, real_det = Fraction.__new__, InvMatrix._det_payload
+
+    def spy_new(cls, *args, **kwargs):
+        built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(InvMatrix, "_det_payload", lambda m: dets.append(m.nrows) or real_det(m))
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(spy_new))
+    f = GramForm(InvMatrix.from_rows(Q, rows))
+    g = GramForm(InvMatrix.from_rows(Q, partner_rows))
+    witt_class(f)
+    witt_equiv(f, g)
+    dec = witt_decompose(f)
+    monkeypatch.undo()
+    assert f.gram._cells is None and g.gram._cells is None
+    assert 0 < len(built) <= len(dets)
+    assert dets.count(12) >= 1 and dec.hyperbolic_rank == 5
+    _check_decomposition(f, dec)

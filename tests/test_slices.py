@@ -8,7 +8,9 @@ and every result is checked to be in canonical form.
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -16,6 +18,7 @@ import pytest
 
 import matrices_reference as ref
 from wittkit.lifting import embed_constants, reduce_mod_I
+from wittkit.errors import IllFormed
 from wittkit.matrices import InvMatrix, _slices_of, inv_sqrt_one_plus
 from wittkit.rings import RingElem, RingSpec, canon_payload
 
@@ -271,3 +274,59 @@ def test_reduce_and_embed_keep_canonical_slices():
         up = embed_constants(red, spec)
         _assert_canonical(up)
         assert up == InvMatrix.from_rows(spec, [[Fraction(1, 2), 1]])
+
+
+INT_RINGS = tuple(RingSpec.from_tag(tag) for tag in ("fp:3", "fp:5", "fp:7", "q", "dyadic"))
+
+
+def _views(m):
+    """Everything a caller can read of a matrix, pickled and copied too."""
+    clones = (pickle.loads(pickle.dumps(m)), copy.deepcopy(m))
+    return [(m.shape, hash(m), repr(m), m.cells)] + [(c.shape, hash(c), repr(c), c.cells) for c in clones]
+
+
+@pytest.mark.parametrize("spec", INT_RINGS, ids=str)
+def test_int_rows_enter_as_slice_0(spec):
+    # int rows are slice 0 over den 1 (mod p over F_p), with cells left
+    # lazy; the same matrix from Fraction, RingElem or bool entries goes
+    # through the payloads and must read the same everywhere
+    rng = random.Random(str(spec))
+    for nrows, ncols in [(1, 1), (2, 3), (3, 2), (4, 4), (6, 6)]:
+        for _ in range(6):
+            ints = [[rng.choice((rng.randrange(-9, 10), rng.randrange(-2**70, 2**70))) for _ in range(ncols)]
+                    for _ in range(nrows)]
+            m = InvMatrix.from_rows(spec, ints)
+            assert m._cells is None
+            _assert_canonical(m)
+            rows = [row[:] for row in ints]
+            kept = InvMatrix.from_rows(spec, rows)
+            rows[0][0] += 1  # the matrix keeps its own copy of the rows
+            assert kept == m
+            reference = InvMatrix(spec, tuple(tuple(canon_payload(spec, e) for e in row) for row in ints),
+                                  nrows, ncols)
+            for other in (
+                InvMatrix.from_rows(spec, [[Fraction(e) for e in row] for row in ints]),
+                InvMatrix.from_rows(spec, [[RingElem(spec, e) for e in row] for row in ints]),
+                InvMatrix.from_rows(spec, [tuple(row) for row in ints]),
+                InvMatrix.from_rows(spec, (iter(row) for row in ints)),  # rows read once
+                reference,
+            ):
+                assert m == other and other == m
+                assert _views(InvMatrix.from_rows(spec, ints)) == _views(other)
+            assert pickle.loads(pickle.dumps(m)) == m == copy.deepcopy(m)
+    # bool entries are not ints here: they are cooked, and read as 0 and 1
+    flags = InvMatrix.from_rows(spec, [[True, False], [False, True]])
+    assert flags._cells is not None
+    assert flags == InvMatrix.from_rows(spec, [[1, 0], [0, 1]]) == InvMatrix.identity(spec, 2)
+    assert _views(flags) == _views(InvMatrix.from_rows(spec, [[1, 0], [0, 1]]))
+    # mixed rows take the payload route as a whole
+    mixed = InvMatrix.from_rows(spec, [[1, Fraction(2)], [3, 4]])
+    assert mixed == InvMatrix.from_rows(spec, [[1, 2], [3, 4]])
+    assert _views(mixed) == _views(InvMatrix.from_rows(spec, [[1, 2], [3, 4]]))
+    # the empty shapes and ragged rows behave as on the payload route
+    assert _views(InvMatrix.from_rows(spec, [])) == _views(InvMatrix(spec, (), 0, 0))
+    assert _views(InvMatrix.from_rows(spec, [[]])) == _views(InvMatrix(spec, ((),), 1, 0))
+    assert InvMatrix.from_rows(spec, [[]]) == InvMatrix(spec, ((),), 1, 0)
+    for ragged in ([[1, 2], [3]], [[1], []], [[1, Fraction(1, 2)], [3]]):
+        with pytest.raises(IllFormed, match="ragged rows"):
+            InvMatrix.from_rows(spec, ragged)
