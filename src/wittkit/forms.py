@@ -42,7 +42,7 @@ from .intlinalg import (
     smith_normal_form,
     square_part,
 )
-from .matrices import InvMatrix, _canonical, _cook, _reduced
+from .matrices import InvMatrix, _cook, _reduced
 from .rings import (
     DYADIC,
     PRIME_FIELD,
@@ -368,6 +368,15 @@ class _Congruence:
             self._reduce()
 
 
+def _corner(mod: int | None, grid: list[list[int]], den: int, lo: int, hi: int | None = None):
+    """The block lo..hi of a canonical grid over den, in canonical form: over
+    F_p (``mod``) as it is, over Q and Z[1/2] by a gcd pass."""
+    rows = [r[lo:hi] for r in grid[lo:hi]]
+    if not mod:
+        (rows,), den = _reduced(None, [rows], den)
+    return rows, den
+
+
 def _embed(n: int, den: int = 1) -> list[list[int]]:
     """den * I_n."""
     return [[den * (i == j) for j in range(n)] for i in range(n)]
@@ -425,9 +434,10 @@ def _dyadic_block_pivot(ws: _Congruence, i: int) -> None:
     Preferred route: find a 2x2 principal block with unit determinant,
     isolate it, and diagonalize it by a tiny search.  Fallback: search
     the whole trailing block for a unit-valued vector of height at most
-    ``_PIVOT_BOUND``; when that finds none, search again after one
-    Lagrange reduction step of the isolated block, which turns
-    [[0, 2], [2, 85]] (a unit value first at height 21) into [[0, 2], [2, 1]].
+    ``_PIVOT_BOUND``; when that finds none, search again after each
+    Lagrange reduction step of the isolated block until it is reduced.
+    One step turns [[0, 2], [2, 85]] (a unit value first at height 21)
+    into [[0, 2], [2, 1]].
     """
     a = ws.a
     n = len(a)
@@ -463,14 +473,16 @@ def _dyadic_block_pivot(ws: _Congruence, i: int) -> None:
                 return
     # general fallback, bounded and honest about giving up
     v = _unit_vector_search([row[i:] for row in ws.a[i:]], _PIVOT_BOUND)
-    if v is None and pair is not None:
-        # one Lagrange step (Cohen, GTM 138, 5.3): with |aa| <= |bb|, e_(i+1) -=
-        # q e_i for q the nearest integer to u / aa, or to bb / 2u when aa = 0
+    while v is None and pair is not None:
+        # Lagrange steps (Cohen, GTM 138, 5.3) until q = 0, each swap shrinking
+        # |aa|: with |aa| <= |bb|, e_(i+1) -= q e_i, q nearest to u / aa (bb / 2u if aa = 0)
         aa, u, bb = ws.a[i][i], ws.a[i][i + 1], ws.a[i + 1][i + 1]
         if abs(aa) > abs(bb):
             ws.swap(i, i + 1)
             aa, bb = bb, aa
         q = (2 * u + aa) // (2 * aa) if aa else (bb + u) // (2 * u)
+        if not q:
+            break
         ws.apply([[1, -q], [0, 1]], 1, i)
         v = _unit_vector_search([row[i:] for row in ws.a[i:]], _PIVOT_BOUND)
     if v is None:
@@ -793,12 +805,12 @@ def witt_decompose(
             # that diagonal block is orthogonal to the rest: the plane is
             # split off inside it, and its k - 2 other coordinates are
             # diagonalized again
-            (blk,), dblk = _reduced(mod, [[r[off : off + k] for r in a[off : off + k]]], ws.da)
+            blk, dblk = _corner(mod, a, ws.da, off, off + k)
             loc = _Congruence(mod, blk, dblk)
             loc.apply(*_hyperbolic_pair(spec, blk, dblk, [xd[s] // g for s in support], 1))
             loc.plane(0, 1)
             if k > 2:
-                (rest,), drest = _reduced(mod, [[r[2:] for r in loc.a[2:]]], loc.da)
+                rest, drest = _corner(mod, loc.a, loc.da, 2)
                 dg = _diagonal(spec, rest, drest)
                 if spec.kind == RATIONALS:
                     _reduce_rational_diag(dg)
@@ -809,7 +821,7 @@ def witt_decompose(
             unit = _is_power_of_two if spec.kind == DYADIC else bool
             j = next((l for l in range(off + 1, n) if unit(a[off][l])), None)
             if j is None:
-                (cur,), dcur = _reduced(mod, [[r[off:] for r in a[off:]]], ws.da)
+                cur, dcur = _corner(mod, a, ws.da, off)
                 ws.apply(*_hyperbolic_pair(spec, cur, dcur, [1] + [0] * (n - off - 1), eps), off)
             else:
                 ws.swap(off + 1, j)
@@ -824,8 +836,8 @@ def witt_decompose(
             raise IdentityViolated("the hyperbolic pair did not split off")
         off += 2
 
-    aniso_matrix = _canonical(spec, [[row[off:] for row in ws.a[off:]]], ws.da, n - off, n - off)
-    (aniso,), _ = aniso_matrix._slice_form()
+    aniso, drem = _corner(mod, ws.a, ws.da, off)
+    aniso_matrix = InvMatrix._from_slices(spec, [aniso], drem, n - off, n - off)
     basis = InvMatrix._from_slices(spec, [ws.p], ws.dp, n, n)
     expected = InvMatrix.block_diag([_hyperbolic_matrix(spec, 1, eps)] * (off // 2) + [aniso_matrix])
     if basis.conj_transpose() * f.gram * basis != expected:

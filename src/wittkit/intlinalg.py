@@ -1,8 +1,8 @@
-"""Integer matrix utilities: Smith normal form, solving, kernels, lattices.
+"""Integer matrix utilities: Smith and Hermite forms, solving, kernels, lattices.
 
 Matrices are plain ``list[list[int]]``; Python ints keep everything exact.
-``solve_int`` solves for a matrix of right-hand sides with one Smith form,
-so ``lattice_equal`` takes two, one per side, whatever the column count.
+``solve_int`` solves for a matrix of right-hand sides with one Smith form;
+``lattice_equal`` compares one Hermite form per side and takes no Smith form.
 """
 
 from __future__ import annotations
@@ -331,10 +331,8 @@ def kernel_basis_int(a: IntMatrix) -> list[list[int]]:
     """Basis (as vectors) of the integer kernel lattice of ``a``."""
     nrows = len(a)
     ncols = len(a[0]) if a else 0
-    if ncols == 0:
+    if ncols == 0:  # also for no rows: the column count is unknown
         return []
-    if nrows == 0:
-        return [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
     _, D, V = smith_normal_form(a)
     basis = []
     for j in range(ncols):
@@ -344,15 +342,42 @@ def kernel_basis_int(a: IntMatrix) -> list[list[int]]:
 
 
 def columns_to_matrix(cols: list[list[int]], nrows: int) -> IntMatrix:
-    if not cols:
-        return [[] for _ in range(nrows)]
     return [[col[i] for col in cols] for i in range(nrows)]
 
 
+def hermite_form(vectors: list[list[int]], n: int) -> IntMatrix:
+    """The Hermite normal form of the lattice the vectors generate in Z^n
+    (Cohen, GTM 138, 2.4.2): its basis as echelon rows, each leading entry
+    positive and in a later column than the one before, the entries above
+    it in [0, it).  Each column's rows merge into its first by unimodular
+    steps on two rows: one minus a multiple of the other, or Bezout's."""
+    rows, out = vectors, []
+    for c in range(n):
+        top, rest = None, []
+        for v in rows:
+            if not v[c]:
+                rest.append(v)
+            elif top is None:
+                top = v
+            else:
+                k, m = divmod(v[c], top[c])
+                if m:
+                    g, s, t = ext_gcd(top[c], v[c])
+                    a, b = top[c] // g, v[c] // g
+                    top, v = [s * x + t * y for x, y in zip(top, v)], [b * x - a * y for x, y in zip(top, v)]
+                else:
+                    v = [y - k * x for x, y in zip(top, v)]
+                rest.append(v)
+        rows = rest
+        if top is not None:
+            top = [-x for x in top] if top[c] < 0 else list(top)
+            out = [[x - q * y for x, y in zip(row, top)] if (q := row[c] // top[c]) else row for row in out]
+            out.append(top)
+    return out
+
+
 def lattice_equal(a: IntMatrix, b: IntMatrix) -> bool:
-    """Do the columns of ``a`` and ``b`` generate the same lattice?  Each
-    side is solved for in the other, all its columns at once: two Smith
-    forms in all."""
+    """Whether the columns of ``a`` and ``b`` span one lattice, by Hermite forms."""
     if len(a) != len(b):
         raise ValueError("lattices live in different ambient ranks")
-    return solve_int(b, a) is not None and solve_int(a, b) is not None
+    return hermite_form(list(zip(*a)), len(a)) == hermite_form(list(zip(*b)), len(b))

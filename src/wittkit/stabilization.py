@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .errors import IdentityViolated, IllFormed, NotCatalogued
 from .intlinalg import (
@@ -347,19 +347,12 @@ class ColimResult(_Record):
         return "+".join(parts) if parts else "0"
 
 
-def _mat_pow(a: IntMatrix, k: int) -> IntMatrix:
-    out = identity_int(len(a))
-    for _ in range(k):
-        out = matmul_int(a, out)
-    return out
-
-
 def _free_colimit(g: GroupHom) -> tuple[int, tuple[int, ...]]:
     r = g.source.free_rank
     if r == 0:
         return 0, ()
     f = g.free_block()
-    fr = _mat_pow(f, r)
+    fr = reduce(matmul_int, [f] * r)
     # saturated basis of the eventual image: the first rho columns of
     # U^-1 span colspan_Q(F^r) intersected with Z^r
     u, d, _ = smith_normal_form(fr)

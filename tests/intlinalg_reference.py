@@ -1,13 +1,19 @@
-"""``wittkit.intlinalg.solve_int`` as it was when it took one right-hand
-side: a Smith form of ``a`` for every vector ``b``.
+"""``wittkit.intlinalg`` routines as they were before a faster algorithm
+replaced them, kept as oracles.
 
-The matrix ``solve_int`` is tested against this applied column by column
-(``test_intlinalg.py``), and the lattice fixpoint of
+``solve_int`` takes one right-hand side: a Smith form of ``a`` for every
+vector ``b``.  The matrix ``solve_int`` is tested against it applied
+column by column (``test_intlinalg.py``), and the lattice fixpoint of
 ``stabilization_reference`` solves with it.
+
+``lattice_equal`` solves for each side in the other with the matrix
+``solve_int``: two Smith forms per comparison.  The Hermite-form
+``lattice_equal`` is tested against it (``test_lattice_hnf.py``).
 """
 
 from __future__ import annotations
 
+from wittkit import intlinalg
 from wittkit.intlinalg import IntMatrix, smith_normal_form
 
 
@@ -35,3 +41,11 @@ def solve_int(a: IntMatrix, b: list[int]) -> list[int] | None:
         elif c[i]:
             return None
     return matvec_int(V, y)
+
+
+def lattice_equal(a: IntMatrix, b: IntMatrix) -> bool:
+    """Do the columns of ``a`` and ``b`` generate the same lattice?  Each
+    side is solved for in the other, all its columns at once."""
+    if len(a) != len(b):
+        raise ValueError("lattices live in different ambient ranks")
+    return intlinalg.solve_int(b, a) is not None and intlinalg.solve_int(a, b) is not None

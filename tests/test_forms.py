@@ -341,6 +341,57 @@ def test_a_lagrange_step_finds_the_unit_past_the_pivot_bound(monkeypatch):
     _check_decomposition(f, dec)
 
 
+# Job 37 of the same family at seed 36: its 2x2 block [[-372, -934],
+# [-934, -2345]] needs three Lagrange steps, with a search after each,
+# before [[-89, 4], [4, 0]] shows the unit value -1 at (1, 11).
+_REDUCED_PIVOT = [[-78, 25, -132, -330], [25, 8, 38, 97], [-132, 38, -223, -558], [-330, 97, -558, -1396]]
+
+
+def _spied_searches(monkeypatch) -> list:
+    found = []
+    search = forms._unit_vector_search
+
+    def spy(grid, bound):
+        v = search(grid, bound)
+        found.append((grid, v))
+        return v
+
+    monkeypatch.setattr(forms, "_unit_vector_search", spy)
+    return found
+
+
+def test_lagrange_steps_repeat_until_a_unit_is_found(monkeypatch):
+    found = _spied_searches(monkeypatch)
+    f = GramForm.from_rows(DY, _REDUCED_PIVOT)
+    p, d = diagonalize(f)
+    assert found[-3:] == [
+        ([[-372, -934], [-934, -2345]], None),
+        ([[-372, 182], [182, -89]], None),
+        ([[-89, 4], [4, 0]], (1, 11)),
+    ]
+    assert p.conj_transpose() * f.gram * p == d.gram
+    cls = witt_class(f)
+    assert (cls.signature, cls.dyadic_disc_parity) == (0, 1)
+    dec = witt_decompose(f)
+    assert dec.hyperbolic_rank == 1
+    _check_decomposition(f, dec)
+
+
+def test_lagrange_steps_stop_at_a_reduced_block(monkeypatch):
+    # that block as a form of its own; with no vector to search, the steps
+    # go on until |2u| <= |aa| <= |bb| and the block is refused
+    found = _spied_searches(monkeypatch)
+    monkeypatch.setattr(forms, "_PIVOT_BOUND", 0)
+    with pytest.raises(OracleInconclusive, match="height <= 0"):
+        diagonalize(GramForm.from_rows(DY, [[-372, -934], [-934, -2345]]))
+    assert [grid for grid, _ in found] == [
+        [[-372, -934], [-934, -2345]],
+        [[-372, 182], [182, -89]],
+        [[-89, 4], [4, 0]],
+        [[0, 4], [4, -1]],
+    ]
+
+
 def test_witness_is_isotropic_property():
     rng = random.Random(13)
     for _ in range(30):

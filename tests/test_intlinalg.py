@@ -206,7 +206,7 @@ def test_solve_int_matches_the_vector_form_column_by_column():
     check()
 
 
-# -- one Smith form per coefficient matrix ---------------------------------------
+# -- Smith forms counted per caller ---------------------------------------
 
 
 def _counted_smith_forms(monkeypatch) -> list:
@@ -222,16 +222,20 @@ def _counted_smith_forms(monkeypatch) -> list:
     return calls
 
 
-def test_lattice_equal_makes_one_smith_form_per_side(monkeypatch):
+def test_lattice_equal_makes_no_smith_form(monkeypatch):
     calls = _counted_smith_forms(monkeypatch)
     a = [[2, 1, 0], [0, 3, 1], [1, 0, 5]]
     # the same lattice: three columns from a unimodular change of basis and
     # two redundant ones
     b = _product(a, [[1, 0, 1, 2, 0], [1, 1, 0, 1, 0], [0, 0, 1, 0, 0]], 5)
-    assert lattice_equal(a, b) and len(calls) == 2
-    calls.clear()
-    # a doubled lies in a's lattice but not the other way round: both sides solved
-    assert not lattice_equal([[2 * x for x in row] for row in a], a) and len(calls) == 2
+    assert lattice_equal(a, b)
+    # a doubled lies in a's lattice but not the other way round
+    assert not lattice_equal([[2 * x for x in row] for row in a], a)
+    assert calls == []
+    # the kernels of exactness_check still take theirs, the comparisons none
+    z = FgAbGroup(1)
+    chain = [GroupHom.zero(FgAbGroup(0), z), GroupHom(z, z, ((2,),)), GroupHom(z, FgAbGroup(0, (2,)), ((1,),))]
+    assert stabilization.exactness_check(chain) == [] and len(calls) == 2
 
 
 @pytest.mark.parametrize(

@@ -148,6 +148,21 @@ def test_free_colimit_checks_that_the_map_preserves_the_image(monkeypatch):
         colimit(seq_of(FgAbGroup(2), ((1, 0), (0, 0))))
 
 
+def test_free_colimit_powers_the_map_with_r_minus_1_products(monkeypatch):
+    products = []
+    real = stabilization.matmul_int
+
+    def spy(a, b, p=None):
+        products.append((a, b))
+        return real(a, b, p)
+
+    monkeypatch.setattr(stabilization, "matmul_int", spy)
+    f = [[2, 1, 0], [0, 3, 1], [1, 0, 5]]
+    assert colimit(seq_of(FgAbGroup(3), tuple(map(tuple, f)))) == ColimResult(3, (31,), ())
+    # F^3 from F F and F^2 F, with no I F, then F times the image's basis
+    assert products[:2] == [(f, f), (real(f, f), f)] and len(products) == 3
+
+
 # -- the torsion colimit in closed form ---------------------------------------
 
 @pytest.mark.parametrize(
