@@ -1,8 +1,11 @@
 """Integer matrix utilities: Smith and Hermite forms, solving, kernels, lattices.
 
 Matrices are plain ``list[list[int]]``; Python ints keep everything exact.
-``solve_int`` solves for a matrix of right-hand sides with one Smith form;
-``lattice_equal`` compares one Hermite form per side and takes no Smith form.
+``hermite_form`` is the one echelon algorithm.  ``int_inverse_unimodular``,
+``solve_int`` and ``kernel_basis_int`` each read one Hermite form of a
+matrix beside an identity, and ``lattice_equal`` compares one per side.
+``smith_normal_form`` is kept for the callers that need invariant factors
+or its transform U.
 """
 
 from __future__ import annotations
@@ -183,35 +186,6 @@ def _rho_divisor(n: int) -> int:
             return g
 
 
-def int_inverse_unimodular(a: IntMatrix) -> IntMatrix:
-    """Inverse of an integer matrix whose determinant is +-1, by integer row
-    operations on [a | I]: Euclid down each column, then back substitution.
-    Raises ValueError for any other matrix."""
-    n = len(a)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        while True:
-            rows = [r for r in range(col, n) if aug[r][col]]
-            if not rows:
-                raise ValueError("matrix is singular")
-            piv = min(rows, key=lambda r: abs(aug[r][col]))
-            aug[col], aug[piv] = aug[piv], aug[col]
-            top = aug[col]
-            if len(rows) == 1:
-                break
-            for r in range(col + 1, n):
-                q = aug[r][col] // top[col]
-                aug[r] = [x - q * y for x, y in zip(aug[r], top)]
-        if abs(top[col]) != 1:
-            raise ValueError("matrix is not unimodular")
-        aug[col] = [top[col] * x for x in top]
-    for col in reversed(range(n)):
-        for r in range(col):
-            q = aug[r][col]
-            aug[r] = [x - q * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (U, D, V) with D = U*a*V, U and V unimodular, and D diagonal
     with nonnegative entries satisfying d1 | d2 | ... (zeros at the end)."""
@@ -300,47 +274,6 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return U, A, V
 
 
-def solve_int(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
-    """An n x k integer X with a*X = b for the m x n ``a`` and the m x k
-    ``b`` (one right-hand side per column), or None when any column has
-    none.  One Smith form D = U*a*V serves all columns: X = V*Y, row i
-    of Y being row i of U*b over d_i, and rows of U*b past the last
-    nonzero d_i must be zero."""
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    if len(b) != nrows:
-        raise ValueError("dimension mismatch in solve_int")
-    if ncols == 0:
-        return None if any(map(any, b)) else []
-    U, D, V = smith_normal_form(a)
-    c = matmul_int(U, b)
-    rank = sum(1 for i in range(min(nrows, ncols)) if D[i][i])  # zeros come last
-    if any(map(any, c[rank:])):
-        return None
-    y = []
-    for i, row in enumerate(c[:rank]):
-        d = D[i][i]
-        if any(x % d for x in row):
-            return None
-        y.append([x // d for x in row])
-    y += [[0] * len(b[0]) for _ in range(ncols - rank)]
-    return matmul_int(V, y)
-
-
-def kernel_basis_int(a: IntMatrix) -> list[list[int]]:
-    """Basis (as vectors) of the integer kernel lattice of ``a``."""
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    if ncols == 0:  # also for no rows: the column count is unknown
-        return []
-    _, D, V = smith_normal_form(a)
-    basis = []
-    for j in range(ncols):
-        if j >= nrows or D[j][j] == 0:
-            basis.append([V[i][j] for i in range(ncols)])
-    return basis
-
-
 def columns_to_matrix(cols: list[list[int]], nrows: int) -> IntMatrix:
     return [[col[i] for col in cols] for i in range(nrows)]
 
@@ -374,6 +307,59 @@ def hermite_form(vectors: list[list[int]], n: int) -> IntMatrix:
             out = [[x - q * y for x, y in zip(row, top)] if (q := row[c] // top[c]) else row for row in out]
             out.append(top)
     return out
+
+
+def _graph_form(vectors: list[list[int]], m: int) -> IntMatrix:
+    """The Hermite form of the rows (v_j, e_j) for k vectors v_j in Z^m.
+    Each of its rows (v, x) has v = sum x_j v_j; the rows with v = 0, a
+    basis of the relations among the v_j, come last."""
+    k = len(vectors)
+    return hermite_form([[*v, *(int(i == j) for i in range(k))] for j, v in enumerate(vectors)], m + k)
+
+
+def int_inverse_unimodular(a: IntMatrix) -> IntMatrix:
+    """Inverse of an integer matrix whose determinant is +-1: the Hermite
+    form of [a | I] is [I | a^-1].  Raises ValueError for any other matrix."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
+    h = _graph_form(a, n)
+    if [row[:n] for row in h] != identity_int(n):
+        raise ValueError("matrix is not unimodular")
+    return [row[n:] for row in h]
+
+
+def kernel_basis_int(a: IntMatrix, n: int) -> list[list[int]]:
+    """Basis (as vectors) of the integer kernel lattice of the m x n ``a``:
+    the relations among its columns."""
+    m = len(a)
+    columns = [[row[j] for row in a] for j in range(n)]
+    return [row[m:] for row in _graph_form(columns, m) if not any(row[:m])]
+
+
+def solve_int(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
+    """An n x k integer X with a*X = b for the m x n ``a`` and the m x k
+    ``b`` (one right-hand side per column), or None when any column has
+    none.  Each column y of b goes down the rows (a*x, x) with a*x != 0 of
+    the graph form of a's columns, in echelon order, less the multiple of
+    each row that clears its leading column.  What is left is (r, -x) with
+    a*x = y - r: x solves when r = 0, and nothing does otherwise."""
+    m = len(a)
+    if len(b) != m:
+        raise ValueError("dimension mismatch in solve_int")
+    n = len(a[0]) if a else 0
+    h = _graph_form([[row[j] for row in a] for j in range(n)], m)
+    pivots = [(c, row) for row in h if (c := next(i for i, x in enumerate(row) if x)) < m]
+    cols = []
+    for y in zip(*b):
+        w = [*y, *[0] * n]
+        for c, row in pivots:
+            if q := w[c] // row[c]:
+                w = [x - q * v for x, v in zip(w, row)]
+        if any(w[:m]):
+            return None
+        cols.append([-x for x in w[m:]])
+    return columns_to_matrix(cols, n)
 
 
 def lattice_equal(a: IntMatrix, b: IntMatrix) -> bool:

@@ -354,7 +354,8 @@ def _free_colimit(g: GroupHom) -> tuple[int, tuple[int, ...]]:
     f = g.free_block()
     fr = reduce(matmul_int, [f] * r)
     # saturated basis of the eventual image: the first rho columns of
-    # U^-1 span colspan_Q(F^r) intersected with Z^r
+    # U^-1 span colspan_Q(F^r) intersected with Z^r.  The Smith form gives
+    # rho and U; the inverse of U and the solve each read one Hermite form.
     u, d, _ = smith_normal_form(fr)
     rho = sum(1 for i in range(r) if d[i][i])
     if rho == 0:
@@ -377,7 +378,7 @@ def _image_group(power: IntMatrix, factors: tuple[int, ...]) -> FgAbGroup:
     stacked = [
         [*row, *(-d if j == i else 0 for j in range(s))] for i, (row, d) in enumerate(zip(power, factors))
     ]
-    return FgAbGroup.from_presentation(s, [vec[:s] for vec in kernel_basis_int(stacked)])
+    return FgAbGroup.from_presentation(s, [vec[:s] for vec in kernel_basis_int(stacked, 2 * s)])
 
 
 def _torsion_colimit(g: GroupHom) -> tuple[int, ...]:
@@ -442,16 +443,8 @@ def _image_lattice(h: GroupHom) -> IntMatrix:
 def _kernel_lattice(h: GroupHom) -> IntMatrix:
     n = h.source.ngens
     rel = h.target.relation_columns()
-    if h.target.ngens == 0:
-        # a 0-row matrix carries no column count, so the full kernel is spelled out
-        vecs = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    else:
-        stacked = [
-            list(h.matrix[i]) + [-rel[j][i] for j in range(len(rel))]
-            for i in range(h.target.ngens)
-        ]
-        vecs = kernel_basis_int(stacked)
-    cols = [vec[:n] for vec in vecs]
+    stacked = [list(h.matrix[i]) + [-rel[j][i] for j in range(len(rel))] for i in range(h.target.ngens)]
+    cols = [vec[:n] for vec in kernel_basis_int(stacked, n + len(rel))]
     cols += h.source.relation_columns()
     return columns_to_matrix(cols, n)
 

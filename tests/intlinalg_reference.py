@@ -6,15 +6,21 @@ vector ``b``.  The matrix ``solve_int`` is tested against it applied
 column by column (``test_intlinalg.py``), and the lattice fixpoint of
 ``stabilization_reference`` solves with it.
 
+``solve_int_by_smith`` solves for a matrix of right-hand sides with one
+Smith form, and ``kernel_basis_int`` reads the kernel off the V of one;
+``int_inverse_unimodular`` runs Euclid down each column of [a | I].  Each
+was replaced by a reader of one Hermite form, and each reader is tested
+against it (``test_intlinalg.py``); ``stabilization_reference`` inverts
+with the Euclid one.
+
 ``lattice_equal`` solves for each side in the other with the matrix
-``solve_int``: two Smith forms per comparison.  The Hermite-form
+``solve_int_by_smith``: two Smith forms per comparison.  The Hermite-form
 ``lattice_equal`` is tested against it (``test_lattice_hnf.py``).
 """
 
 from __future__ import annotations
 
-from wittkit import intlinalg
-from wittkit.intlinalg import IntMatrix, smith_normal_form
+from wittkit.intlinalg import IntMatrix, identity_int, matmul_int, smith_normal_form
 
 
 def matvec_int(a: IntMatrix, v: list[int]) -> list[int]:
@@ -48,4 +54,70 @@ def lattice_equal(a: IntMatrix, b: IntMatrix) -> bool:
     side is solved for in the other, all its columns at once."""
     if len(a) != len(b):
         raise ValueError("lattices live in different ambient ranks")
-    return intlinalg.solve_int(b, a) is not None and intlinalg.solve_int(a, b) is not None
+    return solve_int_by_smith(b, a) is not None and solve_int_by_smith(a, b) is not None
+
+
+def int_inverse_unimodular(a: IntMatrix) -> IntMatrix:
+    """Inverse of an integer matrix whose determinant is +-1, by integer row
+    operations on [a | I]: Euclid down each column, then back substitution.
+    Raises ValueError for any other matrix."""
+    n = len(a)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        while True:
+            rows = [r for r in range(col, n) if aug[r][col]]
+            if not rows:
+                raise ValueError("matrix is singular")
+            piv = min(rows, key=lambda r: abs(aug[r][col]))
+            aug[col], aug[piv] = aug[piv], aug[col]
+            top = aug[col]
+            if len(rows) == 1:
+                break
+            for r in range(col + 1, n):
+                q = aug[r][col] // top[col]
+                aug[r] = [x - q * y for x, y in zip(aug[r], top)]
+        if abs(top[col]) != 1:
+            raise ValueError("matrix is not unimodular")
+        aug[col] = [top[col] * x for x in top]
+    for col in reversed(range(n)):
+        for r in range(col):
+            q = aug[r][col]
+            aug[r] = [x - q * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def solve_int_by_smith(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
+    """An n x k integer X with a*X = b for the m x n ``a`` and the m x k
+    ``b`` (one right-hand side per column), or None when any column has
+    none.  One Smith form D = U*a*V serves all columns: X = V*Y, row i
+    of Y being row i of U*b over d_i, and rows of U*b past the last
+    nonzero d_i must be zero."""
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    if len(b) != nrows:
+        raise ValueError("dimension mismatch in solve_int_by_smith")
+    if ncols == 0:
+        return None if any(map(any, b)) else []
+    U, D, V = smith_normal_form(a)
+    c = matmul_int(U, b)
+    rank = sum(1 for i in range(min(nrows, ncols)) if D[i][i])  # zeros come last
+    if any(map(any, c[rank:])):
+        return None
+    y = []
+    for i, row in enumerate(c[:rank]):
+        d = D[i][i]
+        if any(x % d for x in row):
+            return None
+        y.append([x // d for x in row])
+    y += [[0] * len(b[0]) for _ in range(ncols - rank)]
+    return matmul_int(V, y)
+
+
+def kernel_basis_int(a: IntMatrix, n: int) -> list[list[int]]:
+    """Basis (as vectors) of the integer kernel lattice of the m x n ``a``:
+    the columns of V past the nonzero diagonal of its Smith form, and all
+    of Z^n when m = 0 (where the parent's callers spelled it out)."""
+    if not a:
+        return identity_int(n)
+    _, D, V = smith_normal_form(a)
+    return [[V[i][j] for i in range(n)] for j in range(n) if j >= len(a) or D[j][j] == 0]

@@ -18,13 +18,12 @@ from wittkit.intlinalg import (
     columns_to_matrix,
     identity_int,
     int_det,
-    int_inverse_unimodular,
     matmul_int,
     smith_normal_form,
 )
 from wittkit.stabilization import GroupHom
 
-from intlinalg_reference import solve_int
+from intlinalg_reference import int_inverse_unimodular, solve_int
 
 
 def _lattice_basis(mat: IntMatrix) -> IntMatrix:

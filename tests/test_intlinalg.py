@@ -1,4 +1,6 @@
-"""Integer factoring, determinants, and solving for a matrix of right-hand sides."""
+"""Integer factoring, determinants, and the readers of one Hermite form:
+the unimodular inverse, solving for a matrix of right-hand sides, and
+kernel bases, each checked against the algorithm it replaced."""
 
 from __future__ import annotations
 
@@ -14,7 +16,12 @@ from wittkit import intlinalg, stabilization
 from wittkit.errors import BudgetExceeded
 from wittkit.intlinalg import (
     _factorization,
+    columns_to_matrix,
+    hermite_form,
+    identity_int,
     int_det,
+    int_inverse_unimodular,
+    kernel_basis_int,
     lattice_equal,
     matmul_int,
     prime_factors,
@@ -206,7 +213,116 @@ def test_solve_int_matches_the_vector_form_column_by_column():
     check()
 
 
-# -- Smith forms counted per caller ---------------------------------------
+# -- the unimodular inverse and kernel bases -----------------------------------
+
+
+def _sheared(n: int, rng: random.Random, bits: int) -> list[list[int]]:
+    """A product of 3n shears with multipliers of up to ``bits`` bits, rows
+    swapped and one negated: determinant +-1, entries of up to about
+    3 * ``bits`` bits."""
+    u = identity_int(n)
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1)) * rng.getrandbits(bits)
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    rng.shuffle(u)
+    u[0] = [-x for x in u[0]]
+    return u
+
+
+def test_int_inverse_unimodular_matches_the_euclid_oracle():
+    rng = random.Random(89)
+    assert int_inverse_unimodular([]) == []
+    wide = 0
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        u = _sheared(n, rng, rng.choice((4, 24, 40)))
+        wide += max(abs(x).bit_length() for row in u for x in row) >= 40
+        inv = int_inverse_unimodular(u)
+        assert inv == ref.int_inverse_unimodular(u)
+        assert matmul_int(u, inv) == identity_int(n) == matmul_int(inv, u)
+    assert wide >= 30  # of 60, with entries of 40 bits and more
+
+
+def test_int_inverse_unimodular_refuses_singular_and_non_unimodular_matrices():
+    rng = random.Random(97)
+    cases = [[[0]], [[2]], [[1, 2], [2, 4]], [[2, 0], [0, 1]], [[1, 1], [1, -1]]]
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        u = _sheared(n, rng, 20)
+        if rng.random() < 0.5:  # one row doubled: determinant +-2
+            i = rng.randrange(n)
+            u[i] = [2 * x for x in u[i]]
+        else:  # one row a combination of two others: singular
+            i, j, k = rng.sample(range(n), 3) if n > 2 else (0, 1, 1)
+            u[i] = [3 * x - y for x, y in zip(u[j], u[k])]
+        cases.append(u)
+    for a in cases:
+        assert abs(int_det(a)) != 1
+        with pytest.raises(ValueError):
+            int_inverse_unimodular(a)
+        with pytest.raises(ValueError):
+            ref.int_inverse_unimodular(a)
+    # no inverse unless square: the Euclid oracle answered [[0, 1, 0], [0, 0, 1]] for the first
+    for a in ([[1, 0, 0], [0, 1, 0]], [[1], [0]]):
+        with pytest.raises(ValueError, match="square"):
+            int_inverse_unimodular(a)
+
+
+def _deficient(m: int, n: int, rank: int, rng: random.Random) -> list[list[int]]:
+    """An m x n integer matrix of rank at most ``rank``."""
+    left = [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(m)]
+    right = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rank)]
+    return _product(left, right, n)
+
+
+def test_kernel_basis_int_spans_the_oracles_lattice():
+    rng = random.Random(101)
+    assert kernel_basis_int([], 3) == identity_int(3)  # no rows: all of Z^3
+    assert kernel_basis_int([[], []], 0) == []
+    for _ in range(300):
+        m, n = rng.randint(0, 4), rng.randint(0, 6)
+        a = _deficient(m, n, rng.randint(0, min(m, n)), rng)
+        basis = kernel_basis_int(a, n)
+        assert all(len(v) == n for v in basis)
+        assert all(not any(row) for row in _product(a, columns_to_matrix(basis, n), len(basis)))
+        # a basis, not just a spanning set: its Hermite form keeps every vector
+        assert len(hermite_form(basis, n)) == len(basis)
+        assert hermite_form(basis, n) == hermite_form(ref.kernel_basis_int(a, n), n), a
+
+
+def test_kernel_rank_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(103)
+    for _ in range(100):
+        m, n = rng.randint(1, 4), rng.randint(0, 6)
+        a = _deficient(m, n, rng.randint(0, min(m, n)), rng)
+        flat = [x for row in a for x in row]
+        assert len(kernel_basis_int(a, n)) == len(sympy.Matrix(m, n, flat).nullspace()), a
+
+
+def test_solve_int_agrees_with_the_smith_form_oracle():
+    rng = random.Random(107)
+    outcomes = set()
+    for _ in range(400):
+        m, n, k = rng.randint(1, 4), rng.randint(1, 5), rng.randint(0, 3)
+        a = _deficient(m, n, rng.randint(0, min(m, n)), rng)
+        b = _product(a, [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)], k)
+        if k and rng.random() < 0.5:  # one column moved, most often out of the image
+            j = rng.randrange(k)
+            for row in b:
+                row[j] += rng.randint(-2, 2)
+        x = solve_int(a, b)
+        want = ref.solve_int_by_smith(a, b)
+        assert (x is None) == (want is None), (a, b)
+        if x is not None:
+            assert len(x) == n and all(len(row) == k for row in x)
+            assert matmul_int(a, x) == b
+        outcomes.add((k == 0, x is None))
+    assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+# -- Smith and Hermite forms counted per caller ---------------------------------
 
 
 def _counted_smith_forms(monkeypatch) -> list:
@@ -222,7 +338,7 @@ def _counted_smith_forms(monkeypatch) -> list:
     return calls
 
 
-def test_lattice_equal_makes_no_smith_form(monkeypatch):
+def test_lattice_equal_and_exactness_check_make_no_smith_form(monkeypatch):
     calls = _counted_smith_forms(monkeypatch)
     a = [[2, 1, 0], [0, 3, 1], [1, 0, 5]]
     # the same lattice: three columns from a unimodular change of basis and
@@ -232,10 +348,10 @@ def test_lattice_equal_makes_no_smith_form(monkeypatch):
     # a doubled lies in a's lattice but not the other way round
     assert not lattice_equal([[2 * x for x in row] for row in a], a)
     assert calls == []
-    # the kernels of exactness_check still take theirs, the comparisons none
+    # the kernels of exactness_check read Hermite forms too
     z = FgAbGroup(1)
     chain = [GroupHom.zero(FgAbGroup(0), z), GroupHom(z, z, ((2,),)), GroupHom(z, FgAbGroup(0, (2,)), ((1,),))]
-    assert stabilization.exactness_check(chain) == [] and len(calls) == 2
+    assert stabilization.exactness_check(chain) == [] and calls == []
 
 
 @pytest.mark.parametrize(
@@ -245,8 +361,30 @@ def test_lattice_equal_makes_no_smith_form(monkeypatch):
         (((1, 1, 0), (1, 1, 0), (0, 0, 3)), ColimResult(2, (2, 3), ())),
     ],
 )
-def test_free_colimit_makes_one_smith_form_for_the_power_and_one_for_the_basis(monkeypatch, mat, result):
+def test_free_colimit_makes_one_smith_form_for_the_power(monkeypatch, mat, result):
     calls = _counted_smith_forms(monkeypatch)
     z3 = FgAbGroup(3)
     assert colimit(GroupSeq((), GroupHom(z3, z3, mat))) == result
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "reader, args",
+    [
+        (int_inverse_unimodular, ([[2, 1], [1, 1]],)),
+        (solve_int, ([[1, 2], [2, 4]], [[3, -1], [6, -2]])),
+        (kernel_basis_int, ([[1, 2, 3], [2, 4, 6]], 3)),
+    ],
+)
+def test_each_reader_takes_one_hermite_form_and_no_smith_form(monkeypatch, reader, args):
+    calls = {"hermite_form": 0, "smith_normal_form": 0}
+    for name in calls:
+        real = getattr(intlinalg, name)
+
+        def counted(*a, real=real, name=name):
+            calls[name] += 1
+            return real(*a)
+
+        monkeypatch.setattr(intlinalg, name, counted)
+    assert reader(*args)
+    assert calls == {"hermite_form": 1, "smith_normal_form": 0}

@@ -174,3 +174,29 @@ def test_every_unbounded_search_names_the_budget():
                         found.append(where)
     assert [w.rsplit(":", 1)[0] for w in exempt] == ["forms.py:_dyadic_block_pivot"]
     assert found == []
+
+
+def test_only_three_callers_take_a_smith_form():
+    # hermite_form is the echelon algorithm; a Smith form is taken only
+    # where its invariant factors or its transform U are read.  Any use of
+    # the name in code counts, a call or the function passed on.
+    found = []
+
+    def visit(node: ast.AST, path: str, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, path, f"{owner}.{child.name}" if owner else child.name)
+                continue
+            if (isinstance(child, ast.Name) and child.id == "smith_normal_form") or (
+                isinstance(child, ast.Attribute) and child.attr == "smith_normal_form"
+            ):
+                found.append(f"{path}:{owner}")
+            visit(child, path, owner)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.stem, "")
+    assert sorted(set(found)) == [
+        "forms:_complete_dyadic_columns",
+        "stabilization:FgAbGroup.from_presentation",
+        "stabilization:_free_colimit",
+    ]
