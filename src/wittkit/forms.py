@@ -87,7 +87,7 @@ class GramForm(_Record):
     __slots__ = (*_fields, "_diag", "_class")
 
     def __init__(self, gram: InvMatrix, epsilon: int = 1):
-        if epsilon not in (1, -1):
+        if type(epsilon) is not int or epsilon not in (1, -1):
             raise IllFormed(f"epsilon must be +1 or -1, got {epsilon!r}")
         if gram.nrows != gram.ncols:
             raise IllFormed("Gram matrix must be square")
@@ -171,9 +171,7 @@ class GramForm(_Record):
         if not isinstance(obj, dict) or "ring" not in obj:
             raise IllFormed("form descriptor must be an object with a 'ring'")
         spec = RingSpec.from_json(obj["ring"])
-        epsilon = obj.get("epsilon", 1)
-        if epsilon not in (1, -1):
-            raise IllFormed(f"epsilon must be 1 or -1, got {epsilon!r}")
+        epsilon = obj.get("epsilon", 1)  # checked by the constructor
         if "diag" in obj:
             if not isinstance(obj["diag"], list):
                 raise IllFormed("'diag' must be a list of entries")

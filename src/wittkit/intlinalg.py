@@ -4,13 +4,17 @@ Matrices are plain ``list[list[int]]``; Python ints keep everything exact.
 ``hermite_form`` is the one echelon algorithm.  ``int_inverse_unimodular``,
 ``solve_int`` and ``kernel_basis_int`` each read one Hermite form of a
 matrix beside an identity, and ``lattice_equal`` compares one per side.
-``smith_normal_form`` is kept for the callers that need invariant factors
-or its transform U.
+``smith_normal_form``, for the callers that need invariant factors or its
+transform U, is read off Hermite forms too: those of a matrix and of its
+transpose, in turn, as Kannan and Bachem do (SIAM J. Comput. 8, 1979).
+This ends: the leading entry of each form divides the one before it, so
+it can only shrink so many times; once it stops changing, its row and its
+column are clear, and the same holds for the trailing block.
 """
 
 from __future__ import annotations
 
-from itertools import count
+from itertools import combinations, count
 from math import gcd, prod
 from operator import mul
 
@@ -21,7 +25,10 @@ IntMatrix = list[list[int]]
 
 
 def identity_int(n: int) -> IntMatrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    out = [[0] * n for _ in range(n)]
+    for i, row in enumerate(out):
+        row[i] = 1
+    return out
 
 
 def matmul_int(a: IntMatrix, b: IntMatrix, p: int | None = None) -> IntMatrix:
@@ -188,90 +195,37 @@ def _rho_divisor(n: int) -> int:
 
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (U, D, V) with D = U*a*V, U and V unimodular, and D diagonal
-    with nonnegative entries satisfying d1 | d2 | ... (zeros at the end)."""
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    A = [row[:] for row in a]
-    U = identity_int(nrows)
-    V = identity_int(ncols)
+    with nonnegative entries satisfying d1 | d2 | ... (zeros at the end).
 
-    def add_row(dst: int, src: int, q: int) -> None:
-        A[dst] = [x + q * y for x, y in zip(A[dst], A[src])]
-        U[dst] = [x + q * y for x, y in zip(U[dst], U[src])]
-
-    def add_col(dst: int, src: int, q: int) -> None:
-        for row in A:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
-
-    t = 0
-    while t < min(nrows, ncols):
-        # pivot: entry of least magnitude in the trailing block
-        pivot = None
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                v = abs(A[i][j])
-                if v and (best is None or v < best):
-                    best, pivot = v, (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != t:
-            A[t], A[pi] = A[pi], A[t]
-            U[t], U[pi] = U[pi], U[t]
-        if pj != t:
-            for row in A:
-                row[t], row[pj] = row[pj], row[t]
-            for row in V:
-                row[t], row[pj] = row[pj], row[t]
-
-        while True:
-            # clear the pivot column
-            moved = False
-            for i in range(t + 1, nrows):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    add_row(i, t, -q)
-                    if A[i][t]:
-                        A[t], A[i] = A[i], A[t]
-                        U[t], U[i] = U[i], U[t]
-                        moved = True
-            if moved:
-                continue
-            # clear the pivot row
-            for j in range(t + 1, ncols):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    add_col(j, t, -q)
-                    if A[t][j]:
-                        for row in A:
-                            row[t], row[j] = row[j], row[t]
-                        for row in V:
-                            row[t], row[j] = row[j], row[t]
-                        moved = True
-            if moved:
-                continue
-            # enforce divisibility of the trailing block
-            offender = None
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, ncols):
-                    if A[i][j] % A[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            add_row(t, offender, 1)
-        t += 1
-
-    for i in range(min(nrows, ncols)):
-        if A[i][i] < 0:
-            A[i] = [-x for x in A[i]]
-            U[i] = [-x for x in U[i]]
-    return U, A, V
+    Hermite forms of the rows [D | U] and of the rows [D^T | V^T] alternate
+    until D is diagonal (Kannan and Bachem, SIAM J. Comput. 8, 1979); the
+    transforms ride along in the augmented rows.  One pass over the pairs
+    of diagonal entries then puts gcd and lcm in place."""
+    m, n = len(a), len(a[0]) if a else 0
+    # each turn reduces the rows of d beside the transform that rides on
+    # them, then transposes d: the two transforms trade places
+    d, rows_t, cols_t, turns = a, identity_int(m), identity_int(n), 0
+    while any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(d)):
+        k = len(d[0])
+        h = hermite_form([[*row, *x] for row, x in zip(d, rows_t)], k + len(d))
+        d, rows_t, cols_t, turns = columns_to_matrix(h, k), cols_t, [row[k:] for row in h], turns + 1
+    u, vt = (cols_t, rows_t) if turns % 2 else (rows_t, cols_t)
+    diag = [d[i][i] for i in range(min(m, n))]
+    for i, j in combinations(range(len(diag)), 2):
+        x, y = diag[i], diag[j]
+        if y and (not x or y % x):
+            # diag(g, x*y/g) = [[s, t], [-y/g, x/g]] diag(x, y) [[1, -t*y/g], [1, s*x/g]]
+            g, s, t = ext_gcd(x, y)
+            x, y = x // g, y // g
+            diag[i], diag[j] = g, g * x * y
+            u[i], u[j] = [s * p + t * q for p, q in zip(u[i], u[j])], [x * q - y * p for p, q in zip(u[i], u[j])]
+            vt[i], vt[j] = [p + q for p, q in zip(vt[i], vt[j])], [s * x * q - t * y * p for p, q in zip(vt[i], vt[j])]
+    d = [[0] * n for _ in range(m)]
+    for i, x in enumerate(diag):
+        if x < 0:
+            x, u[i] = -x, [-p for p in u[i]]
+        d[i][i] = x
+    return u, d, [list(col) for col in zip(*vt)]
 
 
 def columns_to_matrix(cols: list[list[int]], nrows: int) -> IntMatrix:
@@ -314,7 +268,7 @@ def _graph_form(vectors: list[list[int]], m: int) -> IntMatrix:
     Each of its rows (v, x) has v = sum x_j v_j; the rows with v = 0, a
     basis of the relations among the v_j, come last."""
     k = len(vectors)
-    return hermite_form([[*v, *(int(i == j) for i in range(k))] for j, v in enumerate(vectors)], m + k)
+    return hermite_form([[*v, *e] for v, e in zip(vectors, identity_int(k))], m + k)
 
 
 def int_inverse_unimodular(a: IntMatrix) -> IntMatrix:

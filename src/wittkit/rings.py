@@ -239,9 +239,9 @@ class RingSpec(_Record):
         kind = obj["ring"]
         try:
             if kind == PRIME_FIELD:
-                return cls.prime_field(int(obj["p"]))
+                return cls.prime_field(_json_int(obj["p"]))
             if kind == TRUNC_NIL:
-                return cls.trunc_nil(cls.from_json(obj["base"]), int(obj["k"]))
+                return cls.trunc_nil(cls.from_json(obj["base"]), _json_int(obj["k"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise IllFormed(f"bad {kind} ring spec {obj!r}: {exc!r}") from None
         if kind in (RATIONALS, DYADIC, LAURENT2):

@@ -16,11 +16,17 @@ with the Euclid one.
 ``lattice_equal`` solves for each side in the other with the matrix
 ``solve_int_by_smith``: two Smith forms per comparison.  The Hermite-form
 ``lattice_equal`` is tested against it (``test_lattice_hnf.py``).
+
+``smith_normal_form`` diagonalizes by row and column operations on the
+entry of least magnitude.  It was replaced by alternating Hermite forms,
+which are tested against it (``test_stabilization.py``); every oracle here
+and in ``stabilization_reference`` takes its Smith forms from it, so none
+reads ``hermite_form``.
 """
 
 from __future__ import annotations
 
-from wittkit.intlinalg import IntMatrix, identity_int, matmul_int, smith_normal_form
+from wittkit.intlinalg import IntMatrix, identity_int, matmul_int
 
 
 def matvec_int(a: IntMatrix, v: list[int]) -> list[int]:
@@ -121,3 +127,91 @@ def kernel_basis_int(a: IntMatrix, n: int) -> list[list[int]]:
         return identity_int(n)
     _, D, V = smith_normal_form(a)
     return [[V[i][j] for i in range(n)] for j in range(n) if j >= len(a) or D[j][j] == 0]
+
+
+def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Return (U, D, V) with D = U*a*V, U and V unimodular, and D diagonal
+    with nonnegative entries satisfying d1 | d2 | ... (zeros at the end)."""
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    A = [row[:] for row in a]
+    U = identity_int(nrows)
+    V = identity_int(ncols)
+
+    def add_row(dst: int, src: int, q: int) -> None:
+        A[dst] = [x + q * y for x, y in zip(A[dst], A[src])]
+        U[dst] = [x + q * y for x, y in zip(U[dst], U[src])]
+
+    def add_col(dst: int, src: int, q: int) -> None:
+        for row in A:
+            row[dst] += q * row[src]
+        for row in V:
+            row[dst] += q * row[src]
+
+    t = 0
+    while t < min(nrows, ncols):
+        # pivot: entry of least magnitude in the trailing block
+        pivot = None
+        best = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                v = abs(A[i][j])
+                if v and (best is None or v < best):
+                    best, pivot = v, (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        if pi != t:
+            A[t], A[pi] = A[pi], A[t]
+            U[t], U[pi] = U[pi], U[t]
+        if pj != t:
+            for row in A:
+                row[t], row[pj] = row[pj], row[t]
+            for row in V:
+                row[t], row[pj] = row[pj], row[t]
+
+        while True:
+            # clear the pivot column
+            moved = False
+            for i in range(t + 1, nrows):
+                if A[i][t]:
+                    q = A[i][t] // A[t][t]
+                    add_row(i, t, -q)
+                    if A[i][t]:
+                        A[t], A[i] = A[i], A[t]
+                        U[t], U[i] = U[i], U[t]
+                        moved = True
+            if moved:
+                continue
+            # clear the pivot row
+            for j in range(t + 1, ncols):
+                if A[t][j]:
+                    q = A[t][j] // A[t][t]
+                    add_col(j, t, -q)
+                    if A[t][j]:
+                        for row in A:
+                            row[t], row[j] = row[j], row[t]
+                        for row in V:
+                            row[t], row[j] = row[j], row[t]
+                        moved = True
+            if moved:
+                continue
+            # enforce divisibility of the trailing block
+            offender = None
+            for i in range(t + 1, nrows):
+                for j in range(t + 1, ncols):
+                    if A[i][j] % A[t][t]:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            add_row(t, offender, 1)
+        t += 1
+
+    for i in range(min(nrows, ncols)):
+        if A[i][i] < 0:
+            A[i] = [-x for x in A[i]]
+            U[i] = [-x for x in U[i]]
+    return U, A, V

@@ -19,11 +19,10 @@ from wittkit.intlinalg import (
     identity_int,
     int_det,
     matmul_int,
-    smith_normal_form,
 )
 from wittkit.stabilization import GroupHom
 
-from intlinalg_reference import int_inverse_unimodular, solve_int
+from intlinalg_reference import int_inverse_unimodular, smith_normal_form, solve_int
 
 
 def _lattice_basis(mat: IntMatrix) -> IntMatrix:

@@ -314,8 +314,8 @@ def test_dyadic_unit_vector_search_refuses_past_its_budget(monkeypatch):
 
 
 # Job 38 of the witt benchmark's dense-dyadic family at seed 4: its last
-# 2x2 block is [[0, 2], [2, 85]] (numerators over 4), whose first unit
-# value, 4 (x + 21 y) y + y^2 at (-21, 1), lies past _PIVOT_BOUND (18).
+# 2x2 block is [[85, 2], [2, 0]] (numerators over 4), whose first unit
+# value, x (85 x + 4 y) at (1, -21), lies past _PIVOT_BOUND (18).
 _SHEARED_PIVOT = [[-9, -11, 6, -17], [-11, -4, 2, -17], [6, 2, -1, 9], [-17, -17, 9, -32]]
 
 
@@ -331,8 +331,9 @@ def test_a_lagrange_step_finds_the_unit_past_the_pivot_bound(monkeypatch):
     monkeypatch.setattr(forms, "_unit_vector_search", spy)
     f = GramForm.from_rows(DY, _SHEARED_PIVOT)
     p, d = diagonalize(f)
-    # the block's own search finds nothing; e_1 -= 21 e_0 gives it the value 1
-    assert found[-2:] == [([[0, 2], [2, 85]], None), ([[0, 2], [2, 1]], (0, 1))]
+    # the block's own search finds nothing; after the swap, e_1 -= 21 e_0
+    # gives it the value 1
+    assert found[-2:] == [([[85, 2], [2, 0]], None), ([[0, 2], [2, 1]], (0, 1))]
     assert p.conj_transpose() * f.gram * p == d.gram
     assert d.diagonal_entries() == (-1, 2, 1, -1)
     assert witt_class(f) == witt_class(GramForm.diagonal(DY, [-1, 2, 1, -1]))
@@ -341,10 +342,14 @@ def test_a_lagrange_step_finds_the_unit_past_the_pivot_bound(monkeypatch):
     _check_decomposition(f, dec)
 
 
-# Job 37 of the same family at seed 36: its 2x2 block [[-372, -934],
-# [-934, -2345]] needs three Lagrange steps, with a search after each,
-# before [[-89, 4], [4, 0]] shows the unit value -1 at (1, 11).
+# Job 37 of the same family at seed 36: its last 2x2 block is
+# [[-97, -190], [-190, -372]], and one Lagrange step shows the unit value
+# -1 of [[-97, 4], [4, 0]] at (1, 12).
 _REDUCED_PIVOT = [[-78, 25, -132, -330], [25, 8, 38, 97], [-132, 38, -223, -558], [-330, 97, -558, -1396]]
+# As a form of its own, [[-372, -934], [-934, -2345]] needs two Lagrange
+# steps, with a search after each, before [[-89, 4], [4, 0]] shows the
+# unit value -1 at (1, 11).
+_TWO_STEP_PIVOT = [[-372, -934], [-934, -2345]]
 
 
 def _spied_searches(monkeypatch) -> list:
@@ -362,19 +367,29 @@ def _spied_searches(monkeypatch) -> list:
 
 def test_lagrange_steps_repeat_until_a_unit_is_found(monkeypatch):
     found = _spied_searches(monkeypatch)
-    f = GramForm.from_rows(DY, _REDUCED_PIVOT)
-    p, d = diagonalize(f)
-    assert found[-3:] == [
-        ([[-372, -934], [-934, -2345]], None),
-        ([[-372, 182], [182, -89]], None),
-        ([[-89, 4], [4, 0]], (1, 11)),
+    cases = [
+        (
+            _TWO_STEP_PIVOT,
+            [
+                ([[-372, -934], [-934, -2345]], None),
+                ([[-372, 182], [182, -89]], None),
+                ([[-89, 4], [4, 0]], (1, 11)),
+            ],
+            0,
+        ),
+        (_REDUCED_PIVOT, [([[-97, -190], [-190, -372]], None), ([[-97, 4], [4, 0]], (1, 12))], 1),
     ]
-    assert p.conj_transpose() * f.gram * p == d.gram
-    cls = witt_class(f)
-    assert (cls.signature, cls.dyadic_disc_parity) == (0, 1)
-    dec = witt_decompose(f)
-    assert dec.hyperbolic_rank == 1
-    _check_decomposition(f, dec)
+    for rows, searches, parity in cases:
+        found.clear()
+        f = GramForm.from_rows(DY, rows)
+        p, d = diagonalize(f)
+        assert found[-len(searches):] == searches
+        assert p.conj_transpose() * f.gram * p == d.gram
+        cls = witt_class(f)
+        assert (cls.signature, cls.dyadic_disc_parity) == (0, parity)
+        dec = witt_decompose(f)
+        assert dec.hyperbolic_rank == 1
+        _check_decomposition(f, dec)
 
 
 def test_lagrange_steps_stop_at_a_reduced_block(monkeypatch):
@@ -383,7 +398,7 @@ def test_lagrange_steps_stop_at_a_reduced_block(monkeypatch):
     found = _spied_searches(monkeypatch)
     monkeypatch.setattr(forms, "_PIVOT_BOUND", 0)
     with pytest.raises(OracleInconclusive, match="height <= 0"):
-        diagonalize(GramForm.from_rows(DY, [[-372, -934], [-934, -2345]]))
+        diagonalize(GramForm.from_rows(DY, _TWO_STEP_PIVOT))
     assert [grid for grid, _ in found] == [
         [[-372, -934], [-934, -2345]],
         [[-372, 182], [182, -89]],
@@ -586,7 +601,7 @@ def test_diagonalize_answers_a_pivot_of_height_15(monkeypatch):
     p, d = diagonalize(f)
     assert heights == [15]
     assert p.conj_transpose() * f.gram * p == d.gram
-    assert d.diagonal_entries() == (-2, -2, -1)
+    assert d.diagonal_entries() == (-2, -1, -2)
     assert witt_class(f).signature == -3
     dec = witt_decompose(f, height_bound=1)
     assert (dec.hyperbolic_rank, dec.certified) == (0, True)

@@ -187,6 +187,16 @@ def test_json_numbers_are_integers_not_truncated_floats():
         GramForm.from_json({"ring": {"ring": "fp", "p": 5}, "diag": [1.5, 2.7]})
     with pytest.raises(IllFormed):
         GramForm.from_json({"ring": {"ring": "q"}, "diag": [[1.5, 1]]})
+    for ring in (
+        {"ring": "fp", "p": 7.9},
+        {"ring": "truncnil", "base": "q", "k": 2.5},
+        {"ring": "truncnil", "base": "q", "k": True},
+    ):
+        with pytest.raises(IllFormed):
+            RingSpec.from_json(ring)
+    for epsilon in (True, 1.0):
+        with pytest.raises(IllFormed):
+            GramForm.from_json({"ring": "q", "epsilon": epsilon, "diag": [1]})
     truncnil = RingSpec.trunc_nil(Q, 2)
     bad = {
         Q: ([1.5, 1], [3, 2.0], [1, True]),

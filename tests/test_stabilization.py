@@ -9,8 +9,10 @@ from time import perf_counter
 
 import pytest
 
+import intlinalg_reference as ref
 from wittkit import stabilization
 from wittkit.errors import IdentityViolated, IllFormed, NotCatalogued
+from wittkit.intlinalg import int_det, prime_factors
 from wittkit.stabilization import (
     ColimResult,
     FgAbGroup,
@@ -161,6 +163,20 @@ def test_free_colimit_powers_the_map_with_r_minus_1_products(monkeypatch):
     assert colimit(seq_of(FgAbGroup(3), tuple(map(tuple, f)))) == ColimResult(3, (31,), ())
     # F^3 from F F and F^2 F, with no I F, then F times the image's basis
     assert products[:2] == [(f, f), (real(f, f), f)] and len(products) == 3
+
+
+# -- random full-rank maps ------------------------------------------------------
+
+@pytest.mark.parametrize("r, primes", [(7, (2, 3, 13)), (8, (31, 3119)), (10, (2, 3, 11411))])
+def test_random_full_rank_colimits_answer_within_a_second(r, primes):
+    # the seeded maps of the random-colimit probe; at full rank the inverted
+    # primes are those of det F, by Bareiss and factoring, with no lattice
+    rng = random.Random(1)
+    f = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(r)]
+    start = perf_counter()
+    result = colimit(seq_of(FgAbGroup(r), tuple(map(tuple, f))))
+    assert perf_counter() - start < 1
+    assert result == ColimResult(r, tuple(prime_factors(int_det(f))), ()) == ColimResult(r, primes, ())
 
 
 # -- the torsion colimit in closed form ---------------------------------------
@@ -383,19 +399,6 @@ def test_catalog_miss():
 # -- Smith normal form -------------------------------------------------------------
 
 
-def _det_int(m: list[list[int]]) -> int:
-    n = len(m)
-    if n == 0:
-        return 1
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for j in range(n):
-        sub = [[row[c] for c in range(n) if c != j] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * _det_int(sub)
-    return total
-
-
 def _mul_int(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return [
         [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
@@ -408,21 +411,41 @@ def test_snf_frozen():
     assert d == [[1, 0], [0, 6]]
 
 
+def _snf_inputs(rng: random.Random, m: int, n: int):
+    """Dense m x n matrices with small entries and, when at most three
+    columns or rows keep the replaced Smith form fast, entries up to 2^40;
+    then products of rank below min(m, n) with factors of either size."""
+    yield [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+    if min(m, n) <= 3:
+        yield [[rng.randint(-(1 << 40), 1 << 40) for _ in range(n)] for _ in range(m)]
+    for bound in (6, 1 << 40):
+        k = rng.randrange(min(m, n, 4)) if min(m, n) else 0
+        left = [[rng.randint(-bound, bound) for _ in range(k)] for _ in range(m)]
+        right = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(k)]
+        yield [[sum(x * row[j] for x, row in zip(lrow, right)) for j in range(n)] for lrow in left]
+
+
 def test_snf_properties():
+    # D against the replaced row/column Smith form and sympy's, on shapes
+    # 0..8 each way: m x 0 is m empty rows, and 0 x n is no rows at all
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
     rng = random.Random(47)
-    for _ in range(25):
-        n = rng.randrange(1, 4)
-        m = rng.randrange(1, 4)
-        mat = [[rng.randrange(-6, 7) for _ in range(m)] for _ in range(n)]
-        u, d, v = smith_normal_form(mat)
-        assert _mul_int(_mul_int(u, mat), v) == d
-        assert abs(_det_int(u)) == 1
-        assert abs(_det_int(v)) == 1
-        diag = [d[i][i] for i in range(min(n, m))]
-        for i in range(n):
-            for j in range(m):
-                if i != j:
-                    assert d[i][j] == 0
-        for a, b in zip(diag, diag[1:]):
-            if b:
-                assert a != 0 and b % a == 0
+    for m in range(9):
+        for n in range(9):
+            for mat in _snf_inputs(rng, m, n):
+                u, d, v = smith_normal_form(mat)
+                diag = [d[i][i] for i in range(min(m, n))]
+                assert d == [[diag[i] if i == j else 0 for j in range(n)] for i in range(m)]
+                assert all(x >= 0 for x in diag)
+                for a, b in zip(diag, diag[1:]):
+                    assert b % a == 0 if a else b == 0
+                assert d == ref.smith_normal_form(mat)[1]
+                want = sympy_snf(sympy.Matrix(m, n, [x for row in mat for x in row]), domain=sympy.ZZ)
+                assert d == [[int(want[i, j]) for j in range(n)] for i in range(m)]
+                assert len(u) == m and abs(sympy.Matrix(u).det()) == 1
+                if m:
+                    assert len(v) == n and abs(sympy.Matrix(v).det()) == 1
+                if m and n:
+                    assert _mul_int(_mul_int(u, mat), v) == d
