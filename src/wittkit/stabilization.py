@@ -9,8 +9,9 @@ divisors of the period map's determinant on its eventual image, and the
 torsion part is the eventual image of the map A on the torsion subgroup
 G.  Each image A^(k+1) G that differs from A^k G has at most half its
 order, and once two agree all later ones do, so A^M G is the eventual
-image for any M >= log2 |G|.  That image is read off in closed form from
-A^M, computed by repeated squaring, and checked against A^(M+1) G.
+image for any M >= log2 |G|: L / D Z^s for L = A^M Z^s + D Z^s, with A^M
+by repeated squaring.  The Hermite form of L, checked against that of
+A^(M+1) Z^s + D Z^s, presents it: the d_i e_i on L's triangular basis.
 
 Groups are kept in canonical coordinates throughout: free generators
 first, then one generator per invariant factor.  Homomorphism matrices
@@ -31,6 +32,7 @@ from .errors import IdentityViolated, IllFormed, NotCatalogued
 from .intlinalg import (
     IntMatrix,
     columns_to_matrix,
+    hermite_form,
     identity_int,
     int_det,
     int_inverse_unimodular,
@@ -79,12 +81,12 @@ class FgAbGroup(_Record):
 
     __slots__ = _fields = ("free_rank", "torsion")
 
-    def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
-        if not isinstance(free_rank, int) or free_rank < 0:
+    def __init__(self, free_rank: int, torsion: Sequence[int] = ()):
+        if isinstance(free_rank, bool) or not isinstance(free_rank, int) or free_rank < 0:
             raise IllFormed(f"free rank must be a nonnegative integer, got {free_rank!r}")
-        prev = 1
+        torsion, prev = tuple(torsion), 1
         for d in torsion:
-            if not isinstance(d, int) or d <= 1:
+            if isinstance(d, bool) or not isinstance(d, int) or d <= 1:
                 raise IllFormed(f"invariant factors must be integers > 1, got {d!r}")
             if d % prev:
                 raise IllFormed(f"invariant factors must divide in order, got {torsion}")
@@ -371,38 +373,39 @@ def _free_colimit(g: GroupHom) -> tuple[int, tuple[int, ...]]:
     return rho, tuple(prime_factors(delta))
 
 
-def _image_group(power: IntMatrix, factors: tuple[int, ...]) -> FgAbGroup:
-    """The image of the sum of the Z/d_i under ``power``: Z^s modulo the
-    x with power*x in the relations, read off the kernel of [power | -diag(d)]."""
-    s = len(factors)
-    stacked = [
-        [*row, *(-d if j == i else 0 for j in range(s))] for i, (row, d) in enumerate(zip(power, factors))
-    ]
-    return FgAbGroup.from_presentation(s, [vec[:s] for vec in kernel_basis_int(stacked, 2 * s)])
-
-
 def _torsion_colimit(g: GroupHom) -> tuple[int, ...]:
     factors = g.source.torsion
     if not factors:
         return ()
-    t = FgAbGroup(0, factors)
-    a = GroupHom(t, t, g.torsion_block())
+    s = len(factors)
+    diag = [[d if j == i else 0 for j in range(s)] for i, d in enumerate(factors)]
+
+    def times(x: IntMatrix, y: IntMatrix) -> IntMatrix:  # row i mod d_i, as GroupHom.compose stores it
+        return [[v % d for v in row] for row, d in zip(matmul_int(x, y), factors)]
+
+    a = g.torsion_block()
     steps = math.prod(factors).bit_length() - 1  # floor(log2 |G|)
     power, m = a, 1
     while m < steps:
-        power, m = power.compose(power), 2 * m
-    image = _image_group(power.matrix, factors)
-    if _image_group(a.compose(power).matrix, factors) != image:
+        power, m = times(power, power), 2 * m
+    # the Hermite basis rows of L = A^M Z^s + D Z^s, and of the next lattice
+    h = hermite_form([*zip(*power), *diag], s)
+    if hermite_form([*zip(*times(a, power)), *diag], s) != h:
         raise IdentityViolated("the torsion image settles within log2 |G| steps")
-    return image.torsion
+    # the relations d_i e_i on the basis h of L, solved down its triangle
+    x = [[0] * s for _ in factors]
+    for row, rel in zip(x, diag):
+        for j in range(s):
+            row[j] = (rel[j] - sum(row[k] * h[k][j] for k in range(j))) // h[j][j]
+    return FgAbGroup.from_presentation(s, x).torsion
 
 
 def colimit(seq: GroupSeq) -> ColimResult:
     """Direct limit of the system; the prefix is absorbed by cofinality.
 
     The torsion is A^M G for the period map's torsion block A on G, the sum
-    of the Z/d_i, with M >= log2 |G|: Z^s modulo the x with A^M x in the
-    relations.  IdentityViolated if A^(M+1) G is a different group.
+    of the Z/d_i, with M >= log2 |G|: L / D Z^s for L = A^M Z^s + D Z^s.
+    IdentityViolated if A^(M+1) Z^s + D Z^s has another Hermite form.
     """
     rank, primes = _free_colimit(seq.period_map)
     torsion = _torsion_colimit(seq.period_map)

@@ -1,16 +1,27 @@
-"""The torsion colimit of ``wittkit.stabilization`` as it was computed by
-iterating lattice bases until the image stopped shrinking.
+"""The torsion colimit of ``wittkit.stabilization`` as it was computed
+before, kept as oracles that ``colimit(...).torsion`` is tested against
+(``test_stabilization_properties.py``, ``test_stabilization.py``).
 
-This is the reference ``colimit(...).torsion`` is tested against
-(``test_stabilization.py``): each step maps the current basis by the
-period map, adds the relations and reduces the spanning set to a basis
-(a Smith form and the inverse of its U), until the index of the lattice
-stops changing; the invariant factors of relations modulo that lattice
-are the answer.  Fast at three factors or fewer of small order, and
-exponential in the number of steps beyond.
+``_torsion_colimit`` iterates lattice bases until the image stops
+shrinking: each step maps the current basis by the period map, adds the
+relations and reduces the spanning set to a basis (a Smith form and the
+inverse of its U), until the index of the lattice stops changing; the
+invariant factors of relations modulo that lattice are the answer.  Fast
+at three factors or fewer of small order, and exponential in the number
+of steps beyond.
+
+``closed_form_torsion_colimit`` squares the torsion block A as a
+``GroupHom`` up to A^M, M >= log2 |G|, and reads A^M G off the kernel of
+[A^M | -diag(d)] with a Smith form (``_image_group``), re-checked against
+A^(M+1) G the same way.  It is the code ``colimit`` ran before the
+Hermite-form version, except that its kernel and Smith form come from
+``intlinalg_reference``, as every oracle's here do, so none reads
+``hermite_form``.
 """
 
 from __future__ import annotations
+
+import math
 
 from wittkit.errors import IdentityViolated
 from wittkit.intlinalg import (
@@ -20,9 +31,9 @@ from wittkit.intlinalg import (
     int_det,
     matmul_int,
 )
-from wittkit.stabilization import GroupHom
+from wittkit.stabilization import FgAbGroup, GroupHom
 
-from intlinalg_reference import int_inverse_unimodular, smith_normal_form, solve_int
+from intlinalg_reference import int_inverse_unimodular, kernel_basis_int, smith_normal_form, solve_int
 
 
 def _lattice_basis(mat: IntMatrix) -> IntMatrix:
@@ -69,3 +80,36 @@ def _torsion_colimit(g: GroupHom) -> tuple[int, ...]:
         x_cols.append(col)
     _, d, _ = smith_normal_form(columns_to_matrix(x_cols, s))
     return tuple(d[i][i] for i in range(s) if d[i][i] > 1)
+
+
+def _presented(n: int, cols: list[list[int]]) -> FgAbGroup:
+    """``FgAbGroup.from_presentation`` on the reference Smith form."""
+    _, d, _ = smith_normal_form(columns_to_matrix(cols, n))
+    nonzero = [x for x in (d[i][i] for i in range(min(n, len(cols)))) if x]
+    return FgAbGroup(n - len(nonzero), tuple(x for x in nonzero if x > 1))
+
+
+def _image_group(power: IntMatrix, factors: tuple[int, ...]) -> FgAbGroup:
+    """The image of the sum of the Z/d_i under ``power``: Z^s modulo the
+    x with power*x in the relations, read off the kernel of [power | -diag(d)]."""
+    s = len(factors)
+    stacked = [
+        [*row, *(-d if j == i else 0 for j in range(s))] for i, (row, d) in enumerate(zip(power, factors))
+    ]
+    return _presented(s, [vec[:s] for vec in kernel_basis_int(stacked, 2 * s)])
+
+
+def closed_form_torsion_colimit(g: GroupHom) -> tuple[int, ...]:
+    factors = g.source.torsion
+    if not factors:
+        return ()
+    t = FgAbGroup(0, factors)
+    a = GroupHom(t, t, g.torsion_block())
+    steps = math.prod(factors).bit_length() - 1  # floor(log2 |G|)
+    power, m = a, 1
+    while m < steps:
+        power, m = power.compose(power), 2 * m
+    image = _image_group(power.matrix, factors)
+    if _image_group(a.compose(power).matrix, factors) != image:
+        raise IdentityViolated("the torsion image settles within log2 |G| steps")
+    return image.torsion

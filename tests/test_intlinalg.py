@@ -368,6 +368,24 @@ def test_free_colimit_makes_one_smith_form_for_the_power(monkeypatch, mat, resul
     assert len(calls) == 1
 
 
+def test_torsion_colimit_takes_no_kernel_basis_and_one_smith_form(monkeypatch):
+    # the Hermite forms of the two lattices and the relations on the first
+    # need no kernel; the invariant factors take the one Smith form
+    smith_forms, kernels = _counted_smith_forms(monkeypatch), []
+    real = intlinalg.kernel_basis_int
+
+    def counted(a, n):
+        kernels.append(a)
+        return real(a, n)
+
+    for module in (intlinalg, stabilization):
+        monkeypatch.setattr(module, "kernel_basis_int", counted)
+    g = FgAbGroup(0, (10, 30, 120, 720))
+    mat = ((-6, 1, -3, 5), (18, 0, 0, 4), (-48, -4, 2, 5), (432, 96, 30, -1))
+    assert colimit(GroupSeq((), GroupHom(g, g, mat))) == ColimResult(0, (), (5, 5, 15, 720))
+    assert kernels == [] and len(smith_forms) == 1
+
+
 @pytest.mark.parametrize(
     "reader, args",
     [

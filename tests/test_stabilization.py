@@ -10,6 +10,7 @@ from time import perf_counter
 import pytest
 
 import intlinalg_reference as ref
+import stabilization_reference
 from wittkit import stabilization
 from wittkit.errors import IdentityViolated, IllFormed, NotCatalogued
 from wittkit.intlinalg import int_det, prime_factors
@@ -65,6 +66,15 @@ def test_group_validation():
         FgAbGroup(-1)
     with pytest.raises(IllFormed):
         FgAbGroup(0, (1,))
+
+
+def test_group_keeps_its_factors_as_a_tuple_and_refuses_bools():
+    g = FgAbGroup(0, [2, 4])
+    assert g.torsion == (2, 4) and g == FgAbGroup(0, (2, 4))
+    assert hash(g) == hash(FgAbGroup(0, (2, 4)))
+    for rank, torsion in [(True, ()), (1.0, ()), ("1", ()), (0, (2, True)), (0, (2.0,)), (0, "24")]:
+        with pytest.raises(IllFormed):
+            FgAbGroup(rank, torsion)
 
 
 def test_group_json():
@@ -208,6 +218,45 @@ def test_torsion_colimit_rechecks_the_power(monkeypatch):
     with pytest.raises(IdentityViolated):
         colimit(seq_of(FgAbGroup(0, (2**20,)), ((2,),)))
     assert colimit(seq_of(FgAbGroup(0, (8,)), ((3,),))) == ColimResult(0, (), (8,))
+
+
+def _prime_to(d: int, c: int) -> int:
+    """The largest divisor of d prime to c."""
+    while (g := math.gcd(d, c)) > 1:
+        d //= g
+    return d
+
+
+@pytest.mark.parametrize("diagonal", [True, False])
+def test_four_torsion_factors_answer_within_a_per_call_bound(diagonal):
+    # perfbench/wl_stab.py draws at most three factors today.  Its shape:
+    # orders from 2, 3, 4 or 6, each 1 or 2 times the one before, each
+    # factor times one of 1, -1, 2, 3, 0, 5; there the part of each factor
+    # prime to its multiplier survives.  Beside it, well-defined maps with
+    # orders growing by up to 6, against the former closed form.
+    rng = random.Random(4)
+    for _ in range(200):
+        e = rng.choice((2, 3, 4, 6) if diagonal else (2, 3, 4, 5, 6, 8, 9, 10, 12))
+        factors = []
+        for _ in range(4):
+            factors.append(e)
+            e *= rng.choice((1, 2)) if diagonal else rng.randint(1, 6)
+        g = FgAbGroup(0, tuple(factors))
+        if diagonal:
+            mults = [rng.choice((1, -1, 2, 3, 0, 5)) for _ in factors]
+            mat = tuple(
+                tuple(c % d if j == i else 0 for j in range(4)) for i, (c, d) in enumerate(zip(mults, factors))
+            )
+            expected = FgAbGroup.of(0, [_prime_to(d, c) for d, c in zip(factors, mults)]).torsion
+        else:
+            mat = tuple(
+                tuple(rng.randint(-6, 6) * (factors[i] // factors[j] if i > j else 1) for j in range(4))
+                for i in range(4)
+            )
+            expected = stabilization_reference.closed_form_torsion_colimit(GroupHom(g, g, mat))
+        start = perf_counter()
+        assert colimit(seq_of(g, mat)) == ColimResult(0, (), expected)
+        assert perf_counter() - start < 0.1
 
 
 # -- shift and refinement invariance -------------------------------------------

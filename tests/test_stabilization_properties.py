@@ -1,10 +1,13 @@
-"""Torsion colimits in closed form against the lattice fixpoint and brute force.
+"""Torsion colimits from Hermite forms against the former closed form, the
+lattice fixpoint and brute force.
 
-``colimit`` reads the torsion part off A^M for M >= log2 |G|;
-``stabilization_reference`` iterates lattice bases until the image stops
-shrinking, and the brute force iterates sets of elements.  On random
-well-defined endomorphisms of Z/d_1 + ... + Z/d_s with s <= 3 all three
-must give the same group.
+``colimit`` reads the torsion part off the Hermite form of
+A^M Z^s + D Z^s for M >= log2 |G|; ``stabilization_reference`` keeps the
+closed form that read A^M G off an integer kernel and a Smith form, and
+the fixpoint that iterates lattice bases until the image stops
+shrinking; the brute force iterates sets of elements.  On random
+well-defined endomorphisms of Z^r + Z/d_1 + ... + Z/d_s with r <= 2 and
+s <= 3 all of them must give the same group.
 """
 
 from __future__ import annotations
@@ -27,21 +30,35 @@ _FIRST_ORDERS = (2, 3, 4, 5, 6, 8, 9, 10, 12)
 
 @st.composite
 def _torsion_maps(draw, max_order=None):
-    """A well-defined endomorphism of Z/d_1 + ... + Z/d_s, s <= 3, each d_i
-    1 to 6 times the one before; factors past ``max_order`` are dropped."""
+    """A well-defined endomorphism of Z^r + Z/d_1 + ... + Z/d_s, r <= 2 and
+    s <= 3, each d_i 1 to 6 times the one before; factors past
+    ``max_order`` are dropped.  The free block and the free generators'
+    images in the torsion are arbitrary; torsion never maps to free."""
+    r = draw(st.integers(0, 2))
     factors = [draw(st.sampled_from(_FIRST_ORDERS))]
     for _ in range(draw(st.integers(0, 2))):
         factors.append(factors[-1] * draw(st.integers(1, 6)))
     while max_order is not None and math.prod(factors) > max_order:
         factors.pop()
-    s = len(factors)
-    # into a smaller factor anything goes; into a larger one, a multiple of the ratio
-    rows = tuple(
-        tuple(draw(st.integers(-6, 6)) * (factors[i] // factors[j] if i > j else 1) for j in range(s))
-        for i in range(s)
-    )
-    group = FgAbGroup(0, tuple(factors))
+    orders = (0,) * r + tuple(factors)
+
+    def entry(d_i: int, d_j: int) -> int:
+        if not d_j:  # from a free generator: anything
+            return draw(st.integers(-30, 30))
+        if not d_i:  # torsion into free: nothing
+            return 0
+        # into a smaller factor anything goes; into a larger one, a multiple of the ratio
+        return draw(st.integers(-6, 6)) * (d_i // d_j if d_i > d_j else 1)
+
+    rows = tuple(tuple(entry(d_i, d_j) for d_j in orders) for d_i in orders)
+    group = FgAbGroup(r, tuple(factors))
     return GroupHom(group, group, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_torsion_maps())
+def test_torsion_colimit_matches_the_former_closed_form(h):
+    assert colimit(GroupSeq((), h)).torsion == ref.closed_form_torsion_colimit(h)
 
 
 # The fixpoint's coefficients can explode past |G| = 2048: on Z/8+Z/48+Z/96
@@ -54,11 +71,11 @@ def test_torsion_colimit_matches_the_lattice_fixpoint(h):
 
 
 def _eventual_image(h: GroupHom) -> set:
-    factors = h.source.torsion
+    factors, block = h.source.torsion, h.torsion_block()
     image = set(itertools.product(*map(range, factors)))
     while True:
         step = {
-            tuple(sum(a * x for a, x in zip(row, v)) % d for row, d in zip(h.matrix, factors))
+            tuple(sum(a * x for a, x in zip(row, v)) % d for row, d in zip(block, factors))
             for v in image
         }
         if step == image:
