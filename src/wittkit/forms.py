@@ -7,17 +7,19 @@ searches for a pivot up to one height, ``_PIVOT_BOUND``), isotropic vectors
 of diagonal forms, and Witt decomposition: a symmetric form is diagonalized
 once, and hyperbolic planes are split off isotropic vectors, each inside the
 diagonal block of its witness's support, until what is left refuses to
-represent zero.  A form is immutable, and its checked diagonalization is
-computed once and kept on it as long as it lives: ``diagonalize``,
-``invariants.witt_class`` and ``witt_decompose`` share it, or share its
-refusal.  Over a prime field a witness comes from a square root mod p, with
-no search, so a negative answer is a proof.  Over Q and Z[1/2] a definite
-diagonal, and <a, b> with -ab not a square, are anisotropic; otherwise a
-witness has the least height of any, and a negative answer only says
-"nothing within the height bound", which bounds these isotropy searches
-and nothing else; decompositions carry a ``certified`` flag and callers
-that need a proof can demand one.  Which isotropic vector is split off is
-not promised.
+represent zero.  Over Z[1/2] a pivot vector or a hyperbolic pair is split
+off with a basis of its orthogonal complement, L = P + P^perp, read off one
+Hermite form (``_with_complement``).  A form is immutable, and its checked
+diagonalization is computed once and kept on it as long as it lives:
+``diagonalize``, ``invariants.witt_class`` and ``witt_decompose`` share it,
+or share its refusal.  Over a prime field a witness comes from a square
+root mod p, with no search, so a negative answer is a proof.  Over Q and
+Z[1/2] a definite diagonal, and <a, b> with -ab not a square, are
+anisotropic; otherwise a witness has the least height of any, and a
+negative answer only says "nothing within the height bound", which bounds
+these isotropy searches and nothing else; decompositions carry a
+``certified`` flag and callers that need a proof can demand one.  Which
+isotropic vector is split off is not promised.
 """
 
 from __future__ import annotations
@@ -37,9 +39,11 @@ from .errors import (
 )
 from .intlinalg import (
     bezout_vector,
-    int_inverse_unimodular,
+    columns_to_matrix,
+    identity_int,
+    int_det,
+    kernel_basis_int,
     matmul_int,
-    smith_normal_form,
     square_part,
 )
 from .matrices import InvMatrix, _cook, _reduced
@@ -243,7 +247,7 @@ class _Congruence:
     def __init__(self, mod: int | None, grid: Sequence[Sequence[int]], den: int):
         self.mod = mod
         self.a, self.da = [list(row) for row in grid], den
-        self.p, self.dp = _embed(len(grid)), 1
+        self.p, self.dp = identity_int(len(grid)), 1
 
     def _reduce(self) -> None:
         (self.a,), self.da = _reduced(self.mod, [self.a], self.da)
@@ -375,11 +379,6 @@ def _corner(mod: int | None, grid: list[list[int]], den: int, lo: int, hi: int |
     return rows, den
 
 
-def _embed(n: int, den: int = 1) -> list[list[int]]:
-    """den * I_n."""
-    return [[den * (i == j) for j in range(n)] for i in range(n)]
-
-
 # -- diagonalization ----------------------------------------------------------
 
 
@@ -408,34 +407,33 @@ def _unit_vector_search(grid: Sequence[Sequence[int]], bound: int) -> tuple[int,
     return None
 
 
-def _complete_dyadic_columns(cols: list[list[int]], m: int) -> list[list[int]]:
-    """Extend integer columns spanning a Z[1/2]-direct summand to an m x m
-    matrix that is invertible over Z[1/2] (determinant +- a power of 2)."""
-    k = len(cols)
-    n_grid = [[col[i] for col in cols] for i in range(m)]
-    u, d, _ = smith_normal_form(n_grid)
-    for i in range(k):
-        di = d[i][i]
-        if not _is_power_of_two(di):
-            raise IdentityViolated("columns do not span a direct summand")
-    uinv = int_inverse_unimodular(u)
-    out = [row[:] for row in n_grid]
-    for j in range(k, m):
-        for i in range(m):
-            out[i].append(uinv[i][j])
-    return out
+def _with_complement(grid: Sequence[Sequence[int]], cols: list[list[int]]) -> list[list[int]]:
+    """The integer matrix [cols | K], K a basis of the integer vectors that
+    the grid pairs to zero with every column: the split L = P + P^perp of
+    the span P of the columns (Milnor-Husemoller, ch. I), read off one
+    Hermite form (``kernel_basis_int`` of the functionals c^T G).  Over
+    Z[1/2] it is a change of basis exactly when the form on P is unimodular;
+    IdentityViolated unless its determinant is +-2^j."""
+    m = len(grid)
+    t = columns_to_matrix(cols + kernel_basis_int(matmul_int(cols, grid), m), m)
+    det = int_det(t)
+    if not _is_power_of_two(det):
+        raise IdentityViolated(f"the split off its orthogonal complement has determinant {det}")
+    return t
 
 
 def _dyadic_block_pivot(ws: _Congruence, i: int) -> None:
-    """Make a[i][i] a unit when no trailing diagonal entry is one.
+    """Make a[i][i] a unit when no trailing diagonal entry is one: find a
+    unit-valued vector v in the trailing block and split it off by its
+    orthogonal complement (``_with_complement``).
 
-    Preferred route: find a 2x2 principal block with unit determinant,
-    isolate it, and diagonalize it by a tiny search.  Fallback: search
-    the whole trailing block for a unit-valued vector of height at most
-    ``_PIVOT_BOUND``; when that finds none, search again after each
-    Lagrange reduction step of the isolated block until it is reduced.
-    One step turns [[0, 2], [2, 85]] (a unit value first at height 21)
-    into [[0, 2], [2, 1]].
+    v comes from a tiny search in a 2x2 principal block of unit
+    determinant, moved to i, i + 1; else from a search of the whole
+    trailing block up to height ``_PIVOT_BOUND``; else from that search
+    again after each Lagrange reduction step of the 2x2 block, a shear of
+    the whole trailing block, until the block is reduced.  One step turns
+    [[0, 2], [2, 85]] (a unit value first at height 21) into
+    [[0, 2], [2, 1]].
     """
     a = ws.a
     n = len(a)
@@ -444,33 +442,16 @@ def _dyadic_block_pivot(ws: _Congruence, i: int) -> None:
          if _is_power_of_two(a[r][r] * a[s][s] - a[r][s] * a[r][s])),
         None,
     )
+    v = None
     if pair is not None:
         r, s = pair
         ws.swap(i, r)
         ws.swap(i + 1, s)  # s > r >= i, so the first swap left it in place
         aa, u, bb = a[i][i], a[i][i + 1], a[i + 1][i + 1]
-        det2 = aa * bb - u * u
-        # e_l -= c1 e_i + c2 e_(i+1) with c1, c2 over det2, which clears
-        # rows i and i + 1 beyond the block
-        t = _embed(n - i, det2)
-        for l in range(i + 2, n):
-            p_, q_ = a[i][l], a[i + 1][l]
-            t[0][l - i] = u * q_ - bb * p_
-            t[1][l - i] = u * p_ - aa * q_
-        ws.apply(t, det2, i)
-        for x, y in _signed_vectors(2, 8):
-            # aa, u and bb over the denominator they were read at
-            if _is_power_of_two(aa * x * x + 2 * u * x * y + bb * y * y):
-                g, (alpha, beta) = bezout_vector([x, y])
-                # alpha*x + beta*y = g, so det of the 2x2 change is g = 2^j
-                if not _is_power_of_two(g):
-                    raise IdentityViolated(f"pivot change has determinant {g}")
-                ws.apply([[x, -beta], [y, alpha]], 1, i)  # the block is orthogonal to the rest now
-                if not _is_power_of_two(ws.a[i][i]):
-                    raise IdentityViolated("the 2x2 pivot step left a non-unit pivot")
-                return
-    # general fallback, bounded and honest about giving up
-    v = _unit_vector_search([row[i:] for row in ws.a[i:]], _PIVOT_BOUND)
+        v = next(((x, y, *[0] * (n - i - 2)) for x, y in _signed_vectors(2, 8)
+                  if _is_power_of_two(aa * x * x + 2 * u * x * y + bb * y * y)), None)
+    if v is None:
+        v = _unit_vector_search([row[i:] for row in ws.a[i:]], _PIVOT_BOUND)
     while v is None and pair is not None:
         # Lagrange steps (Cohen, GTM 138, 5.3) until q = 0, each swap shrinking
         # |aa|: with |aa| <= |bb|, e_(i+1) -= q e_i, q nearest to u / aa (bb / 2u if aa = 0)
@@ -481,14 +462,16 @@ def _dyadic_block_pivot(ws: _Congruence, i: int) -> None:
         q = (2 * u + aa) // (2 * aa) if aa else (bb + u) // (2 * u)
         if not q:
             break
-        ws.apply([[1, -q], [0, 1]], 1, i)
+        t = identity_int(n - i)
+        t[0][1] = -q
+        ws.apply(t, 1, i)
         v = _unit_vector_search([row[i:] for row in ws.a[i:]], _PIVOT_BOUND)
     if v is None:
         raise OracleInconclusive(
             f"no unit-valued vector of height <= {_PIVOT_BOUND} found while "
             f"diagonalizing a {n - i}-dimensional block over Z[1/2]"
         )
-    ws.apply(_complete_dyadic_columns([list(v)], n - i), 1, i)
+    ws.apply(_with_complement([row[i:] for row in ws.a[i:]], [list(v)]), 1, i)
     if not _is_power_of_two(ws.a[i][i]):
         raise IdentityViolated("the unit-vector pivot step left a non-unit pivot")
 
@@ -533,7 +516,7 @@ def _diagonal(spec: RingSpec, grid: Sequence[Sequence[int]], den: int) -> _Congr
                 if j is None:
                     raise DegenerateForm("form has a zero row")
                 # e_i += e_j makes a[i][i] = 2 a[i][j], nonzero as 2 is invertible
-                t = _embed(n - i)
+                t = identity_int(n - i)
                 t[j - i][0] = 1
                 ws.apply(t, 1, i)
         ws.pivot(i)
@@ -737,7 +720,7 @@ def _hyperbolic_pair(
     ((w,),), dw = _reduced(mod, [[w]], dw)
     if spec.kind == DYADIC:
         # w over dw in lowest terms, so its numerators span what w does
-        rest = [r[2:] for r in _complete_dyadic_columns([x, w], m)]
+        rest = [r[2:] for r in _with_complement(g, [x, w])]
     else:
         j1 = next(k for k in range(m) if x[k])
         # the first coordinate at which w is not a multiple of x

@@ -84,6 +84,8 @@ class FgAbGroup(_Record):
     def __init__(self, free_rank: int, torsion: Sequence[int] = ()):
         if isinstance(free_rank, bool) or not isinstance(free_rank, int) or free_rank < 0:
             raise IllFormed(f"free rank must be a nonnegative integer, got {free_rank!r}")
+        if not isinstance(torsion, (list, tuple)):
+            raise IllFormed(f"invariant factors must be a list or tuple, got {torsion!r}")
         torsion, prev = tuple(torsion), 1
         for d in torsion:
             if isinstance(d, bool) or not isinstance(d, int) or d <= 1:
@@ -97,16 +99,17 @@ class FgAbGroup(_Record):
     @classmethod
     def of(cls, rank: int, torsion: Sequence[int] = ()) -> "FgAbGroup":
         """Build from a rank and any list of cyclic orders (1s are dropped,
-        the rest is renormalized to a dividing chain)."""
+        the rest is renormalized to a dividing chain in a presentation of
+        its own, so the work does not grow with the rank)."""
+        if not isinstance(torsion, (list, tuple)):
+            raise IllFormed(f"cyclic orders must be a list or tuple, got {torsion!r}")
         for d in torsion:
             if not isinstance(d, int) or isinstance(d, bool) or d < 1:
                 raise IllFormed(f"cyclic orders must be positive integers, got {d!r}")
         keep = [d for d in torsion if d > 1]
-        n = rank + len(keep)
-        cols = [
-            [d if i == rank + j else 0 for i in range(n)] for j, d in enumerate(keep)
-        ]
-        return cls.from_presentation(n, cols)
+        k = len(keep)
+        cols = [[d if i == j else 0 for i in range(k)] for j, d in enumerate(keep)]
+        return cls(rank, cls.from_presentation(k, cols).torsion)
 
     @classmethod
     def from_presentation(cls, n: int, relation_columns: Sequence[Sequence[int]]) -> "FgAbGroup":
@@ -194,9 +197,9 @@ class GroupHom(_Record):
                 if isinstance(x, bool) or not isinstance(x, int):
                     raise IllFormed(f"matrix entries must be integers, got {x!r}")
         tgt_orders = target.orders
-        for j, d in enumerate(source.orders):
-            if d == 0:
-                continue
+        # only torsion generators constrain the matrix; a free rank the
+        # target's rows cannot bound (no rows at all) is never enumerated
+        for j, d in enumerate(source.torsion, source.free_rank):
             for i, e in enumerate(tgt_orders):
                 if e == 0:
                     if rows[i][j] != 0:
@@ -217,7 +220,7 @@ class GroupHom(_Record):
 
     @classmethod
     def identity(cls, group: FgAbGroup) -> "GroupHom":
-        return cls(group, group, tuple(tuple(identity_int(group.ngens)[i]) for i in range(group.ngens)))
+        return cls(group, group, tuple(map(tuple, identity_int(group.ngens))))
 
     @classmethod
     def zero(cls, source: FgAbGroup, target: FgAbGroup) -> "GroupHom":
@@ -437,10 +440,8 @@ def shift_invariance_check(seq: GroupSeq, k: int, against: GroupSeq | None = Non
 
 
 def _image_lattice(h: GroupHom) -> IntMatrix:
-    n = h.target.ngens
-    cols = [[h.matrix[i][j] for i in range(n)] for j in range(h.source.ngens)]
-    cols += h.target.relation_columns()
-    return columns_to_matrix(cols, n)
+    rel = h.target.relation_columns()
+    return [[*row, *(c[i] for c in rel)] for i, row in enumerate(h.matrix)]
 
 
 def _kernel_lattice(h: GroupHom) -> IntMatrix:

@@ -29,11 +29,11 @@ from wittkit.forms import (
     GramForm,
     WittDecomposition,
     _certify,
-    _complete_dyadic_columns,
     _hyperbolic_matrix,
     _isotropic_on_diagonal,
     _signed_vectors,
     _unit_vector_search,
+    _with_complement,
 )
 from wittkit.intlinalg import bezout_vector, square_part
 from wittkit.matrices import InvMatrix, _canonical, _matmul, _reduced
@@ -162,12 +162,11 @@ def _scaled_int_grid(grid: Sequence[Sequence[Fraction]]) -> list[list[int]]:
 
 
 def _dyadic_block_pivot(ws: _Congruence, i: int, bound: int) -> None:
-    """Make a[i][i] a unit when no trailing diagonal entry is one.
-
-    Preferred route: find a 2x2 principal block with unit determinant,
-    isolate it, and diagonalize it by a tiny search.  Fallback: bounded
-    search for a unit-valued vector in the whole trailing block.
-    """
+    """Make a[i][i] a unit when no trailing diagonal entry is one: a
+    unit-valued vector from a tiny search in a 2x2 principal block of unit
+    determinant, else from a bounded search of the whole trailing block,
+    repeated after each Lagrange step of that 2x2 block, is split off with
+    its orthogonal complement."""
     a = ws.a
     n = len(a)
     pair = None
@@ -178,6 +177,7 @@ def _dyadic_block_pivot(ws: _Congruence, i: int, bound: int) -> None:
                 break
         if pair:
             break
+    v = None
     if pair is not None:
         r, s = pair
         ws.swap(i, r)
@@ -185,39 +185,34 @@ def _dyadic_block_pivot(ws: _Congruence, i: int, bound: int) -> None:
             s = r
         ws.swap(i + 1, s)
         aa, u, bb = a[i][i], a[i][i + 1], a[i + 1][i + 1]
-        det2 = aa * bb - u * u
-        for l in range(i + 2, n):
-            p_, q_ = a[i][l], a[i + 1][l]
-            c1 = (bb * p_ - u * q_) / det2
-            c2 = (aa * q_ - u * p_) / det2
-            if c1:
-                ws.addmul(l, i, -c1)
-            if c2:
-                ws.addmul(l, i + 1, -c2)
         for x, y in _signed_vectors(2, 8):
             val = aa * x * x + 2 * u * x * y + bb * y * y
             if val and _dyadic_unit(val):
-                g, alpha, beta = _bezout2(x, y)
-                # alpha*x + beta*y = g, so det of the 2x2 change is g = 2^j
-                if g & (g - 1):
-                    raise IdentityViolated(f"pivot change has determinant {g}")
-                t2 = [
-                    [Fraction(x), Fraction(-beta)],
-                    [Fraction(y), Fraction(alpha)],
-                ]
-                ws.apply(_pembed(ws.spec, t2, n, i))
-                if not _dyadic_unit(ws.a[i][i]):
-                    raise IdentityViolated("the 2x2 pivot step left a non-unit pivot")
-                return
-    # general fallback, bounded and honest about giving up
-    sub = [[a[r][c] for c in range(i, n)] for r in range(i, n)]
-    v = _unit_vector_search(_scaled_int_grid(sub), bound)
+                v = (x, y) + (0,) * (n - i - 2)
+                break
+
+    def search() -> tuple[int, ...] | None:
+        return _unit_vector_search(_scaled_int_grid([row[i:] for row in ws.a[i:]]), bound)
+
+    if v is None:
+        v = search()
+    while v is None and pair is not None:
+        # Lagrange steps on the pair, each a shear of the whole trailing block
+        aa, u, bb = ws.a[i][i], ws.a[i][i + 1], ws.a[i + 1][i + 1]
+        if abs(aa) > abs(bb):
+            ws.swap(i, i + 1)
+            aa, bb = bb, aa
+        q = (2 * u + aa) // (2 * aa) if aa else (bb + u) // (2 * u)
+        if not q:
+            break
+        ws.addmul(i + 1, i, Fraction(-q))
+        v = search()
     if v is None:
         raise OracleInconclusive(
             f"no unit-valued vector of height <= {bound} found while "
             f"diagonalizing a {n - i}-dimensional block over Z[1/2]"
         )
-    t_int = _complete_dyadic_columns([list(v)], n - i)
+    t_int = _with_complement(_scaled_int_grid([row[i:] for row in ws.a[i:]]), [list(v)])
     t = [[Fraction(c) for c in row] for row in t_int]
     ws.apply(_pembed(ws.spec, t, n, i))
     if not _dyadic_unit(ws.a[i][i]):
@@ -321,15 +316,16 @@ def _dual_vector(spec: RingSpec, grid: list[list[Any]], x: list[Any]) -> list[An
 
 
 def _complete_pair(
-    spec: RingSpec, x: list[Any], w: list[Any]
+    spec: RingSpec, grid: list[list[Any]], x: list[Any], w: list[Any]
 ) -> list[list[Any]]:
-    """An invertible matrix whose first two columns are exactly x and w."""
+    """An invertible matrix whose first two columns are exactly x and w;
+    over Z[1/2] the others span their orthogonal complement in ``grid``."""
     m = len(x)
     if spec.kind == DYADIC:
         xi = [int(c) for c in x]
         dw = math.lcm(*(c.denominator for c in w))
         wi = [int(c * dw) for c in w]
-        t_int = _complete_dyadic_columns([xi, wi], m)
+        t_int = _with_complement(_scaled_int_grid(grid), [xi, wi])
         t = [[Fraction(c) for c in row] for row in t_int]
         for i in range(m):
             t[i][0] = x[i]
@@ -394,7 +390,7 @@ def witt_decompose(
             # shear w so its own value vanishes: q(w - (q(w)/2) x) = 0
             half_q = _mul(spec, _qval(spec, blk, w), canon_payload(spec, Fraction(1, 2)))
             w = [_add(spec, w[k], _neg(spec, _mul(spec, half_q, x[k]))) for k in range(m)]
-            ws.apply(_pembed(spec, _complete_pair(spec, x, w), n, off))
+            ws.apply(_pembed(spec, _complete_pair(spec, blk, x, w), n, off))
             _split_pair(ws, off, 1)
             if m > 2:
                 rest = [r[off + 2 : off + m] for r in ws.a[off + 2 : off + m]]
@@ -405,7 +401,7 @@ def witt_decompose(
             if j is None:
                 current = [r[off:] for r in a[off:]]
                 x = [spec.one] + [spec.zero] * (n - off - 1)
-                ws.apply(_pembed(spec, _complete_pair(spec, x, _dual_vector(spec, current, x)), n, off))
+                ws.apply(_pembed(spec, _complete_pair(spec, current, x, _dual_vector(spec, current, x)), n, off))
             else:
                 ws.swap(off + 1, j)
             _split_pair(ws, off, eps)
@@ -470,7 +466,7 @@ def witt_decompose_whole_block(
         ws.apply(*forms._hyperbolic_pair(spec, cur, dcur, x, eps), off)
         # kill B(x, v_l) and B(w, v_l) against the hyperbolic pair
         a, d = ws.a, ws.da
-        e = forms._embed(m, d)
+        e = [[d * (r == c) for c in range(m)] for r in range(m)]
         for l in range(2, m):
             e[0][l] = -eps * a[off + 1][off + l]
             e[1][l] = -a[off][off + l]

@@ -365,3 +365,32 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("command,doc,want", [
+    # the period's one torsion order used to be placed in Z^(10^30 + 1)
+    (["stab", "colim"], {"period": {"group": {"rank": 10**30, "torsion": [2]}, "map": []}}, 2),
+    # a huge first node maps to a trivial one, so its map has no rows
+    (["stab", "exact"], {"nodes": [{"rank": 10**12, "torsion": [2]}, {"rank": 0}, {"rank": 1}], "maps": [[], [[]]]}, 0),
+])
+def test_a_huge_rank_costs_nothing_in_its_size(tmp_path, command, doc, want):
+    # in a child capped at 1 GiB of address space, so work in the size of
+    # the rank ends in a MemoryError there, not in the machine's memory
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    script = textwrap.dedent("""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from wittkit import cli
+        sys.exit(cli.main(sys.argv[1:]))
+    """)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script, *command, "--file", str(path)],
+                          capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode == want, proc.stderr[-500:]
+    out = json.loads(proc.stdout)
+    if want:
+        assert out["error"]["type"] == "IllFormed"
+    else:
+        assert out == {"exact": True, "failures": []}

@@ -101,6 +101,10 @@ def _assert_canonical(m):
 # no entry of the first row is a unit of Z[1/2], so the skew plane is
 # completed from a Bezout vector (the Pfaffian is 3 * 3 - 5 * 7 + 3 * 9 = 1)
 @hypothesis.example(_form("dyadic", [[0, 3, 5, 3], [-3, 0, 9, 7], [-5, -9, 0, 3], [-3, -7, -3, 0]], -1), 1)
+# dyadic pivots split off by their orthogonal complement: one found after a
+# Lagrange step, and two by the whole-block search, at heights 15 and 11
+@hypothesis.example(_form("dyadic", [[0, 2], [2, 85]]), 1)
+@hypothesis.example(_form("dyadic", [[-22, -48, -18], [-48, -130, 38], [-18, 38, -251]]), 2)
 def test_congruence_matches_the_fraction_reference(f, bound):
     if f.epsilon == 1:
         got, want = _outcome(diagonalize, f), _outcome(ref.diagonalize, f)

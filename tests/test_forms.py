@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from wittkit import forms
 from wittkit.errors import (
     BudgetExceeded,
     DegenerateForm,
+    IdentityViolated,
     IllFormed,
     OracleInconclusive,
     SpecMismatch,
@@ -28,6 +30,7 @@ from wittkit.forms import (
     tensor,
     witt_decompose,
 )
+from wittkit.intlinalg import columns_to_matrix, int_det, matmul_int
 from wittkit.invariants import witt_class, witt_equiv
 from wittkit.matrices import InvMatrix
 from wittkit.rings import RingElem, RingSpec, canon_payload, nil_generator
@@ -105,9 +108,12 @@ def test_dyadic_diagonal_normalizes_to_unit_representatives():
 
 
 # Forms with no usable diagonal pivot.  swap3 swaps a later pivot in, path4
-# has no nonzero diagonal entry, so it first adds a neighbour to e_0, and
-# scaled2 does that and then, over Z[1/2], rescales a pivot of 8.  P and D
-# are pinned as the elimination order produces them.
+# has no nonzero diagonal entry, so over a field it first adds a neighbour
+# to e_0, and scaled2 does that too.  Over Z[1/2] each comes to a block with
+# no unit on its diagonal, takes a unit-valued vector of a 2 x 2 block of
+# unit determinant and splits it off with its orthogonal complement;
+# scaled2's pivot of 8 is then rescaled to 2.  P and D are pinned as the
+# elimination order produces them.
 _ZERO_DIAGONAL_FORMS = {
     "swap3": [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
     "path4": [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]],
@@ -122,9 +128,9 @@ _ZERO_DIAGONAL_PINS = [
     (Q, "path4", [[1, F(-1, 2), -1, F(1, 2)], [1, F(1, 2), 0, 0], [0, 0, 1, F(-1, 2)], [0, 0, 1, F(1, 2)]],
      [2, F(-1, 2), 2, F(-1, 2)]),
     (Q, "scaled2", [[1, F(-1, 2)], [1, F(1, 2)]], [8, -2]),
-    (DY, "swap3", [[0, 1, 1], [0, 1, -1], [1, 0, 0]], [1, 2, -2]),
-    (DY, "path4", [[1, -1, -1, 1], [1, 1, 0, 0], [0, 0, 1, -1], [0, 0, 1, 1]], [2, -2, 2, -2]),
-    (DY, "scaled2", [[F(1, 2), F(-1, 2)], [F(1, 2), F(1, 2)]], [2, -2]),
+    (DY, "swap3", [[0, 1, -1], [0, 1, 1], [1, 0, 0]], [1, 2, -2]),
+    (DY, "path4", [[1, 0, 0, 1], [1, 1, -1, -1], [0, -1, 1, 0], [0, 0, 2, 2]], [2, -2, 2, -2]),
+    (DY, "scaled2", [[F(1, 2), F(1, 2)], [F(1, 2), F(-1, 2)]], [2, -2]),
 ]
 
 
@@ -313,38 +319,14 @@ def test_dyadic_unit_vector_search_refuses_past_its_budget(monkeypatch):
 
 
 
-# Job 38 of the witt benchmark's dense-dyadic family at seed 4: its last
-# 2x2 block is [[85, 2], [2, 0]] (numerators over 4), whose first unit
-# value, x (85 x + 4 y) at (1, -21), lies past _PIVOT_BOUND (18).
+# The last 2x2 block of job 38 of the witt benchmark's dense-dyadic family
+# at seed 4, [[85, 2], [2, 0]] over 4, with its coordinates swapped: its
+# first unit value, y (4 x + 85 y) at (-21, 1), lies past _PIVOT_BOUND (18).
+_LAGRANGE_PIVOT = [[0, 2], [2, 85]]
+# That job itself, whose whole trailing block now shows a unit value.
 _SHEARED_PIVOT = [[-9, -11, 6, -17], [-11, -4, 2, -17], [6, 2, -1, 9], [-17, -17, 9, -32]]
-
-
-def test_a_lagrange_step_finds_the_unit_past_the_pivot_bound(monkeypatch):
-    found = []
-    search = forms._unit_vector_search
-
-    def spy(grid, bound):
-        v = search(grid, bound)
-        found.append((grid, v))
-        return v
-
-    monkeypatch.setattr(forms, "_unit_vector_search", spy)
-    f = GramForm.from_rows(DY, _SHEARED_PIVOT)
-    p, d = diagonalize(f)
-    # the block's own search finds nothing; after the swap, e_1 -= 21 e_0
-    # gives it the value 1
-    assert found[-2:] == [([[85, 2], [2, 0]], None), ([[0, 2], [2, 1]], (0, 1))]
-    assert p.conj_transpose() * f.gram * p == d.gram
-    assert d.diagonal_entries() == (-1, 2, 1, -1)
-    assert witt_class(f) == witt_class(GramForm.diagonal(DY, [-1, 2, 1, -1]))
-    dec = witt_decompose(f)
-    assert (dec.hyperbolic_rank, dec.certified) == (1, True)
-    _check_decomposition(f, dec)
-
-
-# Job 37 of the same family at seed 36: its last 2x2 block is
-# [[-97, -190], [-190, -372]], and one Lagrange step shows the unit value
-# -1 of [[-97, 4], [4, 0]] at (1, 12).
+# Job 37 of the same family at seed 36: the search of its whole trailing
+# block finds the unit value at (1, 2, -1), with no Lagrange step.
 _REDUCED_PIVOT = [[-78, 25, -132, -330], [25, 8, 38, 97], [-132, 38, -223, -558], [-330, 97, -558, -1396]]
 # As a form of its own, [[-372, -934], [-934, -2345]] needs two Lagrange
 # steps, with a search after each, before [[-89, 4], [4, 0]] shows the
@@ -365,6 +347,31 @@ def _spied_searches(monkeypatch) -> list:
     return found
 
 
+def test_a_lagrange_step_finds_the_unit_past_the_pivot_bound(monkeypatch):
+    found = _spied_searches(monkeypatch)
+    f = GramForm.from_rows(DY, _LAGRANGE_PIVOT)
+    p, d = diagonalize(f)
+    # the block's own search finds nothing; e_1 -= 21 e_0 gives it the value 1
+    assert found == [([[0, 2], [2, 85]], None), ([[0, 2], [2, 1]], (0, 1))]
+    assert p.conj_transpose() * f.gram * p == d.gram
+    assert d.diagonal_entries() == (1, -1)
+    assert witt_class(f).is_zero
+    dec = witt_decompose(f)
+    assert (dec.hyperbolic_rank, dec.certified) == (1, True)
+    _check_decomposition(f, dec)
+    # the benchmark job the block came from
+    found.clear()
+    f = GramForm.from_rows(DY, _SHEARED_PIVOT)
+    p, d = diagonalize(f)
+    assert found == [([[85, 2, 119], [2, 0, 2], [119, 2, 161]], (1, 0, -1)), ([[-238, 2], [2, 0]], (2, -9))]
+    assert p.conj_transpose() * f.gram * p == d.gram
+    assert d.diagonal_entries() == (-1, 2, -1, 1)
+    assert witt_class(f) == witt_class(GramForm.diagonal(DY, [-1, 2, 1, -1]))
+    dec = witt_decompose(f)
+    assert (dec.hyperbolic_rank, dec.certified) == (1, True)
+    _check_decomposition(f, dec)
+
+
 def test_lagrange_steps_repeat_until_a_unit_is_found(monkeypatch):
     found = _spied_searches(monkeypatch)
     cases = [
@@ -377,13 +384,13 @@ def test_lagrange_steps_repeat_until_a_unit_is_found(monkeypatch):
             ],
             0,
         ),
-        (_REDUCED_PIVOT, [([[-97, -190], [-190, -372]], None), ([[-97, 4], [4, 0]], (1, 12))], 1),
+        (_REDUCED_PIVOT, [([[-1249, -2006, -5065], [-2006, -3228, -8150], [-5065, -8150, -20577]], (1, 2, -1))], 1),
     ]
     for rows, searches, parity in cases:
         found.clear()
         f = GramForm.from_rows(DY, rows)
         p, d = diagonalize(f)
-        assert found[-len(searches):] == searches
+        assert found == searches
         assert p.conj_transpose() * f.gram * p == d.gram
         cls = witt_class(f)
         assert (cls.signature, cls.dyadic_disc_parity) == (0, parity)
@@ -583,7 +590,8 @@ def test_one_pivot_bound_refuses_every_caller_alike(monkeypatch):
 
 # No diagonal entry and no 2 x 2 principal minor is a unit of Z[1/2], and the
 # first unit-valued vector, (15, -6, -2), has height 15: above 12, within
-# _PIVOT_BOUND (18), which diagonalize shares with witt_decompose.
+# _PIVOT_BOUND (18), which diagonalize shares with witt_decompose.  Its
+# orthogonal complement again has no unit pivot, and a vector of height 11.
 _HEIGHT_15_PIVOT = [[-22, -48, -18], [-48, -130, 38], [-18, 38, -251]]
 
 
@@ -599,13 +607,88 @@ def test_diagonalize_answers_a_pivot_of_height_15(monkeypatch):
     monkeypatch.setattr(forms, "_unit_vector_search", spy)
     f = GramForm.from_rows(DY, _HEIGHT_15_PIVOT)
     p, d = diagonalize(f)
-    assert heights == [15]
+    assert heights == [15, 11]
     assert p.conj_transpose() * f.gram * p == d.gram
     assert d.diagonal_entries() == (-2, -1, -2)
     assert witt_class(f).signature == -3
     dec = witt_decompose(f, height_bound=1)
     assert (dec.hyperbolic_rank, dec.certified) == (0, True)
     _check_decomposition(f, dec)
+
+
+def _split_form(rng: random.Random) -> tuple[list[list[int]], list[list[int]]]:
+    """(G, cols): G = 2^e T^T D T for an integer T of determinant +-1 and D
+    a diagonal of units +-1, +-2 and planes [[0, c], [c, 0]], c in {1, 2};
+    cols are the columns of T^-1 on one unit entry or one plane of D, so
+    they span a unimodular piece of G over Z[1/2]."""
+    pieces, size = [], rng.randint(2, 6)
+    while sum(map(len, pieces)) < size:
+        k = sum(map(len, pieces))
+        pieces.append([k] if rng.random() < 0.5 else [k, k + 1])
+    n = sum(map(len, pieces))
+    dmat = [[0] * n for _ in range(n)]
+    for piece in pieces:
+        if len(piece) == 1:
+            dmat[piece[0]][piece[0]] = rng.choice((1, -1, 2, -2))
+        else:
+            k = piece[0]
+            dmat[k][k + 1] = dmat[k + 1][k] = rng.choice((1, 2))
+    t, tinv = [[int(i == j) for j in range(n)] for i in range(n)], [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        if rng.random() < 0.3:
+            for row in t:
+                row[i], row[j] = row[j], row[i]
+            tinv[i], tinv[j] = tinv[j], tinv[i]
+        else:
+            # column j += k column i, and row i -= k row j of the inverse
+            k = rng.choice((1, -1, 2, -2))
+            for row in t:
+                row[j] += k * row[i]
+            tinv[i] = [x - k * y for x, y in zip(tinv[i], tinv[j])]
+    scale = 2 ** rng.randint(0, 3)
+    g = [[scale * x for x in row] for row in matmul_int(matmul_int(list(map(list, zip(*t))), dmat), t)]
+    return g, [[row[k] for row in tinv] for k in rng.choice(pieces)]
+
+
+def test_a_split_keeps_its_columns_and_adds_their_orthogonal_complement():
+    rng = random.Random(29)
+    for _ in range(300):
+        g, cols = _split_form(rng)
+        n, k = len(g), len(cols)
+        t = forms._with_complement(g, cols)
+        assert [row[:k] for row in t] == columns_to_matrix(cols, n)
+        rest = [[row[j] for row in t] for j in range(k, n)]
+        assert not any(map(any, matmul_int(matmul_int(cols, g), list(map(list, zip(*rest))))))
+        assert forms._is_power_of_two(int_det(t))
+    # <1, 1, 1> is not split by (1, 1, 1), of value 3: the determinant is 3
+    with pytest.raises(IdentityViolated, match="determinant 3"):
+        forms._with_complement([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 1, 1]])
+
+
+def test_dyadic_splits_take_no_smith_form_and_no_inverse(monkeypatch):
+    calls = []
+    for name in ("smith_normal_form", "int_inverse_unimodular"):
+        for modname, mod in list(sys.modules.items()):
+            real = vars(mod).get(name) if modname.split(".")[0] == "wittkit" else None
+            if real is not None:
+                monkeypatch.setattr(mod, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+    splits = []
+    complement = forms._with_complement
+    monkeypatch.setattr(forms, "_with_complement", lambda *a: splits.append(len(a[1])) or complement(*a))
+    grids = [_LAGRANGE_PIVOT, _SHEARED_PIVOT, _REDUCED_PIVOT, _HEIGHT_15_PIVOT,
+             [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 2], [1, 0, 2, 0]]]
+    rng = random.Random(31)
+    grids += [_random_symmetric(DY, rng.randrange(2, 6), rng).gram.cells for _ in range(20)]
+    for rows in grids:
+        f = GramForm.from_rows(DY, rows)
+        diagonalize(f)
+        _check_decomposition(f, witt_decompose(f))
+    # a skew form whose first row has no unit: the pair comes from a Bezout vector
+    skew = GramForm.from_rows(DY, [[0, 3, 5, 3], [-3, 0, 9, 7], [-5, -9, 0, 3], [-3, -7, -3, 0]], -1)
+    _check_decomposition(skew, witt_decompose(skew))
+    assert calls == []
+    assert {1, 2} <= set(splits)
 
 
 @pytest.mark.parametrize(

@@ -77,6 +77,18 @@ def test_group_keeps_its_factors_as_a_tuple_and_refuses_bools():
             FgAbGroup(rank, torsion)
 
 
+def test_group_refuses_a_factor_list_that_is_not_one_and_a_negative_rank():
+    for torsion in (6, None, 2.0, {2: 1}):
+        for build in (FgAbGroup, FgAbGroup.of):
+            with pytest.raises(IllFormed, match="list or tuple"):
+                build(0, torsion)
+    # the orders are normalized on their own, and the rank checked as given:
+    # -1 is not absorbed into a presentation of 0 generators
+    with pytest.raises(IllFormed, match="free rank"):
+        FgAbGroup.of(-1, [2])
+    assert FgAbGroup.of(3, [6, 1, 4]) == FgAbGroup(3, (2, 12))
+
+
 def test_group_json():
     g = FgAbGroup(1, (2, 4))
     assert g.to_json() == {"rank": 1, "torsion": [2, 4]}
