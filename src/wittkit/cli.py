@@ -62,6 +62,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> Any:
         raise IllFormed(message)
 
+    def _get_values(self, action: argparse.Action, arg_strings: list[str]) -> Any:
+        # argparse drops the value of "--ring=--" as an end-of-options
+        # marker and hands the handler an empty list
+        if action.option_strings and arg_strings == ["--"]:
+            self.error(f"argument {action.option_strings[0]}: expected one argument")
+        return super()._get_values(action, arg_strings)
+
     def _get_formatter(self) -> argparse.HelpFormatter:
         # shutil's terminal width, which argparse imports shutil (zlib, bz2, lzma) for
         try:

@@ -4,9 +4,9 @@ Matrices are plain ``list[list[int]]``; Python ints keep everything exact.
 ``hermite_form`` is the one echelon algorithm.  ``int_inverse_unimodular``,
 ``solve_int`` and ``kernel_basis_int`` each read one Hermite form of a
 matrix beside an identity, and ``lattice_equal`` compares one per side.
-``smith_normal_form``, for the callers that need invariant factors or its
-transform U, is read off Hermite forms too: those of a matrix and of its
-transpose, in turn, as Kannan and Bachem do (SIAM J. Comput. 8, 1979).
+``smith_normal_form``, for invariant factors, is read off Hermite forms
+too: those of a matrix and of its transpose, in turn, as Kannan and
+Bachem do (SIAM J. Comput. 8, 1979).
 This ends: the leading entry of each form divides the one before it, so
 it can only shrink so many times; once it stops changing, its row and its
 column are clear, and the same holds for the trailing block.

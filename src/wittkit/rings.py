@@ -422,22 +422,6 @@ def _ring_ops(spec: RingSpec) -> RingOps:
     return RingOps(trunc_add, trunc_neg, trunc_mul, trunc_is_zero, involute)
 
 
-def _add(spec: RingSpec, a: Any, b: Any) -> Any:
-    return spec.ops.add(a, b)
-
-
-def _neg(spec: RingSpec, a: Any) -> Any:
-    return spec.ops.neg(a)
-
-
-def _mul(spec: RingSpec, a: Any, b: Any) -> Any:
-    return spec.ops.mul(a, b)
-
-
-def _is_zero(spec: RingSpec, a: Any) -> bool:
-    return spec.ops.is_zero(a)
-
-
 def _is_unit(spec: RingSpec, a: Any) -> bool:
     if spec.kind == PRIME_FIELD:
         return a != 0
@@ -466,23 +450,24 @@ def _inv(spec: RingSpec, a: Any) -> Any:
     assert base is not None and k is not None
     # a = a0 (1 + m) with m nilpotent: invert a0, then a geometric series in -m.
     a0inv = _inv(base, a[0])
-    m = tuple(_mul(base, a0inv, x) for x in a[1:])  # coefficients of m, degree 1..k-1
+    m = tuple(base.ops.mul(a0inv, x) for x in a[1:])  # coefficients of m, degree 1..k-1
     m_full = (base.zero,) + m
+    ops = spec.ops
     out = term = spec.one
     for _ in range(1, k):
-        term = _mul(spec, term, _neg(spec, m_full))
-        if _is_zero(spec, term):
+        term = ops.mul(term, ops.neg(m_full))
+        if ops.is_zero(term):
             break
-        out = _add(spec, out, term)
+        out = ops.add(out, term)
     scalar = (a0inv,) + (base.zero,) * (k - 1)
-    return _mul(spec, out, scalar)
+    return ops.mul(out, scalar)
 
 
 def _is_nilpotent(spec: RingSpec, a: Any) -> bool:
     if spec.kind == TRUNC_NIL:
         base = spec.base
-        return _is_zero(base, a[0])  # type: ignore[arg-type]
-    return _is_zero(spec, a)
+        return base.ops.is_zero(a[0])  # type: ignore[union-attr]
+    return spec.ops.is_zero(a)
 
 
 def payload_repr(spec: RingSpec, a: Any) -> str:
@@ -506,7 +491,7 @@ def payload_repr(spec: RingSpec, a: Any) -> str:
     assert base is not None
     parts = []
     for d, c in enumerate(a):
-        if _is_zero(base, c):
+        if base.ops.is_zero(c):
             continue
         s = payload_repr(base, c)
         if d == 0:
@@ -619,12 +604,12 @@ class RingElem(_Frozen):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RingElem(self.spec, _add(self.spec, self.payload, o.payload), _raw=True)
+        return RingElem(self.spec, self.spec.ops.add(self.payload, o.payload), _raw=True)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RingElem":
-        return RingElem(self.spec, _neg(self.spec, self.payload), _raw=True)
+        return RingElem(self.spec, self.spec.ops.neg(self.payload), _raw=True)
 
     def __sub__(self, other: Any) -> "RingElem":
         o = self._coerce(other)
@@ -642,7 +627,7 @@ class RingElem(_Frozen):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RingElem(self.spec, _mul(self.spec, self.payload, o.payload), _raw=True)
+        return RingElem(self.spec, self.spec.ops.mul(self.payload, o.payload), _raw=True)
 
     __rmul__ = __mul__
 
@@ -681,7 +666,7 @@ class RingElem(_Frozen):
     # -- predicates -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return _is_zero(self.spec, self.payload)
+        return self.spec.ops.is_zero(self.payload)
 
     def is_unit(self) -> bool:
         return _is_unit(self.spec, self.payload)

@@ -358,14 +358,14 @@ def _free_colimit(g: GroupHom) -> tuple[int, tuple[int, ...]]:
         return 0, ()
     f = g.free_block()
     fr = reduce(matmul_int, [f] * r)
-    # saturated basis of the eventual image: the first rho columns of
-    # U^-1 span colspan_Q(F^r) intersected with Z^r.  The Smith form gives
-    # rho and U; the inverse of U and the solve each read one Hermite form.
-    u, d, _ = smith_normal_form(fr)
-    rho = sum(1 for i in range(r) if d[i][i])
+    # the Hermite form of the rows (row i of F^r, e_i) is (U F^r, U), U
+    # unimodular, its rho rows with U F^r != 0 first; the first rho columns
+    # of U^-1 then span colspan_Q(F^r) intersected with Z^r
+    h = hermite_form([[*row, *e] for row, e in zip(fr, identity_int(r))], 2 * r)
+    rho = sum(1 for row in h if any(row[:r]))
     if rho == 0:
         return 0, ()
-    ui = int_inverse_unimodular(u)
+    ui = int_inverse_unimodular([row[r:] for row in h])
     basis = [[ui[i][j] for j in range(rho)] for i in range(r)]
     restricted = solve_int(basis, matmul_int(f, basis))
     if restricted is None:

@@ -41,13 +41,25 @@ from wittkit.rings import (
     DYADIC,
     RATIONALS,
     RingSpec,
-    _add,
     _inv,
-    _is_zero,
-    _mul,
-    _neg,
     canon_payload,
 )
+
+
+def _add(spec: RingSpec, a: Any, b: Any) -> Any:
+    return spec.ops.add(a, b)
+
+
+def _neg(spec: RingSpec, a: Any) -> Any:
+    return spec.ops.neg(a)
+
+
+def _mul(spec: RingSpec, a: Any, b: Any) -> Any:
+    return spec.ops.mul(a, b)
+
+
+def _is_zero(spec: RingSpec, a: Any) -> bool:
+    return spec.ops.is_zero(a)
 
 
 def _pid(spec: RingSpec, n: int) -> list[list[Any]]:

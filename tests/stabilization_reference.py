@@ -17,11 +17,23 @@ A^(M+1) G the same way.  It is the code ``colimit`` ran before the
 Hermite-form version, except that its kernel and Smith form come from
 ``intlinalg_reference``, as every oracle's here do, so none reads
 ``hermite_form``.
+
+``smith_free_colimit`` is the free half as ``colimit`` computed it before
+it read rho and U off one Hermite form: a Smith form U F^r V = D of the
+r-th power gives rho and U, and the first rho columns of U^-1 are a basis
+of the saturated eventual image, on which F is restricted by a solve.
+Its Smith form, inverse and solve come from ``intlinalg_reference``.
+``charpoly_free_colimit`` shares no lattice code with either: with
+charpoly(F) = x^z g(x) and g(0) != 0, F acts on its Fitting summand
+im F^r with characteristic polynomial g, so rho = r - z and the inverted
+primes are those of g(0), the lowest nonzero coefficient.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from functools import reduce
 
 from wittkit.errors import IdentityViolated
 from wittkit.intlinalg import (
@@ -30,10 +42,18 @@ from wittkit.intlinalg import (
     identity_int,
     int_det,
     matmul_int,
+    prime_factors,
 )
+from wittkit.matrices import _charpoly
 from wittkit.stabilization import FgAbGroup, GroupHom
 
-from intlinalg_reference import int_inverse_unimodular, kernel_basis_int, smith_normal_form, solve_int
+from intlinalg_reference import (
+    int_inverse_unimodular,
+    kernel_basis_int,
+    smith_normal_form,
+    solve_int,
+    solve_int_by_smith,
+)
 
 
 def _lattice_basis(mat: IntMatrix) -> IntMatrix:
@@ -113,3 +133,31 @@ def closed_form_torsion_colimit(g: GroupHom) -> tuple[int, ...]:
     if _image_group(a.compose(power).matrix, factors) != image:
         raise IdentityViolated("the torsion image settles within log2 |G| steps")
     return image.torsion
+
+
+def smith_free_colimit(f: IntMatrix) -> tuple[int, tuple[int, ...]]:
+    """(rho, inverted primes) of the colimit of Z^r under F, from a Smith form of F^r."""
+    r = len(f)
+    if r == 0:
+        return 0, ()
+    fr = reduce(matmul_int, [f] * r)
+    u, d, _ = smith_normal_form(fr)
+    rho = sum(1 for i in range(r) if d[i][i])
+    if rho == 0:
+        return 0, ()
+    ui = int_inverse_unimodular(u)
+    basis = [[ui[i][j] for j in range(rho)] for i in range(r)]
+    restricted = solve_int_by_smith(basis, matmul_int(f, basis))
+    if restricted is None:
+        raise IdentityViolated("the period map must preserve its eventual image")
+    delta = int_det(restricted)
+    if delta == 0:
+        raise IdentityViolated("the period map is invertible on its eventual image")
+    return rho, tuple(prime_factors(delta))
+
+
+def charpoly_free_colimit(f: IntMatrix) -> tuple[int, tuple[int, ...]]:
+    """(rho, inverted primes) from charpoly(F) = x^z g(x), g(0) != 0."""
+    poly = _charpoly((operator.add, operator.neg, operator.mul), f, 1)
+    rho = max((i for i, c in enumerate(poly) if c), default=0)
+    return rho, tuple(prime_factors(poly[rho]))

@@ -1,11 +1,16 @@
-"""Malformed JSON files against ``witt class``, ``stab colim`` and ``stab exact``.
+"""Malformed JSON files and flag values against every subcommand.
 
-Each seeded input starts from a valid document of its subcommand and
-takes a few mutations: a value replaced by one of the wrong type (a float,
-a bool, a string, null, a list or an object), a key dropped, a row made
-ragged, or a rank made huge.  Whatever the input, a call prints exactly
-one JSON document and exits 0 (an answer) or 2 (a typed refusal): no
-traceback, no exit 1, and no input that runs without bound.
+Each seeded file starts from a valid document of ``witt class``, ``stab
+colim`` or ``stab exact`` and takes a few mutations: a value replaced by
+one of the wrong type (a float, a bool, a string, null, a list or an
+object), a key dropped, a row made ragged, or a rank made huge.  Each
+seeded command line gives ``witt class``, ``witt equiv``, ``witt ring``
+and ``lift demo`` a valid or a junk value for each of their flags, or
+leaves one out, and gives ``bott verify`` and ``bott export`` stray
+arguments.  Whatever the input, a call prints exactly one JSON document
+and exits 0 (an answer) or 2 (a typed refusal): no traceback, no exit 1,
+and no input that runs without bound.  ``-h`` and ``--help`` print usage
+by design and are left out.
 """
 
 from __future__ import annotations
@@ -98,6 +103,54 @@ def _mutate(rng: random.Random, doc):
     return doc
 
 
+# Valid values of each flag, kept small so that a valid ``lift demo`` is
+# quick, and junk that any flag may get.
+FLAG_VALUES = {
+    "--ring": ("q", "dyadic", "fp:5", "fp:7", "fp:3", "fp:2"),
+    "--base": ("q", "fp:5", "fp:7", "dyadic"),
+    "--diag": ("1,-2,3", "1/2,3", "2", "-1,-1,-1,-1", "1,1,1,-7", "0", "3/4,-6"),
+    "--diag2": ("1", "2,2", "-3,5", "1,-1,2"),
+    "--gen": ("1", "-1", "2", "3,5", "1,1"),
+    "--epsilon": ("1", "-1", "1", "-1", "0", "2"),
+    "--k": ("1", "2", "3", "1", "2", "3", "0", "7", "-1"),
+    "--n": ("1", "2", "3", "1", "2", "3", "0", "9", "-1"),
+    "--trials": ("1", "2", "1", "2", "0", "1001", "-5", "10" + "0" * 30),
+    "--seed": ("0", "1", "-7", "10" + "0" * 30),
+}
+JUNK_VALUES = (
+    "fp:4", "fp:1e3", "fp:", "fp:-7", "fp:" + "9" * 40, "truncnil:q:3", "laurent2", "Q",
+    "1/0", "nan", "inf", "-inf", "1e999999", "1e-999999", "\uff11", "\uff11/\uff12", "", " ", ",", "1,,2",
+    "x", "0x10", "1_000", "9" * 5000, "1" + "0" * 4300, "-", "--", "-x", ".", "/nonexistent.json",
+)
+FLAGS = {
+    ("witt", "class"): ("--ring", "--diag", "--epsilon", "--file"),
+    ("witt", "equiv"): ("--ring", "--diag", "--diag2", "--epsilon", "--file2"),
+    ("witt", "ring"): ("--ring", "--gen", "--gen"),
+    ("lift", "demo"): ("--base", "--k", "--n", "--trials", "--seed"),
+    ("bott", "verify"): (),
+    ("bott", "export"): (),
+}
+STRAYS = ("x", "--ring", "q", "--diag", "1", "--file", "--k", "3", "-v", "--", "verify", "\uff11")
+
+
+def _command_lines(seed: int, count: int):
+    rng = random.Random(seed)
+    commands = sorted(FLAGS)
+    for _ in range(count):
+        command = rng.choice(commands)
+        argv = list(command)
+        for flag in FLAGS[command]:
+            # a --file beside a --diag is refused, so it comes seldom
+            if rng.random() < (0.1 if flag.startswith("--file") else 0.9):
+                valid = FLAG_VALUES.get(flag, ())
+                value = rng.choice(valid if valid and rng.random() < 0.85 else JUNK_VALUES)
+                # "--diag -1,2" reads -1,2 as a flag; "--diag=-1,2" does not
+                argv += [f"{flag}={value}"] if rng.random() < 0.5 else [flag, value]
+        if not FLAGS[command] or rng.random() < 0.05:
+            argv += rng.sample(STRAYS, rng.randrange(3))
+        yield argv
+
+
 def _inputs(seed: int, count: int):
     rng = random.Random(seed)
     commands = sorted(TEMPLATES)
@@ -143,3 +196,16 @@ def test_malformed_files_get_one_document_and_exit_0_or_2(capsys, tmp_path, memo
     assert codes == {0, 2}
     assert time.perf_counter() - start < 10
 
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_flag_values_get_one_document_and_exit_0_or_2(capsys, memory_cap, seed):
+    start, codes = time.perf_counter(), {}
+    for argv in _command_lines(seed, 400):
+        assert not {"-h", "--help"} & set(argv)
+        code = cli.main(argv)
+        out = json.loads(capsys.readouterr().out)  # one document, or json raises on the rest
+        assert code in (0, 2), (argv, out)
+        assert (code == 2) == ("error" in out), (argv, out)
+        codes.setdefault(tuple(argv[:2]), set()).add(code)
+    assert codes == {command: {0, 2} for command in FLAGS}
+    assert time.perf_counter() - start < 10

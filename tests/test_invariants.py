@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import invariants_reference as ref
-from wittkit.errors import IllFormed, NotClosed, SpecMismatch
+from wittkit.errors import IllFormed, NotClosed, OracleInconclusive, SpecMismatch
 from wittkit.forms import GramForm, hyperbolic, orth_sum, tensor
 from wittkit.invariants import (
     WittClass,
@@ -184,6 +185,78 @@ def test_equiv_matches_invariant_equality_randomized():
         for _ in range(20):
             f, g = _rand_diag(spec, rng), _rand_diag(spec, rng)
             assert witt_equiv(f, g) == (witt_class(f) == witt_class(g))
+
+
+def _sheared(spec: RingSpec, entries: list, rng: random.Random) -> GramForm:
+    """P^T D P for D = diag(entries) and P unit upper triangular over Z."""
+    n = len(entries)
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.5:
+                p[i][j] = rng.choice((1, -1, 2))
+    grid = [[sum(p[k][i] * entries[k] * p[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return GramForm.from_rows(spec, grid)
+
+
+def _milnor_pair(spec: RingSpec, rng: random.Random) -> tuple[list, list]:
+    """Two diagonals of one signature.  In a third of the pairs the second
+    has fresh entries of the first's signs, in a third the same again with
+    its last entry fixing the determinant, so that only the Hasse symbols
+    can tell them apart.  In the rest it is the first moved by isometries
+    and hyperbolic planes: <a, b> = <c, abc> for c = a x^2 + b y^2 (over
+    Z[1/2], <a, a> = <2a, 2a>), scaling by a square, adding <t, -t>."""
+
+    def entry(sign: int) -> Fraction:
+        if spec == DY:
+            return Fraction(sign * 2 ** rng.randint(0, 3))
+        return Fraction(sign * rng.choice((1, 2, 3, 5, 6, 7, 10)), rng.choice((1, 1, 3, 5)))
+
+    d1 = [entry(rng.choice((1, -1))) for _ in range(rng.randint(1, 4))]
+    kind = rng.randrange(3)
+    if kind < 2:
+        d2 = [entry(1 if e > 0 else -1) for e in d1]
+        if kind:
+            d2[-1] = math.prod(d1[:-1], start=d1[-1]) / math.prod(d2[:-1])
+        return d1, d2
+    d2 = list(d1)
+    for _ in range(rng.randint(1, 3)):
+        step = rng.randrange(3)
+        if step == 0 and len(d2) > 1:
+            a, b = d2.pop(), d2.pop()
+            if spec == DY:
+                d2 += [2 * a, 2 * a] if a == b else [a, b]
+            else:
+                x, y = rng.randint(-2, 2), rng.choice((1, 2))
+                c = a * x * x + b * y * y
+                d2 += [c, a * b * c] if c else [a, b]
+        elif step == 1:
+            i = rng.randrange(len(d2))
+            d2[i] *= 4 if spec == DY else Fraction(rng.randint(1, 3), rng.randint(1, 3)) ** 2
+        else:
+            t = entry(1)
+            d2 += [t, -t]
+        rng.shuffle(d2)
+    return d1, d2
+
+
+@pytest.mark.parametrize("spec, pairs", [(Q, 500), (DY, 150)], ids=str)
+def test_equiv_matches_milnor_residues(spec, pairs):
+    # Milnor's signature and second residues decide W(Q) with no Hilbert
+    # symbol, and W(Z[1/2]) embeds in W(Q); a dyadic refusal is no failure
+    rng = random.Random(8)
+    answers, refused = [], 0
+    for _ in range(pairs):
+        d1, d2 = _milnor_pair(spec, rng)
+        try:
+            got = witt_equiv(_sheared(spec, d1, rng), _sheared(spec, d2, rng))
+        except OracleInconclusive:
+            refused += 1
+            continue
+        assert got == ref.milnor_equiv(d1, d2), (d1, d2)
+        answers.append(got)
+    assert refused <= pairs // 20
+    assert 0 < sum(answers) < len(answers)
 
 
 # -- ring tables --------------------------------------------------------------

@@ -18,7 +18,7 @@ from wittkit.matrices import (
     _matmul,
     inv_sqrt_one_plus,
 )
-from wittkit.rings import RingElem, RingSpec, _add, _mul, canon_payload, nil_generator
+from wittkit.rings import RingElem, RingSpec, canon_payload, nil_generator
 
 Q = RingSpec.rationals()
 F5 = RingSpec.prime_field(5)
@@ -180,7 +180,7 @@ _COPRIME_DENS = (1, 3, 10007, 65537, 999983, 2**61 - 1)
 
 
 def _fold_product(spec, x, y, ncols):
-    """Reference product: one _add/_mul fold per output entry."""
+    """Reference product: one add/mul fold per output entry."""
     zero = spec.zero
     out = []
     for row in x:
@@ -188,7 +188,7 @@ def _fold_product(spec, x, y, ncols):
         for c in range(ncols):
             acc = zero
             for a, y_row in zip(row, y):
-                acc = _add(spec, acc, _mul(spec, a, y_row[c]))
+                acc = spec.ops.add(acc, spec.ops.mul(a, y_row[c]))
             out_row.append(acc)
         out.append(out_row)
     return out
@@ -271,7 +271,7 @@ def _singular(spec, grid, rng):
     c = [_random_scalar(spec, rng) for _ in range(n - 1)]
     last = [spec.zero] * n
     for ci, row in zip(c, grid):
-        last = [_add(spec, x, _mul(spec, ci, y)) for x, y in zip(last, row)]
+        last = [spec.ops.add(x, spec.ops.mul(ci, y)) for x, y in zip(last, row)]
     return grid[:-1] + [last]
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import random
 from time import perf_counter
 
@@ -14,6 +15,7 @@ import stabilization_reference
 from wittkit import stabilization
 from wittkit.errors import IdentityViolated, IllFormed, NotCatalogued
 from wittkit.intlinalg import int_det, prime_factors
+from wittkit.matrices import _charpoly
 from wittkit.stabilization import (
     ColimResult,
     FgAbGroup,
@@ -199,6 +201,60 @@ def test_random_full_rank_colimits_answer_within_a_second(r, primes):
     result = colimit(seq_of(FgAbGroup(r), tuple(map(tuple, f))))
     assert perf_counter() - start < 1
     assert result == ColimResult(r, tuple(prime_factors(int_det(f))), ()) == ColimResult(r, primes, ())
+
+
+# -- the free colimit against two oracles ---------------------------------------
+
+
+def _random_free_maps(count: int) -> list[list[list[int]]]:
+    """Seeded maps of rank 0-8 with entries in -3..3 at densities 0.3, 0.6
+    and 1, so that singular maps occur; a quarter of them are made
+    nilpotent, their triangle from the diagonal down cleared and the rest
+    conjugated by shears.  Then the maps of the random-colimit probe at
+    ranks 7, 8 and 10."""
+    rng = random.Random(25)
+    maps = []
+    for _ in range(count):
+        r, density = rng.randint(0, 8), rng.choice((0.3, 0.6, 1))
+        f = [[rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(r)] for _ in range(r)]
+        if r > 1 and rng.random() < 0.25:
+            f = [[x if j > i else 0 for j, x in enumerate(row)] for i, row in enumerate(f)]
+            for _ in range(r):
+                # (I + c E_ij) f (I - c E_ij)
+                i, j, c = *rng.sample(range(r), 2), rng.choice((1, -1))
+                f[i] = [x + c * y for x, y in zip(f[i], f[j])]
+                for row in f:
+                    row[j] -= c * row[i]
+        maps.append(f)
+    for r in (7, 8, 10):
+        probe = random.Random(1)
+        maps.append([[probe.randint(-3, 3) for _ in range(r)] for _ in range(r)])
+    return maps
+
+
+def test_free_colimit_matches_the_smith_form_and_the_charpoly():
+    # the charpoly oracle on every map; the former Smith-form colimit up to
+    # rank 6, since its row/column Smith form of F^r takes seconds at rank 7
+    ranks = set()
+    for f in _random_free_maps(600):
+        r = len(f)
+        result = colimit(seq_of(FgAbGroup(r), tuple(map(tuple, f))))
+        free = (result.rank, result.inverted_primes)
+        assert free == stabilization_reference.charpoly_free_colimit(f), f
+        if r <= 6:
+            assert free == stabilization_reference.smith_free_colimit(f), f
+        ranks.add((r, result.rank))
+    # full rank, singular and nilpotent maps at every rank from 2 to 8
+    for r in range(2, 9):
+        assert (r, r) in ranks and (r, 0) in ranks and any(0 < rho < r for n, rho in ranks if n == r)
+
+
+def test_charpoly_oracle_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for f in _random_free_maps(300):
+        if f:
+            want = [int(c) for c in sympy.Matrix(f).charpoly().all_coeffs()]
+            assert _charpoly((operator.add, operator.neg, operator.mul), f, 1) == want
 
 
 # -- the torsion colimit in closed form ---------------------------------------
