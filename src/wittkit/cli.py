@@ -69,6 +69,10 @@ class _Parser(argparse.ArgumentParser):
             self.error(f"argument {action.option_strings[0]}: expected one argument")
         return super()._get_values(action, arg_strings)
 
+    def _parse_optional(self, arg_string: str) -> Any:
+        # no flag starts with "-" and a digit, so "-1,2" and "-3/4" are values
+        return None if arg_string[:1] == "-" and arg_string[1:2].isdigit() else super()._parse_optional(arg_string)
+
     def _get_formatter(self) -> argparse.HelpFormatter:
         # shutil's terminal width, which argparse imports shutil (zlib, bz2, lzma) for
         try:

@@ -564,20 +564,33 @@ def inv_sqrt_one_plus(g: InvMatrix) -> InvMatrix:
     dyadic binomial coefficients embed into every supported ring.  Over
     truncated rings of fp, q and dyadic it is summed on integer slices
     (``_inv_sqrt_slices``), elsewhere entry by entry (``_inv_sqrt_series``).
-    The defining identity U*U*(I+g) = I is checked before returning.
+    The defining identity U*U*(I+g) = I is checked before returning, on
+    slices U = A/e, g = G/D with U = I mod x (A_0 = e*I): then A = e*I + x*a,
+    G = x*h, A^2 = e^2*I + x*b for b = 2e*a + x*a^2, and the identity times
+    e^2*D is e^2*h + D*b + x*b*h = 0 in degrees 0..k-2, two products of k - 2
+    slices; elsewhere by the two products U*U*(I+g).
     """
     if g.nrows != g.ncols:
         raise IllFormed("inv_sqrt_one_plus needs a square matrix")
-    spec = g.spec
+    spec, n = g.spec, g.nrows
     if (any(map(any, g._slice_form()[0][0])) if _layout(spec) is not None
             else not all(_is_nilpotent(spec, a) for row in g.cells for a in row)):
         raise NotNilpotent("entries must lie in the nilpotent ideal")
-    if spec.kind == TRUNC_NIL and spec.base.kind != LAURENT2:
-        out = _inv_sqrt_slices(g)
-    else:
+    if spec.kind != TRUNC_NIL or spec.base.kind == LAURENT2:
         out = _inv_sqrt_series(g)
-    ident = InvMatrix.identity(spec, g.nrows)
-    if not (out * out * (ident + g)).is_identity():
+        if not (out * out * (InvMatrix.identity(spec, n) + g)).is_identity():
+            raise IdentityViolated("square-root identity violated")
+        return out
+    out, (k, p) = _inv_sqrt_slices(g), _layout(spec)
+    (a0, *a), e = out._slice_form()
+    (_, *h), den = g._slice_form()
+    zero = [[0] * n] * n
+    sq = _slice_products(a, a, k - 2, p) if k > 2 else []
+    b = [[[2 * e * v + w for v, w in zip(vr, wr)] for vr, wr in zip(s, t)] for s, t in zip(a, [zero, *sq])]
+    bh = _slice_products(b, h, k - 2, p) if k > 2 else []
+    residue = (e * e * x + den * y + z for s, t, w in zip(h, b, [zero, *bh])
+               for sr, tr, wr in zip(s, t, w) for x, y, z in zip(sr, tr, wr))
+    if a0 != [[e * (r == c) for c in range(n)] for r in range(n)] or any(v % p if p else v for v in residue):
         raise IdentityViolated("square-root identity violated")
     return out
 
@@ -585,9 +598,7 @@ def inv_sqrt_one_plus(g: InvMatrix) -> InvMatrix:
 def _inv_sqrt_series(g: InvMatrix) -> InvMatrix:
     """sum_j C(-1/2, j) g^j by InvMatrix products, for any supported ring."""
     spec, n = g.spec, g.nrows
-    ident = InvMatrix.identity(spec, n)
-    out = ident
-    power = ident
+    out = power = InvMatrix.identity(spec, n)
     coeff = Fraction(1)
     bound = (spec.k or 1) * n + 1
     for j in range(1, bound + 1):
@@ -609,21 +620,17 @@ def _inv_sqrt_slices(g: InvMatrix) -> InvMatrix:
     (-1)^j C(2j, j) / 4^j the sum is
     U = sum_{j<=m} (-1)^j C(2j, j) (4D)^(m-j) G^j / (4D)^m, accumulated in
     integers over the one denominator (4D)^m (a unit mod p over fp).
+    With G = x*h, G^j = x^j h^j, so only the k - j slices of h^j that
+    survive the shift are multiplied, and they are added from degree j up.
     """
     spec, n = g.spec, g.nrows
-    k = spec.k
-    m = k - 1
-    slices, den = g._slice_form()
+    k, m = spec.k, spec.k - 1
+    (_, *h), den = g._slice_form()
     coeffs = [(-1) ** j * comb(2 * j, j) * (4 * den) ** (m - j) for j in range(k)]
     # acc[d] is the degree-d slice of the scaled sum, starting at coeffs[0] * I
     acc = [[[coeffs[0] if d == 0 and r == c else 0 for c in range(n)] for r in range(n)] for d in range(k)]
-    power = slices
     for j in range(1, k):
-        if j > 1:
-            power = _slice_products(power, slices, k)
+        power = _slice_products(power, h, k - j) if j > 1 else h
         c = coeffs[j]
-        acc = [
-            [[u + c * v for u, v in zip(ur, vr)] for ur, vr in zip(us, vs)]
-            for us, vs in zip(acc, power)
-        ]
+        acc[j:] = [[[u + c * v for u, v in zip(ur, vr)] for ur, vr in zip(us, vs)] for us, vs in zip(acc[j:], power)]
     return _canonical(spec, acc, (4 * den) ** m, n, n)

@@ -299,8 +299,9 @@ def test_internal_assertion_maps_to_exit_one(capsys, monkeypatch):
 
 def test_identity_check_survives_python_O():
     # a corrupted product must still trip the diagonalization certificate,
-    # the idempotent check of the Bott data and the square-root identity of
-    # the lifting series, over Q and over F_p, when asserts are compiled away
+    # the idempotent check of the Bott data, the square-root identity of
+    # the lifting series, over Q and over F_p, and the involution check of a
+    # lift, when asserts are compiled away
     script = textwrap.dedent("""
         import sys
         from wittkit import cli, matrices
@@ -331,11 +332,16 @@ def test_identity_check_survives_python_O():
     cases = [
         ("_slice_products:1", ["witt", "class", "--ring", "q", "--diag", "1,2"], "certificate"),
         ("_matmul", ["bott", "verify"], "idempotent"),
-        ("_slice_products:3", ["lift", "demo", "--base", "q", "--k", "3", "--n", "2", "--trials", "1"],
+        # at k = 4 the series makes h^2 and the check a^2 and b*h, 2 slices each
+        ("_slice_products:2", ["lift", "demo", "--base", "q", "--k", "4", "--n", "2", "--trials", "1"],
          "square-root identity"),
         # over F_p each product is reduced mod p inside the kernel
-        ("_slice_products:3", ["lift", "demo", "--base", "fp:5", "--k", "3", "--n", "2", "--trials", "1"],
+        ("_slice_products:2", ["lift", "demo", "--base", "fp:5", "--k", "4", "--n", "2", "--trials", "1"],
          "square-root identity"),
+        # the series and its check make no 3-slice product at k = 3, but S*U does:
+        # the corrected involution fails J^2 = I, the package's fault, not the input's
+        ("_slice_products:3", ["lift", "demo", "--base", "q", "--k", "3", "--n", "2", "--trials", "1"],
+         "computed involution"),
     ]
     for target, argv, expected in cases:
         proc = subprocess.run([sys.executable, "-O", "-c", script, target, *argv],

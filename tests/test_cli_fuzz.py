@@ -144,7 +144,7 @@ def _command_lines(seed: int, count: int):
             if rng.random() < (0.1 if flag.startswith("--file") else 0.9):
                 valid = FLAG_VALUES.get(flag, ())
                 value = rng.choice(valid if valid and rng.random() < 0.85 else JUNK_VALUES)
-                # "--diag -1,2" reads -1,2 as a flag; "--diag=-1,2" does not
+                # "--diag -1,2" and "--diag=-1,2" both read -1,2 as the value
                 argv += [f"{flag}={value}"] if rng.random() < 0.5 else [flag, value]
         if not FLAGS[command] or rng.random() < 0.05:
             argv += rng.sample(STRAYS, rng.randrange(3))
@@ -209,3 +209,29 @@ def test_flag_values_get_one_document_and_exit_0_or_2(capsys, memory_cap, seed):
         codes.setdefault(tuple(argv[:2]), set()).add(code)
     assert codes == {command: {0, 2} for command in FLAGS}
     assert time.perf_counter() - start < 10
+
+
+@pytest.mark.parametrize("argv", [
+    ("witt", "class", "--ring", "q", "--diag", "-1,2"),
+    ("witt", "class", "--ring", "dyadic", "--diag", "-1/2,2"),
+    ("witt", "equiv", "--ring", "q", "--diag", "-1,-1", "--diag2", "-3,5"),
+    ("witt", "ring", "--ring", "fp:7", "--gen", "-1", "--gen", "-3,5"),
+    ("lift", "demo", "--base", "q", "--k", "2", "--n", "1", "--trials", "1", "--seed", "-7"),
+])
+def test_a_value_that_starts_with_a_minus_and_a_digit_is_read_as_a_value(capsys, argv):
+    # no flag starts with "-" and a digit, so "--diag -1,2" needs no "="
+    code = cli.main(list(argv))
+    out = json.loads(capsys.readouterr().out)  # one document
+    assert code == 0, out
+    joined = [a for a in argv if not a.startswith("-")][:2]
+    for flag, value in zip(argv[2::2], argv[3::2]):
+        joined.append(f"{flag}={value}")
+    assert cli.main(joined) == 0
+    assert json.loads(capsys.readouterr().out) == out
+
+
+def test_a_value_that_starts_with_a_minus_and_a_letter_is_still_a_flag(capsys):
+    code = cli.main(["witt", "class", "--ring", "q", "--diag", "-x"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2 and out["error"]["type"] == "IllFormed"
+    assert "expected one argument" in out["error"]["message"]

@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from wittkit import lifting
 from wittkit.errors import (
+    IdentityViolated,
     IllFormed,
     NotALift,
     NotCongruent,
@@ -124,6 +126,35 @@ def test_lift_involution_random_postconditions():
         assert (out.j * out.j).is_identity()
         assert out.j.is_self_adjoint()
         assert reduce_mod_I(out.j) == jb.j
+
+
+def test_a_computed_involution_that_fails_its_check_is_the_package_fault(monkeypatch):
+    # the same failed J^2 = I check refuses a user's matrix (exit 2) but
+    # flags a matrix the package computed as a broken identity (exit 1)
+    rng = random.Random(11)
+    jb = _random_involution(F5, 3, rng)
+    r = _random_nilpotent_perturbation(jb.j, T3F5, rng)
+    monkeypatch.setattr(lifting, "inv_sqrt_one_plus", lambda g: InvMatrix.identity(g.spec, g.nrows))
+    s = (r + r.conj_transpose()).scale(RingElem.from_fraction(T3F5, Fraction(1, 2)))
+    assert not (s * s).is_identity()
+    with pytest.raises(IllFormed, match="square to the identity"):
+        SelfAdjInvolution(s)
+    with pytest.raises(IdentityViolated, match="computed involution"):
+        lift_involution(jb, r)
+
+
+def test_conjugating_unitary_checks_the_congruence_to_I(monkeypatch):
+    # -U is unitary and intertwines as well; only U = I mod x tells them apart
+    rng = random.Random(17)
+    jb = _random_involution(F5, 3, rng)
+    ja = lift_involution(jb, _random_nilpotent_perturbation(jb.j, T3F5, rng))
+    ident3 = InvMatrix.identity(F5, 3)
+    nu = lift_unitary(ident3, _random_nilpotent_perturbation(ident3, T3F5, rng))
+    jc = SelfAdjInvolution(nu * ja.j * nu.conj_transpose())
+    real = lifting.inv_sqrt_one_plus
+    monkeypatch.setattr(lifting, "inv_sqrt_one_plus", lambda g: -real(g))
+    with pytest.raises(IdentityViolated, match="congruent to I"):
+        conjugating_unitary(ja, jc)
 
 
 def test_associated_projection():

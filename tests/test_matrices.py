@@ -10,9 +10,12 @@ from fractions import Fraction
 import pytest
 
 import matrices_reference as ref
-from wittkit.errors import NonUnit, SpecMismatch
+from wittkit import matrices
+from wittkit.errors import IdentityViolated, NonUnit, SpecMismatch
+from wittkit.lifting import reduce_mod_I
 from wittkit.matrices import (
     InvMatrix,
+    _canonical,
     _charpoly,
     _inv_sqrt_series,
     _matmul,
@@ -399,3 +402,42 @@ def test_inv_sqrt_slices_match_the_generic_series(base):
                 for row in got.cells:
                     for a in row:
                         _assert_canonical(spec, a)
+
+
+@pytest.mark.parametrize("base", (F5, Q, DY), ids=str)
+def test_slice_check_of_the_square_root_agrees_with_the_full_identity(base, monkeypatch):
+    # inv_sqrt_one_plus checks U*U*(I + g) = I and U = I mod x on the slices
+    # above degree 0; fed the series, the series with one entry of one degree
+    # moved by +-1, or the series with U_0 = -I, it must refuse exactly when
+    # the full product or the congruence fails
+    rng = random.Random(str(base))
+    real = matrices._inv_sqrt_slices
+    outcomes = set()
+    for k in range(1, 7):
+        spec = RingSpec.trunc_nil(base, k)
+        for n in range(1, 5):
+            g = _random_nilpotent(spec, n, rng)
+            series = real(g)
+            assert series == _inv_sqrt_series(g)
+            slices, den = series._slice_form()
+            variants = [series]
+            for d in range(k):
+                moved = [[list(row) for row in s] for s in slices]
+                moved[d][rng.randrange(n)][rng.randrange(n)] += rng.choice((1, -1))
+                variants.append(_canonical(spec, moved, den, n, n))
+            flipped = [[[-den * (r == c) for c in range(n)] for r in range(n)], *slices[1:]]
+            variants.append(_canonical(spec, flipped, den, n, n))
+            ident = InvMatrix.identity(spec, n)
+            for u in variants:
+                full = (u * u * (ident + g)).is_identity()
+                congruent = reduce_mod_I(u).is_identity()
+                # U_0 = -I is a root of the full identity only when g = 0
+                assert congruent or not full or g.is_zero()
+                monkeypatch.setattr(matrices, "_inv_sqrt_slices", lambda _, u=u: u)
+                try:
+                    held = inv_sqrt_one_plus(g) is u
+                except IdentityViolated:
+                    held = False
+                assert held == (full and congruent), (k, n, u, g)
+                outcomes.add(held)
+    assert outcomes == {True, False}
