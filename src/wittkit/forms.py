@@ -12,14 +12,16 @@ off with a basis of its orthogonal complement, L = P + P^perp, read off one
 Hermite form (``_with_complement``).  A form is immutable, and its checked
 diagonalization is computed once and kept on it as long as it lives:
 ``diagonalize``, ``invariants.witt_class`` and ``witt_decompose`` share it,
-or share its refusal.  Over a prime field a witness comes from a square
-root mod p, with no search, so a negative answer is a proof.  Over Q and
-Z[1/2] a definite diagonal, and <a, b> with -ab not a square, are
-anisotropic; otherwise a witness has the least height of any, and a
-negative answer only says "nothing within the height bound", which bounds
-these isotropy searches and nothing else; decompositions carry a
-``certified`` flag and callers that need a proof can demand one.  Which
-isotropic vector is split off is not promised.
+or share its refusal.  The certificates P* G P = D and basis* G basis =
+H^h + A are checked on one triangle of the integer grids, G times the basis
+taken once and the denominators cross-multiplied (``_congruent_to``).  Over
+a prime field a witness comes from a square root mod p, with no search, so
+a negative answer is a proof.  Over Q and Z[1/2] a definite diagonal, and
+<a, b> with -ab not a square, are anisotropic; otherwise a witness has the
+least height of any, and a negative answer only says "nothing within the
+height bound", which bounds these isotropy searches and nothing else;
+decompositions carry a ``certified`` flag and callers that need a proof can
+demand one.  Which isotropic vector is split off is not promised.
 """
 
 from __future__ import annotations
@@ -79,6 +81,12 @@ _PIVOT_BOUND = 18
 _SEARCH_BUDGET = 1 << 20
 
 
+def _check_int(name: str, value: Any, ok: Sequence[int] | None = None) -> None:
+    """IllFormed unless value is an int (not a bool): one of ``ok``, or else positive."""
+    if type(value) is not int or (value not in ok if ok else value < 1):
+        raise IllFormed(f"{name} must be {'+1 or -1' if ok else 'a positive integer'}, got {value!r}")
+
+
 class GramForm(_Record):
     """A nondegenerate epsilon-symmetric form, stored as its Gram matrix.
 
@@ -91,17 +99,11 @@ class GramForm(_Record):
     __slots__ = (*_fields, "_diag", "_class")
 
     def __init__(self, gram: InvMatrix, epsilon: int = 1):
-        if type(epsilon) is not int or epsilon not in (1, -1):
-            raise IllFormed(f"epsilon must be +1 or -1, got {epsilon!r}")
+        _check_int("epsilon", epsilon, (1, -1))
         if gram.nrows != gram.ncols:
             raise IllFormed("Gram matrix must be square")
         if gram.spec.kind in _SEARCH_RINGS:
-            # the numerators over one denominator, each column against its
-            # row (negated mod p when eps = -1), one pair at a time
-            (g,), _ = gram._slice_form()
-            mod = gram.spec.p
-            rows = map(tuple, g) if epsilon == 1 else (tuple([-x % mod if mod else -x for x in r]) for r in g)
-            symmetric = all(map(eq, zip(*g), rows))
+            symmetric = _is_symmetric(gram.spec.p, epsilon, gram._slice_form()[0][0])
         else:
             symmetric = gram.conj_transpose() == (gram if epsilon == 1 else -gram)
         if not symmetric:
@@ -370,6 +372,32 @@ class _Congruence:
             self._reduce()
 
 
+def _is_symmetric(mod: int | None, eps: int, g: Sequence[Sequence[int]]) -> bool:
+    """Whether the grid g (residues over F_p, ``mod``) is eps-symmetric."""
+    rows = map(tuple, g) if eps == 1 else (tuple([-x % mod if mod else -x for x in r]) for r in g)
+    return all(map(eq, zip(*g), rows))
+
+
+def _congruent_to(mod: int | None, eps: int, g: list[list[int]], den: int,
+                  b: list[list[int]], db: int, t: list[list[int]], dt: int) -> bool:
+    """Whether b* (g / den) b = t / dt, for integer grids (residues over
+    F_p, ``mod``) with g eps-symmetric, as ``GramForm`` checks: t must be
+    eps-symmetric, and then only its upper triangle is compared, as b* g b
+    is eps-symmetric.  G b is taken once; over Q and Z[1/2] the sides are
+    cross-multiplied, dt b* G b = den db^2 t, with no gcd pass."""
+    if not _is_symmetric(mod, eps, t):
+        return False
+    cols, s = list(zip(*matmul_int(g, b, mod))), den * db * db
+    if mod:
+        s = s * pow(dt, -1, mod) % mod
+    for i, (bi, ti) in enumerate(zip(zip(*b), t)):
+        for j in range(i, len(t)):
+            v = sum(map(mul, bi, cols[j]))  # entry (i, j) of b* g b
+            if (v - s * ti[j]) % mod if mod else dt * v != s * ti[j]:
+                return False
+    return True
+
+
 def _corner(mod: int | None, grid: list[list[int]], den: int, lo: int, hi: int | None = None):
     """The block lo..hi of a canonical grid over den, in canonical form: over
     F_p (``mod``) as it is, over Q and Z[1/2] by a gcd pass."""
@@ -542,11 +570,11 @@ def diagonalize(f: GramForm) -> tuple[InvMatrix, GramForm]:
         return f._diag
     (grid,), den = f.gram._slice_form()
     ws = _diagonal(spec, grid, den)
+    if not _congruent_to(spec.p, 1, grid, den, ws.p, ws.dp, ws.a, ws.da):
+        raise IdentityViolated("diagonalization certificate P*.G.P = D failed")
     n = f.dim
     p = InvMatrix._from_slices(spec, [ws.p], ws.dp, n, n)
     d = InvMatrix._from_slices(spec, [ws.a], ws.da, n, n)
-    if p.conj_transpose() * f.gram * p != d:
-        raise IdentityViolated("diagonalization certificate P*.G.P = D failed")
     object.__setattr__(f, "_diag", (p, GramForm(d, 1)))
     return f._diag
 
@@ -571,17 +599,13 @@ def isotropy_oracle(
     spec = f.ring
     if spec.kind not in _SEARCH_RINGS:
         raise SpecMismatch(f"isotropy search not supported over {spec}")
+    _check_int("height_bound", height_bound)
     n = f.dim
     if n == 0:
         return None
     (g,), _ = f.gram._slice_form()  # over one denominator, which leaves zeros zero
     p = spec.p
-    if p:
-        vectors = itertools.product(range(p), repeat=n)
-    elif height_bound < 1:
-        raise IllFormed("height_bound must be a positive integer")
-    else:
-        vectors = _signed_vectors(n, height_bound)
+    vectors = itertools.product(range(p), repeat=n) if p else _signed_vectors(n, height_bound)
     for count, v in enumerate(vectors):
         if count == _SEARCH_BUDGET:
             raise BudgetExceeded(f"isotropy oracle over {spec} stopped after {_SEARCH_BUDGET} vectors")
@@ -754,13 +778,12 @@ def witt_decompose(
     spec = f.ring
     if spec.kind not in _SEARCH_RINGS:
         raise SpecMismatch(f"Witt decomposition not supported over {spec}")
-    if height_bound < 1:
-        raise IllFormed("height_bound must be a positive integer")
+    _check_int("height_bound", height_bound)
     eps, n, mod = f.epsilon, f.dim, spec.p
+    (grid,), den = f.gram._slice_form()
     # the planes split off so far fill a[:off][:off]; what is left is the
     # block from off on, orthogonal to them, and diagonal if eps = 1
     if eps == -1:
-        (grid,), den = f.gram._slice_form()
         ws = _Congruence(mod, grid, den)
     else:
         # on copies of diagonalize's grids, which stay as they are
@@ -817,12 +840,13 @@ def witt_decompose(
             raise IdentityViolated("the hyperbolic pair did not split off")
         off += 2
 
+    # a is the planes, each checked as it was split off (later steps only
+    # move them to a new denominator), and the remainder
+    if not _congruent_to(mod, eps, grid, den, ws.p, ws.dp, ws.a, ws.da):
+        raise IdentityViolated("Witt decomposition certificate failed to re-multiply")
     aniso, drem = _corner(mod, ws.a, ws.da, off)
     aniso_matrix = InvMatrix._from_slices(spec, [aniso], drem, n - off, n - off)
     basis = InvMatrix._from_slices(spec, [ws.p], ws.dp, n, n)
-    expected = InvMatrix.block_diag([_hyperbolic_matrix(spec, 1, eps)] * (off // 2) + [aniso_matrix])
-    if basis.conj_transpose() * f.gram * basis != expected:
-        raise IdentityViolated("Witt decomposition certificate failed to re-multiply")
     certified = _certify(spec, eps, aniso)
     if require_certified and not certified:
         raise OracleInconclusive(
@@ -862,20 +886,16 @@ def _hyperbolic_matrix(spec: RingSpec, n: int, eps: int) -> InvMatrix:
 
 def hyperbolic(n: int, epsilon: int, ring: RingSpec) -> GramForm:
     """The rank-n hyperbolic form [[0, I], [eps*I, 0]] (size 2n)."""
-    if n < 1:
-        raise IllFormed("hyperbolic rank must be at least 1")
-    if epsilon not in (1, -1):
-        raise IllFormed(f"epsilon must be +1 or -1, got {epsilon!r}")
+    _check_int("hyperbolic rank", n)
+    _check_int("epsilon", epsilon, (1, -1))
     return GramForm(_hyperbolic_matrix(ring, n, epsilon), epsilon)
 
 
 def interchange_isometry(n: int, epsilon: int, ring: RingSpec) -> InvMatrix:
     """The swap [[0, I], [eps*I, 0]] of the two lagrangian summands of the
     hyperbolic form, checked to be an isometry with square eps*I."""
-    if n < 1:
-        raise IllFormed("rank must be at least 1")
-    if epsilon not in (1, -1):
-        raise IllFormed(f"epsilon must be +1 or -1, got {epsilon!r}")
+    _check_int("rank", n)
+    _check_int("epsilon", epsilon, (1, -1))
     sigma = _hyperbolic_matrix(ring, n, epsilon)
     h = sigma  # the isometry and the Gram matrix coincide here
     if sigma.conj_transpose() * h * sigma != h:

@@ -232,7 +232,9 @@ def roundtrip_isomorphism_demo(
     base: RingSpec, k: int, n: int, trials: int, seed: int = 0
 ) -> dict:
     """Exercise both lifting directions on random inputs; each half must
-    succeed on every trial, and every check is an exact identity.
+    succeed on every trial, and every check is an exact identity.  The
+    lifting functions check their own answers and raise otherwise, so a
+    half counts as a success once its calls return.
 
     Trials are independently seeded (seed + index), so the batch could be
     split across workers without changing the outcome.
@@ -253,13 +255,11 @@ def roundtrip_isomorphism_demo(
         rng = random.Random(seed + index)
         jbar = _random_involution(base, n, rng)
         lifted = lift_involution(jbar, _random_nilpotent_perturbation(jbar.j, spec, rng))
-        if reduce_mod_I(lifted.j) == jbar.j:
-            surjectivity += 1
+        surjectivity += 1
         nu = lift_unitary(ident, _random_nilpotent_perturbation(ident, spec, rng))
         other = SelfAdjInvolution._computed(nu * lifted.j * nu.conj_transpose())
-        conj = conjugating_unitary(lifted, other)
-        if conj.is_unitary() and conj * lifted.j == other.j * conj:
-            injectivity += 1
+        conjugating_unitary(lifted, other)
+        injectivity += 1
     return {
         "base": str(base),
         "k": k,

@@ -304,16 +304,23 @@ def test_identity_check_survives_python_O():
     # lift, when asserts are compiled away
     script = textwrap.dedent("""
         import sys
-        from wittkit import cli, matrices
+        from wittkit import cli, forms, matrices
 
         assert False, "asserts must be stripped under -O"
-        # "_slice_products:k" corrupts only the products with k slices
-        target, _, only_k = sys.argv[1].partition(":")
-        real = getattr(matrices, target)
+        # "matrices._slice_products:k" corrupts only the products with k slices
+        where, _, only_k = sys.argv[1].partition(":")
+        module, target = where.split(".")
+        module = {"forms": forms, "matrices": matrices}[module]
+        real = getattr(module, target)
 
         def corrupt_matmul(spec, x, y):
             out = real(spec, x, y)
             out[0][0] = spec.ops.add(out[0][0], spec.one)
+            return out
+
+        def corrupt_int(a, b, *modulus):
+            out = real(a, b, *modulus)
+            out[0][0] += 1
             return out
 
         def corrupt_slices(xs, ys, k, *modulus):
@@ -324,23 +331,25 @@ def test_identity_check_survives_python_O():
                 prods[-1][0][0] += 1
             return prods
 
-        setattr(matrices, target, corrupt_matmul if target == "_matmul" else corrupt_slices)
+        corrupt = {"_matmul": corrupt_matmul, "matmul_int": corrupt_int}.get(target, corrupt_slices)
+        setattr(module, target, corrupt)
         sys.exit(cli.main(sys.argv[2:]))
     """)
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     cases = [
-        ("_slice_products:1", ["witt", "class", "--ring", "q", "--diag", "1,2"], "certificate"),
-        ("_matmul", ["bott", "verify"], "idempotent"),
+        # G P of the diagonalization certificate: a diagonal Gram takes no other matmul_int
+        ("forms.matmul_int", ["witt", "class", "--ring", "q", "--diag", "1,2"], "certificate"),
+        ("matrices._matmul", ["bott", "verify"], "idempotent"),
         # at k = 4 the series makes h^2 and the check a^2 and b*h, 2 slices each
-        ("_slice_products:2", ["lift", "demo", "--base", "q", "--k", "4", "--n", "2", "--trials", "1"],
+        ("matrices._slice_products:2", ["lift", "demo", "--base", "q", "--k", "4", "--n", "2", "--trials", "1"],
          "square-root identity"),
         # over F_p each product is reduced mod p inside the kernel
-        ("_slice_products:2", ["lift", "demo", "--base", "fp:5", "--k", "4", "--n", "2", "--trials", "1"],
+        ("matrices._slice_products:2", ["lift", "demo", "--base", "fp:5", "--k", "4", "--n", "2", "--trials", "1"],
          "square-root identity"),
         # the series and its check make no 3-slice product at k = 3, but S*U does:
         # the corrected involution fails J^2 = I, the package's fault, not the input's
-        ("_slice_products:3", ["lift", "demo", "--base", "q", "--k", "3", "--n", "2", "--trials", "1"],
+        ("matrices._slice_products:3", ["lift", "demo", "--base", "q", "--k", "3", "--n", "2", "--trials", "1"],
          "computed involution"),
     ]
     for target, argv, expected in cases:

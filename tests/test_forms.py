@@ -32,7 +32,7 @@ from wittkit.forms import (
 )
 from wittkit.intlinalg import columns_to_matrix, int_det, matmul_int
 from wittkit.invariants import witt_class, witt_equiv
-from wittkit.matrices import InvMatrix
+from wittkit.matrices import InvMatrix, _canonical
 from wittkit.rings import RingElem, RingSpec, canon_payload, nil_generator
 
 Q = RingSpec.rationals()
@@ -446,6 +446,88 @@ def _check_decomposition(f: GramForm, dec: WittDecomposition) -> None:
     assert 2 * r + dec.anisotropic.dim == f.dim
 
 
+@pytest.mark.parametrize("tag", ["fp:5", "fp:7", "q", "dyadic"])
+def test_congruence_check_agrees_with_the_product_of_matrices(tag):
+    # forms._congruent_to decides B* (G/den) B = T/dT on one triangle of
+    # integers; the oracle multiplies the InvMatrix products out.  T is the
+    # true product, then with one entry changed above, on or below the
+    # diagonal, changed at a pair (i, j), (j, i) so that it stays
+    # eps-symmetric, with its lower triangle flipped in sign (not
+    # symmetric, the upper triangle as it was) and as 3T over 3dT (over
+    # F_p too); last, one entry of B is changed
+    spec = RingSpec.from_tag(tag)
+    rng = random.Random(tag)
+    p = spec.p
+    dens = (1,) if p else (1, 2, 4) if spec.kind == "dyadic" else (1, 2, 3, 6)
+
+    def entry():
+        return rng.randrange(p) if p else Fraction(rng.randrange(-6, 7), rng.choice(dens))
+
+    def bump(t, i, j, c=1):
+        t = [row[:] for row in t]
+        t[i][j] = (t[i][j] + c) % p if p else t[i][j] + c
+        return t
+
+    seen = {True: 0, False: 0}
+    for eps in (1, -1):
+        for n in range(1, 9):
+            for _ in range(3):
+                rows = [[None] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i, n):
+                        rows[i][j] = 0 if eps == -1 and i == j else entry()
+                        rows[j][i] = rows[i][j] if eps == 1 else -rows[i][j]
+                gm = InvMatrix.from_rows(spec, rows)
+                bm = InvMatrix.from_rows(spec, [[entry() for _ in range(n)] for _ in range(n)])
+                (g,), den = gm._slice_form()
+                (b,), db = bm._slice_form()
+                (t,), dt = (bm.conj_transpose() * gm * bm)._slice_form()
+                i, j = sorted(rng.sample(range(n), 2)) if n > 1 else (0, 0)
+                k = rng.randrange(n)
+                flipped = [[x if c >= r else -x % p if p else -x for c, x in enumerate(row)] for r, row in enumerate(t)]
+                cases = [(b, db, t, dt), (b, db, bump(t, j, i), dt), (b, db, bump(t, k, k), dt),
+                         (b, db, bump(t, i, j), dt), (b, db, bump(bump(t, i, j), j, i, eps), dt),
+                         (b, db, flipped, dt), (b, db, [[3 * x % p if p else 3 * x for x in row] for row in t], 3 * dt),
+                         (bump(b, k, i), db, t, dt)]
+                for bb, dbb, tt, dtt in cases:
+                    bmat = InvMatrix._from_slices(spec, [bb], dbb, n, n)
+                    tmat = _canonical(spec, [tt], dtt, n, n)
+                    oracle = bmat.conj_transpose() * gm * bmat == tmat
+                    assert forms._congruent_to(p, eps, g, den, bb, dbb, tt, dtt) == oracle, (eps, g, bb, tt)
+                    seen[oracle] += 1
+    assert min(seen.values()) >= 40, seen
+
+
+@pytest.mark.parametrize("spec", [F7, Q, DY], ids=str)
+def test_a_wrong_basis_fails_each_certificate(monkeypatch, spec):
+    # one basis entry moved after the congruence steps, which leaves the
+    # Gram grid as it was: only the certificate can see it
+    def bump(b):
+        b = [row[:] for row in b]
+        b[0][0] = (b[0][0] + 1) % spec.p if spec.p else b[0][0] + 1
+        return b
+
+    sym = _sheared(orth_sum(hyperbolic(2, 1, spec), GramForm.diagonal(spec, [1, 1])), random.Random(5), 6)
+    skew = _sheared(hyperbolic(2, -1, spec), random.Random(6), 6)
+    check = forms._congruent_to
+
+    def wrong_basis(mod, eps, g, den, b, *rest):
+        return check(mod, eps, g, den, bump(b), *rest)
+
+    with monkeypatch.context() as m:
+        m.setattr(forms, "_congruent_to", wrong_basis)
+        with pytest.raises(IdentityViolated, match=r"P\*\.G\.P = D"):
+            diagonalize(sym)
+        assert sym._diag is None  # a refusal is not kept
+    diagonalize(sym)
+    with monkeypatch.context() as m:
+        m.setattr(forms, "_congruent_to", wrong_basis)
+        for f in (sym, skew):
+            with pytest.raises(IdentityViolated, match="re-multiply"):
+                witt_decompose(f)
+    assert witt_decompose(sym).hyperbolic_rank == witt_decompose(skew).hyperbolic_rank == 2
+
+
 def _assert_canonical_grid(m: InvMatrix) -> None:
     again = InvMatrix.from_rows(m.spec, m.cells)
     assert again.shape == m.shape
@@ -534,9 +616,9 @@ def test_witt_decompose_diagonalizes_once(monkeypatch, spec):
 
 @pytest.mark.parametrize("spec", [F7, Q, DY], ids=str)
 def test_class_equivalence_and_decomposition_share_one_diagonalization(monkeypatch, spec):
-    # one full-size diagonalization per form, and one product with its Gram
-    # matrix for the diagonalization's certificate (f, g) plus the
-    # decomposition's own (f), wherever the class of f is asked again
+    # one full-size diagonalization per form, and one congruence check
+    # against its Gram grid for the diagonalization's certificate (f, g)
+    # plus the decomposition's own (f), wherever the class of f is asked again
     block = [1, -3] if spec == F7 else [1, 1]
     f = _sheared(orth_sum(hyperbolic(4, 1, spec), GramForm.diagonal(spec, block)), random.Random(11), 10)
     g = _sheared(GramForm.diagonal(spec, [1, 2, -1]), random.Random(12), 3)
@@ -548,15 +630,15 @@ def test_class_equivalence_and_decomposition_share_one_diagonalization(monkeypat
             return fn(*args)
         return wrapped
 
-    mul = InvMatrix.__mul__
+    congruent_to = forms._congruent_to
 
-    def counting_mul(x, y):
+    def counting_check(*args):
         for name, form in (("f", f), ("g", g)):
-            products[name] += y is form.gram
-        return mul(x, y)
+            products[name] += args[2] is form.gram._slice_form()[0][0]
+        return congruent_to(*args)
 
     monkeypatch.setattr(forms, "_diagonal", spy(forms._diagonal, lambda args: args[1]))
-    monkeypatch.setattr(InvMatrix, "__mul__", counting_mul)
+    monkeypatch.setattr(forms, "_congruent_to", counting_check)
     cls = witt_class(f)
     assert rows == [10] and products == {"f": 1, "g": 0}
     assert witt_equiv(f, g) == (cls == witt_class(g))
@@ -766,6 +848,23 @@ def test_hyperbolic_and_interchange():
     assert tau * tau == InvMatrix.identity(Q, 2).scale(-1)
     with pytest.raises(IllFormed):
         hyperbolic(0, 1, Q)
+
+
+@pytest.mark.parametrize("bad", [2.5, "3", True, 0], ids=repr)
+def test_integer_parameters_refuse_what_is_not_a_positive_integer(bad):
+    # a float, a str and a bool (True would read as 1) are not integers, and
+    # 0 is not positive; each is refused before any work, over F_p too
+    calls = [lambda: hyperbolic(bad, 1, Q), lambda: interchange_isometry(bad, 1, Q)]
+    for spec in (Q, F5):
+        f = GramForm.diagonal(spec, [1, -2, 3])
+        calls += [lambda f=f: witt_decompose(f, height_bound=bad), lambda f=f: isotropy_oracle(f, height_bound=bad)]
+    for call in calls:
+        with pytest.raises(IllFormed, match="positive integer"):
+            call()
+    for eps in (True, 1.0, "1"):
+        for make in (hyperbolic, interchange_isometry):
+            with pytest.raises(IllFormed, match=r"\+1 or -1"):
+                make(1, eps, Q)
 
 
 def test_orth_sum_and_tensor():

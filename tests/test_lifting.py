@@ -305,6 +305,24 @@ def test_demo_inputs_and_report_are_pinned():
     }
 
 
+def test_the_demo_multiplies_nothing_after_the_conjugator(monkeypatch):
+    # lift_involution and conjugating_unitary check their own answers and
+    # raise otherwise, so a trial counts once they return: no InvMatrix
+    # product follows conjugating_unitary before the next trial draws
+    events = []
+    mul, conj, draw = InvMatrix.__mul__, lifting.conjugating_unitary, lifting._random_involution
+    monkeypatch.setattr(InvMatrix, "__mul__", lambda x, y: events.append("mul") or mul(x, y))
+    monkeypatch.setattr(lifting, "conjugating_unitary", lambda *a: (conj(*a), events.append("conj"))[0])
+    monkeypatch.setattr(lifting, "_random_involution", lambda *a: events.append("trial") or draw(*a))
+    for base in (Q, F5):
+        events.clear()
+        rep = roundtrip_isomorphism_demo(base, 4, 3, 3)
+        assert rep["surjectivity_successes"] == rep["injectivity_successes"] == 3 and rep["all_passed"]
+        assert events.count("trial") == events.count("conj") == 3 and "mul" in events
+        after = [events[i + 1] if i + 1 < len(events) else "end" for i, e in enumerate(events) if e == "conj"]
+        assert after == ["trial", "trial", "end"]
+
+
 def test_roundtrip_demo_deterministic():
     a = roundtrip_isomorphism_demo(F5, 2, 2, 3, seed=9)
     b = roundtrip_isomorphism_demo(F5, 2, 2, 3, seed=9)

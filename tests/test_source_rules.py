@@ -138,13 +138,14 @@ def test_entrywise_arithmetic_binds_the_ring_ops():
 
 def test_congruence_steps_build_no_fraction():
     # the congruence grids are integers over one denominator; a Fraction
-    # built or a denominator read in these steps would bring back the
-    # per-coefficient arithmetic they replaced
+    # built or a denominator read in these steps, or in the check of their
+    # certificates, would bring back the per-coefficient arithmetic they
+    # replaced
     body = ast.parse((SRC / "forms.py").read_text()).body
     congruence = next(n for n in body if isinstance(n, ast.ClassDef) and n.name == "_Congruence")
     steps = [n for n in congruence.body if isinstance(n, ast.FunctionDef)]
-    steps += [n for n in body if isinstance(n, ast.FunctionDef) and n.name == "_diagonal"]
-    assert {"pivot", "scale", "apply", "_diagonal"} <= {fn.name for fn in steps}
+    steps += [n for n in body if isinstance(n, ast.FunctionDef) and n.name in ("_diagonal", "_congruent_to")]
+    assert {"pivot", "scale", "apply", "_diagonal", "_congruent_to"} <= {fn.name for fn in steps}
     found = [
         f"{fn.name}:{node.lineno}"
         for fn in steps
