@@ -26,7 +26,7 @@ from .errors import (
     NotUnitaryMod,
     SpecMismatch,
 )
-from .matrices import InvMatrix, _canonical, inv_sqrt_one_plus
+from .matrices import InvMatrix, _canonical, _intertwines, inv_sqrt_one_plus
 from .rings import LAURENT2, PRIME_FIELD, RATIONALS, TRUNC_NIL, RingElem, RingSpec, _Record
 
 TYPE_CHECKING = False
@@ -49,7 +49,9 @@ PROJECTION_CONVENTION = "P = (I - J)/2"
 
 
 class SelfAdjInvolution(_Record):
-    """A matrix J with J^2 = I and J* = J, both checked at construction."""
+    """A matrix J with J^2 = I and J* = J, both checked at construction:
+    J* = J first, and then J^2 = I as J J* = I by ``is_unitary``, which over
+    fp, q, dyadic and truncnil over them takes no product."""
 
     __slots__ = _fields = ("j",)
 
@@ -58,7 +60,7 @@ class SelfAdjInvolution(_Record):
             raise IllFormed(f"an involution must be square and nonempty, got {j.nrows}x{j.ncols}")
         if not j.is_self_adjoint():
             raise IllFormed("matrix is not self-adjoint")
-        if not (j * j).is_identity():
+        if not j.is_unitary():  # J J* = J^2, since J* = J
             raise IllFormed("matrix does not square to the identity")
         object.__setattr__(self, "j", j)
 
@@ -177,7 +179,8 @@ def conjugating_unitary(j1: SelfAdjInvolution, j2: SelfAdjInvolution) -> InvMatr
     (J1 + J2)/2), while the reversed product (I + J1*J2)/2 does not.
     delta*delta^* commutes with J1, so the polar correction preserves
     the intertwining property.  One final check proves the answer: it is
-    unitary, congruent to I, and carries J1 to J2.
+    unitary, congruent to I, and carries J1 to J2 (``_intertwines``, on the
+    slices where the ring has them).
     """
     if j1.ring != j2.ring or j1.dim != j2.dim:
         raise SpecMismatch("the involutions must act on the same module")
@@ -189,7 +192,7 @@ def conjugating_unitary(j1: SelfAdjInvolution, j2: SelfAdjInvolution) -> InvMatr
     half = RingElem.from_fraction(spec, Fraction(1, 2))
     delta = (ident + j2.j * j1.j).scale(half)
     out = delta * inv_sqrt_one_plus(delta * delta.conj_transpose() - ident)
-    if not out.is_unitary() or not reduce_mod_I(out).is_identity() or out * j1.j != j2.j * out:
+    if not out.is_unitary() or not reduce_mod_I(out).is_identity() or not _intertwines(out, j1.j, j2.j):
         raise IdentityViolated("the conjugator is not a unitary intertwiner congruent to I")
     return out
 

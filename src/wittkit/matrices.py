@@ -11,9 +11,14 @@ keeps them as that view and builds its slices on first use.  Rows of
 Python ints over F_p, Q and Z[1/2] enter ``from_rows`` as slice 0 over 1
 (mod p over F_p), with no payload built.  Products
 (``_slice_products`` plus one gcd pass, ``_reduced``; over F_p one
-``% p`` per entry inside the product), sums, scalings, transposes, block
-sums and the (I + g)^(-1/2) series of the lifting layer work on the
-slices, and so do the congruence grids of ``forms``.  Over ``laurent2`` and
+``% p`` per entry inside the product), sums, scalings (by a constant, one
+integer times every slice), transposes, block sums and the (I + g)^(-1/2)
+series of the lifting layer work on the slices, and so do the congruence
+grids of ``forms``.  These rings carry the trivial involution, and the
+lifting layer's identities are checked on the slices with no product
+matrix: X X* = I (``is_unitary``, ``_is_scalar_gram``) on one triangle
+per degree, and x a = b x (``_intertwines``) cross-multiplied by the
+denominators, each with an early exit.  Over ``laurent2`` and
 ``truncnil(laurent2)`` matrices stay payload grids and call the ring's
 bound ops (``RingSpec.ops``) entry by entry, products included (``_matmul``).
 
@@ -30,6 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import comb, gcd, lcm
+from operator import mul
 
 from .errors import IdentityViolated, IllFormed, NonUnit, NotNilpotent, SpecMismatch
 from .intlinalg import int_det, matmul_int
@@ -277,16 +283,18 @@ class InvMatrix(_Frozen):
             mul_ = spec.ops.mul
             grid = tuple(tuple([mul_(s, a) for a in row]) for row in self.cells)
             return InvMatrix(spec, grid, self.nrows, self.ncols)
-        # s is a 1x1 matrix polynomial, each slice a row of nrows * ncols entries
         scalar_slices, ds = _slices_of(spec, ((s,),))
         slices, den = self._slice_form()
         p = _layout(spec)[1]
-        flat = _slice_products(scalar_slices, [[[v for row in t for v in row]] for t in slices], len(slices), p)
-        m = self.ncols
-        out = [[row[i * m : (i + 1) * m] for i in range(self.nrows)] for (row,) in flat]
+        if not any(t[0][0] for t in scalar_slices[1:]):  # a constant: one integer times every slice
+            c = scalar_slices[0][0][0]
+            out = [[[c * v % p if p else c * v for v in row] for row in t] for t in slices]
+        else:  # s is a 1x1 matrix polynomial, each slice a row of nrows * ncols entries
+            flat = _slice_products(scalar_slices, [[[v for row in t for v in row]] for t in slices], len(slices), p)
+            out = [[row[i * self.ncols : (i + 1) * self.ncols] for i in range(self.nrows)] for (row,) in flat]
         if p:
-            return InvMatrix._from_slices(spec, out, 1, self.nrows, m)
-        return _canonical(spec, out, den * ds, self.nrows, m)
+            return InvMatrix._from_slices(spec, out, 1, self.nrows, self.ncols)
+        return _canonical(spec, out, den * ds, self.nrows, self.ncols)
 
     def transpose(self) -> "InvMatrix":
         if _layout(self.spec) is not None:
@@ -386,9 +394,17 @@ class InvMatrix(_Frozen):
         return self.nrows == self.ncols and self.conj_transpose() == self
 
     def is_unitary(self) -> bool:
+        """Whether X X* = I.  Where the involution is trivial it is decided on
+        the slices X = A/e, sum_{i+j=d} A_i A_j^T = e^2 I in degree 0 and 0
+        above, upper triangle only (``_is_scalar_gram``); over Laurent bases
+        by the product."""
         if self.nrows != self.ncols:
             return False
-        return (self * self.conj_transpose()).is_identity()
+        layout = _layout(self.spec)
+        if layout is None:
+            return (self * self.conj_transpose()).is_identity()
+        slices, den = self._slice_form()
+        return _is_scalar_gram(slices, den * den, layout[1])
 
     def map_entries(self, fn) -> "InvMatrix":
         """Apply ``fn`` to each entry as a RingElem; result ring may differ."""
@@ -554,6 +570,52 @@ def _slice_products(xs: Sequence[Any], ys: Sequence[Any], k: int, p: int | None 
         right = [*ys[d], *right]
         prods.append(matmul_int(left, right, p))
     return prods
+
+
+def _is_scalar_gram(slices: Sequence[Any], s: int, p: int | None) -> bool:
+    """Whether sum_{i+j=d} A_i A_j^T is s*I in degree 0 and 0 in every
+    degree above, for integer slices A_d (mod p if p is given): X X^T = I
+    for X = A/e and s = e^2.  Entry (r, c) of degree d is row r of
+    [A_0 .. A_d] times row c of [A_d .. A_0]; each sum is symmetric, so only
+    its upper triangle is compared, with an early exit."""
+    left = right = [[]] * len(slices[0])
+    for d, a in enumerate(slices):
+        left, right = [u + v for u, v in zip(left, a)], [v + u for u, v in zip(right, a)]
+        for r, row in enumerate(left):
+            for c in range(r, len(left)):
+                v = sum(map(mul, row, right[c])) - (s if d == 0 and r == c else 0)
+                if v % p if p else v:
+                    return False
+    return True
+
+
+def _intertwines(x: InvMatrix, a: InvMatrix, b: InvMatrix) -> bool:
+    """Whether x a = b x, for square matrices of one size over one ring: on
+    the slices (``_intertwine_slices``), over Laurent bases by the products."""
+    layout = _layout(x.spec)
+    if layout is None:
+        return x * a == b * x
+    return _intertwine_slices(x._slice_form()[0], *a._slice_form(), *b._slice_form(), layout[1])
+
+
+def _intertwine_slices(xs: Sequence[Any], as_: Sequence[Any], da: int, bs: Sequence[Any], db: int,
+                       p: int | None) -> bool:
+    """Whether x a = b x for x = X/e, a = A/da, b = B/db given by integer
+    slices (mod p if p is given): e cancels, and the sides are
+    cross-multiplied, db (X A)_d = da (B X)_d in each degree d, compared
+    entry by entry with an early exit."""
+    xl = bl = [[]] * len(xs[0])
+    ac = xc = [()] * len(xs[0])
+    for xd, ad, bd in zip(xs, as_, bs):
+        # rows of [X_0 .. X_d] and [B_0 .. B_d], columns of [A_d; ..; A_0] and [X_d; ..; X_0]
+        xl, bl = [u + v for u, v in zip(xl, xd)], [u + v for u, v in zip(bl, bd)]
+        ac, xc = [v + u for u, v in zip(ac, zip(*ad))], [v + u for u, v in zip(xc, zip(*xd))]
+        for xr, br in zip(xl, bl):
+            for acol, xcol in zip(ac, xc):
+                v = db * sum(map(mul, xr, acol)) - da * sum(map(mul, br, xcol))
+                if v % p if p else v:
+                    return False
+    return True
 
 
 def inv_sqrt_one_plus(g: InvMatrix) -> InvMatrix:

@@ -29,7 +29,7 @@ from wittkit.lifting import (
     _random_involution,
     _random_nilpotent_perturbation,
 )
-from wittkit.matrices import InvMatrix
+from wittkit.matrices import InvMatrix, _canonical
 from wittkit.rings import RingElem, RingSpec, nil_generator
 
 Q = RingSpec.rationals()
@@ -155,6 +155,72 @@ def test_conjugating_unitary_checks_the_congruence_to_I(monkeypatch):
     monkeypatch.setattr(lifting, "inv_sqrt_one_plus", lambda g: -real(g))
     with pytest.raises(IdentityViolated, match="congruent to I"):
         conjugating_unitary(ja, jc)
+
+
+def _round_trip_inputs(base, k, n, seed):
+    """An involution and a lift of it, and a lift of I, over B[x]/(x^k)."""
+    rng, spec = random.Random(seed), RingSpec.trunc_nil(base, k)
+    jb = _random_involution(base, n, rng)
+    ident = InvMatrix.identity(base, n)
+    return jb, _random_nilpotent_perturbation(jb.j, spec, rng), ident, _random_nilpotent_perturbation(ident, spec, rng)
+
+
+@pytest.mark.parametrize("target", ["lift_unitary", "conjugating_unitary"])
+@pytest.mark.parametrize("base", [Q, F5], ids=str)
+def test_a_corrupted_polar_correction_is_first_caught_by_the_unitarity_check(base, target, monkeypatch):
+    # the product by (I + g)^(-1/2) gets one wrong integer in its top
+    # degree: its reduction mod x and the square root's own check stand, so
+    # the unitarity check on the slices is the first to refuse it
+    jb, r, ident, beta = _round_trip_inputs(base, 3, 3, 31)
+    ja = lift_involution(jb, r)
+    nu = lift_unitary(ident, beta)
+    jc = SelfAdjInvolution(nu * ja.j * nu.conj_transpose())
+    roots, corrupted, verdicts = [], [], []
+    real_root, real_mul, real_unitary = lifting.inv_sqrt_one_plus, InvMatrix.__mul__, InvMatrix.is_unitary
+
+    def corrupt(x, y):
+        out = real_mul(x, y)
+        if any(y is u for u in roots):
+            slices, den = out._slice_form()
+            grids = [[list(row) for row in s] for s in slices]
+            grids[-1][0][0] += 1
+            out = _canonical(out.spec, grids, den, out.nrows, out.ncols)
+            corrupted.append(out)
+        return out
+
+    monkeypatch.setattr(lifting, "inv_sqrt_one_plus", lambda g: roots.append(real_root(g)) or roots[-1])
+    monkeypatch.setattr(InvMatrix, "__mul__", corrupt)
+    monkeypatch.setattr(InvMatrix, "is_unitary", lambda m: verdicts.append(real_unitary(m)) or verdicts[-1])
+    with pytest.raises(IdentityViolated, match="polar correction" if target == "lift_unitary" else "conjugator"):
+        lift_unitary(ident, beta) if target == "lift_unitary" else conjugating_unitary(ja, jc)
+    (bad,) = corrupted
+    assert verdicts[-1] is False and verdicts.count(False) == 1
+    assert reduce_mod_I(bad).is_identity()  # alpha = I, and the conjugator is I mod x
+    assert not real_mul(bad, bad.conj_transpose()).is_identity()
+
+
+def test_a_lift_round_trip_takes_nine_products(monkeypatch):
+    # J^2 = I, U U* = I and the intertwining are checked on the slices, so
+    # the products left are the constructions: S*S and S*U in
+    # lift_involution, beta* beta and beta*U in lift_unitary, the conjugated
+    # lift nu*J*nu*, and J2*J1, delta*delta* and delta*U in
+    # conjugating_unitary
+    counts, real_mul = [], InvMatrix.__mul__
+    monkeypatch.setattr(InvMatrix, "__mul__", lambda x, y: counts.append(1) or real_mul(x, y))
+
+    def counted(fn, *args):
+        counts.clear()
+        out = fn(*args)
+        return out, len(counts)
+
+    for base in (Q, F5, F7):
+        for k in (2, 4):
+            jb, r, ident, beta = _round_trip_inputs(base, k, 4, k)
+            ja, involution = counted(lift_involution, jb, r)
+            nu, unitary = counted(lift_unitary, ident, beta)
+            jc, conjugated = counted(lambda: SelfAdjInvolution(nu * ja.j * nu.conj_transpose()))
+            _, conjugator = counted(conjugating_unitary, ja, jc)
+            assert (involution, unitary, conjugated, conjugator) == (2, 2, 2, 3), (base, k)
 
 
 def test_associated_projection():

@@ -11,13 +11,16 @@ import pytest
 
 import matrices_reference as ref
 from wittkit import matrices
-from wittkit.errors import IdentityViolated, NonUnit, SpecMismatch
-from wittkit.lifting import reduce_mod_I
+from wittkit.errors import IdentityViolated, IllFormed, NonUnit, SpecMismatch
+from wittkit.lifting import SelfAdjInvolution, reduce_mod_I
 from wittkit.matrices import (
     InvMatrix,
     _canonical,
     _charpoly,
+    _intertwine_slices,
+    _intertwines,
     _inv_sqrt_series,
+    _is_scalar_gram,
     _matmul,
     inv_sqrt_one_plus,
 )
@@ -441,3 +444,108 @@ def test_slice_check_of_the_square_root_agrees_with_the_full_identity(base, monk
                 assert held == (full and congruent), (k, n, u, g)
                 outcomes.add(held)
     assert outcomes == {True, False}
+
+
+# -- the lifting identities on slices against the products -------------------------
+
+
+def _random_orthogonal(spec, n, rng):
+    """A signed permutation times the Cayley transform (I + K)(I - K)^(-1) of
+    a skew K with entries in every degree: X X^T = I, with denominators over
+    Q and Z[1/2].  Over Z[1/2] or F_p, I - K_0 may be singular; K_0 = 0
+    after 20 draws makes I - K unipotent."""
+    k = spec.k or 1
+    ident = InvMatrix.identity(spec, n)
+    perm = rng.sample(range(n), n)
+    signed = [[rng.choice((1, -1)) * (perm[r] == c) for c in range(n)] for r in range(n)]
+    for tries in range(21):
+        grids = [[[0] * n for _ in range(n)] for _ in range(k)]
+        for d, grid in enumerate(grids):
+            for r in range(n):
+                for c in range(r + 1, n):
+                    grid[r][c] = rng.randrange(-2, 3) if d or tries < 20 else 0
+                    grid[c][r] = -grid[r][c]
+        skew = _canonical(spec, grids, 1, n, n)
+        _, inv = (ident - skew).det_and_inverse()
+        if inv is not None:
+            zeros = [[[0] * n for _ in range(n)] for _ in range(k - 1)]
+            return _canonical(spec, [signed, *zeros], 1, n, n) * (ident + skew) * inv
+    raise AssertionError("I - K stayed singular with K_0 = 0")
+
+
+def _moved(m, rng, mirror=False):
+    """m with one numerator moved by +-1, once in each degree above, on and
+    below the diagonal; with ``mirror`` its mirror entry moves too."""
+    slices, den = m._slice_form()
+    n, out = m.nrows, []
+    for d in range(len(slices)):
+        for side in (1, 0, -1):  # above, on and below the diagonal
+            spots = [(r, c) for r in range(n) for c in range(n) if (c > r) - (c < r) == side]
+            if not spots:
+                continue
+            (r, c), step = rng.choice(spots), rng.choice((1, -1))
+            grids = [[list(row) for row in s] for s in slices]
+            grids[d][r][c] += step
+            if mirror and r != c:
+                grids[d][c][r] += step
+            out.append(_canonical(m.spec, grids, den, n, n))
+    return out
+
+
+def _tripled(m):
+    """The slices of m times 3, and its denominator times 3: 3A over 3e."""
+    slices, den = m._slice_form()
+    return [[[3 * v for v in row] for row in s] for s in slices], 3 * den
+
+
+@pytest.mark.parametrize("base", (Q, F5, F7, DY), ids=str)
+def test_slice_checks_agree_with_the_products(base):
+    # is_unitary (X X* = I), the J^2 = I check of SelfAdjInvolution and the
+    # intertwining check of conjugating_unitary (x a = b x) run on the
+    # slices; each must agree with the products on true cases, on one entry
+    # moved in each degree above, on and below the diagonal, on a J with
+    # J^2 = I that is not symmetric, and on 3A over 3e
+    rng = random.Random(str(base))
+    p, seen = base.p, {"unitary": set(), "involution": set(), "intertwines": set()}
+    for spec in (base, *(RingSpec.trunc_nil(base, k) for k in range(1, 6))):
+        for n in range(1, 6):
+            x, other = _random_orthogonal(spec, n, rng), _random_orthogonal(spec, n, rng)
+            signs = InvMatrix.diagonal(spec, [rng.choice((1, -1)) for _ in range(n)])
+            j1 = x * signs * x.conj_transpose()
+            j2 = other * j1 * other.conj_transpose()
+            upper = [[rng.randrange(-2, 3) * (c > r) + (c == r) for c in range(n)] for r in range(n)]
+            noise = [[[rng.randrange(-2, 3) for _ in range(n)] for _ in range(n)] for _ in range((spec.k or 1) - 1)]
+            shear = _canonical(spec, [upper, *noise], 1, n, n)  # unipotent mod x, so invertible
+            skewed = shear * signs * shear.inverse()  # squares to I, rarely symmetric
+            assert (skewed * skewed).is_identity()
+            for u in (x, j1, skewed, *_moved(x, rng), *_moved(j1, rng)):
+                held = u.is_unitary()
+                assert held == (u * u.conj_transpose()).is_identity(), (spec, u)
+                seen["unitary"].add(held)
+            for u in (x, x.scale(3), *_moved(x, rng)):
+                slices, e = _tripled(u)
+                assert _is_scalar_gram(slices, e * e, p) == u.is_unitary()
+            for j in (j1, j2, skewed, *_moved(j1, rng), *_moved(j1, rng, mirror=True)):
+                try:
+                    SelfAdjInvolution(j)
+                    held = True
+                except IllFormed:
+                    held = False
+                assert held == (j == j.conj_transpose() and (j * j).is_identity()), (spec, j)
+                seen["involution"].add(held)
+            skewed2 = other * skewed * other.conj_transpose()
+            cases = [(other, j1, j2), (other, skewed, skewed2), (other, j2, j1)]
+            cases += [(m, j1, j2) for m in _moved(other, rng)]
+            cases += [(other, a, j2) for a in _moved(j1, rng)] + [(other, j1, b) for b in _moved(j2, rng)]
+            for m, a, b in cases:
+                held = _intertwines(m, a, b)
+                assert held == (m * a == b * m), (spec, m, a, b)
+                seen["intertwines"].add(held)
+                # the same check of a given as 3A over 3da, of b as 3B over 3db
+                xs = m._slice_form()[0]
+                assert _intertwine_slices(xs, *_tripled(a), *b._slice_form(), p) == held
+                assert _intertwine_slices(xs, *a._slice_form(), *_tripled(b), p) == held
+            # scaling by a constant multiplies every slice by one integer
+            c = RingElem.from_fraction(spec, Fraction(rng.choice((-3, 2, 5)), rng.choice((1, 2))))
+            assert x.scale(c) == InvMatrix.diagonal(spec, [c] * n) * x
+    assert seen == {"unitary": {True, False}, "involution": {True, False}, "intertwines": {True, False}}

@@ -156,6 +156,26 @@ def test_congruence_steps_build_no_fraction():
     assert found == []
 
 
+def test_slice_checks_of_the_lifting_identities_take_no_product():
+    # X X* = I and x a = b x are decided on the integer slices; a Fraction
+    # built, a denominator read, or an InvMatrix reached (and with it a
+    # product, a transpose object or a gcd pass) would bring back the cost
+    # these checks replaced
+    body = ast.parse((SRC / "matrices.py").read_text()).body
+    checks = [n for n in body if isinstance(n, ast.FunctionDef) and n.name in ("_is_scalar_gram", "_intertwine_slices")]
+    assert len(checks) == 2
+    names = ("Fraction", "InvMatrix", "_slice_products", "matmul_int", "_canonical", "_reduced", "gcd")
+    found = [
+        f"{fn.name}:{node.lineno}"
+        for fn in checks
+        for node in ast.walk(fn)
+        if (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.Attribute) and node.attr in ("denominator", "_slice_form", "cells"))
+        or (isinstance(node, ast.arg) and "InvMatrix" in ast.unparse(node.annotation))
+    ]
+    assert found == []
+
+
 def test_every_unbounded_search_names_the_budget():
     # a vector search whose bound is not a literal counts its vectors
     # against _SEARCH_BUDGET, so no input runs it without bound
