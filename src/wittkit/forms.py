@@ -13,8 +13,8 @@ Hermite form (``_with_complement``).  A form is immutable, and its checked
 diagonalization is computed once and kept on it as long as it lives:
 ``diagonalize``, ``invariants.witt_class`` and ``witt_decompose`` share it,
 or share its refusal.  The certificates P* G P = D and basis* G basis =
-H^h + A are checked on one triangle of the integer grids, G times the basis
-taken once and the denominators cross-multiplied (``_congruent_to``).  Over
+H^h + A are decided by the congruence test of ``matrices``
+(``_congruent_to``), with the integer grids as one slice and X = P^T.  Over
 a prime field a witness comes from a square root mod p, with no search, so
 a negative answer is a proof.  Over Q and Z[1/2] a definite diagonal, and
 <a, b> with -ab not a square, are anisotropic; otherwise a witness has the
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from math import gcd, isqrt, lcm
-from operator import eq, mul
+from operator import mul
 
 from .errors import (
     BudgetExceeded,
@@ -48,7 +48,7 @@ from .intlinalg import (
     matmul_int,
     square_part,
 )
-from .matrices import InvMatrix, _cook, _reduced
+from .matrices import InvMatrix, _congruent_to, _cook, _reduced
 from .rings import (
     DYADIC,
     PRIME_FIELD,
@@ -102,11 +102,7 @@ class GramForm(_Record):
         _check_int("epsilon", epsilon, (1, -1))
         if gram.nrows != gram.ncols:
             raise IllFormed("Gram matrix must be square")
-        if gram.spec.kind in _SEARCH_RINGS:
-            symmetric = _is_symmetric(gram.spec.p, epsilon, gram._slice_form()[0][0])
-        else:
-            symmetric = gram.conj_transpose() == (gram if epsilon == 1 else -gram)
-        if not symmetric:
+        if not gram._is_eps_adjoint(epsilon):
             raise IllFormed("Gram matrix is not epsilon-symmetric")
         if not gram.det().is_unit():
             raise DegenerateForm("Gram determinant is not a unit")
@@ -372,32 +368,6 @@ class _Congruence:
             self._reduce()
 
 
-def _is_symmetric(mod: int | None, eps: int, g: Sequence[Sequence[int]]) -> bool:
-    """Whether the grid g (residues over F_p, ``mod``) is eps-symmetric."""
-    rows = map(tuple, g) if eps == 1 else (tuple([-x % mod if mod else -x for x in r]) for r in g)
-    return all(map(eq, zip(*g), rows))
-
-
-def _congruent_to(mod: int | None, eps: int, g: list[list[int]], den: int,
-                  b: list[list[int]], db: int, t: list[list[int]], dt: int) -> bool:
-    """Whether b* (g / den) b = t / dt, for integer grids (residues over
-    F_p, ``mod``) with g eps-symmetric, as ``GramForm`` checks: t must be
-    eps-symmetric, and then only its upper triangle is compared, as b* g b
-    is eps-symmetric.  G b is taken once; over Q and Z[1/2] the sides are
-    cross-multiplied, dt b* G b = den db^2 t, with no gcd pass."""
-    if not _is_symmetric(mod, eps, t):
-        return False
-    cols, s = list(zip(*matmul_int(g, b, mod))), den * db * db
-    if mod:
-        s = s * pow(dt, -1, mod) % mod
-    for i, (bi, ti) in enumerate(zip(zip(*b), t)):
-        for j in range(i, len(t)):
-            v = sum(map(mul, bi, cols[j]))  # entry (i, j) of b* g b
-            if (v - s * ti[j]) % mod if mod else dt * v != s * ti[j]:
-                return False
-    return True
-
-
 def _corner(mod: int | None, grid: list[list[int]], den: int, lo: int, hi: int | None = None):
     """The block lo..hi of a canonical grid over den, in canonical form: over
     F_p (``mod``) as it is, over Q and Z[1/2] by a gcd pass."""
@@ -570,7 +540,7 @@ def diagonalize(f: GramForm) -> tuple[InvMatrix, GramForm]:
         return f._diag
     (grid,), den = f.gram._slice_form()
     ws = _diagonal(spec, grid, den)
-    if not _congruent_to(spec.p, 1, grid, den, ws.p, ws.dp, ws.a, ws.da):
+    if not _congruent_to(spec.p, 1, [list(map(list, zip(*ws.p)))], ws.dp, [ws.a], ws.da, [grid], den):
         raise IdentityViolated("diagonalization certificate P*.G.P = D failed")
     n = f.dim
     p = InvMatrix._from_slices(spec, [ws.p], ws.dp, n, n)
@@ -842,7 +812,7 @@ def witt_decompose(
 
     # a is the planes, each checked as it was split off (later steps only
     # move them to a new denominator), and the remainder
-    if not _congruent_to(mod, eps, grid, den, ws.p, ws.dp, ws.a, ws.da):
+    if not _congruent_to(mod, eps, [list(map(list, zip(*ws.p)))], ws.dp, [ws.a], ws.da, [grid], den):
         raise IdentityViolated("Witt decomposition certificate failed to re-multiply")
     aniso, drem = _corner(mod, ws.a, ws.da, off)
     aniso_matrix = InvMatrix._from_slices(spec, [aniso], drem, n - off, n - off)

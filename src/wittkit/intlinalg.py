@@ -34,7 +34,10 @@ def identity_int(n: int) -> IntMatrix:
 def matmul_int(a: IntMatrix, b: IntMatrix, p: int | None = None) -> IntMatrix:
     """Integer matrix product, each entry taken mod p when p is given; the
     products of ``InvMatrix`` slices and the congruence steps of ``forms``
-    reduce to it."""
+    reduce to it.  A matrix with no rows carries no column count, so a
+    product with an inner dimension of 0 has rows of length 0, not the
+    zero matrix of the right width; ``InvMatrix`` products guard that case
+    before they get here."""
     if not a or not b:
         return [[] for _ in a]
     bt = list(zip(*b))
@@ -297,7 +300,9 @@ def solve_int(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     none.  Each column y of b goes down the rows (a*x, x) with a*x != 0 of
     the graph form of a's columns, in echelon order, less the multiple of
     each row that clears its leading column.  What is left is (r, -x) with
-    a*x = y - r: x solves when r = 0, and nothing does otherwise."""
+    a*x = y - r: x solves when r = 0, and nothing does otherwise.  For an
+    a with no columns the answer has no rows, and so carries no column
+    count: it is [], not an n = 0 by k matrix."""
     m = len(a)
     if len(b) != m:
         raise ValueError("dimension mismatch in solve_int")

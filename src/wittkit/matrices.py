@@ -13,14 +13,17 @@ Python ints over F_p, Q and Z[1/2] enter ``from_rows`` as slice 0 over 1
 (``_slice_products`` plus one gcd pass, ``_reduced``; over F_p one
 ``% p`` per entry inside the product), sums, scalings (by a constant, one
 integer times every slice), transposes, block sums and the (I + g)^(-1/2)
-series of the lifting layer work on the slices, and so do the congruence
-grids of ``forms``.  These rings carry the trivial involution, and the
-lifting layer's identities are checked on the slices with no product
-matrix: X X* = I (``is_unitary``, ``_is_scalar_gram``) on one triangle
-per degree, and x a = b x (``_intertwines``) cross-multiplied by the
-denominators, each with an early exit.  Over ``laurent2`` and
-``truncnil(laurent2)`` matrices stay payload grids and call the ring's
-bound ops (``RingSpec.ops``) entry by entry, products included (``_matmul``).
+series of the lifting layer work on the slices.  These rings carry the
+trivial involution, and one congruence test, X (G/dg) X* = T/dt with G
+left out for I (``_congruent_to``), decides the certificates of ``forms``
+and of the lifting layer on the slices with no product matrix: after one
+eps-symmetry test of T (``_is_symmetric``) it compares one triangle per
+degree, cross-multiplied by the denominators, up to the first mismatch.
+``forms`` passes its grids as one slice; X X* = I (``is_unitary``) and
+X J1 X* = J2 (``_is_congruence``) reach it from ``InvMatrix``.  Over
+``laurent2`` and ``truncnil(laurent2)`` matrices stay payload grids and
+call the ring's bound ops (``RingSpec.ops``) entry by entry, products
+included (``_matmul``), and these tests take the products.
 
 Inverses exist exactly when the determinant is a unit.  Over F_p, Q and
 Z[1/2] the determinant is int_det(slice 0) / den^n (fraction-free Bareiss);
@@ -34,11 +37,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 from math import comb, gcd, lcm
-from operator import mul
+from operator import eq, mul
 
 from .errors import IdentityViolated, IllFormed, NonUnit, NotNilpotent, SpecMismatch
-from .intlinalg import int_det, matmul_int
+from .intlinalg import identity_int, int_det, matmul_int
 from .rings import (
     DYADIC,
     LAURENT2,
@@ -391,20 +395,33 @@ class InvMatrix(_Frozen):
                 and not any(any(row) for s in rest for row in s))
 
     def is_self_adjoint(self) -> bool:
-        return self.nrows == self.ncols and self.conj_transpose() == self
+        return self._is_eps_adjoint(1)
 
-    def is_unitary(self) -> bool:
-        """Whether X X* = I.  Where the involution is trivial it is decided on
-        the slices X = A/e, sum_{i+j=d} A_i A_j^T = e^2 I in degree 0 and 0
-        above, upper triangle only (``_is_scalar_gram``); over Laurent bases
-        by the product."""
+    def _is_eps_adjoint(self, eps: int) -> bool:
+        """Whether X* = eps X: on the slices (``_is_symmetric``) where the
+        involution is trivial, over Laurent bases by the conjugate transpose."""
         if self.nrows != self.ncols:
             return False
         layout = _layout(self.spec)
         if layout is None:
-            return (self * self.conj_transpose()).is_identity()
-        slices, den = self._slice_form()
-        return _is_scalar_gram(slices, den * den, layout[1])
+            return self.conj_transpose() == (self if eps == 1 else -self)
+        return _is_symmetric(layout[1], eps, self._slice_form()[0])
+
+    def is_unitary(self) -> bool:
+        """Whether X X* = I, the congruence of I (``_is_congruence``)."""
+        return self.nrows == self.ncols and self._is_congruence()
+
+    def _is_congruence(self, t: "InvMatrix | None" = None, g: "InvMatrix | None" = None) -> bool:
+        """Whether X G X* = T for X = self and a self-adjoint G, a left-out G
+        or T being I: by ``_congruent_to`` on the slices where the involution
+        is trivial, over Laurent bases by the product."""
+        layout = _layout(self.spec)
+        if layout is None:
+            prod = (self if g is None else self * g) * self.conj_transpose()
+            return prod.is_identity() if t is None else prod == t
+        ts, dt = (None, 1) if t is None else t._slice_form()
+        gs, dg = (None, 1) if g is None else g._slice_form()
+        return _congruent_to(layout[1], 1, *self._slice_form(), ts, dt, gs, dg)
 
     def map_entries(self, fn) -> "InvMatrix":
         """Apply ``fn`` to each entry as a RingElem; result ring may differ."""
@@ -572,47 +589,47 @@ def _slice_products(xs: Sequence[Any], ys: Sequence[Any], k: int, p: int | None 
     return prods
 
 
-def _is_scalar_gram(slices: Sequence[Any], s: int, p: int | None) -> bool:
-    """Whether sum_{i+j=d} A_i A_j^T is s*I in degree 0 and 0 in every
-    degree above, for integer slices A_d (mod p if p is given): X X^T = I
-    for X = A/e and s = e^2.  Entry (r, c) of degree d is row r of
-    [A_0 .. A_d] times row c of [A_d .. A_0]; each sum is symmetric, so only
-    its upper triangle is compared, with an early exit."""
-    left = right = [[]] * len(slices[0])
-    for d, a in enumerate(slices):
-        left, right = [u + v for u, v in zip(left, a)], [v + u for u, v in zip(right, a)]
-        for r, row in enumerate(left):
-            for c in range(r, len(left)):
-                v = sum(map(mul, row, right[c])) - (s if d == 0 and r == c else 0)
-                if v % p if p else v:
-                    return False
+def _is_symmetric(p: int | None, eps: int, slices: Sequence[Any]) -> bool:
+    """Whether every square integer slice (residues mod p if p is given) is
+    eps-symmetric, each row compared with its column."""
+    for s in slices:
+        rows = map(tuple, s) if eps == 1 else (tuple([-v % p if p else -v for v in r]) for r in s)
+        if not all(map(eq, zip(*s), rows)):
+            return False
     return True
 
 
-def _intertwines(x: InvMatrix, a: InvMatrix, b: InvMatrix) -> bool:
-    """Whether x a = b x, for square matrices of one size over one ring: on
-    the slices (``_intertwine_slices``), over Laurent bases by the products."""
-    layout = _layout(x.spec)
-    if layout is None:
-        return x * a == b * x
-    return _intertwine_slices(x._slice_form()[0], *a._slice_form(), *b._slice_form(), layout[1])
-
-
-def _intertwine_slices(xs: Sequence[Any], as_: Sequence[Any], da: int, bs: Sequence[Any], db: int,
-                       p: int | None) -> bool:
-    """Whether x a = b x for x = X/e, a = A/da, b = B/db given by integer
-    slices (mod p if p is given): e cancels, and the sides are
-    cross-multiplied, db (X A)_d = da (B X)_d in each degree d, compared
-    entry by entry with an early exit."""
-    xl = bl = [[]] * len(xs[0])
-    ac = xc = [()] * len(xs[0])
-    for xd, ad, bd in zip(xs, as_, bs):
-        # rows of [X_0 .. X_d] and [B_0 .. B_d], columns of [A_d; ..; A_0] and [X_d; ..; X_0]
-        xl, bl = [u + v for u, v in zip(xl, xd)], [u + v for u, v in zip(bl, bd)]
-        ac, xc = [v + u for u, v in zip(ac, zip(*ad))], [v + u for u, v in zip(xc, zip(*xd))]
-        for xr, br in zip(xl, bl):
-            for acol, xcol in zip(ac, xc):
-                v = db * sum(map(mul, xr, acol)) - da * sum(map(mul, br, xcol))
+def _congruent_to(p: int | None, eps: int, xs: Sequence[Any], dx: int, ts: Sequence[Any] | None = None,
+                  dt: int = 1, gs: Sequence[Any] | None = None, dg: int = 1) -> bool:
+    """Whether X (G/dg) X* = T/dt for X = xs/dx with X* = X^T, given k integer
+    slices xs, ts and gs (residues mod p if p is given), G eps-symmetric; a
+    left-out G or T is I.  T must be eps-symmetric (I is), and then only the
+    upper triangle is compared: entry (r, c) of degree d of Y X^T, Y = X G
+    taken once, is row r of [Y_0 .. Y_d] times row c of [X_d .. X_0].  The
+    sides are cross-multiplied, dt Y X^T = s T for s = dg dx^2, each entry of
+    T times s as it is compared, up to the first mismatch.  Over F_p s takes
+    in dt^(-1); elsewhere dt is divided out of s where it divides, as it does
+    for a true congruence with T/dt in lowest terms, and else scales Y once."""
+    m, k, s = len(xs[0]), len(xs), dg * dx * dx
+    if dt != 1:
+        if p:
+            s, dt = s * pow(dt, -1, p) % p, 1
+        elif s % dt == 0:
+            s, dt = s // dt, 1
+    if ts is None:
+        ts = [identity_int(m), *[[[0] * m] * m] * (k - 1)]
+    elif not _is_symmetric(p, eps, ts):
+        return False
+    ys = xs if gs is None else _slice_products(xs, gs, k, p)
+    if dt != 1:
+        ys = [[[dt * v for v in row] for row in y] for y in ys]
+    lefts = accumulate(ys, lambda acc, y: [u + v for u, v in zip(acc, y)])
+    rights = accumulate(xs, lambda acc, x: [v + u for u, v in zip(acc, x)])
+    for left, right, t in zip(lefts, rights, ts):
+        for r, row in enumerate(left):
+            target = t[r]
+            for c in range(r, m):
+                v = sum(map(mul, row, right[c])) - s * target[c]
                 if v % p if p else v:
                     return False
     return True

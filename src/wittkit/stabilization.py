@@ -422,16 +422,11 @@ def shift(seq: GroupSeq, k: int) -> GroupSeq:
     return GroupSeq(seq.prefix[k:], seq.period_map)
 
 
-def shift_invariance_check(seq: GroupSeq, k: int, against: GroupSeq | None = None) -> bool:
-    """Whether the colimit is unchanged k steps along.
-
-    ``against`` substitutes the shifted sequence in the comparison; tests
-    use it to confirm the check really compares colimits rather than
-    always answering true.
-    """
+def shift_invariance_check(seq: GroupSeq, k: int) -> bool:
+    """Whether the colimit is unchanged k steps along."""
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise IllFormed(f"shift count must be a positive integer, got {k!r}")
-    return colimit(seq) == colimit(against if against is not None else shift(seq, k))
+    return colimit(seq) == colimit(shift(seq, k))
 
 
 # ---------------------------------------------------------------------------

@@ -304,23 +304,17 @@ def test_identity_check_survives_python_O():
     # lift, when asserts are compiled away
     script = textwrap.dedent("""
         import sys
-        from wittkit import cli, forms, matrices
+        from wittkit import cli, matrices
 
         assert False, "asserts must be stripped under -O"
         # "matrices._slice_products:k" corrupts only the products with k slices
         where, _, only_k = sys.argv[1].partition(":")
-        module, target = where.split(".")
-        module = {"forms": forms, "matrices": matrices}[module]
-        real = getattr(module, target)
+        _, target = where.split(".")
+        real = getattr(matrices, target)
 
         def corrupt_matmul(spec, x, y):
             out = real(spec, x, y)
             out[0][0] = spec.ops.add(out[0][0], spec.one)
-            return out
-
-        def corrupt_int(a, b, *modulus):
-            out = real(a, b, *modulus)
-            out[0][0] += 1
             return out
 
         def corrupt_slices(xs, ys, k, *modulus):
@@ -331,15 +325,15 @@ def test_identity_check_survives_python_O():
                 prods[-1][0][0] += 1
             return prods
 
-        corrupt = {"_matmul": corrupt_matmul, "matmul_int": corrupt_int}.get(target, corrupt_slices)
-        setattr(module, target, corrupt)
+        setattr(matrices, target, corrupt_matmul if target == "_matmul" else corrupt_slices)
         sys.exit(cli.main(sys.argv[2:]))
     """)
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     cases = [
-        # G P of the diagonalization certificate: a diagonal Gram takes no other matmul_int
-        ("forms.matmul_int", ["witt", "class", "--ring", "q", "--diag", "1,2"], "certificate"),
+        # P^T G of the diagonalization certificate, taken by the congruence kernel:
+        # a diagonal Gram takes no other product of one slice
+        ("matrices._slice_products:1", ["witt", "class", "--ring", "q", "--diag", "1,2"], "certificate"),
         ("matrices._matmul", ["bott", "verify"], "idempotent"),
         # at k = 4 the series makes h^2 and the check a^2 and b*h, 2 slices each
         ("matrices._slice_products:2", ["lift", "demo", "--base", "q", "--k", "4", "--n", "2", "--trials", "1"],

@@ -449,12 +449,12 @@ def _check_decomposition(f: GramForm, dec: WittDecomposition) -> None:
 @pytest.mark.parametrize("tag", ["fp:5", "fp:7", "q", "dyadic"])
 def test_congruence_check_agrees_with_the_product_of_matrices(tag):
     # forms._congruent_to decides B* (G/den) B = T/dT on one triangle of
-    # integers; the oracle multiplies the InvMatrix products out.  T is the
-    # true product, then with one entry changed above, on or below the
-    # diagonal, changed at a pair (i, j), (j, i) so that it stays
-    # eps-symmetric, with its lower triangle flipped in sign (not
-    # symmetric, the upper triangle as it was) and as 3T over 3dT (over
-    # F_p too); last, one entry of B is changed
+    # integers, called as forms calls it, with X = B^T; the oracle
+    # multiplies the InvMatrix products out.  T is the true product, then
+    # with one entry changed above, on or below the diagonal, changed at a
+    # pair (i, j), (j, i) so that it stays eps-symmetric, with its lower
+    # triangle flipped in sign (not symmetric, the upper triangle as it was)
+    # and as 3T over 3dT (over F_p too); last, one entry of B is changed
     spec = RingSpec.from_tag(tag)
     rng = random.Random(tag)
     p = spec.p
@@ -493,7 +493,8 @@ def test_congruence_check_agrees_with_the_product_of_matrices(tag):
                     bmat = InvMatrix._from_slices(spec, [bb], dbb, n, n)
                     tmat = _canonical(spec, [tt], dtt, n, n)
                     oracle = bmat.conj_transpose() * gm * bmat == tmat
-                    assert forms._congruent_to(p, eps, g, den, bb, dbb, tt, dtt) == oracle, (eps, g, bb, tt)
+                    xs = [list(map(list, zip(*bb)))]
+                    assert forms._congruent_to(p, eps, xs, dbb, [tt], dtt, [g], den) == oracle, (eps, g, bb, tt)
                     seen[oracle] += 1
     assert min(seen.values()) >= 40, seen
 
@@ -511,8 +512,8 @@ def test_a_wrong_basis_fails_each_certificate(monkeypatch, spec):
     skew = _sheared(hyperbolic(2, -1, spec), random.Random(6), 6)
     check = forms._congruent_to
 
-    def wrong_basis(mod, eps, g, den, b, *rest):
-        return check(mod, eps, g, den, bump(b), *rest)
+    def wrong_basis(mod, eps, xs, *rest):  # X = P^T, one slice
+        return check(mod, eps, [bump(xs[0])], *rest)
 
     with monkeypatch.context() as m:
         m.setattr(forms, "_congruent_to", wrong_basis)
@@ -616,9 +617,10 @@ def test_witt_decompose_diagonalizes_once(monkeypatch, spec):
 
 @pytest.mark.parametrize("spec", [F7, Q, DY], ids=str)
 def test_class_equivalence_and_decomposition_share_one_diagonalization(monkeypatch, spec):
-    # one full-size diagonalization per form, and one congruence check
-    # against its Gram grid for the diagonalization's certificate (f, g)
-    # plus the decomposition's own (f), wherever the class of f is asked again
+    # one full-size diagonalization per form, and one call of the congruence
+    # kernel (matrices._congruent_to, as forms holds it) with its Gram grid
+    # for the diagonalization's certificate (f, g) plus the decomposition's
+    # own (f), wherever the class of f is asked again
     block = [1, -3] if spec == F7 else [1, 1]
     f = _sheared(orth_sum(hyperbolic(4, 1, spec), GramForm.diagonal(spec, block)), random.Random(11), 10)
     g = _sheared(GramForm.diagonal(spec, [1, 2, -1]), random.Random(12), 3)
@@ -634,7 +636,7 @@ def test_class_equivalence_and_decomposition_share_one_diagonalization(monkeypat
 
     def counting_check(*args):
         for name, form in (("f", f), ("g", g)):
-            products[name] += args[2] is form.gram._slice_form()[0][0]
+            products[name] += args[6][0] is form.gram._slice_form()[0][0]  # G, one slice
         return congruent_to(*args)
 
     monkeypatch.setattr(forms, "_diagonal", spy(forms._diagonal, lambda args: args[1]))
@@ -951,8 +953,9 @@ def _by_transpose(gram: InvMatrix, eps: int) -> bool:
 
 @pytest.mark.parametrize("tag", ["fp:3", "fp:7", "q", "dyadic", "laurent2", "truncnil:q:2", "truncnil:fp:5:3"])
 def test_symmetry_check_agrees_with_the_conjugate_transpose(monkeypatch, tag):
-    # over fp, q and dyadic GramForm compares the numerators of slice 0 in
-    # place; every other ring compares the conjugate transpose
+    # over fp, q, dyadic and truncnil over them GramForm compares the
+    # numerators of every slice in place (matrices._is_symmetric); over
+    # laurent2 bases it compares the conjugate transpose
     spec = RingSpec.from_tag(tag)
     rng = random.Random(tag)
     kind = spec.base.kind if spec.kind == "truncnil" else spec.kind
@@ -1003,7 +1006,7 @@ def test_symmetry_check_agrees_with_the_conjugate_transpose(monkeypatch, tag):
                     accepted = _accepts(gram, eps)
                     in_place = len(stars) == before
                     assert accepted == _by_transpose(gram, eps), (g, eps)
-                    assert in_place == (spec.kind in ("fp", "q", "dyadic"))
+                    assert in_place == (kind != "laurent2")
                     seen[accepted] += 1
     assert min(seen.values()) >= 40, seen
 

@@ -17,10 +17,7 @@ from wittkit.matrices import (
     InvMatrix,
     _canonical,
     _charpoly,
-    _intertwine_slices,
-    _intertwines,
     _inv_sqrt_series,
-    _is_scalar_gram,
     _matmul,
     inv_sqrt_one_plus,
 )
@@ -473,9 +470,10 @@ def _random_orthogonal(spec, n, rng):
     raise AssertionError("I - K stayed singular with K_0 = 0")
 
 
-def _moved(m, rng, mirror=False):
+def _moved(m, rng, mirror=0):
     """m with one numerator moved by +-1, once in each degree above, on and
-    below the diagonal; with ``mirror`` its mirror entry moves too."""
+    below the diagonal; with ``mirror`` = +-1 its mirror entry moves too, by
+    ``mirror`` times as much, which keeps m symmetric or skew."""
     slices, den = m._slice_form()
     n, out = m.nrows, []
     for d in range(len(slices)):
@@ -487,27 +485,80 @@ def _moved(m, rng, mirror=False):
             grids = [[list(row) for row in s] for s in slices]
             grids[d][r][c] += step
             if mirror and r != c:
-                grids[d][c][r] += step
+                grids[d][c][r] += mirror * step
             out.append(_canonical(m.spec, grids, den, n, n))
     return out
 
 
-def _tripled(m):
-    """The slices of m times 3, and its denominator times 3: 3A over 3e."""
+def _tripled(m, p):
+    """The slices of m times 3 (residues mod p if p is given), and its
+    denominator times 3: 3A over 3e."""
     slices, den = m._slice_form()
-    return [[[3 * v for v in row] for row in s] for s in slices], 3 * den
+    return [[[3 * v % p if p else 3 * v for v in row] for row in s] for s in slices], 3 * den
+
+
+def _random_slices(spec, n, rng, dens, eps=0):
+    """A random n x n matrix over ``spec`` from small numerators in every
+    degree; eps-symmetric in every degree if eps is +-1."""
+    grids = [[[rng.randrange(-6, 7) for _ in range(n)] for _ in range(n)] for _ in range(spec.k or 1)]
+    for grid in grids if eps else ():
+        for r in range(n):
+            grid[r][r] *= eps == 1
+            for c in range(r):
+                grid[r][c] = eps * grid[c][r]
+    return _canonical(spec, grids, rng.choice(dens), n, n)
 
 
 @pytest.mark.parametrize("base", (Q, F5, F7, DY), ids=str)
 def test_slice_checks_agree_with_the_products(base):
-    # is_unitary (X X* = I), the J^2 = I check of SelfAdjInvolution and the
-    # intertwining check of conjugating_unitary (x a = b x) run on the
-    # slices; each must agree with the products on true cases, on one entry
-    # moved in each degree above, on and below the diagonal, on a J with
-    # J^2 = I that is not symmetric, and on 3A over 3e
+    # matrices._congruent_to decides X (G/dg) X* = T/dt on integer slices
+    # for the forms certificates and the lifting checks alike; each verdict
+    # must agree with the InvMatrix products.  First an eps-symmetric G
+    # (eps = +-1 at every k, n = 0 included) and T = X G X* itself, then
+    # with one numerator moved in each degree above, on and below the
+    # diagonal, moved at a mirrored pair (still eps-symmetric), with the
+    # lower triangle of one degree negated (not eps-symmetric, the upper
+    # triangle as it was), X with one numerator moved, and T, X and G each
+    # given as 3A over 3e.  Then the lifting identities: is_unitary
+    # (X X* = I), the J^2 = I check of SelfAdjInvolution and X J1 X* = J2
+    # of conjugating_unitary, on Cayley-transform orthogonals, their
+    # involutions, moved numerators, a J with J^2 = I that is not
+    # symmetric (as a target too), and 3A over 3e
     rng = random.Random(str(base))
-    p, seen = base.p, {"unitary": set(), "involution": set(), "intertwines": set()}
+    p = base.p
+    dens = (1,) if p else (1, 2, 4) if base == DY else (1, 2, 3, 6)
+    seen = {"congruent": set(), "unitary": set(), "involution": set(), "conjugate": set()}
+
+    def agrees(eps, x, t, g):
+        """The kernel's verdict on (slices, den) pairs, None for I, against the products."""
+        n = len(x[0][0])
+        xm, tm, gm = (None if a is None else _canonical(spec, *a, n, n) for a in (x, t, g))
+        prod = (xm if gm is None else xm * gm) * xm.conj_transpose()
+        held = matrices._congruent_to(p, eps, *x, *(t or (None, 1)), *(g or (None, 1)))
+        assert held == (prod.is_identity() if tm is None else prod == tm), (spec, eps, x, t, g)
+        seen["congruent"].add(held)
+        return held
+
     for spec in (base, *(RingSpec.trunc_nil(base, k) for k in range(1, 6))):
+        for eps in (1, -1):
+            for n in range(0, 9 if spec == base else 6):
+                for _ in range(3 if spec == base else 1):
+                    g, x = _random_slices(spec, n, rng, dens, eps), _random_slices(spec, n, rng, dens)
+                    t = x * g * x.conj_transpose()
+                    (*slices,), dt = t._slice_form()
+                    d = rng.randrange(len(slices))
+                    slices[d] = [[-v % p if p else -v for v in row[:r]] + row[r:] for r, row in enumerate(slices[d])]
+                    xgt = (x._slice_form(), g._slice_form(), t._slice_form())
+                    for u in (t, *_moved(t, rng), *_moved(t, rng, mirror=eps)):
+                        agrees(eps, xgt[0], u._slice_form(), xgt[1])
+                    agrees(eps, xgt[0], (slices, dt), xgt[1])
+                    for m in _moved(x, rng):
+                        agrees(eps, m._slice_form(), xgt[2], xgt[1])
+                    assert agrees(eps, xgt[0], _tripled(t, p), xgt[1])
+                    assert agrees(eps, _tripled(x, p), _tripled(t, p), _tripled(g, p))
+                    if eps == 1:  # G left out: X X* = T
+                        agrees(1, xgt[0], (x * x.conj_transpose())._slice_form(), None)
+        assert agrees(1, InvMatrix.identity(spec, 0)._slice_form(), None, None)
         for n in range(1, 6):
             x, other = _random_orthogonal(spec, n, rng), _random_orthogonal(spec, n, rng)
             signs = InvMatrix.diagonal(spec, [rng.choice((1, -1)) for _ in range(n)])
@@ -523,9 +574,8 @@ def test_slice_checks_agree_with_the_products(base):
                 assert held == (u * u.conj_transpose()).is_identity(), (spec, u)
                 seen["unitary"].add(held)
             for u in (x, x.scale(3), *_moved(x, rng)):
-                slices, e = _tripled(u)
-                assert _is_scalar_gram(slices, e * e, p) == u.is_unitary()
-            for j in (j1, j2, skewed, *_moved(j1, rng), *_moved(j1, rng, mirror=True)):
+                assert agrees(1, _tripled(u, p), None, None) == u.is_unitary()
+            for j in (j1, j2, skewed, *_moved(j1, rng), *_moved(j1, rng, mirror=1)):
                 try:
                     SelfAdjInvolution(j)
                     held = True
@@ -533,19 +583,18 @@ def test_slice_checks_agree_with_the_products(base):
                     held = False
                 assert held == (j == j.conj_transpose() and (j * j).is_identity()), (spec, j)
                 seen["involution"].add(held)
-            skewed2 = other * skewed * other.conj_transpose()
-            cases = [(other, j1, j2), (other, skewed, skewed2), (other, j2, j1)]
+            # G = J1 is symmetric, as conjugating_unitary's SelfAdjInvolution is
+            cases = [(other, j1, j2), (other, j1, skewed), (other, j2, j1)]
             cases += [(m, j1, j2) for m in _moved(other, rng)]
-            cases += [(other, a, j2) for a in _moved(j1, rng)] + [(other, j1, b) for b in _moved(j2, rng)]
+            cases += [(other, a, j2) for a in _moved(j1, rng, mirror=1)] + [(other, j1, b) for b in _moved(j2, rng)]
             for m, a, b in cases:
-                held = _intertwines(m, a, b)
-                assert held == (m * a == b * m), (spec, m, a, b)
-                seen["intertwines"].add(held)
-                # the same check of a given as 3A over 3da, of b as 3B over 3db
-                xs = m._slice_form()[0]
-                assert _intertwine_slices(xs, *_tripled(a), *b._slice_form(), p) == held
-                assert _intertwine_slices(xs, *a._slice_form(), *_tripled(b), p) == held
+                held = m._is_congruence(b, a)
+                assert held == (m * a * m.conj_transpose() == b), (spec, m, a, b)
+                seen["conjugate"].add(held)
+                # the same check of b given as 3B over 3db, of a as 3A over 3da
+                assert agrees(1, m._slice_form(), _tripled(b, p), a._slice_form()) == held
+                assert agrees(1, m._slice_form(), b._slice_form(), _tripled(a, p)) == held
             # scaling by a constant multiplies every slice by one integer
             c = RingElem.from_fraction(spec, Fraction(rng.choice((-3, 2, 5)), rng.choice((1, 2))))
             assert x.scale(c) == InvMatrix.diagonal(spec, [c] * n) * x
-    assert seen == {"unitary": {True, False}, "involution": {True, False}, "intertwines": {True, False}}
+    assert all(v == {True, False} for v in seen.values()), seen

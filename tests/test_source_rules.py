@@ -6,6 +6,7 @@ import ast
 from pathlib import Path
 
 import wittkit
+from wittkit import forms, matrices
 
 SRC = Path(wittkit.__file__).resolve().parent
 
@@ -136,15 +137,20 @@ def test_entrywise_arithmetic_binds_the_ring_ops():
     assert [name for name, bad in found.items() if bad] == []
 
 
+def _functions(module: str, names: tuple[str, ...]) -> list[ast.FunctionDef]:
+    body = ast.parse((SRC / module).read_text()).body
+    return [n for n in body if isinstance(n, ast.FunctionDef) and n.name in names]
+
+
 def test_congruence_steps_build_no_fraction():
     # the congruence grids are integers over one denominator; a Fraction
-    # built or a denominator read in these steps, or in the check of their
-    # certificates, would bring back the per-coefficient arithmetic they
-    # replaced
+    # built or a denominator read in these steps, or in the kernel that
+    # checks their certificates, would bring back the per-coefficient
+    # arithmetic they replaced
     body = ast.parse((SRC / "forms.py").read_text()).body
     congruence = next(n for n in body if isinstance(n, ast.ClassDef) and n.name == "_Congruence")
     steps = [n for n in congruence.body if isinstance(n, ast.FunctionDef)]
-    steps += [n for n in body if isinstance(n, ast.FunctionDef) and n.name in ("_diagonal", "_congruent_to")]
+    steps += _functions("forms.py", ("_diagonal",)) + _functions("matrices.py", ("_congruent_to",))
     assert {"pivot", "scale", "apply", "_diagonal", "_congruent_to"} <= {fn.name for fn in steps}
     found = [
         f"{fn.name}:{node.lineno}"
@@ -157,23 +163,50 @@ def test_congruence_steps_build_no_fraction():
 
 
 def test_slice_checks_of_the_lifting_identities_take_no_product():
-    # X X* = I and x a = b x are decided on the integer slices; a Fraction
-    # built, a denominator read, or an InvMatrix reached (and with it a
-    # product, a transpose object or a gcd pass) would bring back the cost
-    # these checks replaced
-    body = ast.parse((SRC / "matrices.py").read_text()).body
-    checks = [n for n in body if isinstance(n, ast.FunctionDef) and n.name in ("_is_scalar_gram", "_intertwine_slices")]
+    # every certificate of forms and of the lifting layer is decided on the
+    # integer slices by one kernel; beyond taking X G once
+    # (_slice_products), a Fraction built, a denominator read, or an
+    # InvMatrix reached (and with it a product, a transpose object or a gcd
+    # pass) would bring back the cost it replaced
+    checks = _functions("matrices.py", ("_congruent_to", "_is_symmetric"))
     assert len(checks) == 2
-    names = ("Fraction", "InvMatrix", "_slice_products", "matmul_int", "_canonical", "_reduced", "gcd")
+    names = ("Fraction", "InvMatrix", "matmul_int", "_canonical", "_reduced", "gcd")
     found = [
         f"{fn.name}:{node.lineno}"
         for fn in checks
         for node in ast.walk(fn)
         if (isinstance(node, ast.Name) and node.id in names)
         or (isinstance(node, ast.Attribute) and node.attr in ("denominator", "_slice_form", "cells"))
-        or (isinstance(node, ast.arg) and "InvMatrix" in ast.unparse(node.annotation))
+        or (isinstance(node, ast.arg) and node.annotation and "InvMatrix" in ast.unparse(node.annotation))
     ]
     assert found == []
+    products = [fn.name for fn in checks for node in ast.walk(fn)
+                if isinstance(node, ast.Name) and node.id == "_slice_products"]
+    assert products == ["_congruent_to"]
+
+
+def test_forms_and_lifting_define_no_congruence_test_of_their_own():
+    # the symmetry and congruence tests live in matrices once
+    # (_is_symmetric, _congruent_to); a second copy in forms or lifting,
+    # or a grid compared with its own transpose there, could drift from it
+    found = []
+    for module in ("forms.py", "lifting.py"):
+        for node in ast.walk(ast.parse((SRC / module).read_text())):
+            if isinstance(node, ast.FunctionDef) and any(
+                word in node.name for word in ("symmetr", "congruen", "intertwin", "gram", "adjoint")
+            ):
+                found.append(f"{module}:{node.name}")
+            elif isinstance(node, ast.Name) and node.id == "eq":  # map(eq, zip(*g), rows)
+                found.append(f"{module}:{node.lineno}")
+            elif isinstance(node, ast.Compare) and any(
+                isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "zip"
+                and any(isinstance(arg, ast.Starred) for arg in n.args)
+                for side in (node.left, *node.comparators)
+                for n in ast.walk(side)
+            ):
+                found.append(f"{module}:{node.lineno}")
+    assert found == []
+    assert forms._congruent_to is matrices._congruent_to
 
 
 def test_every_unbounded_search_names_the_budget():
