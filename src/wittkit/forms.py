@@ -2,14 +2,15 @@
 
 A form is a square Gram matrix over one of the scalar rings together with a
 sign epsilon = +-1.  The module supplies congruence diagonalization (fields
-and Z[1/2]: one loop, which pivots on units of the ring and over Z[1/2]
-searches for a pivot up to one height, ``_PIVOT_BOUND``), isotropic vectors
-of diagonal forms, and Witt decomposition: a symmetric form is diagonalized
-once, and hyperbolic planes are split off isotropic vectors, each inside the
-diagonal block of its witness's support, until what is left refuses to
-represent zero.  Over Z[1/2] a pivot vector or a hyperbolic pair is split
-off with a basis of its orthogonal complement, L = P + P^perp, read off one
-Hermite form (``_with_complement``).  A form is immutable, and its checked
+and Z[1/2]: one loop, which pivots on units of the ring, over Q on the
+diagonal one a / b of least |a| b, and over Z[1/2] searches for a pivot up
+to one height, ``_PIVOT_BOUND``), isotropic vectors of diagonal forms, and
+Witt decomposition: a symmetric form is diagonalized once, and hyperbolic
+planes are split off isotropic vectors, each inside the diagonal block of
+its witness's support, until what is left refuses to represent zero.  Over
+Z[1/2] a pivot vector or a hyperbolic pair is split off with a basis of its
+orthogonal complement, L = P + P^perp, read off one Hermite form
+(``_with_complement``).  A form is immutable, and its checked
 diagonalization is computed once and kept on it as long as it lives:
 ``diagonalize``, ``invariants.witt_class`` and ``witt_decompose`` share it,
 or share its refusal.  The certificates P* G P = D and basis* G basis =
@@ -493,16 +494,26 @@ def _reduce_rational_diag(ws: _Congruence) -> None:
     ws.scale(nums, dens)
 
 
+def _pivot_size(num: int, den: int) -> int:
+    """|a| b for num / den = a / b in lowest terms."""
+    g = gcd(num, den)
+    return abs(num) // g * (den // g)
+
+
 def _diagonal(spec: RingSpec, grid: Sequence[Sequence[int]], den: int) -> _Congruence:
     """Congruence-diagonalize the grid over ``den``, pivoting on units of
-    the ring: nonzero entries over a field, +-2^j over Z[1/2], whose
-    diagonal then moves into {+-1, +-2} by squares of units."""
+    the ring: nonzero entries over F_p, the one of least ``_pivot_size``
+    over Q, +-2^j over Z[1/2], whose diagonal then moves into {+-1, +-2} by
+    squares of units."""
     ws = _Congruence(spec.p, grid, den)
     dyadic = spec.kind == DYADIC
     unit = _is_power_of_two if dyadic else bool
     n = len(grid)
     for i in range(n):
         a = ws.a
+        if spec.kind == RATIONALS:
+            j = min((k for k in range(i, n) if a[k][k]), key=lambda k: _pivot_size(a[k][k], ws.da), default=i)
+            ws.swap(i, j)
         if not unit(a[i][i]):
             j = next((k for k in range(i + 1, n) if unit(a[k][k])), None)
             if j is not None:
@@ -526,10 +537,14 @@ def _diagonal(spec: RingSpec, grid: Sequence[Sequence[int]], den: int) -> _Congr
 def diagonalize(f: GramForm) -> tuple[InvMatrix, GramForm]:
     """Congruence-diagonalize a symmetric form.
 
-    Returns (P, D) with P*.gram.P = D.gram, D diagonal.  Over Z[1/2] the
-    diagonal entries are normalized into {+-1, +-2} by unit-square scaling.
-    The pair is computed and checked once per form and kept on it; later
-    calls, ``witt_class`` and ``witt_decompose`` reuse it.
+    Returns (P, D) with P*.gram.P = D.gram, D diagonal.  Over Q each step
+    pivots on the diagonal entry a / b != 0 left (in lowest terms) of least
+    |a| b: a step scales all that is left by its pivot, so a small one keeps
+    D small, and with it the square classes, factorings and isotropy
+    searches that read D.  Over Z[1/2] the diagonal entries are normalized
+    into {+-1, +-2} by unit-square scaling.  The pair is computed and
+    checked once per form and kept on it; later calls, ``witt_class`` and
+    ``witt_decompose`` reuse it.
     """
     spec = f.ring
     if f.epsilon != 1:

@@ -64,6 +64,9 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Any, Sequence
 
+# Every zero coefficient over Q and Z[1/2] reads back as this one payload.
+_FRACTION_ZERO = Fraction(0)
+
 
 def _cook(spec: RingSpec, entry: Any) -> Any:
     if isinstance(entry, RingElem):
@@ -525,8 +528,10 @@ def _payloads(spec: RingSpec, slices: Sequence[Any], den: int) -> list[list[Any]
         rows = [zip(*degrees) for degrees in zip(*slices)]
         if p:
             return [[tuple([v % p for v in e]) for e in row] for row in rows]
-        return [[tuple([Fraction(v, den) for v in e]) for e in row] for row in rows]
-    return [[v % p if p else Fraction(v, den) for v in row] for row in slices[0]]
+        return [[tuple([Fraction(v, den) if v else _FRACTION_ZERO for v in e]) for e in row] for row in rows]
+    if p:
+        return [[v % p for v in row] for row in slices[0]]
+    return [[Fraction(v, den) if v else _FRACTION_ZERO for v in row] for row in slices[0]]
 
 
 def _reduced(p: int | None, slices: list, den: int) -> tuple[list, int]:

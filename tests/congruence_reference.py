@@ -137,6 +137,11 @@ def _diag_field(spec: RingSpec, grid: Sequence[Sequence[Any]]) -> _Congruence:
     n = len(a)
     one = spec.one
     for i in range(n):
+        if spec.kind == RATIONALS:
+            # the first trailing diagonal entry p / q != 0 of least |p| q
+            j = min((k for k in range(i, n) if a[k][k]), key=lambda k: abs(a[k][k].numerator) * a[k][k].denominator,
+                    default=i)
+            ws.swap(i, j)
         if _is_zero(spec, a[i][i]):
             j = next((k for k in range(i + 1, n) if not _is_zero(spec, a[k][k])), None)
             if j is not None:

@@ -61,3 +61,19 @@ def test_rational_class_matches_pairwise_reference(entries, shear, data):
     k = data.draw(st.integers(0, n))
     total = witt_class(GramForm.diagonal(Q, entries[:k])) + witt_class(GramForm.diagonal(Q, entries[k:]))
     assert _fields(total) == _fields(want)
+
+
+def test_a_sheared_diagonal_keeps_a_class_that_factors():
+    # a pivot of least |value| would take 1 and 4 first and leave a diagonal
+    # over the 32-digit semiprime 92650522361729991424412412012001, whose
+    # factoring refuses; the least |a| b takes 131074 before the entries
+    # sheared by it, 1 / 17180393476 and -65537 / 50
+    entries = [Fraction(8), Fraction(1, 4), Fraction(131074), Fraction(1, 17180393476), Fraction(-2),
+               Fraction(-65537, 50), Fraction(4), Fraction(66), Fraction(1)]
+    n = len(entries)
+    t = [[int(r == c) for c in range(n)] for r in range(n)]
+    for i, j in ((0, 7), (2, 4), (0, 1), (2, 3), (3, 4), (3, 5)):
+        t[i][j] = 1
+    grid = [[e if i == j else 0 for j in range(n)] for i, e in enumerate(entries)]
+    grid = matmul_int(matmul_int(list(map(list, zip(*t))), grid), t)
+    assert _fields(witt_class(GramForm.from_rows(Q, grid))) == _fields(ref.witt_class_q(entries))
