@@ -758,12 +758,15 @@ def witt_decompose(
     height bound: a form ``diagonalize`` refuses is refused here with the
     same error.  When the leftover block cannot be proved anisotropic the
     result is returned with ``certified=False``, or OracleInconclusive is
-    raised if ``require_certified`` was set.
+    raised if ``require_certified`` is True; it must be a bool, and
+    anything else is refused with IllFormed.
     """
     spec = f.ring
     if spec.kind not in _SEARCH_RINGS:
         raise SpecMismatch(f"Witt decomposition not supported over {spec}")
     _check_int("height_bound", height_bound)
+    if type(require_certified) is not bool:
+        raise IllFormed(f"require_certified must be True or False, got {require_certified!r}")
     eps, n, mod = f.epsilon, f.dim, spec.p
     (grid,), den = f.gram._slice_form()
     # the planes split off so far fill a[:off][:off]; what is left is the

@@ -869,6 +869,14 @@ def test_integer_parameters_refuse_what_is_not_a_positive_integer(bad):
                 make(1, eps, Q)
 
 
+@pytest.mark.parametrize("bad", ["no", 1, 0, None], ids=repr)
+def test_require_certified_refuses_what_is_not_a_bool(bad):
+    # "no" is truthy and 0 falsy, but neither is a bool; over F_p as over Q
+    for spec in (Q, F5):
+        with pytest.raises(IllFormed, match="True or False"):
+            witt_decompose(GramForm.diagonal(spec, [1, -2, 3]), require_certified=bad)
+
+
 def test_orth_sum_and_tensor():
     f = GramForm.diagonal(Q, [1, -1])
     g = GramForm.diagonal(Q, [2])

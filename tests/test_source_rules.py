@@ -1,8 +1,9 @@
-"""Rules on the package source that no other test can see."""
+"""Rules on the package source, and on the test oracle, that no other test can see."""
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import wittkit
@@ -207,6 +208,21 @@ def test_forms_and_lifting_define_no_congruence_test_of_their_own():
                 found.append(f"{module}:{node.lineno}")
     assert found == []
     assert forms._congruent_to is matrices._congruent_to
+
+
+def test_the_witt_oracle_imports_only_the_standard_library():
+    # witt_oracle checks the answers of forms on plain lists; an import
+    # from wittkit (forms, matrices and intlinalg above all), or from a test
+    # module that imports it, would let one bug reach both sides unseen
+    path = Path(__file__).with_name("witt_oracle.py")
+    modules = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append("." * node.level + (node.module or ""))
+    assert "math" in modules
+    assert [m for m in modules if m.split(".")[0] not in sys.stdlib_module_names] == []
 
 
 def test_every_unbounded_search_names_the_budget():
