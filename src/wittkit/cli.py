@@ -24,15 +24,17 @@ a chain file is {"nodes": [group, ...], "maps": [matrix, ...]} with
 maps[i] going from nodes[i] to nodes[i+1].  Ring tags are ``q``,
 ``dyadic``, ``fp:<p>``.  Randomized subcommands take --seed
 (default 0).
+
+Flags come from one table, by exact name, as ``--flag value`` or
+``--flag=value``, once each but the repeatable ``--gen``.  A small writer
+prints the answer, so a call that reads no file loads no ``json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace as _Args
 
 from .bott import build_bott, verify_bott_suite
 from .errors import BudgetExceeded, IllFormed, WittkitError
@@ -44,7 +46,7 @@ from .stabilization import FgAbGroup, GroupHom, GroupSeq, colimit, exactness_che
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from typing import Any, Sequence
+    from typing import Any, NoReturn, Sequence
 
 __all__ = ["main"]
 
@@ -56,35 +58,39 @@ DEFAULT_SEED = 0
 NUMERAL_LIMIT = 4300
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raises instead of printing usage, so every failure path emits JSON."""
+class _Escapes(dict):
+    """``str.translate`` table of the escapes ``json.dumps`` writes: printable
+    ASCII as itself, else ``\\uXXXX``, past U+FFFF as a surrogate pair."""
 
-    def error(self, message: str) -> Any:
-        raise IllFormed(message)
+    def __missing__(self, code: int) -> str:
+        if code > 0xFFFF:
+            return self[0xD800 + (code - 0x10000 >> 10)] + self[0xDC00 + (code & 0x3FF)]
+        return self.setdefault(code, chr(code) if 0x20 <= code < 0x7F else f"\\u{code:04x}")
 
-    def _get_values(self, action: argparse.Action, arg_strings: list[str]) -> Any:
-        # argparse drops the value of "--ring=--" as an end-of-options
-        # marker and hands the handler an empty list
-        if action.option_strings and arg_strings == ["--"]:
-            self.error(f"argument {action.option_strings[0]}: expected one argument")
-        return super()._get_values(action, arg_strings)
 
-    def _parse_optional(self, arg_string: str) -> Any:
-        # no flag starts with "-" and a digit, so "-1,2" and "-3/4" are values
-        return None if arg_string[:1] == "-" and arg_string[1:2].isdigit() else super()._parse_optional(arg_string)
+_ESCAPES = _Escapes({34: '\\"', 92: "\\\\", 8: "\\b", 9: "\\t", 10: "\\n", 12: "\\f", 13: "\\r"})
 
-    def _get_formatter(self) -> argparse.HelpFormatter:
-        # shutil's terminal width, which argparse imports shutil (zlib, bz2, lzma) for
-        try:
-            columns = int(os.environ.get("COLUMNS") or os.get_terminal_size(sys.__stdout__.fileno()).columns)
-        except (AttributeError, ValueError, OSError):
-            columns = 80
-        return self.formatter_class(prog=self.prog, width=(columns if columns > 0 else 80) - 2)
+
+def _dumps(obj: Any, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for the types an answer holds."""
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, str):
+        return '"' + obj.translate(_ESCAPES) + '"'
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        items, ends = [_dumps(x, inner) for x in obj], "[]"
+    elif isinstance(obj, dict):
+        items, ends = [_dumps(str(k)) + ": " + _dumps(v, inner) for k, v in obj.items()], "{}"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
 
 
 def _emit(obj: Any) -> None:
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(_dumps(obj) + "\n")
 
 
 def _numeral(text: str) -> str:
@@ -101,6 +107,8 @@ def _json_float(text: str) -> Any:
 
 
 def _load_json(path: str) -> Any:
+    import json  # only a file is read as JSON; _dumps writes the answer
+
     try:
         with open(path, encoding="utf-8") as handle:
             return json.load(handle, parse_int=lambda t: int(_numeral(t)), parse_float=_json_float)
@@ -123,17 +131,21 @@ def _scalars(text: str) -> list[Fraction]:
     return out
 
 
-def _form_from(args: argparse.Namespace, diag_attr: str, file_attr: str) -> GramForm:
-    diag = getattr(args, diag_attr)
-    path = getattr(args, file_attr)
-    if (diag is None) == (path is None):
-        raise IllFormed(f"give exactly one of --{diag_attr} or --{file_attr}")
-    if path is not None:
-        return GramForm.from_json(_load_json(path))
-    if args.ring is None:
-        raise IllFormed(f"--{diag_attr} needs --ring")
-    spec = RingSpec.from_tag(args.ring)
-    return GramForm.diagonal(spec, _scalars(diag), epsilon=args.epsilon)
+def _forms(args: _Args, *sources: tuple[str, str]) -> list[GramForm]:
+    """The form of each (diag, file) pair of flags.  --ring and --epsilon
+    serve a --diag: beside files alone they are refused, not ignored."""
+    forms = []
+    for diag_attr, file_attr in sources:
+        diag, path = getattr(args, diag_attr), getattr(args, file_attr)
+        if (diag is None) == (path is None):
+            raise IllFormed(f"give exactly one of --{diag_attr} or --{file_attr}")
+        if path is None and args.ring is None:
+            raise IllFormed(f"--{diag_attr} needs --ring")
+        forms.append(GramForm.from_json(_load_json(path)) if path is not None else
+                     GramForm.diagonal(RingSpec.from_tag(args.ring), _scalars(diag), epsilon=args.epsilon or 1))
+    if all(getattr(args, diag) is None for diag, _ in sources) and (args.ring, args.epsilon) != (None, None):
+        raise IllFormed("--ring and --epsilon apply to a --diag; a form file names its own ring and sign")
+    return forms
 
 
 # ---------------------------------------------------------------------------
@@ -141,17 +153,16 @@ def _form_from(args: argparse.Namespace, diag_attr: str, file_attr: str) -> Gram
 # ---------------------------------------------------------------------------
 
 
-def _cmd_witt_class(args: argparse.Namespace) -> Any:
-    return witt_class(_form_from(args, "diag", "file")).to_json()
+def _cmd_witt_class(args: _Args) -> Any:
+    return witt_class(_forms(args, ("diag", "file"))[0]).to_json()
 
 
-def _cmd_witt_equiv(args: argparse.Namespace) -> Any:
-    left = _form_from(args, "diag", "file")
-    right = _form_from(args, "diag2", "file2")
+def _cmd_witt_equiv(args: _Args) -> Any:
+    left, right = _forms(args, ("diag", "file"), ("diag2", "file2"))
     return {"equivalent": witt_equiv(left, right)}
 
 
-def _cmd_witt_ring(args: argparse.Namespace) -> Any:
+def _cmd_witt_ring(args: _Args) -> Any:
     spec = RingSpec.from_tag(args.ring)
     generators = None
     if args.gen:
@@ -159,16 +170,16 @@ def _cmd_witt_ring(args: argparse.Namespace) -> Any:
     return witt_ring_table(spec, generators).to_json()
 
 
-def _cmd_bott_verify(args: argparse.Namespace) -> Any:
+def _cmd_bott_verify(args: _Args) -> Any:
     return verify_bott_suite(build_bott())
 
 
-def _cmd_bott_export(args: argparse.Namespace) -> Any:
+def _cmd_bott_export(args: _Args) -> Any:
     data = build_bott()
     return {"m": data.m.to_json()}
 
 
-def _cmd_stab_colim(args: argparse.Namespace) -> Any:
+def _cmd_stab_colim(args: _Args) -> Any:
     seq = GroupSeq.from_json(_load_json(args.file))
     return colimit(seq).to_json()
 
@@ -193,84 +204,122 @@ def _chain_from_json(obj: Any) -> list[GroupHom]:
     return homs
 
 
-def _cmd_stab_exact(args: argparse.Namespace) -> Any:
+def _cmd_stab_exact(args: _Args) -> Any:
     failures = exactness_check(_chain_from_json(_load_json(args.file)))
     return {"exact": not failures, "failures": failures}
 
 
-def _cmd_lift_demo(args: argparse.Namespace) -> Any:
-    base = RingSpec.from_tag(args.base)
-    return roundtrip_isomorphism_demo(base, args.k, args.n, args.trials, seed=args.seed)
+def _cmd_lift_demo(args: _Args) -> Any:
+    return roundtrip_isomorphism_demo(RingSpec.from_tag(args.base), args.k, args.n, args.trials,
+                                      seed=DEFAULT_SEED if args.seed is None else args.seed)
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
+# Each group: its help and commands.  Each command: its help, its handler,
+# and its flags as flag -> (help, kind).  Kinds: "str"; "int"; "sign", an int
+# that is 1 or -1; "list", a str that may repeat.  A kind ending in "!" is
+# required.  An absent flag reads None.
+_FORM_FLAGS = {
+    "--ring": ("ring tag: q, dyadic, fp:<p>", "str"),
+    "--epsilon": ("form symmetry sign for --diag inputs (default 1)", "sign"),
+    "--diag": ("comma-separated diagonal entries, fractions allowed", "str"),
+    "--file": ("JSON form descriptor file", "str"),
+}
+_COMMANDS = {
+    "witt": ("Witt classes, equivalence, group tables", {
+        "class": ("complete invariant tuple of a form", _cmd_witt_class, _FORM_FLAGS),
+        "equiv": ("decide Witt equivalence of two forms", _cmd_witt_equiv, {
+            **_FORM_FLAGS, "--diag2": ("diagonal of the second form", "str"),
+            "--file2": ("descriptor file of the second form", "str")}),
+        "ring": ("group structure generated by unit classes", _cmd_witt_ring, {
+            "--ring": ("ring tag: q restricted to dyadic or fp:<p>", "str!"),
+            "--gen": ("a generator's diagonal; repeatable; default set per ring", "list")})}),
+    "bott": ("the degree-(-2) periodicity matrix", {
+        "verify": ("run all identity checks, report JSON", _cmd_bott_verify, {}),
+        "export": ("emit the matrix entrywise as JSON", _cmd_bott_export, {})}),
+    "stab": ("colimits and exactness of group systems", {
+        "colim": ("colimit of an eventually-periodic system", _cmd_stab_colim, {"--file": ("sequence file", "str!")}),
+        "exact": ("locate failures of exactness in a chain", _cmd_stab_exact, {"--file": ("chain file", "str!")})}),
+    "lift": ("nilpotent-extension lifting demos", {
+        "demo": ("randomized surjectivity/injectivity round trip", _cmd_lift_demo, {
+            "--base": ("base ring tag: q or fp:<p>", "str!"), "--k": ("truncation order, 1..6", "int!"),
+            "--n": ("matrix size, 1..8", "int!"), "--trials": ("number of trials, 1..1000", "int!"),
+            "--seed": (f"RNG seed (default {DEFAULT_SEED})", "int")})}),
+}
 
-def _add_form_options(p: argparse.ArgumentParser, second: bool = False) -> None:
-    p.add_argument("--ring", help="ring tag: q, dyadic, fp:<p>")
-    p.add_argument("--epsilon", type=int, choices=(1, -1), default=1,
-                   help="form symmetry sign for --diag inputs (default 1)")
-    p.add_argument("--diag", help="comma-separated diagonal entries, fractions allowed")
-    p.add_argument("--file", help="JSON form descriptor file")
-    if second:
-        p.add_argument("--diag2", help="diagonal of the second form")
-        p.add_argument("--file2", help="descriptor file of the second form")
+
+def _help(usage: str, about: str, table: dict) -> NoReturn:
+    width = max(map(len, table), default=0)
+    rows = "".join(f"\n  {key:<{width}}  {entry[0]}" for key, entry in table.items())
+    sys.stdout.write(f"usage: wittkit {usage}\n\n{about}\n{rows}".rstrip() + "\n")
+    raise SystemExit(0)
 
 
-def _build_parser() -> _Parser:
-    top = _Parser(prog="wittkit", description="Exact form invariants, the periodicity matrix, and colimit bookkeeping.")
-    groups = top.add_subparsers(dest="group", required=True, metavar="{witt,bott,stab,lift}")
+def _choose(table: dict, word: str | None, name: str, usage: str, about: str) -> Any:
+    """``table[word]``; for ``-h`` or ``--help``, the table's help."""
+    if word in ("-h", "--help"):
+        _help(f"{usage}{{{','.join(table)}}} ...", about, table)
+    if word not in table:
+        raise IllFormed(f"the following arguments are required: {name}" if word is None else
+                        f"argument {name}: invalid choice: {word!r} (choose from {', '.join(map(repr, table))})")
+    return table[word]
 
-    witt = groups.add_parser("witt", help="Witt classes, equivalence, group tables")
-    wsub = witt.add_subparsers(dest="command", required=True)
-    wclass = wsub.add_parser("class", help="complete invariant tuple of a form")
-    _add_form_options(wclass)
-    wclass.set_defaults(handler=_cmd_witt_class)
-    wequiv = wsub.add_parser("equiv", help="decide Witt equivalence of two forms")
-    _add_form_options(wequiv, second=True)
-    wequiv.set_defaults(handler=_cmd_witt_equiv)
-    wring = wsub.add_parser("ring", help="group structure generated by unit classes")
-    wring.add_argument("--ring", required=True, help="ring tag: q restricted to dyadic or fp:<p>")
-    wring.add_argument("--gen", action="append",
-                       help="diagonal of a generator form; repeatable; default set per ring")
-    wring.set_defaults(handler=_cmd_witt_ring)
 
-    bott = groups.add_parser("bott", help="the degree-(-2) periodicity matrix")
-    bsub = bott.add_subparsers(dest="command", required=True)
-    bverify = bsub.add_parser("verify", help="run all identity checks, report JSON")
-    bverify.set_defaults(handler=_cmd_bott_verify)
-    bexport = bsub.add_parser("export", help="emit the matrix entrywise as JSON")
-    bexport.set_defaults(handler=_cmd_bott_export)
+def _parse(argv: list[str]) -> tuple[Any, _Args]:
+    """The handler and flags of a command line.  Only exact flag names count:
+    ``--flag value`` or ``--flag=value``, each flag once unless a "list"."""
 
-    stab = groups.add_parser("stab", help="colimits and exactness of group systems")
-    ssub = stab.add_subparsers(dest="command", required=True)
-    scolim = ssub.add_parser("colim", help="direct limit of an eventually-periodic system")
-    scolim.add_argument("--file", required=True, help="sequence JSON file")
-    scolim.set_defaults(handler=_cmd_stab_colim)
-    sexact = ssub.add_parser("exact", help="locate failures of exactness in a chain")
-    sexact.add_argument("--file", required=True, help="chain JSON file")
-    sexact.set_defaults(handler=_cmd_stab_exact)
+    def is_value(word: str) -> bool:  # no flag starts with "-" and a digit: "-1,2" and "-.5" are values
+        return word[:1] != "-" or word == "-" or word[1:2].isdigit() or word[1:2] == "."
 
-    lift = groups.add_parser("lift", help="nilpotent-extension lifting demos")
-    lsub = lift.add_subparsers(dest="command", required=True)
-    ldemo = lsub.add_parser("demo", help="randomized surjectivity/injectivity round trip")
-    ldemo.add_argument("--base", required=True, help="base ring tag: q or fp:<p>")
-    ldemo.add_argument("--k", type=int, required=True, help="truncation order, 1..6")
-    ldemo.add_argument("--n", type=int, required=True, help="matrix size, 1..8")
-    ldemo.add_argument("--trials", type=int, required=True, help="number of trials, 1..1000")
-    ldemo.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help=f"RNG seed (default {DEFAULT_SEED})")
-    ldemo.set_defaults(handler=_cmd_lift_demo)
-
-    return top
+    about = "Exact form invariants, the periodicity matrix, and colimit bookkeeping."
+    about, commands = _choose(_COMMANDS, argv[0] if argv else None, "{" + ",".join(_COMMANDS) + "}", "", about)
+    about, handler, flags = _choose(commands, argv[1] if len(argv) > 1 else None, "command", argv[0] + " ", about)
+    values: dict[str, Any] = {flag[2:]: None for flag in flags}
+    words, extras, i = argv[2:], [], 0
+    while i < len(words):
+        word, i = words[i], i + 1
+        if word in ("-h", "--help"):
+            shown = [(f"{flag} {'{1,-1}' if kind == 'sign' else flag[2:].upper()}", kind[-1:] == "!")
+                     for flag, (_, kind) in flags.items()]
+            _help(" ".join([*argv[:2], *(n if required else f"[{n}]" for n, required in shown)]), about, flags)
+        if word == "--":  # the rest are positionals, which no command takes
+            extras += words[i - 1:]
+            break
+        flag, eq, text = word.partition("=")
+        if is_value(word) or flag not in flags:
+            extras.append(word)
+            continue
+        if not eq:  # the next word; a flag or the end there reads as "--", refused
+            text, i = (words[i] if i < len(words) and is_value(words[i]) else "--"), i + 1
+        if text == "--":
+            raise IllFormed(f"argument {flag}: expected one argument")
+        kind, name = flags[flag][1].rstrip("!"), flag[2:]
+        if values[name] is not None and kind != "list":
+            raise IllFormed(f"argument {flag}: given more than once")
+        try:
+            value = int(text) if kind in ("sign", "int") else text
+        except ValueError:
+            raise IllFormed(f"argument {flag}: invalid int value: {text!r}") from None
+        if kind == "sign" and value not in (1, -1):
+            raise IllFormed(f"argument {flag}: invalid choice: {value} (choose from 1, -1)")
+        values[name] = [*(values[name] or ()), value] if kind == "list" else value
+    missing = [flag for flag, (_, kind) in flags.items() if kind[-1:] == "!" and values[flag[2:]] is None]
+    if missing:
+        raise IllFormed(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise IllFormed(f"unrecognized arguments: {' '.join(extras)}")
+    return handler, _Args(**values)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        result = args.handler(args)
+        handler, args = _parse(list(sys.argv[1:] if argv is None else argv))
+        # the module global by name, so that a handler patched in place runs
+        result = globals()[handler.__name__](args)
     except WittkitError as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
         return 2

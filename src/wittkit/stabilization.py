@@ -24,7 +24,6 @@ is deliberately no API for adding entries at runtime.
 
 from __future__ import annotations
 
-import json
 import math
 from functools import lru_cache, reduce
 
@@ -520,6 +519,7 @@ class CatalogEntry(_Record):
 
 @lru_cache(maxsize=1)
 def _catalog() -> dict[tuple[str, int, str, int], CatalogEntry]:
+    import json
     from importlib import resources  # pathlib, tempfile and more: load on first lookup only
 
     raw = json.loads(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -285,8 +287,8 @@ def test_unknown_subcommand(capsys):
 
 
 def test_internal_assertion_maps_to_exit_one(capsys, monkeypatch):
-    # main() builds a fresh parser per call, so the handler lookup sees
-    # the patched module global
+    # main() looks the handler up by name among the module's globals, so
+    # it runs the patched one
     def boom(args):
         assert False, "postcondition violated"
 
@@ -359,26 +361,33 @@ def test_import_leaves_the_heavy_stdlib_modules_unloaded():
     # the catalog's importlib.resources (pathlib, tempfile, shutil, urllib)
     # and the lift demo's random load on first use, not with the package;
     # the records need no dataclasses (inspect, ast, dis, copy) and the
-    # annotations no typing; the parser finds the terminal width without shutil
+    # annotations no typing; the CLI reads its flags without argparse
+    # (gettext, locale, shutil) and writes its answer without json, which
+    # loads only to read a file
     script = textwrap.dedent("""
-        import sys
+        import os, sys
         sys.path.insert(0, sys.argv[1])
         import wittkit, wittkit.cli
         heavy = ("importlib.resources", "pathlib", "tempfile", "shutil", "urllib", "random",
                  "dataclasses", "inspect", "typing", "ast", "dis", "copy")
-        print([name for name in heavy if name in sys.modules])
-        wittkit.cli._build_parser()
-        print([name for name in ("shutil",) if name in sys.modules])
+        cli_only = ("argparse", "json", "gettext", "locale", "shutil")
+        print([name for name in heavy + cli_only if name in sys.modules])
+        out, sys.stdout = sys.stdout, open(os.devnull, "w")
+        codes = [wittkit.cli.main(["witt", "class", "--ring", "q", "--diag", "1,2"])]
+        after_class = [name for name in cli_only if name in sys.modules]
+        codes.append(wittkit.cli.main(["stab", "colim", "--file", sys.argv[2]]))
+        sys.stdout = out
+        print(codes, after_class, "json" in sys.modules)
         from wittkit.stabilization import catalog_lookup
         print(catalog_lookup("W", 0, "dyadic", 1).group.to_json())
     """)
     src = str(Path(cli.__file__).resolve().parent.parent)
-    proc = subprocess.run([sys.executable, "-S", "-E", "-c", script, src],
+    proc = subprocess.run([sys.executable, "-S", "-E", "-c", script, src, str(SAMPLES / "period_z_times8.json")],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    loaded, after_parser, group = proc.stdout.splitlines()
+    loaded, after_calls, group = proc.stdout.splitlines()
     assert loaded == "[]"
-    assert after_parser == "[]"
+    assert after_calls == "[0, 0] [] True"
     assert group == "{'rank': 1, 'torsion': [2]}"
 
 
@@ -386,6 +395,109 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])
     assert exc.value.code == 0
+
+
+FLAGS = {
+    ("witt", "class"): ["--ring", "--epsilon", "--diag", "--file"],
+    ("witt", "equiv"): ["--ring", "--epsilon", "--diag", "--file", "--diag2", "--file2"],
+    ("witt", "ring"): ["--ring", "--gen"],
+    ("bott", "verify"): [],
+    ("bott", "export"): [],
+    ("stab", "colim"): ["--file"],
+    ("stab", "exact"): ["--file"],
+    ("lift", "demo"): ["--base", "--k", "--n", "--trials", "--seed"],
+}
+
+
+def test_help_at_every_level_exits_zero_and_names_what_it_may_take(capsys):
+    table = {(group, command): list(entry[2]) for group, (_, commands) in cli._COMMANDS.items()
+             for command, entry in commands.items()}
+    assert table == FLAGS
+    levels = {(): ["witt", "bott", "stab", "lift"]}
+    for group, command in FLAGS:
+        levels.setdefault((group,), []).append(command)
+        levels[group, command] = FLAGS[group, command]
+    for prefix, names in levels.items():
+        for word in ("-h", "--help"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*prefix, word])
+            assert exc.value.code == 0
+            out = capsys.readouterr().out
+            assert out.startswith("usage: wittkit " + " ".join(prefix))
+            assert [name for name in names if f"\n  {name} " not in out] == []
+    # help comes first, whatever else the command line holds
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["lift", "demo", "--bogus", "x", "--help"])
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("argv,message", [
+    # abbreviations: argparse took these for --diag and --base
+    (["witt", "class", "--ring", "q", "--diag", "1,2", "--dia", "3"], "unrecognized arguments: --dia 3"),
+    (["witt", "class", "--ring", "q", "--di", "1,2"], "unrecognized arguments: --di 1,2"),
+    (["witt", "class", "--ring", "q", "--diag", "1", "--dia=3"], "unrecognized arguments: --dia=3"),
+    (["lift", "demo", "--bas", "q", "--k", "2", "--n", "1", "--trials", "1"], "required: --base"),
+    (["witt", "equiv", "--ring", "q", "--diag", "1", "--fil", "x"], "unrecognized arguments: --fil x"),
+    # a single-valued flag given twice: argparse kept the last value
+    (["witt", "class", "--ring", "q", "--diag", "1", "--diag", "2"], "--diag: given more than once"),
+    (["witt", "class", "--ring", "q", "--ring=dyadic", "--diag", "1"], "--ring: given more than once"),
+    (["witt", "class", "--ring", "q", "--diag", "1", "--epsilon", "1", "--epsilon", "1"],
+     "--epsilon: given more than once"),
+    (["witt", "equiv", "--ring", "q", "--diag", "1", "--diag2", "1", "--diag2", "2"], "--diag2: given more than once"),
+    (["stab", "colim", "--file", str(SAMPLES / "period_z_times8.json"), "--file", "x"], "--file: given more than once"),
+    (["lift", "demo", "--base", "q", "--k", "2", "--n", "1", "--trials", "1", "--seed", "1", "--seed", "2"],
+     "--seed: given more than once"),
+])
+def test_a_flag_is_taken_by_its_exact_name_and_at_most_once(capsys, argv, message):
+    code, out = run(capsys, *argv)
+    assert code == 2 and out["error"]["type"] == "IllFormed"
+    assert message in out["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["witt", "class", "--file", str(SAMPLES / "form_rational.json"), "--ring", "dyadic"],
+    ["witt", "class", "--file", str(SAMPLES / "form_rational.json"), "--ring", "q"],
+    ["witt", "class", "--file", str(SAMPLES / "form_rational.json"), "--epsilon", "1"],
+    ["witt", "class", "--epsilon=-1", "--file", str(SAMPLES / "form_dyadic_torsion.json")],
+    ["witt", "equiv", "--file", str(SAMPLES / "form_rational.json"),
+     "--file2", str(SAMPLES / "form_rational.json"), "--ring", "q"],
+])
+def test_ring_and_epsilon_beside_files_alone_are_refused(capsys, argv):
+    # a form file names its own ring and sign; the flags were ignored
+    code, out = run(capsys, *argv)
+    assert code == 2 and out["error"]["type"] == "IllFormed"
+    assert "--ring and --epsilon" in out["error"]["message"]
+    # without the stray flag the same call answers
+    stray = next(i for i, a in enumerate(argv) if a.startswith(("--ring", "--epsilon")))
+    rest = argv[:stray] + argv[stray + (1 if "=" in argv[stray] else 2):]
+    code, out = run(capsys, *rest)
+    assert code == 0 and "error" not in out
+
+
+def test_the_writer_prints_what_json_dumps_prints():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # quotes, backslashes, control characters, DEL, non-ASCII, the line
+    # separators, lone surrogates and characters past U+FFFF
+    special = st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80\xe9\u2028\ud800\udfff\ue000\uffff\U00010000\U0001f600\U0010ffff')
+    text = st.text(st.one_of(special, st.characters()), max_size=12)
+    ints = st.integers() | st.integers(min_value=-(10**400), max_value=10**400)
+    leaves = st.none() | st.booleans() | ints | text
+    docs = st.recursive(leaves, lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                        | st.dictionaries(text | ints, kids, max_size=4), max_leaves=25)
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(docs)
+    def check(obj):
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            cli._emit(obj)
+        assert buffer.getvalue() == json.dumps(obj, indent=2) + "\n"
+
+    check()
+    for obj in (1.5, {1, 2}, [object()], {"x": b"y"}):
+        with pytest.raises(TypeError):
+            cli._emit(obj)
 
 
 @pytest.mark.parametrize("command,doc,want", [
