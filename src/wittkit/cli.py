@@ -119,6 +119,8 @@ def _load_json(path: str) -> Any:
 
 
 def _scalars(text: str) -> list[Fraction]:
+    if not text.replace(",", "").strip():
+        raise IllFormed("empty diagonal")
     out = []
     for token in text.split(","):
         token = _numeral(token.strip())
@@ -126,8 +128,6 @@ def _scalars(text: str) -> list[Fraction]:
             out.append(Fraction(token))
         except (ValueError, ZeroDivisionError):
             raise IllFormed(f"cannot parse scalar {token!r}") from None
-    if not out:
-        raise IllFormed("empty diagonal")
     return out
 
 
@@ -303,9 +303,9 @@ def _parse(argv: list[str]) -> tuple[Any, _Args]:
         try:
             value = int(text) if kind in ("sign", "int") else text
         except ValueError:
-            raise IllFormed(f"argument {flag}: invalid int value: {text!r}") from None
+            raise IllFormed(f"argument {flag}: invalid int value: {text[:20]!r}") from None
         if kind == "sign" and value not in (1, -1):
-            raise IllFormed(f"argument {flag}: invalid choice: {value} (choose from 1, -1)")
+            raise IllFormed(f"argument {flag}: invalid choice: {str(value)[:20]} (choose from 1, -1)")
         values[name] = [*(values[name] or ()), value] if kind == "list" else value
     missing = [flag for flag, (_, kind) in flags.items() if kind[-1:] == "!" and values[flag[2:]] is None]
     if missing:

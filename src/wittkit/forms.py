@@ -82,6 +82,12 @@ _PIVOT_BOUND = 18
 _SEARCH_BUDGET = 1 << 20
 
 
+def _unit_diagonal(spec: RingSpec, grid: Sequence[Sequence[int]]) -> bool:
+    """Whether a square slice over F_p, Q or Z[1/2] is a diagonal of units."""
+    unit, n = _is_power_of_two if spec.kind == DYADIC else bool, len(grid)
+    return all(unit(row[i]) and row.count(0) == n - 1 for i, row in enumerate(grid))
+
+
 def _check_int(name: str, value: Any, ok: Sequence[int] | None = None) -> None:
     """IllFormed unless value is an int (not a bool): one of ``ok``, or else positive."""
     if type(value) is not int or (value not in ok if ok else value < 1):
@@ -91,7 +97,9 @@ def _check_int(name: str, value: Any, ok: Sequence[int] | None = None) -> None:
 class GramForm(_Record):
     """A nondegenerate epsilon-symmetric form, stored as its Gram matrix.
 
-    Its checked diagonalization (``_diag``, from ``diagonalize``) and Witt
+    Over F_p and Q a symmetric Gram matrix, unless a diagonal of units, is
+    proved nondegenerate by its checked diagonalization (``_diag``, from
+    ``diagonalize``), any other by its determinant.  ``_diag`` and the Witt
     class (``_class``, from ``invariants.witt_class``) are computed once and
     kept as long as the form lives; ==, hash and repr read ``_fields`` only.
     """
@@ -105,13 +113,28 @@ class GramForm(_Record):
             raise IllFormed("Gram matrix must be square")
         if not gram._is_eps_adjoint(epsilon):
             raise IllFormed("Gram matrix is not epsilon-symmetric")
-        if not gram.det().is_unit():
+        self._set(gram, epsilon)
+        if self.ring.kind in _SEARCH_RINGS and _unit_diagonal(self.ring, gram._slice_form()[0][0]):
+            return  # nondegenerate as it stands, and diagonalized when asked
+        if epsilon == 1 and self.ring.is_field:
+            diagonalize(self)  # a zero pivot row is DegenerateForm
+        elif not gram.det().is_unit():
             raise DegenerateForm("Gram determinant is not a unit")
-        object.__setattr__(self, "ring", gram.spec)
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "_diag", None)
-        object.__setattr__(self, "_class", None)
+
+    def _set(self, gram: InvMatrix, epsilon: int) -> None:
+        for name, value in zip(self.__slots__, (gram.spec, epsilon, gram, None, None)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _certified(cls, spec: RingSpec, grid: list[list[int]], den: int, epsilon: int) -> "GramForm":
+        """The form on the canonical grid / den of a checked congruence
+        certificate, which showed it epsilon-symmetric; a diagonal of units,
+        so nondegenerate with no determinant taken, or IdentityViolated."""
+        if not _unit_diagonal(spec, grid):
+            raise IdentityViolated("a certified form is not a diagonal of units")
+        f = object.__new__(cls)
+        f._set(InvMatrix._from_slices(spec, [grid], den, len(grid), len(grid)), epsilon)
+        return f
 
     @classmethod
     def diagonal(
@@ -523,7 +546,7 @@ def _diagonal(spec: RingSpec, grid: Sequence[Sequence[int]], den: int) -> _Congr
             else:
                 j = next((k for k in range(i + 1, n) if a[i][k]), None)
                 if j is None:
-                    raise DegenerateForm("form has a zero row")
+                    raise DegenerateForm("Gram determinant is not a unit")  # as a determinant says
                 # e_i += e_j makes a[i][i] = 2 a[i][j], nonzero as 2 is invertible
                 t = identity_int(n - i)
                 t[j - i][0] = 1
@@ -542,9 +565,9 @@ def diagonalize(f: GramForm) -> tuple[InvMatrix, GramForm]:
     |a| b: a step scales all that is left by its pivot, so a small one keeps
     D small, and with it the square classes, factorings and isotropy
     searches that read D.  Over Z[1/2] the diagonal entries are normalized
-    into {+-1, +-2} by unit-square scaling.  The pair is computed and
-    checked once per form and kept on it; later calls, ``witt_class`` and
-    ``witt_decompose`` reuse it.
+    into {+-1, +-2} by unit-square scaling.  The pair is checked and kept
+    once per form (over F_p and Q by ``GramForm`` unless its Gram matrix is
+    a diagonal of units); ``witt_class`` and ``witt_decompose`` reuse it.
     """
     spec = f.ring
     if f.epsilon != 1:
@@ -557,10 +580,8 @@ def diagonalize(f: GramForm) -> tuple[InvMatrix, GramForm]:
     ws = _diagonal(spec, grid, den)
     if not _congruent_to(spec.p, 1, [list(map(list, zip(*ws.p)))], ws.dp, [ws.a], ws.da, [grid], den):
         raise IdentityViolated("diagonalization certificate P*.G.P = D failed")
-    n = f.dim
-    p = InvMatrix._from_slices(spec, [ws.p], ws.dp, n, n)
-    d = InvMatrix._from_slices(spec, [ws.a], ws.da, n, n)
-    object.__setattr__(f, "_diag", (p, GramForm(d, 1)))
+    p = InvMatrix._from_slices(spec, [ws.p], ws.dp, f.dim, f.dim)
+    object.__setattr__(f, "_diag", (p, GramForm._certified(spec, ws.a, ws.da, 1)))
     return f._diag
 
 
@@ -833,7 +854,6 @@ def witt_decompose(
     if not _congruent_to(mod, eps, [list(map(list, zip(*ws.p)))], ws.dp, [ws.a], ws.da, [grid], den):
         raise IdentityViolated("Witt decomposition certificate failed to re-multiply")
     aniso, drem = _corner(mod, ws.a, ws.da, off)
-    aniso_matrix = InvMatrix._from_slices(spec, [aniso], drem, n - off, n - off)
     basis = InvMatrix._from_slices(spec, [ws.p], ws.dp, n, n)
     certified = _certify(spec, eps, aniso)
     if require_certified and not certified:
@@ -841,7 +861,7 @@ def witt_decompose(
             f"anisotropy of the {len(aniso)}-dimensional remainder is not "
             f"certified within height bound {height_bound}"
         )
-    return WittDecomposition(off // 2, GramForm(aniso_matrix, eps), basis, certified)
+    return WittDecomposition(off // 2, GramForm._certified(spec, aniso, drem, eps), basis, certified)
 
 
 def _decided_anisotropic(coeffs: Sequence[Any]) -> bool:
@@ -864,12 +884,8 @@ def _certify(spec: RingSpec, eps: int, aniso: list[list[int]]) -> bool:
 
 
 def _hyperbolic_matrix(spec: RingSpec, n: int, eps: int) -> InvMatrix:
-    rows = []
-    for i in range(n):
-        rows.append([0] * n + [1 if j == i else 0 for j in range(n)])
-    for i in range(n):
-        rows.append([eps if j == i else 0 for j in range(n)] + [0] * n)
-    return InvMatrix.from_rows(spec, rows)
+    rows = [[int(j == i + n) for j in range(2 * n)] for i in range(n)]
+    return InvMatrix.from_rows(spec, rows + [[eps * (j == i) for j in range(2 * n)] for i in range(n)])
 
 
 def hyperbolic(n: int, epsilon: int, ring: RingSpec) -> GramForm:
@@ -884,9 +900,8 @@ def interchange_isometry(n: int, epsilon: int, ring: RingSpec) -> InvMatrix:
     hyperbolic form, checked to be an isometry with square eps*I."""
     _check_int("rank", n)
     _check_int("epsilon", epsilon, (1, -1))
-    sigma = _hyperbolic_matrix(ring, n, epsilon)
-    h = sigma  # the isometry and the Gram matrix coincide here
-    if sigma.conj_transpose() * h * sigma != h:
+    sigma = _hyperbolic_matrix(ring, n, epsilon)  # also the Gram matrix of the form
+    if sigma.conj_transpose() * sigma * sigma != sigma:
         raise IdentityViolated("the interchange is not an isometry")
     if sigma * sigma != InvMatrix.identity(ring, 2 * n).scale(epsilon):
         raise IdentityViolated("the interchange does not square to eps*I")

@@ -267,6 +267,28 @@ def test_lift_demo_refuses_a_trial_count_out_of_bounds(capsys, trials):
     assert "1 and 1000" in out["error"]["message"]
 
 
+@pytest.mark.parametrize("argv, quoted", [
+    (("lift", "demo", "--base", "q", "--k", "2", "--n", "1", "--trials", "9" * 5000), "'" + "9" * 20 + "'"),
+    (("lift", "demo", "--base", "q", "--k", "2", "--n", "1", "--trials", "1" * 4000 + "x"), "'" + "1" * 20 + "'"),
+    (("witt", "class", "--ring", "q", "--diag", "1", "--epsilon", "9" * 4000), " " + "9" * 20 + " "),
+])
+def test_a_refused_flag_value_is_quoted_in_at_most_20_characters(capsys, argv, quoted):
+    code, out = run(capsys, *argv)
+    assert code == 2 and out["error"]["type"] == "IllFormed"
+    assert quoted in out["error"]["message"] and len(out["error"]["message"]) < 100
+
+
+@pytest.mark.parametrize("argv", [
+    ("witt", "class", "--ring", "q", "--diag="),
+    ("witt", "class", "--ring", "q", "--diag", ","),
+    ("witt", "class", "--ring", "q", "--diag", " , "),
+    ("witt", "ring", "--ring", "q", "--gen="),
+])
+def test_an_empty_diagonal_is_refused_as_such(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2 and out["error"] == {"type": "IllFormed", "message": "empty diagonal"}
+
+
 @pytest.mark.parametrize("argv", [
     ("witt", "class", "--ring=--", "--diag", "1"),
     ("witt", "ring", "--ring", "q", "--gen=--"),

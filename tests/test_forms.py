@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import witt_oracle as oracle
 
 from wittkit import forms
 from wittkit.errors import (
@@ -62,6 +65,87 @@ def test_gram_form_validation():
     # dyadic Gram entries must make the determinant a unit
     with pytest.raises(DegenerateForm):
         GramForm.diagonal(DY, [3])
+
+
+@pytest.mark.parametrize("spec", [F5, F7, Q], ids=str)
+def test_a_singular_form_is_refused_at_construction(spec):
+    # a diagonal of rank r < n moved by 2n congruent shears, each singular
+    # by the oracle's own determinant; every one is refused by the
+    # constructor, with the message a determinant gives.  Random symmetric
+    # grids of small entries are accepted exactly when the oracle's
+    # determinant is nonzero
+    rng, p = random.Random(37 + (spec.p or 0)), spec.p
+    units = (1, 2, -1, 3) if p else (1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3))
+    refused = 0
+    for n in range(1, 13):
+        for r in range(n):
+            grid = [[rng.choice(units) if i == j < r else 0 for j in range(n)] for i in range(n)]
+            for _ in range(2 * n if n > 1 else 0):
+                i, j = rng.sample(range(n), 2)
+                c = rng.choice((-2, -1, 1, 2))
+                grid[j] = [x + c * y for x, y in zip(grid[j], grid[i])]  # row j += c row i
+                for row in grid:  # column j += c column i
+                    row[j] += c * row[i]
+            assert oracle.det(grid, p) == 0
+            with pytest.raises(DegenerateForm, match="^Gram determinant is not a unit$"):
+                GramForm.from_rows(spec, grid)
+            refused += 1
+        for _ in range(6):
+            grid = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    grid[i][j] = grid[j][i] = rng.randint(-1, 1)
+            try:
+                GramForm.from_rows(spec, grid)
+            except DegenerateForm:
+                assert oracle.det(grid, p) == 0, grid
+            else:
+                assert oracle.det(grid, p) != 0, grid
+    assert refused == 78
+
+
+def test_every_route_refuses_a_degenerate_form_alike():
+    # over F_p and Q a symmetric form is refused by its diagonalization,
+    # over Z[1/2] and for a skew form by its determinant: one message
+    cases = [(Q, [[1, 2], [2, 4]], 1), (Q, [[0, 0], [0, 1]], 1), (F5, [[1, 2], [2, 4]], 1),
+             (F7, [[0, 0], [0, 0]], 1), (DY, [[3, 0], [0, 1]], 1), (DY, [[1, 2], [2, 4]], 1),
+             (Q, [[0, 0], [0, 0]], -1), (F7, [[0, 0], [0, 0]], -1), (RingSpec.laurent2(), [[1, 1], [1, 1]], 1)]
+    for spec, rows, eps in cases:
+        with pytest.raises(DegenerateForm) as info:
+            GramForm.from_rows(spec, rows, eps)
+        assert str(info.value) == "Gram determinant is not a unit", (spec, rows, eps)
+
+
+def test_a_certified_form_must_be_a_diagonal_of_units():
+    # the D of diagonalize and the remainder of witt_decompose take no
+    # determinant; a zero, a non-unit or an entry off the diagonal is the
+    # package's fault
+    for spec, grid in ((Q, [[1, 0], [0, 0]]), (F7, [[1, 1], [1, 1]]), (DY, [[3]]), (Q, [[0, 1], [-1, 0]])):
+        with pytest.raises(IdentityViolated, match="not a diagonal of units"):
+            GramForm._certified(spec, grid, 1, 1)
+    f = GramForm._certified(DY, [[1, 0], [0, -2]], 4, 1)
+    assert f == GramForm.diagonal(DY, [Fraction(1, 4), Fraction(-1, 2)]) and f._diag is None
+
+
+def test_a_degenerate_form_is_refused_under_python_o():
+    # the refusal is a raise, not an assert, so -O keeps it
+    script = (
+        "import sys\n"
+        "assert sys.flags.optimize\n"
+        "from wittkit.errors import DegenerateForm\n"
+        "from wittkit.forms import GramForm\n"
+        "from wittkit.rings import RingSpec\n"
+        "for tag in ('q', 'fp:5'):\n"
+        "    try:\n"
+        "        GramForm.from_rows(RingSpec.from_tag(tag), [[1, 2], [2, 4]])\n"
+        "    except DegenerateForm as exc:\n"
+        "        print(tag, exc)\n"
+    )
+    src = str(Path(forms.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60,
+                          env={"PYTHONPATH": src, "PATH": ""})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["q Gram determinant is not a unit", "fp:5 Gram determinant is not a unit"]
 
 
 def test_bilinear_and_evaluate():
@@ -508,7 +592,9 @@ def test_a_wrong_basis_fails_each_certificate(monkeypatch, spec):
         b[0][0] = (b[0][0] + 1) % spec.p if spec.p else b[0][0] + 1
         return b
 
-    sym = _sheared(orth_sum(hyperbolic(2, 1, spec), GramForm.diagonal(spec, [1, 1])), random.Random(5), 6)
+    def build_sym():
+        return _sheared(orth_sum(hyperbolic(2, 1, spec), GramForm.diagonal(spec, [1, 1])), random.Random(5), 6)
+
     skew = _sheared(hyperbolic(2, -1, spec), random.Random(6), 6)
     check = forms._congruent_to
 
@@ -517,9 +603,16 @@ def test_a_wrong_basis_fails_each_certificate(monkeypatch, spec):
 
     with monkeypatch.context() as m:
         m.setattr(forms, "_congruent_to", wrong_basis)
-        with pytest.raises(IdentityViolated, match=r"P\*\.G\.P = D"):
-            diagonalize(sym)
-        assert sym._diag is None  # a refusal is not kept
+        if spec.is_field:  # the constructor diagonalizes, and refuses
+            with pytest.raises(IdentityViolated, match=r"P\*\.G\.P = D"):
+                build_sym()
+        else:
+            sym = build_sym()
+            with pytest.raises(IdentityViolated, match=r"P\*\.G\.P = D"):
+                diagonalize(sym)
+            assert sym._diag is None  # a refusal is not kept
+    sym = build_sym()
+    assert sym._diag is not None or not spec.is_field
     diagonalize(sym)
     with monkeypatch.context() as m:
         m.setattr(forms, "_congruent_to", wrong_basis)
@@ -590,8 +683,10 @@ def test_witt_decompose_diagonalizes_once(monkeypatch, spec):
     # 5 planes and an anisotropic binary block, moved by 12 shears: one
     # 12 x 12 diagonalization, then per plane at most the |S| - 2 other
     # coordinates of its witness's support S are diagonalized again
+    # over F_7 and Q the constructor diagonalizes, so the spies are in
+    # place before the form is built from its Gram matrix
     block = [1, -3] if spec == F7 else [1, 1]
-    f = _sheared(orth_sum(hyperbolic(5, 1, spec), GramForm.diagonal(spec, block)), random.Random(7), 12)
+    gram = _sheared(orth_sum(hyperbolic(5, 1, spec), GramForm.diagonal(spec, block)), random.Random(7), 12).gram
     events = []
 
     def spy(fn, kind, rows):
@@ -603,6 +698,8 @@ def test_witt_decompose_diagonalizes_once(monkeypatch, spec):
 
     monkeypatch.setattr(forms, "_diagonal", spy(forms._diagonal, "diag", lambda args: args[1]))
     monkeypatch.setattr(forms, "_isotropic_on_diagonal", spy(forms._isotropic_on_diagonal, "search", None))
+    f = GramForm(gram)
+    assert events == ([("diag", 12)] if spec.is_field else [])
     dec = witt_decompose(f)
     assert dec.hyperbolic_rank == 5 and dec.certified
     assert events[0] == ("diag", 12) and [e for e in events if e[0] == "diag"].count(("diag", 12)) == 1
@@ -617,13 +714,14 @@ def test_witt_decompose_diagonalizes_once(monkeypatch, spec):
 
 @pytest.mark.parametrize("spec", [F7, Q, DY], ids=str)
 def test_class_equivalence_and_decomposition_share_one_diagonalization(monkeypatch, spec):
-    # one full-size diagonalization per form, and one call of the congruence
+    # one full-size diagonalization per form, counting the one the
+    # constructor makes over F_7 and Q, and one call of the congruence
     # kernel (matrices._congruent_to, as forms holds it) with its Gram grid
     # for the diagonalization's certificate (f, g) plus the decomposition's
     # own (f), wherever the class of f is asked again
     block = [1, -3] if spec == F7 else [1, 1]
-    f = _sheared(orth_sum(hyperbolic(4, 1, spec), GramForm.diagonal(spec, block)), random.Random(11), 10)
-    g = _sheared(GramForm.diagonal(spec, [1, 2, -1]), random.Random(12), 3)
+    grams = {"f": _sheared(orth_sum(hyperbolic(4, 1, spec), GramForm.diagonal(spec, block)), random.Random(11), 10).gram,
+             "g": _sheared(GramForm.diagonal(spec, [1, 2, -1]), random.Random(12), 3).gram}
     rows, products = [], {"f": 0, "g": 0}
 
     def spy(fn, grid):
@@ -635,14 +733,17 @@ def test_class_equivalence_and_decomposition_share_one_diagonalization(monkeypat
     congruent_to = forms._congruent_to
 
     def counting_check(*args):
-        for name, form in (("f", f), ("g", g)):
-            products[name] += args[6][0] is form.gram._slice_form()[0][0]  # G, one slice
+        for name, gram in grams.items():
+            products[name] += args[6][0] is gram._slice_form()[0][0]  # G, one slice
         return congruent_to(*args)
 
     monkeypatch.setattr(forms, "_diagonal", spy(forms._diagonal, lambda args: args[1]))
     monkeypatch.setattr(forms, "_congruent_to", counting_check)
+    f = GramForm(grams["f"])
+    assert rows == ([10] if spec.is_field else [])
     cls = witt_class(f)
     assert rows == [10] and products == {"f": 1, "g": 0}
+    g = GramForm(grams["g"])
     assert witt_equiv(f, g) == (cls == witt_class(g))
     assert rows == [10, 3] and products == {"f": 1, "g": 1}
     dec = witt_decompose(f)
@@ -1040,11 +1141,12 @@ def test_q_and_dyadic_numerators_are_compared_over_one_denominator():
         assert not _accepts(InvMatrix.from_rows(spec, [[Fraction(1, 8), Fraction(1, 2)], [Fraction(-1, 2), 0]]), -1)
 
 
-def test_an_integer_form_builds_one_fraction_per_determinant(monkeypatch):
+def test_an_integer_form_builds_no_fraction(monkeypatch):
     # a 12-dimensional form over Q from int rows, like the witt benchmark's
     # sym-q jobs: H^5 + <1, 1> moved by 12 shears of +-1, and a partner.
-    # Its rows enter as slices; until cells are read the only Fraction
-    # built is the value of each determinant taken
+    # Its rows enter as slices, and the diagonalization that proves it
+    # nondegenerate takes no determinant: until cells are read no Fraction
+    # is built
     rng = random.Random(12)
 
     def sheared(rows):
@@ -1075,6 +1177,6 @@ def test_an_integer_form_builds_one_fraction_per_determinant(monkeypatch):
     dec = witt_decompose(f)
     monkeypatch.undo()
     assert f.gram._cells is None and g.gram._cells is None
-    assert 0 < len(built) <= len(dets)
-    assert dets.count(12) >= 1 and dec.hyperbolic_rank == 5
+    assert built == [] and dets == []
+    assert dec.hyperbolic_rank == 5
     _check_decomposition(f, dec)

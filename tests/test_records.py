@@ -144,11 +144,18 @@ def test_disc_primes_and_ops_stay_out_of_eq_hash_and_repr():
 
 
 def test_a_forms_kept_diagonalization_and_class_stay_out_of_the_record():
+    # a symmetric form over F_p or Q keeps the diagonalization that proved
+    # it nondegenerate from construction on; over Z[1/2], a skew form, and
+    # a diagonal of units keep none until asked
+    for spec, eps, rows, kept in ((F7, 1, [[1, 2], [2, 3]], True), (RingSpec("dyadic"), 1, [[1, 2], [2, 3]], False),
+                                  (Q, -1, [[0, 1], [-1, 0]], False), (F7, -1, [[0, 1], [6, 0]], False),
+                                  (Q, 1, [[1, 0], [0, 2]], False)):
+        assert (GramForm.from_rows(spec, rows, eps)._diag is not None) == kept, (spec, eps, rows)
     rows = [[1, 2], [2, -3]]
     f, fresh = GramForm.from_rows(Q, rows), GramForm.from_rows(Q, rows)
+    pair = f._diag
     cls = witt_class(f)
-    pair = diagonalize(f)
-    assert f._diag is pair and f._class is cls and fresh._diag is fresh._class is None
+    assert diagonalize(f) is pair and f._class is cls and fresh._diag == pair and fresh._class is None
     pinned = "GramForm(q, eps=+1, gram=<2x2 [1, 2; 2, -3] over q>)"
     assert f == fresh and not f != fresh and hash(f) == hash(fresh) and repr(f) == repr(fresh) == pinned
     for clone in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):

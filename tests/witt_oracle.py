@@ -37,6 +37,24 @@ def congruent(x: Sequence[Sequence], g: Sequence[Sequence], t: Sequence[Sequence
     return _mul(_mul(list(zip(*x)), g, mod), x, mod) == [[v % mod if mod else v for v in row] for row in t]
 
 
+def det(cells: Sequence[Sequence], mod: int | None) -> int | Fraction:
+    """The determinant by Gaussian elimination, over ``Fraction``s or mod
+    ``mod``."""
+    a = [[v % mod if mod else Fraction(v) for v in row] for row in cells]
+    out = 1
+    for i in range(len(a)):
+        j = next((k for k in range(i, len(a)) if a[k][i]), None)
+        if j is None:
+            return 0
+        a[i], a[j] = a[j], a[i]
+        out *= a[i][i] if i == j else -a[i][i]
+        inv = pow(a[i][i], -1, mod) if mod else 1 / a[i][i]
+        for k in range(i + 1, len(a)):
+            c = a[k][i] * inv
+            a[k] = [(x - c * y) % mod if mod else x - c * y for x, y in zip(a[k], a[i])]
+    return out % mod if mod else out
+
+
 def _two_power(n: int) -> bool:
     return n > 0 and n & (n - 1) == 0
 
