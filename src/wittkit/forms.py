@@ -46,6 +46,8 @@ from .intlinalg import (
     identity_int,
     int_det,
     kernel_basis_int,
+    least_nonresidue,
+    legendre,
     matmul_int,
     square_part,
 )
@@ -445,17 +447,21 @@ def _with_complement(grid: Sequence[Sequence[int]], cols: list[list[int]]) -> li
 
 
 def _dyadic_block_pivot(ws: _Congruence, i: int) -> None:
-    """Make a[i][i] a unit when no trailing diagonal entry is one: find a
-    unit-valued vector v in the trailing block and split it off by its
-    orthogonal complement (``_with_complement``).
+    """Make a[i][i] and, from a 2x2 block, a[i + 1][i + 1] units when no
+    trailing diagonal entry is one.
 
-    v comes from a tiny search in a 2x2 principal block of unit
-    determinant, moved to i, i + 1; else from a search of the whole
-    trailing block up to height ``_PIVOT_BOUND``; else from that search
-    again after each Lagrange reduction step of the 2x2 block, a shear of
-    the whole trailing block, until the block is reduced.  One step turns
-    [[0, 2], [2, 85]] (a unit value first at height 21) into
-    [[0, 2], [2, 1]].
+    A 2x2 principal block [[a, u], [u, b]] of unit determinant moves to
+    i, i + 1, and a tiny search finds v = (x, y) with q(v) a unit.  Then
+    w = (-(u x + b y), a x + u y) / g, g the gcd of those two entries, is
+    orthogonal to v, and det [v w] = q(v) / g and q(w) = det q(v) / g^2 are
+    units: [v w] is a change of basis of the block with two unit pivots.
+    Otherwise a unit-valued vector v of the whole trailing block, found up
+    to height ``_PIVOT_BOUND``, is split off by its orthogonal complement
+    (``_with_complement``); if there is none and a 2x2 block was found,
+    that search runs again after each Lagrange reduction step of the
+    block, a shear of the whole trailing block, until the block is
+    reduced.  One step turns [[0, 2], [2, 85]] (a unit value first at
+    height 21) into [[0, 2], [2, 1]].
     """
     a = ws.a
     n = len(a)
@@ -464,14 +470,20 @@ def _dyadic_block_pivot(ws: _Congruence, i: int) -> None:
          if _is_power_of_two(a[r][r] * a[s][s] - a[r][s] * a[r][s])),
         None,
     )
-    v = None
+    v = t = None
     if pair is not None:
         r, s = pair
         ws.swap(i, r)
         ws.swap(i + 1, s)  # s > r >= i, so the first swap left it in place
         aa, u, bb = a[i][i], a[i][i + 1], a[i + 1][i + 1]
-        v = next(((x, y, *[0] * (n - i - 2)) for x, y in _signed_vectors(2, 8)
+        v = next(((x, y) for x, y in _signed_vectors(2, 8)
                   if _is_power_of_two(aa * x * x + 2 * u * x * y + bb * y * y)), None)
+        if v is not None:
+            x, y = v
+            gx, gy = aa * x + u * y, u * x + bb * y
+            g = gcd(gx, gy)
+            t = identity_int(n - i)
+            t[0][:2], t[1][:2] = [x, -gy // g], [y, gx // g]
     if v is None:
         v = _unit_vector_search([row[i:] for row in ws.a[i:]], _PIVOT_BOUND)
     while v is None and pair is not None:
@@ -484,16 +496,16 @@ def _dyadic_block_pivot(ws: _Congruence, i: int) -> None:
         q = (2 * u + aa) // (2 * aa) if aa else (bb + u) // (2 * u)
         if not q:
             break
-        t = identity_int(n - i)
-        t[0][1] = -q
-        ws.apply(t, 1, i)
+        shear = identity_int(n - i)
+        shear[0][1] = -q
+        ws.apply(shear, 1, i)
         v = _unit_vector_search([row[i:] for row in ws.a[i:]], _PIVOT_BOUND)
     if v is None:
         raise OracleInconclusive(
             f"no unit-valued vector of height <= {_PIVOT_BOUND} found while "
             f"diagonalizing a {n - i}-dimensional block over Z[1/2]"
         )
-    ws.apply(_with_complement([row[i:] for row in ws.a[i:]], [list(v)]), 1, i)
+    ws.apply(t or _with_complement([row[i:] for row in ws.a[i:]], [list(v)]), 1, i)
     if not _is_power_of_two(ws.a[i][i]):
         raise IdentityViolated("the unit-vector pivot step left a non-unit pivot")
 
@@ -636,13 +648,12 @@ def _sqrt_mod(t: int, p: int) -> int | None:
     t %= p
     if t == 0:
         return 0
-    if pow(t, (p - 1) // 2, p) != 1:
+    if legendre(t, p) == -1:
         return None
     q, e = p - 1, 0
     while q % 2 == 0:
         q, e = q // 2, e + 1
-    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
-    c, u, r = pow(z, q, p), pow(t, q, p), pow(t, (q + 1) // 2, p)
+    c, u, r = pow(least_nonresidue(p), q, p), pow(t, q, p), pow(t, (q + 1) // 2, p)
     # r^2 = t u with u of order 2^k, k < e; each step halves that order
     while u != 1:
         k, v = 0, u

@@ -120,6 +120,20 @@ def prime_factors(n: int) -> list[int]:
     return sorted(_factorization(n))
 
 
+def legendre(u: int, p: int) -> int:
+    """Legendre symbol (u|p) for odd prime p and u not divisible by p, by
+    Euler's criterion."""
+    return 1 if pow(u % p, (p - 1) // 2, p) == 1 else -1
+
+
+def least_nonresidue(p: int) -> int:
+    """The least quadratic non-residue mod the odd prime p."""
+    for q in range(2, p):
+        if legendre(q, p) == -1:
+            return q
+    raise AssertionError("odd prime fields always have a non-residue")
+
+
 # Trial division looks for primes below _TRIAL_BOUND only.  A cofactor left
 # over is proved prime by Miller-Rabin (exact below _MR_LIMIT) or split by
 # Pollard-Brent rho, which gives up with BudgetExceeded after about

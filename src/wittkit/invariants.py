@@ -7,8 +7,10 @@ forms up to Witt equivalence:
   class;
 * rationals: dimension mod 2, signature, signed discriminant, and
   Hasse symbols at the finitely many relevant primes;
-* dyadic integers Z[1/2]: signature and the 2-adic valuation of the
-  discriminant mod 2, which together map the Witt group onto Z + Z/2.
+* dyadic integers Z[1/2]: the rational invariants of the same Gram
+  matrix, as Z[1/2] is a Dedekind domain and W(Z[1/2]) -> W(Q) is
+  injective (Milnor-Husemoller, *Symmetric Bilinear Forms*, ch. IV).  The
+  signature and the parity of v_2(disc) map the Witt group onto Z + Z/2.
 
 "Signed discriminant" means (-1)^(n(n-1)/2) * det.  Unlike the raw
 determinant it is insensitive to adding hyperbolic planes, so it is a
@@ -24,7 +26,7 @@ from fractions import Fraction
 
 from .errors import IdentityViolated, IllFormed, NotClosed, SpecMismatch
 from .forms import GramForm, diagonalize, tensor
-from .intlinalg import bezout_vector, prime_factors
+from .intlinalg import bezout_vector, least_nonresidue, legendre, prime_factors
 from .rings import DYADIC, PRIME_FIELD, RATIONALS, RingSpec, _is_odd_prime, _Record
 
 TYPE_CHECKING = False
@@ -46,21 +48,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _legendre(u: int, p: int) -> int:
-    """Legendre symbol (u|p) for odd prime p and u not divisible by p."""
-    return 1 if pow(u % p, (p - 1) // 2, p) == 1 else -1
-
-
-def _nonresidue(p: int) -> int:
-    for q in range(2, p):
-        if _legendre(q, p) == -1:
-            return q
-    raise AssertionError("odd prime fields always have a non-residue")
-
-
 def _fp_rep(u: int, p: int) -> int:
     """Canonical square-class representative mod p: 1 or the least non-residue."""
-    return 1 if _legendre(u, p) == 1 else _nonresidue(p)
+    return 1 if legendre(u, p) == 1 else least_nonresidue(p)
 
 
 def _split_valuation(n: int, p: int) -> tuple[int, int]:
@@ -136,9 +126,9 @@ def hilbert_symbol(a: int | Fraction, b: int | Fraction, place: Any) -> int:
         return -1 if e % 2 else 1
     sign = -1 if (alpha * beta * ((p - 1) // 2)) % 2 else 1
     if beta % 2:
-        sign *= _legendre(u, p)
+        sign *= legendre(u, p)
     if alpha % 2:
-        sign *= _legendre(v, p)
+        sign *= legendre(v, p)
     return sign
 
 
@@ -154,10 +144,12 @@ class WittClass(_Record):
     field-by-field equality decides Witt equivalence directly:
 
     * prime field: dim_mod2, disc (1 or the least non-residue);
-    * rationals: dim_mod2, signature, disc (signed squarefree integer),
-      hasse (sorted (prime, -1) pairs; omitted primes carry +1);
-    * dyadic: signature and dyadic_disc_parity, with disc the matching
-      representative in {1, -1, 2, -2} and dim_mod2 = signature mod 2.
+    * rationals and dyadic: dim_mod2, signature, disc (signed squarefree
+      integer), hasse (sorted (prime, -1) pairs; omitted primes carry +1).
+      A dyadic class is the rational class of the same Gram matrix, so
+      its disc is one of 1, -1, 2, -2 and its only Hasse symbol is at 2;
+      the constructor sets dyadic_disc_parity to whether |disc| = 2 (0
+      over other rings), and the class in Z + Z/2 is the signature and it.
 
     The hasse and disc fields store the hyperbolic-stable normalization
     described in the module docstring, so adding hyperbolic planes does
@@ -171,14 +163,13 @@ class WittClass(_Record):
     __slots__ = (*_fields, "disc_primes")
 
     def __init__(self, ring: RingSpec, dim_mod2: int = 0, signature: int = 0, disc: int = 1,
-                 hasse: tuple[tuple[int, int], ...] = (), dyadic_disc_parity: int = 0,
-                 disc_primes: frozenset[int] | None = None):
+                 hasse: tuple[tuple[int, int], ...] = (), disc_primes: frozenset[int] | None = None):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "dim_mod2", dim_mod2)
         object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "disc", disc)
         object.__setattr__(self, "hasse", hasse)
-        object.__setattr__(self, "dyadic_disc_parity", dyadic_disc_parity)
+        object.__setattr__(self, "dyadic_disc_parity", int(ring.kind == DYADIC and abs(disc) == 2))
         object.__setattr__(self, "disc_primes", disc_primes)
 
     @classmethod
@@ -206,26 +197,13 @@ class WittClass(_Record):
             return NotImplemented
         if self.ring != other.ring:
             raise SpecMismatch("cannot add Witt classes over different rings")
-        kind = self.ring.kind
         r = (self.dim_mod2 + other.dim_mod2) % 2
         cross = self.dim_mod2 * other.dim_mod2
-        if kind == PRIME_FIELD:
+        if self.ring.kind == PRIME_FIELD:
             p = self.ring.p
             assert p is not None
             d = self.disc * other.disc * (-1 if cross else 1)
             return WittClass(self.ring, dim_mod2=r, disc=_fp_rep(d % p, p))
-        if kind == DYADIC:
-            parity = (self.dyadic_disc_parity + other.dyadic_disc_parity) % 2
-            neg = (self.disc < 0) != (other.disc < 0)
-            if cross:
-                neg = not neg
-            return WittClass(
-                self.ring,
-                dim_mod2=r,
-                signature=self.signature + other.signature,
-                disc=(-1 if neg else 1) * (2 if parity else 1),
-                dyadic_disc_parity=parity,
-            )
         disc = _sqf_mul(self.disc, other.disc)
         mine, theirs = dict(self.hasse), dict(other.hasse)
         places = self._places() | other._places()
@@ -241,20 +219,11 @@ class WittClass(_Record):
         return WittClass(self.ring, r, signature, -disc if cross else disc, tuple(minus), disc_primes=primes)
 
     def __neg__(self) -> "WittClass":
-        kind = self.ring.kind
         r = self.dim_mod2
-        if kind == PRIME_FIELD:
+        if self.ring.kind == PRIME_FIELD:
             p = self.ring.p
             assert p is not None
             return WittClass(self.ring, dim_mod2=r, disc=_fp_rep(self.disc * (-1 if r else 1) % p, p))
-        if kind == DYADIC:
-            return WittClass(
-                self.ring,
-                dim_mod2=r,
-                signature=-self.signature,
-                disc=-self.disc if r else self.disc,
-                dyadic_disc_parity=self.dyadic_disc_parity,
-            )
         if r:
             return WittClass(self.ring, r, -self.signature, -self.disc, self.hasse, disc_primes=self.disc_primes)
         mine = dict(self.hasse)
@@ -323,7 +292,11 @@ def witt_class(f: GramForm) -> WittClass:
     symmetric form is computed once, from the diagonalization the form
     keeps, and kept on the form as long as it lives.  Over Q each
     numerator of ``diagonalize``'s D, and their denominator, is factored
-    once; all else follows from their squarefree classes.
+    once; all else follows from their squarefree classes.  Over Z[1/2]
+    the same computation runs on D's entries +-1 and +-2, so 2 is the
+    only place; the class must then have disc +-1 or +-2 and no Hasse
+    symbol -1 at an odd prime (every odd residue of a form unimodular
+    over Z[1/2] is zero), else IdentityViolated.
     """
     spec = f.ring
     if spec.kind not in (PRIME_FIELD, RATIONALS, DYADIC):
@@ -333,12 +306,17 @@ def witt_class(f: GramForm) -> WittClass:
             raise SpecMismatch("skew classes are only classified over fields")
         return WittClass.zero(spec)
     if f._class is None:
-        object.__setattr__(f, "_class", _diagonal_class(diagonalize(f)[1]))
+        c = _diagonal_class(diagonalize(f)[1])
+        if spec.kind == DYADIC and (abs(c.disc) not in (1, 2) or any(p != 2 for p, _ in c.hasse)):
+            raise IdentityViolated(f"a class over Z[1/2] with disc {c.disc} and Hasse symbols {c.hasse} "
+                                   "has an odd residue")
+        object.__setattr__(f, "_class", c)
     return f._class
 
 
 def _diagonal_class(d: GramForm) -> WittClass:
-    """The class of the diagonal symmetric form d."""
+    """The class of the diagonal symmetric form d: over Z[1/2], as over Q,
+    read off the square classes of its entries."""
     spec, n = d.ring, d.dim
     (grid,), den = d.gram._slice_form()
     nums = [row[i] for i, row in enumerate(grid)]
@@ -349,35 +327,19 @@ def _diagonal_class(d: GramForm) -> WittClass:
         return WittClass(spec, dim_mod2=n % 2, disc=_fp_rep(math.prod(nums) * (-1) ** twist % p, p))
     # den > 0, so each entry a_i / den has the sign of a_i
     signature = sum(1 if a > 0 else -1 for a in nums)
-    if spec.kind == RATIONALS:
-        # a_i / den is in the square class of a_i * den
-        den_primes = prime_factors(den)
-        den_class, den_odd = _square_class(den, den_primes)
-        classes = {a: _square_class(a, den_primes) for a in set(nums)}
-        xs = [_sqf_mul(classes[a][0], den_class) for a in nums]
-        places = {2}.union(*(primes ^ den_odd for _, primes in classes.values()))
-        prefix = [1]
-        for x in xs:
-            prefix.append(_sqf_mul(prefix[-1], x))
-        hasse = _stripped_hasse(xs, prefix, places)
-        disc = -prefix[-1] if twist else prefix[-1]
-        primes = frozenset(p for p in places if disc % p == 0)
-        return WittClass(spec, n % 2, signature, disc, hasse, disc_primes=primes)
-    # dyadic: diagonalize has normalized every entry into {+-1, +-2}
-    parity = 0
-    negative = bool(twist)
-    for a in nums:
-        if abs(a) not in (den, 2 * den):
-            raise IdentityViolated(f"dyadic diagonal entry {Fraction(a, den)} is not in +-1, +-2")
-        parity ^= abs(a) != den
-        negative ^= a < 0
-    return WittClass(
-        spec,
-        dim_mod2=n % 2,
-        signature=signature,
-        disc=(-1 if negative else 1) * (2 if parity else 1),
-        dyadic_disc_parity=parity,
-    )
+    # a_i / den is in the square class of a_i * den
+    den_primes = prime_factors(den)
+    den_class, den_odd = _square_class(den, den_primes)
+    classes = {a: _square_class(a, den_primes) for a in set(nums)}
+    xs = [_sqf_mul(classes[a][0], den_class) for a in nums]
+    places = {2}.union(*(primes ^ den_odd for _, primes in classes.values()))
+    prefix = [1]
+    for x in xs:
+        prefix.append(_sqf_mul(prefix[-1], x))
+    hasse = _stripped_hasse(xs, prefix, places)
+    disc = -prefix[-1] if twist else prefix[-1]
+    primes = frozenset(p for p in places if disc % p == 0)
+    return WittClass(spec, n % 2, signature, disc, hasse, disc_primes=primes)
 
 
 def witt_equiv(f: GramForm, g: GramForm) -> bool:
@@ -591,7 +553,7 @@ def witt_ring_table(ring: RingSpec, generators: Sequence[GramForm] | None = None
             gens = [GramForm.diagonal(ring, list(d)) for d in _DEFAULT_DYADIC_DIAGS]
         else:
             assert ring.p is not None
-            gens = [GramForm.diagonal(ring, [1]), GramForm.diagonal(ring, [_nonresidue(ring.p)])]
+            gens = [GramForm.diagonal(ring, [1]), GramForm.diagonal(ring, [least_nonresidue(ring.p)])]
     else:
         gens = list(generators)
         if not gens:

@@ -194,10 +194,10 @@ def test_dyadic_diagonal_normalizes_to_unit_representatives():
 # Forms with no usable diagonal pivot.  swap3 swaps a later pivot in, path4
 # has no nonzero diagonal entry, so over a field it first adds a neighbour
 # to e_0, and scaled2 does that too.  Over Z[1/2] each comes to a block with
-# no unit on its diagonal, takes a unit-valued vector of a 2 x 2 block of
-# unit determinant and splits it off with its orthogonal complement;
-# scaled2's pivot of 8 is then rescaled to 2.  P and D are pinned as the
-# elimination order produces them.
+# no unit on its diagonal, takes a unit-valued vector v of a 2 x 2 block of
+# unit determinant and completes it inside the block by the unit-valued w
+# orthogonal to it; scaled2's pivots 8 and -8 are then rescaled to 2 and -2.
+# P and D are pinned as the elimination order produces them.
 _ZERO_DIAGONAL_FORMS = {
     "swap3": [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
     "path4": [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]],
@@ -212,9 +212,9 @@ _ZERO_DIAGONAL_PINS = [
     (Q, "path4", [[1, F(-1, 2), -1, F(1, 2)], [1, F(1, 2), 0, 0], [0, 0, 1, F(-1, 2)], [0, 0, 1, F(1, 2)]],
      [2, F(-1, 2), 2, F(-1, 2)]),
     (Q, "scaled2", [[1, F(-1, 2)], [1, F(1, 2)]], [8, -2]),
-    (DY, "swap3", [[0, 1, -1], [0, 1, 1], [1, 0, 0]], [1, 2, -2]),
-    (DY, "path4", [[1, 0, 0, 1], [1, 1, -1, -1], [0, -1, 1, 0], [0, 0, 2, 2]], [2, -2, 2, -2]),
-    (DY, "scaled2", [[F(1, 2), F(1, 2)], [F(1, 2), F(-1, 2)]], [2, -2]),
+    (DY, "swap3", [[0, 1, 1], [0, 1, -1], [1, 0, 0]], [1, 2, -2]),
+    (DY, "path4", [[1, -1, -1, 1], [1, 1, 0, 0], [0, 0, 1, -1], [0, 0, 1, 1]], [2, -2, 2, -2]),
+    (DY, "scaled2", [[F(1, 2), F(-1, 2)], [F(1, 2), F(1, 2)]], [2, -2]),
 ]
 
 
@@ -389,6 +389,22 @@ def test_dyadic_unit_vector_fallback(monkeypatch):
     assert calls == [4]
     assert d.is_diagonal()
     assert p.conj_transpose() * f.gram * p == d.gram
+
+
+def test_a_unimodular_2x2_block_gives_two_pivots_without_search(monkeypatch):
+    # job 161 of the witt benchmark's dense-dyadic family at seed 29: no
+    # diagonal entry is a unit, and the first 2 x 2 principal block of unit
+    # determinant is [[-28, 4], [4, 0]], of e_1 and e_2.  Its unit-valued v
+    # and the w orthogonal to v inside it are both pivots, so nothing is
+    # searched; splitting off v alone, with its complement, took six searches
+    calls = []
+    search = forms._unit_vector_search
+    monkeypatch.setattr(forms, "_unit_vector_search", lambda *a: calls.append(a) or search(*a))
+    f = GramForm.from_rows(DY, [[6, 7, -3, -24], [7, -28, 4, 92], [-3, 4, 0, -13], [-24, 92, -13, -302]])
+    p, d = diagonalize(f)
+    assert calls == []
+    assert p.conj_transpose() * f.gram * p == d.gram
+    assert witt_class(f) == witt_class(GramForm.diagonal(DY, [1, -1]))
 
 
 def test_dyadic_unit_vector_search_refuses_past_its_budget(monkeypatch):

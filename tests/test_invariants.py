@@ -11,7 +11,8 @@ import pytest
 
 import invariants_reference as ref
 from witt_oracle import milnor_equiv
-from wittkit.errors import IllFormed, NotClosed, OracleInconclusive, SpecMismatch
+from wittkit import invariants
+from wittkit.errors import IdentityViolated, IllFormed, NotClosed, OracleInconclusive, SpecMismatch
 from wittkit.forms import GramForm, hyperbolic, orth_sum, tensor
 from wittkit.invariants import (
     WittClass,
@@ -258,6 +259,52 @@ def test_equiv_matches_milnor_residues(spec, pairs):
         answers.append(got)
     assert refused <= pairs // 20
     assert 0 < sum(answers) < len(answers)
+
+
+def _unimodular_dyadic_rows(rng: random.Random) -> list[list[Fraction]]:
+    """A diagonal of +-1 and +-2 moved by shears e_j += c e_i over Z[1/2],
+    half-integral steps c included: a form unimodular over Z[1/2]."""
+    n = rng.randint(1, 5)
+    rows = [[Fraction(rng.choice((1, -1, 2, -2)) if i == j else 0) for j in range(n)] for i in range(n)]
+    for _ in range(n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = Fraction(rng.choice((1, -1, 2, -2, 3, -3)), rng.choice((1, 2)))
+        for row in rows:  # column j += c column i
+            row[j] += c * row[i]
+        rows[j] = [x + c * y for x, y in zip(rows[j], rows[i])]
+    return rows
+
+
+def _fields(c: WittClass) -> tuple:
+    return (c.dim_mod2, c.signature, c.disc, c.hasse)
+
+
+def test_dyadic_classes_are_the_rational_classes_of_their_forms():
+    # W(Z[1/2]) -> W(Q) is injective, so a class over Z[1/2] is the Q class
+    # of the same Gram matrix, and sums and negatives follow Q's group law
+    rng = random.Random(34)
+    for _ in range(120):
+        rows, other = _unimodular_dyadic_rows(rng), _unimodular_dyadic_rows(rng)
+        f, g = GramForm.from_rows(DY, rows), GramForm.from_rows(DY, other)
+        c1, c2 = witt_class(f), witt_class(g)
+        qf = GramForm.from_rows(Q, rows)
+        assert _fields(c1) == _fields(witt_class(qf)), rows
+        assert c1.dyadic_disc_parity == (abs(c1.disc) == 2)
+        total = witt_class(orth_sum(f, g))
+        assert c1 + c2 == total
+        assert _fields(total) == _fields(witt_class(orth_sum(qf, GramForm.from_rows(Q, other))))
+        assert -c1 == witt_class(GramForm.from_rows(DY, [[-x for x in row] for row in rows]))
+
+
+@pytest.mark.parametrize("entries", [[1, 3], [3, 3]], ids=str)
+def test_a_dyadic_class_with_an_odd_residue_is_refused(monkeypatch, entries):
+    # <1, 3> has disc -3 and <3, 3> a Hasse symbol -1 at 3: no form
+    # unimodular over Z[1/2] has either, so a diagonal that gave one is wrong
+    c = witt_class(GramForm.diagonal(Q, entries))
+    assert c.disc == -3 or (3, -1) in c.hasse
+    monkeypatch.setattr(invariants, "diagonalize", lambda f: (None, GramForm.diagonal(Q, entries)))
+    with pytest.raises(IdentityViolated, match="odd residue"):
+        witt_class(GramForm.diagonal(DY, [1, 2]))
 
 
 # -- ring tables --------------------------------------------------------------

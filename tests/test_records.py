@@ -59,7 +59,7 @@ CASES = [
          WittDecomposition(1, GramForm.diagonal(F7, [3]), InvMatrix.identity(F7, 3), False),
          "WittDecomposition(hyperbolic_rank=1, anisotropic=GramForm(fp:7, eps=+1, diag=[<3 over fp:7>]), "
          "change_of_basis=<3x3 [1, 0, 0; 0, 1, 0; 0, 0, 1] over fp:7>, certified=True)"),
-    Case(WittClass, (Q, 1, 1, 2, ((2, -1),), 0),
+    Case(WittClass, (Q, 1, 1, 2, ((2, -1),)),
          {"ring": Q, "dim_mod2": 1, "signature": 1, "disc": 2, "hasse": ((2, -1),)},
          WittClass(Q, 1, 1, 2),
          "WittClass(ring=RingSpec(kind='q', p=None, base=None, k=None), dim_mod2=1, signature=1, disc=2, "

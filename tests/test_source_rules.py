@@ -267,3 +267,32 @@ def test_only_from_presentation_takes_a_smith_form():
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(), str(path)), path.stem, "")
     assert sorted(set(found)) == ["stabilization:FgAbGroup.from_presentation"]
+
+
+def test_one_class_arithmetic_for_q_and_z_half():
+    # a class over Z[1/2] is the Q class of the same Gram matrix, so the
+    # group law and the class of a diagonal are Q's: the prime field is the
+    # one kind they tell apart, none of them names the Z[1/2] or the Q
+    # kind, and a second arithmetic for Z[1/2] cannot come back unseen
+    path = SRC / "invariants.py"
+    rules = {"WittClass.__add__", "WittClass.__neg__", "_diagonal_class"}
+    kinds = {"DYADIC", "RATIONALS"}
+    seen, found = set(), []
+
+    def names_a_kind(node: ast.AST) -> bool:
+        return ((isinstance(node, ast.Name) and node.id in kinds)
+                or (isinstance(node, ast.Attribute) and node.attr in kinds)
+                or (isinstance(node, ast.Constant) and node.value in ("dyadic", "q")))
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{owner}.{child.name}" if owner else child.name
+                if name in rules:
+                    seen.add(name)
+                    found.extend(f"{name}:{n.lineno}" for n in ast.walk(child) if names_a_kind(n))
+                visit(child, name)
+
+    visit(ast.parse(path.read_text(), str(path)), "")
+    assert seen == rules
+    assert found == []
